@@ -12,8 +12,7 @@ behave at the edges.
 import numpy as np
 
 from flwf import (LossSpec, classification_loss, combined_loss,
-                  distillation_loss, flwf1_loss, flwf2_loss, softmax,
-                  temperature_scaled_probs)
+                  distillation_loss, softmax, temperature_scaled_probs)
 
 rng = np.random.default_rng(0)
 rows, n = 6, 4
@@ -54,10 +53,13 @@ print(f"self-distillation {self_dis:.6f} equals tempered entropy {entropy:.6f}")
 # -- the combined objectives -------------------------------------------------------
 
 alpha, beta = 0.001, 0.7
-one = flwf1_loss(labels, student, teacher_client,
-                 LossSpec(mode="flwf1", alpha=alpha, temperature=T))
-two = flwf2_loss(labels, student, teacher_client, teacher_server,
-                 LossSpec(mode="flwf2", alpha=alpha, beta=beta, temperature=T))
+one = combined_loss(LossSpec(mode="flwf1", alpha=alpha, temperature=T,
+                             teacher_client_logits=teacher_client),
+                    student, labels)
+two = combined_loss(LossSpec(mode="flwf2", alpha=alpha, beta=beta, temperature=T,
+                             teacher_client_logits=teacher_client,
+                             teacher_server_logits=teacher_server),
+                    student, labels)
 print(f"\nwith alpha={alpha} (labels nearly mute) and beta={beta}:")
 print(f"  one-teacher loss: {one:.4f}"
       f"  = {alpha} * CE + {1 - alpha} * client")
@@ -77,9 +79,12 @@ print(f"  first-round fold (no client teacher): {folded:.4f}"
 assert abs(folded - (alpha * ce + (1 - alpha) * dis_server)) < 1e-12
 
 # at alpha=1 every distillation term disappears and both reduce to CE
-plain1 = flwf1_loss(labels, student, teacher_client,
-                    LossSpec(mode="flwf1", alpha=1.0, temperature=T))
-plain2 = flwf2_loss(labels, student, teacher_client, teacher_server,
-                    LossSpec(mode="flwf2", alpha=1.0, beta=0.0, temperature=T))
+plain1 = combined_loss(LossSpec(mode="flwf1", alpha=1.0, temperature=T,
+                                teacher_client_logits=teacher_client),
+                       student, labels)
+plain2 = combined_loss(LossSpec(mode="flwf2", alpha=1.0, beta=0.0, temperature=T,
+                                teacher_client_logits=teacher_client,
+                                teacher_server_logits=teacher_server),
+                       student, labels)
 print(f"  at alpha=1 both equal plain CE: {plain1:.4f}, {plain2:.4f}")
 assert abs(plain1 - ce) < 1e-12 and abs(plain2 - ce) < 1e-12

@@ -14,16 +14,16 @@ from .continual import (ExemplarStore, StrategyPolicy, TaskSequence, TaskSpec,
                         compose_training_batch, current_task, is_unbalanced,
                         normalized_label_entropy, select_loss_mode,
                         update_exemplars)
-from .datasets import (DatasetPool, Example, PoolExhaustedError, RoundBatch,
-                       TestSet, draw_round_data, draw_test_set,
-                       generate_synthetic, load_csv, save_csv)
+from .datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
+                       draw_round_data, draw_test_set, generate_synthetic,
+                       load_csv, save_csv)
 from .federation import (ClientRuntime, ExperimentResult, RoundReport,
                          ServerState, client_update, fedavg, run_experiment,
                          run_round, stream_seed)
 from .losses import (LossSpec, classification_loss, classification_loss_grad,
                      combined_loss, combined_loss_grad, distillation_loss,
-                     distillation_loss_grad, flwf1_loss, flwf2_loss, log_softmax,
-                     softmax, temperature_scaled_probs)
+                     distillation_loss_grad, log_softmax, softmax,
+                     temperature_scaled_probs)
 from .metrics import MetricsLedger, RoundRecord, accuracy_on, predict
 from .network import (LayerConfig, ModelParams, ShapeMismatchError, TrainConfig,
                       backward, forward, infer_shapes, init_params, load_model,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClientConfig", "ClientRuntime", "ConfigError", "CsvSource", "DatasetPool",
-    "Example", "ExemplarStore", "ExperimentResult", "LayerConfig", "LossSpec",
+    "ExemplarStore", "ExperimentResult", "LayerConfig", "LossSpec",
     "MetricsLedger", "ModelParams", "PoolExhaustedError", "RoundBatch",
     "RoundRecord", "RoundReport", "ScenarioConfig", "ServerState",
     "ShapeMismatchError", "StrategyPolicy", "SyntheticSource", "TaskSequence",
@@ -43,7 +43,7 @@ __all__ = [
     "combined_loss", "combined_loss_grad", "compose_training_batch",
     "current_task", "default_mlp_layers", "distillation_loss",
     "distillation_loss_grad", "draw_round_data", "draw_test_set", "fedavg",
-    "flwf1_loss", "flwf2_loss", "forward", "generate_synthetic", "infer_shapes",
+    "forward", "generate_synthetic", "infer_shapes",
     "init_params", "is_unbalanced", "load_config", "load_csv", "load_model",
     "log_softmax", "loss_on_batch", "normalized_label_entropy", "params_digest",
     "params_equal", "parse_config", "predict", "preset", "run_experiment",

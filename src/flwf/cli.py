@@ -120,7 +120,7 @@ def cmd_run(args) -> int:
         "out", f"{scenario.label}-seed{scenario.seed}")
     written: list[str] = []
     try:
-        result = run_experiment(scenario, parallel=args.parallel_clients)
+        result = run_experiment(scenario)
         written = write_outputs(result, out_dir)
     except Exception as exc:  # partial outputs must not look like a finished run
         for path in written:
@@ -210,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario seed")
     run_p.add_argument("--out", default=None,
                        help="output directory (default out/<label>-seed<seed>)")
-    run_p.add_argument("--parallel-clients", action="store_true",
-                       help="train clients on a thread pool (same results)")
     run_p.add_argument("--data-csv", default=None,
                        help="replace the data source with this CSV file")
     run_p.set_defaults(func=cmd_run)

@@ -17,13 +17,15 @@ proportionally larger aggregation weight.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import yaml
 
 from . import losses
 from .continual import StrategyPolicy, TaskSequence, TaskSpec
-from .network import LayerConfig, infer_shapes, layer_config_from_dict
+from .network import (LayerConfig, infer_shapes, layer_config_from_dict,
+                      layer_to_dict)
 
 ALGO_MODES = losses.MODES  # fine-tune | flwf1 | flwf2
 
@@ -97,20 +99,9 @@ class ClientConfig:
         if self.algo not in ALGO_MODES:
             raise ConfigError(where + ".algo",
                               f"must be one of {list(ALGO_MODES)}, got {self.algo!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(where + ".alpha", "must lie in [0, 1]")
-        if self.temperature <= 0:
-            raise ConfigError(where + ".temperature", "must be positive")
-        if self.algo == losses.MODE_FLWF2:
-            if self.beta is None:
-                raise ConfigError(where + ".beta", "required for flwf2")
-            if not 0.0 <= self.beta <= 1.0:
-                raise ConfigError(where + ".beta", "must lie in [0, 1]")
-            if self.alpha + self.beta > 1.0:
-                raise ConfigError(where + ".beta",
-                                  f"alpha + beta = {self.alpha + self.beta} exceeds 1")
-        elif self.beta is not None:
-            raise ConfigError(where + ".beta", f"only flwf2 uses beta, algo is {self.algo!r}")
+        error = losses.coefficient_error(self.algo, self.alpha, self.beta, self.temperature)
+        if error:
+            raise ConfigError(f"{where}.{error[0]}", error[1])
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ class ScenarioConfig:
                 "layers", f"network emits {shapes[-1][0]} logits, "
                           f"n_classes is {self.n_classes}")
         if isinstance(self.data, SyntheticSource):
-            if self.data.feature_dim != int(_prod(self.input_shape)):
+            if self.data.feature_dim != math.prod(self.input_shape):
                 raise ConfigError("data.feature_dim",
                                   f"{self.data.feature_dim} does not match input "
                                   f"shape {self.input_shape}")
@@ -187,13 +178,6 @@ class ScenarioConfig:
             if bad:
                 raise ConfigError(where + ".tasks",
                                   f"classes {sorted(set(bad))} outside 0..{self.n_classes - 1}")
-
-
-def _prod(shape) -> int:
-    out = 1
-    for d in shape:
-        out *= int(d)
-    return out
 
 
 # -- presets -----------------------------------------------------------------
@@ -410,14 +394,6 @@ def from_dict(doc: dict) -> ScenarioConfig:
 
 def to_dict(cfg: ScenarioConfig) -> dict:
     """Plain mapping that from_dict parses back to an equal config."""
-    def layer_entry(layer: LayerConfig) -> dict:
-        entry = {"kind": layer.kind}
-        for name in ("units", "filters", "kernel", "pool", "rate"):
-            value = getattr(layer, name)
-            if value is not None:
-                entry[name] = value
-        return entry
-
     if isinstance(cfg.data, SyntheticSource):
         data = {"kind": "synthetic", "per_class": cfg.data.per_class,
                 "feature_dim": cfg.data.feature_dim,
@@ -434,7 +410,7 @@ def to_dict(cfg: ScenarioConfig) -> dict:
         "dropout": cfg.dropout,
         "n_classes": cfg.n_classes,
         "input_shape": list(cfg.input_shape),
-        "layers": [layer_entry(layer) for layer in cfg.layers],
+        "layers": [layer_to_dict(layer) for layer in cfg.layers],
         "total_clients": cfg.total_clients,
         "round_data_size": cfg.round_data_size,
         "test_per_class": cfg.test_per_class,

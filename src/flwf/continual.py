@@ -65,10 +65,6 @@ class TaskSequence:
     def total_rounds(self) -> int:
         return sum(t.rounds for t in self.tasks)
 
-    @property
-    def all_classes(self) -> tuple[int, ...]:
-        return tuple(sorted({c for t in self.tasks for c in t.classes}))
-
     def classes_started_by(self, round_index: int) -> tuple[int, ...]:
         """Union of classes of every task whose window starts at or before
         the given round; these are the classes the client has learnt."""

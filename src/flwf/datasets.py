@@ -19,14 +19,6 @@ class PoolExhaustedError(ValueError):
     """Raised when a draw asks for more unconsumed examples than remain."""
 
 
-@dataclass(frozen=True)
-class Example:
-    """One labeled example."""
-
-    features: np.ndarray
-    label: int
-
-
 @dataclass
 class RoundBatch:
     """The labeled data one client trains on in one round.
@@ -58,10 +50,6 @@ class RoundBatch:
         out = np.zeros((len(self.labels), self.n_classes))
         out[np.arange(len(self.labels)), self.labels] = 1.0
         return out
-
-    def permuted(self, order: np.ndarray) -> "RoundBatch":
-        return RoundBatch(self.features[order], self.labels[order], self.n_classes,
-                          self.source_indices[order])
 
 
 @dataclass
@@ -95,12 +83,6 @@ class DatasetPool:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def example(self, index: int) -> Example:
-        return Example(self.features[index].copy(), int(self.labels[index]))
-
-    def remaining(self, class_id: int) -> int:
-        return int(np.count_nonzero(~self.consumed & (self.labels == class_id)))
 
 
 def generate_synthetic(n_classes: int, per_class: int, feature_dim: int,

@@ -9,14 +9,11 @@ server model serve as the two distillation teachers; both are frozen for
 the whole round (their logits are computed once, before any SGD step,
 and their digests are asserted unchanged afterwards).
 
-Client updates are pure functions of their inputs, so they may run
-sequentially or on a thread pool without changing a single bit of the
-result: all randomness comes from per-(purpose, client, round) seed
-streams derived from the one experiment seed.
+All randomness comes from per-(purpose, client, round) seed streams
+derived from the one experiment seed.
 """
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,10 +88,11 @@ def client_update(server_params: ModelParams, client_teacher: ModelParams | None
     """One local update: student starts from the server model, teachers are
     frozen, and the returned mode is what was actually trained with.
 
-    A flwf1 spec without a client teacher (round 1) falls back to plain
-    fine-tuning; a flwf2 spec without one trains against the server
-    teacher alone.  Teacher logits arriving pre-filled in ``spec`` are an
-    error: they are computed here, once, from the frozen teachers.
+    ``client_teacher`` is None on a client's first round; what the
+    objective becomes without it is decided by
+    :func:`flwf.losses.objective_terms`.  Teacher logits arriving
+    pre-filled in ``spec`` are an error: they are computed here, once,
+    from the frozen teachers.
     """
     if server_params is None:
         raise ValueError("client_update needs the server model")
@@ -103,16 +101,12 @@ def client_update(server_params: ModelParams, client_teacher: ModelParams | None
     if spec.teacher_client_logits is not None or spec.teacher_server_logits is not None:
         raise ValueError("teacher logits are computed inside client_update")
 
-    if spec.mode == losses.MODE_FLWF1 and client_teacher is None:
-        spec = losses.LossSpec(mode=losses.MODE_FINE_TUNE)
-    if spec.mode == losses.MODE_FLWF1:
-        spec = dataclasses.replace(
-            spec, teacher_client_logits=forward(client_teacher, batch.features))
-    elif spec.mode == losses.MODE_FLWF2:
-        fills = {"teacher_server_logits": forward(server_params, batch.features)}
-        if client_teacher is not None:
-            fills["teacher_client_logits"] = forward(client_teacher, batch.features)
-        spec = dataclasses.replace(spec, **fills)
+    fills = {}
+    if spec.mode != losses.MODE_FINE_TUNE and client_teacher is not None:
+        fills["teacher_client_logits"] = forward(client_teacher, batch.features)
+    if spec.mode == losses.MODE_FLWF2:
+        fills["teacher_server_logits"] = forward(server_params, batch.features)
+    spec = dataclasses.replace(spec, **fills)
 
     frozen = [params_digest(server_params)]
     if client_teacher is not None:
@@ -125,7 +119,7 @@ def client_update(server_params: ModelParams, client_teacher: ModelParams | None
     if client_teacher is not None:
         after.append(params_digest(client_teacher))
     assert frozen == after, "teacher parameters changed during local training"
-    return student, spec.mode
+    return student, losses.objective_terms(spec)[0]
 
 
 def fedavg(params_list, sizes) -> ModelParams:
@@ -156,20 +150,9 @@ def fedavg(params_list, sizes) -> ModelParams:
     return out
 
 
-def _loss_spec_for(cfg: ClientConfig, mode: str) -> losses.LossSpec:
-    if mode == losses.MODE_FINE_TUNE:
-        return losses.LossSpec(mode=mode)
-    if mode == losses.MODE_FLWF1:
-        return losses.LossSpec(mode=mode, alpha=cfg.alpha,
-                               temperature=cfg.temperature)
-    return losses.LossSpec(mode=mode, alpha=cfg.alpha, beta=cfg.beta,
-                           temperature=cfg.temperature)
-
-
 def run_round(scenario: ScenarioConfig, server: ServerState,
               clients: list[ClientRuntime], pool: DatasetPool, test: TestSet,
-              ledger: MetricsLedger, round_index: int,
-              parallel: bool = False) -> tuple[ServerState, RoundReport]:
+              ledger: MetricsLedger, round_index: int) -> tuple[ServerState, RoundReport]:
     """One full communication round; mutates clients (params, stores) and
     the ledger, returns the next server state."""
     if round_index != server.round_index + 1:
@@ -177,27 +160,22 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                          f"server round {server.round_index}")
     report = RoundReport(round_index=round_index)
 
-    # Pool draws happen sequentially so row consumption stays ordered; the
-    # training jobs themselves are scheduling-independent.
-    staged = []
     for client in clients:
-        t, task = current_task(client.cfg.tasks, round_index)
+        cfg = client.cfg
+        t, task = current_task(cfg.tasks, round_index)
         fresh = draw_round_data(
             pool, task.classes, scenario.round_data_size,
             seed=stream_seed(scenario.seed, SEED_ROUND_DRAW, client.index, round_index))
         batch = fresh
-        if client.cfg.use_exemplars:
+        if cfg.use_exemplars:
             batch = compose_training_batch(
                 fresh, client.store, t,
                 seed=stream_seed(scenario.seed, SEED_COMPOSE, client.index, round_index))
-        if client.cfg.algo == losses.MODE_FINE_TUNE:
-            mode = losses.MODE_FINE_TUNE
-        else:
-            mode = select_loss_mode(client.cfg.policy, batch, client.cfg.algo)
-        staged.append((client, t, fresh, batch, mode))
-
-    def train_one(entry):
-        client, t, fresh, batch, mode = entry
+        spec = losses.LossSpec()
+        if (cfg.algo != losses.MODE_FINE_TUNE
+                and select_loss_mode(cfg.policy, batch, cfg.algo) == cfg.algo):
+            spec = losses.LossSpec(mode=cfg.algo, alpha=cfg.alpha, beta=cfg.beta,
+                                   temperature=cfg.temperature)
         train_cfg = TrainConfig(
             learning_rate=scenario.learning_rate,
             batch_size=scenario.batch_size,
@@ -206,31 +184,15 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
             rng_seed=_seed_int(stream_seed(scenario.seed, SEED_TRAIN,
                                            client.index, round_index)))
         trace: list[float] = []
-        params, used_mode = client_update(
-            server.params, client.params, batch, train_cfg,
-            _loss_spec_for(client.cfg, mode), loss_trace=trace)
-        return params, used_mode, trace
-
-    if parallel and len(staged) > 1:
-        with ThreadPoolExecutor(max_workers=len(staged)) as pool_exec:
-            outcomes = list(pool_exec.map(train_one, staged))
-    else:
-        outcomes = [train_one(entry) for entry in staged]
-
-    for (client, t, fresh, batch, _), (params, used_mode, trace) in zip(staged, outcomes):
+        params, report.modes[client.name] = client_update(
+            server.params, client.params, batch, train_cfg, spec, loss_trace=trace)
         report.params[client.name] = params
         report.sizes[client.name] = len(fresh)
-        report.modes[client.name] = used_mode
         report.loss_traces[client.name] = trace
         report.draw_sources[client.name] = fresh.source_indices.copy()
 
-    aggregated = fedavg(
-        [report.params[c.name] for c in clients],
-        [c.cfg.weight * report.sizes[c.name] for c in clients])
-
-    for (client, t, fresh, _, _), (params, _, _) in zip(staged, outcomes):
         client.params = params  # next round's client teacher
-        if client.cfg.use_exemplars:
+        if cfg.use_exemplars:
             client.store = update_exemplars(
                 client.store, t, fresh,
                 seed=stream_seed(scenario.seed, SEED_EXEMPLAR,
@@ -239,7 +201,11 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
             owner=client.name, round_index=round_index,
             predictions=predict(params, test.features),
             current_task=t,
-            learnt_classes=client.cfg.tasks.classes_started_by(round_index)))
+            learnt_classes=cfg.tasks.classes_started_by(round_index)))
+
+    aggregated = fedavg(
+        [report.params[c.name] for c in clients],
+        [c.cfg.weight * report.sizes[c.name] for c in clients])
     ledger.append(RoundRecord(
         owner=SERVER, round_index=round_index,
         predictions=predict(aggregated, test.features)))
@@ -269,7 +235,7 @@ def build_pool(scenario: ScenarioConfig) -> DatasetPool:
     return load_csv(scenario.data.path, n_classes=scenario.n_classes)
 
 
-def run_experiment(scenario: ScenarioConfig, parallel: bool = False) -> ExperimentResult:
+def run_experiment(scenario: ScenarioConfig) -> ExperimentResult:
     """Execute the whole scenario: R rounds plus the round-0 evaluation of
     the freshly initialized server model.  Deterministic per seed."""
     pool = build_pool(scenario)
@@ -301,8 +267,7 @@ def run_experiment(scenario: ScenarioConfig, parallel: bool = False) -> Experime
 
     reports: list[RoundReport] = []
     for r in range(1, scenario.rounds + 1):
-        server, report = run_round(scenario, server, clients, pool, test,
-                                   ledger, r, parallel=parallel)
+        server, report = run_round(scenario, server, clients, pool, test, ledger, r)
         reports.append(report)
     return ExperimentResult(scenario=scenario, server=server, clients=clients,
                             ledger=ledger, reports=reports, test=test)

@@ -11,7 +11,14 @@ Three training objectives are supported, selected by ``LossSpec.mode``:
   ``alpha * CE + beta * distill(client) + (1 - alpha - beta) * distill(server)``.
   On a client's first round no previous model exists; the client term is
   then folded into the server term, giving
-  ``alpha * CE + (1 - alpha) * distill(server)``.
+  ``alpha * CE + (1 - alpha) * distill(server)``, while flwf1 falls back
+  to fine-tuning.  :func:`objective_terms` holds both fallbacks.
+
+Every term is a cross-entropy ``-sum(target * log_softmax(o / T))`` and
+the objective is linear in its targets, so :func:`resolve_targets` merges
+the terms into one target per temperature (``alpha * y`` at T=1 and
+``sum_i w_i * softmax(teacher_i / T)`` at T), and :func:`loss_and_grad`
+needs one log-softmax per temperature for the value and the gradient.
 
 All losses are SUMS over the batch, not means.  The learning rate must be
 read with that convention in mind: with batch size B, an equivalent
@@ -19,12 +26,12 @@ mean-reduced setup would use a learning rate B times larger.
 
 Teacher logits are computed once per round (teachers are frozen during
 local training) and travel inside ``LossSpec`` aligned row-for-row with
-the batch; ``LossSpec.subset`` keeps the alignment when the trainer
-shuffles and chunks the batch.
+the batch; the trainer resolves the targets once per round and slices
+their rows when it shuffles and chunks the batch.
 """
 
-import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,29 @@ MODE_FINE_TUNE = "fine-tune"
 MODE_FLWF1 = "flwf1"
 MODE_FLWF2 = "flwf2"
 MODES = (MODE_FINE_TUNE, MODE_FLWF1, MODE_FLWF2)
+
+
+def coefficient_error(mode: str, alpha: float, beta: float | None,
+                      temperature: float) -> tuple[str, str] | None:
+    """The first ``(field, reason)`` that breaks the coefficient rule, or None.
+
+    The rule: ``alpha`` in [0, 1], a positive temperature, and ``beta`` in
+    [0, 1] given for flwf2 only, with ``alpha + beta <= 1``.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        return "alpha", "must lie in [0, 1]"
+    if temperature <= 0:
+        return "temperature", "must be positive"
+    if mode == MODE_FLWF2:
+        if beta is None:
+            return "beta", "required for flwf2"
+        if not 0.0 <= beta <= 1.0:
+            return "beta", "must lie in [0, 1]"
+        if alpha + beta > 1.0:
+            return "beta", f"alpha + beta = {alpha + beta} exceeds 1"
+    elif beta is not None:
+        return "beta", f"only {MODE_FLWF2} uses beta, mode is {mode!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -54,30 +84,18 @@ class LossSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown loss mode {self.mode!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.mode == MODE_FLWF2:
-            if self.beta is None:
-                raise ValueError("flwf2 requires beta")
-            if not 0.0 <= self.beta <= 1.0:
-                raise ValueError("beta must lie in [0, 1]")
-            if self.alpha + self.beta > 1.0:
-                raise ValueError("flwf2 requires alpha + beta <= 1")
-        elif self.beta is not None:
-            raise ValueError(f"beta is only meaningful for {MODE_FLWF2}")
+        error = coefficient_error(self.mode, self.alpha, self.beta, self.temperature)
+        if error:
+            raise ValueError("%s: %s" % error)
 
-    def subset(self, idx) -> "LossSpec":
-        """Slice the per-example teacher logits to the given row indices."""
-        def pick(arr):
-            return None if arr is None else arr[idx]
 
-        return dataclasses.replace(
-            self,
-            teacher_client_logits=pick(self.teacher_client_logits),
-            teacher_server_logits=pick(self.teacher_server_logits),
-        )
+class Target(NamedTuple):
+    """One term ``-sum(probs * log_softmax(o / temperature))``; every row of
+    ``probs`` sums to ``weight``."""
+
+    temperature: float
+    weight: float
+    probs: np.ndarray
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -155,65 +173,82 @@ def distillation_loss_grad(teacher_logits: np.ndarray, student_logits: np.ndarra
     return (q_student - p_teacher) / temperature
 
 
-def flwf1_loss(labels: np.ndarray, student_logits: np.ndarray,
-               teacher_client_logits: np.ndarray, spec: LossSpec) -> float:
-    """One-teacher objective: ``alpha * CE + (1 - alpha) * distill(client)``."""
-    if teacher_client_logits is None:
-        raise ValueError("flwf1 loss requires client-teacher logits")
-    ce = classification_loss(student_logits, labels)
-    dis = distillation_loss(teacher_client_logits, student_logits, spec.temperature)
-    return spec.alpha * ce + (1.0 - spec.alpha) * dis
+def objective_terms(spec: LossSpec) -> tuple[str, list]:
+    """The mode ``spec`` trains with and its terms ``(temperature, weight, teacher logits)``.
 
-
-def flwf2_loss(labels: np.ndarray, student_logits: np.ndarray,
-               teacher_client_logits: np.ndarray | None,
-               teacher_server_logits: np.ndarray, spec: LossSpec) -> float:
-    """Two-teacher objective; client teacher may be absent on the first round."""
-    if teacher_server_logits is None:
+    Teacher logits of None stand for the labels: the cross-entropy term,
+    at temperature 1.  A spec without client-teacher logits describes a
+    client's first round: flwf1 then trains as fine-tune, and flwf2 folds
+    beta onto the server teacher so the weights still sum to 1.
+    """
+    client = spec.teacher_client_logits
+    if spec.mode == MODE_FINE_TUNE or (spec.mode == MODE_FLWF1 and client is None):
+        return MODE_FINE_TUNE, [(1.0, 1.0, None)]
+    labels = (1.0, spec.alpha, None)
+    if spec.mode == MODE_FLWF1:
+        return MODE_FLWF1, [labels, (spec.temperature, 1.0 - spec.alpha, client)]
+    server = spec.teacher_server_logits
+    if server is None:
         raise ValueError("flwf2 loss requires server-teacher logits")
-    ce = classification_loss(student_logits, labels)
-    dis_serv = distillation_loss(teacher_server_logits, student_logits, spec.temperature)
-    if teacher_client_logits is None:
-        # First round: no previous client model, server takes the full
-        # distillation weight so the coefficients still sum to 1.
-        return spec.alpha * ce + (1.0 - spec.alpha) * dis_serv
-    dis_cl = distillation_loss(teacher_client_logits, student_logits, spec.temperature)
-    return (spec.alpha * ce
-            + spec.beta * dis_cl
-            + (1.0 - spec.alpha - spec.beta) * dis_serv)
+    if client is None:
+        return MODE_FLWF2, [labels, (spec.temperature, 1.0 - spec.alpha, server)]
+    return MODE_FLWF2, [labels, (spec.temperature, spec.beta, client),
+                        (spec.temperature, 1.0 - spec.alpha - spec.beta, server)]
+
+
+def resolve_targets(spec: LossSpec, labels: np.ndarray) -> list[Target]:
+    """The objective's terms merged into one :class:`Target` per temperature.
+
+    Checks the one-hot labels and the teacher alignment, and softens the
+    teacher logits, once; callers slice the targets' rows per mini-batch.
+    """
+    labels = _check_one_hot(labels)
+    merged: dict[float, Target] = {}
+    for temperature, weight, teacher in objective_terms(spec)[1]:
+        if teacher is None:
+            probs = weight * labels
+        else:
+            probs = weight * temperature_scaled_probs(teacher, temperature)
+            _check_aligned(probs, labels)
+        if temperature in merged:
+            weight += merged[temperature].weight
+            probs = merged[temperature].probs + probs
+        merged[temperature] = Target(temperature, weight, probs)
+    return list(merged.values())
+
+
+def loss_and_grad(targets: list[Target], student_logits: np.ndarray
+                  ) -> tuple[float, np.ndarray]:
+    """Value of the objective and its gradient with respect to the student logits.
+
+    A target contributes ``(weight * softmax(o / T) - probs) / T`` to the
+    gradient, because every row of its ``probs`` sums to ``weight``.
+    """
+    student_logits = np.asarray(student_logits, dtype=float)
+    value, grad = 0.0, 0.0
+    for target in targets:
+        if target.probs.shape != student_logits.shape:
+            raise ValueError("logits and targets disagree in shape")
+        log_q = log_softmax(student_logits / target.temperature)
+        value -= float((target.probs * log_q).sum())
+        grad = grad + (target.weight * np.exp(log_q) - target.probs) / target.temperature
+    return value, grad
+
+
+def _targets_of_own_mode(spec: LossSpec, labels: np.ndarray) -> list[Target]:
+    # Evaluating a spec is strict: a flwf1 spec without its teacher is an
+    # error here, not the first-round fallback that training applies.
+    if objective_terms(spec)[0] != spec.mode:
+        raise ValueError(f"{spec.mode} loss requires client-teacher logits")
+    return resolve_targets(spec, labels)
 
 
 def combined_loss(spec: LossSpec, student_logits: np.ndarray, labels: np.ndarray) -> float:
     """Evaluate the objective described by ``spec`` on one batch."""
-    if spec.mode == MODE_FINE_TUNE:
-        return classification_loss(student_logits, labels)
-    if spec.mode == MODE_FLWF1:
-        return flwf1_loss(labels, student_logits, spec.teacher_client_logits, spec)
-    return flwf2_loss(labels, student_logits, spec.teacher_client_logits,
-                      spec.teacher_server_logits, spec)
+    return loss_and_grad(_targets_of_own_mode(spec, labels), student_logits)[0]
 
 
 def combined_loss_grad(spec: LossSpec, student_logits: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     """Gradient of :func:`combined_loss` with respect to the student logits."""
-    if spec.mode == MODE_FINE_TUNE:
-        return classification_loss_grad(student_logits, labels)
-    if spec.mode == MODE_FLWF1:
-        if spec.teacher_client_logits is None:
-            raise ValueError("flwf1 loss requires client-teacher logits")
-        ce = classification_loss_grad(student_logits, labels)
-        dis = distillation_loss_grad(spec.teacher_client_logits, student_logits,
-                                     spec.temperature)
-        return spec.alpha * ce + (1.0 - spec.alpha) * dis
-    if spec.teacher_server_logits is None:
-        raise ValueError("flwf2 loss requires server-teacher logits")
-    ce = classification_loss_grad(student_logits, labels)
-    dis_serv = distillation_loss_grad(spec.teacher_server_logits, student_logits,
-                                      spec.temperature)
-    if spec.teacher_client_logits is None:
-        return spec.alpha * ce + (1.0 - spec.alpha) * dis_serv
-    dis_cl = distillation_loss_grad(spec.teacher_client_logits, student_logits,
-                                    spec.temperature)
-    return (spec.alpha * ce
-            + spec.beta * dis_cl
-            + (1.0 - spec.alpha - spec.beta) * dis_serv)
+    return loss_and_grad(_targets_of_own_mode(spec, labels), student_logits)[1]

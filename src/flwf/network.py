@@ -20,6 +20,7 @@ toward the lowest index.  Given equal seeds, training is bit-for-bit
 reproducible.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -293,7 +294,7 @@ def _maxpool_backward(cache, dout):
     return dx
 
 
-def _backward_pass(params: ModelParams, caches, dlogits) -> list[dict[str, np.ndarray]]:
+def _backward_pass(params: ModelParams, caches, dlogits) -> ModelParams:
     grads: list[dict[str, np.ndarray]] = [dict() for _ in params.weights]
     dx = dlogits
     for i in range(len(params.architecture) - 1, -1, -1):
@@ -322,7 +323,7 @@ def _backward_pass(params: ModelParams, caches, dlogits) -> list[dict[str, np.nd
             if cache is not None:
                 dx = dx * cache
         # softmax-output: identity
-    return grads
+    return ModelParams(params.architecture, params.input_shape, grads)
 
 
 def loss_on_batch(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
@@ -332,25 +333,17 @@ def loss_on_batch(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
     return losses.combined_loss(spec, logits, batch.one_hot())
 
 
-def _loss_and_gradients(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
-                        training: bool, rng):
-    logits, caches = _forward_pass(params, batch.features, training, rng, keep_caches=True)
-    value = losses.combined_loss(spec, logits, batch.one_hot())
-    dlogits = losses.combined_loss_grad(spec, logits, batch.one_hot())
-    grads = _backward_pass(params, caches, dlogits)
-    return value, ModelParams(params.architecture, params.input_shape, grads)
-
-
 def backward(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
              training: bool = False, rng=None) -> ModelParams:
-    """Analytic gradient of the objective, congruent with ``params``.
+    """Analytic gradient of :func:`loss_on_batch`, congruent with ``params``.
 
     Teacher logits must already sit inside ``spec`` when a distillation
     term is requested.  With ``training`` unset the pass is deterministic
     (dropout inactive).
     """
-    _, grads = _loss_and_gradients(params, batch, spec, training, rng)
-    return grads
+    logits, caches = _forward_pass(params, batch.features, training, rng, keep_caches=True)
+    return _backward_pass(params, caches,
+                          losses.combined_loss_grad(spec, logits, batch.one_hot()))
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
@@ -376,49 +369,51 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
                 spec: losses.LossSpec, loss_trace: list | None = None) -> ModelParams:
     """E epochs of mini-batch SGD on one round's data.
 
-    The batch order is drawn once from the seeded shuffle and then chunked
-    into size-B mini-batches (the last chunk may be short); every epoch
-    iterates the same chunks.  Per-batch loss values are appended to
-    ``loss_trace`` when given.
+    The objective is resolved into its targets once (see
+    :func:`flwf.losses.objective_terms`; without client-teacher logits a
+    flwf1 spec trains as fine-tune).  The batch order is drawn once from
+    the seeded shuffle and then chunked into size-B mini-batches (the last
+    chunk may be short); every epoch iterates the same chunks.  Per-batch
+    loss values are appended to ``loss_trace`` when given.
     """
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
     if cfg.epochs == 0:
         return params
+    targets = losses.resolve_targets(spec, data.one_hot())
     rng = np.random.default_rng(cfg.rng_seed)
     order = rng.permutation(len(data))
     chunks = [order[i:i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]
+    steps = [(data.features[chunk],
+              [t._replace(probs=t.probs[chunk]) for t in targets])
+             for chunk in chunks]
     current = params
     for _ in range(cfg.epochs):
-        for chunk in chunks:
-            sub = RoundBatch(data.features[chunk], data.labels[chunk], data.n_classes,
-                             data.source_indices[chunk])
-            value, grads = _loss_and_gradients(current, sub, spec.subset(chunk),
-                                               training=True, rng=rng)
+        for features, chunk_targets in steps:
+            logits, caches = _forward_pass(current, features, True, rng, keep_caches=True)
+            value, dlogits = losses.loss_and_grad(chunk_targets, logits)
             if loss_trace is not None:
                 loss_trace.append(value)
-            current = sgd_step(current, grads, cfg.learning_rate)
+            current = sgd_step(current, _backward_pass(current, caches, dlogits),
+                               cfg.learning_rate)
     return current
 
 
-def _architecture_meta(params: ModelParams) -> dict:
-    layers = []
-    for layer in params.architecture:
-        entry = {"kind": layer.kind}
-        for name in ("units", "filters", "kernel", "pool", "rate"):
-            value = getattr(layer, name)
-            if value is not None:
-                entry[name] = value
-        layers.append(entry)
-    return {"input_shape": list(params.input_shape), "layers": layers}
+def layer_to_dict(layer: LayerConfig) -> dict:
+    """The layer's kind plus the fields set for it; inverse of :func:`layer_config_from_dict`."""
+    return {name: value for name, value in vars(layer).items() if value is not None}
 
 
 def layer_config_from_dict(entry: dict) -> LayerConfig:
-    known = {"kind", "units", "filters", "kernel", "pool", "rate"}
-    unknown = set(entry) - known
+    unknown = set(entry) - {f.name for f in dataclasses.fields(LayerConfig)}
     if unknown:
         raise ValueError(f"unknown layer fields: {sorted(unknown)}")
     return LayerConfig(**entry)
+
+
+def _architecture_meta(params: ModelParams) -> dict:
+    return {"input_shape": list(params.input_shape),
+            "layers": [layer_to_dict(layer) for layer in params.architecture]}
 
 
 def save_model(params: ModelParams, path) -> None:

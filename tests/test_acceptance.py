@@ -170,13 +170,15 @@ def test_02_loss_composition_oracles(capsys):
         ce = losses.classification_loss(student, labels)
         dis_c = losses.distillation_loss(teacher_c, student, T)
         dis_s = losses.distillation_loss(teacher_s, student, T)
-        got1 = losses.flwf1_loss(
-            labels, student, teacher_c,
-            losses.LossSpec(mode="flwf1", alpha=alpha, temperature=T))
-        got2 = losses.flwf2_loss(
-            labels, student, teacher_c, teacher_s,
+        got1 = losses.combined_loss(
+            losses.LossSpec(mode="flwf1", alpha=alpha, temperature=T,
+                            teacher_client_logits=teacher_c),
+            student, labels)
+        got2 = losses.combined_loss(
             losses.LossSpec(mode="flwf2", alpha=alpha, beta=beta,
-                            temperature=T))
+                            temperature=T, teacher_client_logits=teacher_c,
+                            teacher_server_logits=teacher_s),
+            student, labels)
         worst = max(worst,
                     abs(got1 - (alpha * ce + (1 - alpha) * dis_c)),
                     abs(got2 - (alpha * ce + beta * dis_c

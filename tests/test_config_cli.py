@@ -148,6 +148,20 @@ def test_alpha_beta_budget_rejected():
     assert "beta" in str(err.value) and "exceeds 1" in str(err.value)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"alpha": 1.5}, "clients[c1].alpha: must lie in [0, 1]"),
+    ({"temperature": 0.0}, "clients[c1].temperature: must be positive"),
+    ({"beta": None}, "clients[c1].beta: required for flwf2"),
+    ({"algo": "flwf1"}, "clients[c1].beta: only flwf2 uses beta"),
+])
+def test_client_coefficient_errors_name_their_field(changes, message):
+    doc = tiny_doc()
+    doc["clients"][0].update(changes)
+    with pytest.raises(ConfigError) as err:
+        from_dict(doc)
+    assert str(err.value).startswith(message)
+
+
 def test_round_budget_mismatch_rejected():
     doc = tiny_doc()
     doc["rounds"] = 3
@@ -247,17 +261,6 @@ def test_run_default_out_dir_uses_label_and_seed(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["run", "--config", cfg], capsys)
     assert code == 0
     assert os.path.exists(tmp_path / "out" / "tiny-seed4" / cli.SUMMARY_NAME)
-
-
-def test_run_parallel_flag_matches_serial_output(tmp_path, capsys):
-    cfg = write_tiny_config(tmp_path, seed=2)
-    serial, threaded = str(tmp_path / "s"), str(tmp_path / "p")
-    assert run_cli(["run", "--config", cfg, "--out", serial], capsys)[0] == 0
-    assert run_cli(["run", "--config", cfg, "--out", threaded,
-                    "--parallel-clients"], capsys)[0] == 0
-    for name in (cli.METRICS_NAME, cli.SUMMARY_NAME):
-        assert (open(os.path.join(serial, name), "rb").read()
-                == open(os.path.join(threaded, name), "rb").read())
 
 
 def test_run_requires_exactly_one_source(tmp_path, capsys):

@@ -375,13 +375,6 @@ def test_run_experiment_seed_changes_the_run():
     assert a.ledger.to_json() != b.ledger.to_json()
 
 
-def test_run_experiment_parallel_equals_serial():
-    serial = run_experiment(tiny_scenario(seed=11), parallel=False)
-    threaded = run_experiment(tiny_scenario(seed=11), parallel=True)
-    assert serial.ledger.to_json() == threaded.ledger.to_json()
-    assert params_equal(serial.server.params, threaded.server.params)
-
-
 def test_run_experiment_zero_rounds_evaluates_initial_server_only():
     scenario = tiny_scenario(rounds=0)
     result = run_experiment(scenario)

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from flwf import losses
 from flwf.losses import (LossSpec, classification_loss, classification_loss_grad,
                          combined_loss, combined_loss_grad, distillation_loss,
-                         distillation_loss_grad, flwf1_loss, flwf2_loss,
-                         log_softmax, softmax, temperature_scaled_probs)
+                         distillation_loss_grad, log_softmax, resolve_targets,
+                         softmax, temperature_scaled_probs)
 
 # frozen hand-computed values
 CE_SINGLE_PEAK = 1.0435917781858575       # logits [1,0,0,0,0,0], true class 0
@@ -206,8 +209,9 @@ def test_flwf1_composition_oracle():
         student, teacher_c, _, labels = _random_case(rng)
         alpha = rng.uniform(0, 1)
         t = rng.uniform(0.5, 4.0)
-        spec = LossSpec(mode="flwf1", alpha=alpha, temperature=t)
-        got = flwf1_loss(labels, student, teacher_c, spec)
+        spec = LossSpec(mode="flwf1", alpha=alpha, temperature=t,
+                        teacher_client_logits=teacher_c)
+        got = combined_loss(spec, student, labels)
         want = (alpha * classification_loss(student, labels)
                 + (1 - alpha) * distillation_loss(teacher_c, student, t))
         assert got == pytest.approx(want, abs=1e-10)
@@ -220,8 +224,10 @@ def test_flwf2_composition_oracle():
         alpha = rng.uniform(0, 0.5)
         beta = rng.uniform(0, 1 - alpha)
         t = rng.uniform(0.5, 4.0)
-        spec = LossSpec(mode="flwf2", alpha=alpha, beta=beta, temperature=t)
-        got = flwf2_loss(labels, student, teacher_c, teacher_s, spec)
+        spec = LossSpec(mode="flwf2", alpha=alpha, beta=beta, temperature=t,
+                        teacher_client_logits=teacher_c,
+                        teacher_server_logits=teacher_s)
+        got = combined_loss(spec, student, labels)
         want = (alpha * classification_loss(student, labels)
                 + beta * distillation_loss(teacher_c, student, t)
                 + (1 - alpha - beta) * distillation_loss(teacher_s, student, t))
@@ -231,8 +237,9 @@ def test_flwf2_composition_oracle():
 def test_flwf2_paper_coefficients():
     rng = np.random.default_rng(10)
     student, teacher_c, teacher_s, labels = _random_case(rng)
-    spec = LossSpec(mode="flwf2", alpha=0.001, beta=0.7, temperature=2.0)
-    got = flwf2_loss(labels, student, teacher_c, teacher_s, spec)
+    spec = LossSpec(mode="flwf2", alpha=0.001, beta=0.7, temperature=2.0,
+                    teacher_client_logits=teacher_c, teacher_server_logits=teacher_s)
+    got = combined_loss(spec, student, labels)
     want = (0.001 * classification_loss(student, labels)
             + 0.7 * distillation_loss(teacher_c, student, 2.0)
             + 0.299 * distillation_loss(teacher_s, student, 2.0))
@@ -242,29 +249,34 @@ def test_flwf2_paper_coefficients():
 def test_flwf1_alpha_extremes():
     rng = np.random.default_rng(11)
     student, teacher_c, _, labels = _random_case(rng)
-    one = LossSpec(mode="flwf1", alpha=1.0, temperature=2.0)
-    zero = LossSpec(mode="flwf1", alpha=0.0, temperature=2.0)
-    assert flwf1_loss(labels, student, teacher_c, one) == pytest.approx(
+    one = LossSpec(mode="flwf1", alpha=1.0, temperature=2.0,
+                   teacher_client_logits=teacher_c)
+    zero = LossSpec(mode="flwf1", alpha=0.0, temperature=2.0,
+                    teacher_client_logits=teacher_c)
+    assert combined_loss(one, student, labels) == pytest.approx(
         classification_loss(student, labels), abs=1e-12)
-    assert flwf1_loss(labels, student, teacher_c, zero) == pytest.approx(
+    assert combined_loss(zero, student, labels) == pytest.approx(
         distillation_loss(teacher_c, student, 2.0), abs=1e-12)
 
 
 def test_flwf2_collapses_to_flwf1_when_teachers_coincide():
     rng = np.random.default_rng(12)
     student, teacher, _, labels = _random_case(rng)
-    spec2 = LossSpec(mode="flwf2", alpha=0.3, beta=0.0, temperature=2.0)
-    spec1 = LossSpec(mode="flwf1", alpha=0.3, temperature=2.0)
-    assert flwf2_loss(labels, student, teacher, teacher, spec2) == pytest.approx(
-        flwf1_loss(labels, student, teacher, spec1), abs=1e-10)
+    spec2 = LossSpec(mode="flwf2", alpha=0.3, beta=0.0, temperature=2.0,
+                     teacher_client_logits=teacher, teacher_server_logits=teacher)
+    spec1 = LossSpec(mode="flwf1", alpha=0.3, temperature=2.0,
+                     teacher_client_logits=teacher)
+    assert combined_loss(spec2, student, labels) == pytest.approx(
+        combined_loss(spec1, student, labels), abs=1e-10)
 
 
 def test_flwf2_round_one_folds_beta_into_server_term():
     # no client teacher: alpha*CE + (1-alpha)*L_dis_serv
     rng = np.random.default_rng(13)
     student, _, teacher_s, labels = _random_case(rng)
-    spec = LossSpec(mode="flwf2", alpha=0.001, beta=0.7, temperature=2.0)
-    got = flwf2_loss(labels, student, None, teacher_s, spec)
+    spec = LossSpec(mode="flwf2", alpha=0.001, beta=0.7, temperature=2.0,
+                    teacher_server_logits=teacher_s)
+    got = combined_loss(spec, student, labels)
     want = (0.001 * classification_loss(student, labels)
             + 0.999 * distillation_loss(teacher_s, student, 2.0))
     assert got == pytest.approx(want, abs=1e-10)
@@ -330,24 +342,79 @@ def test_spec_validation():
         LossSpec(mode="flwf1", alpha=0.5, beta=0.1)  # beta only for flwf2
 
 
-def test_spec_subset_slices_teacher_logits():
-    rng = np.random.default_rng(16)
-    teacher_c = rng.normal(size=(6, 4))
-    teacher_s = rng.normal(size=(6, 4))
-    spec = LossSpec(mode="flwf2", alpha=0.1, beta=0.5, temperature=2.0,
-                    teacher_client_logits=teacher_c,
-                    teacher_server_logits=teacher_s)
-    sub = spec.subset(np.array([4, 0, 2]))
-    assert np.array_equal(sub.teacher_client_logits, teacher_c[[4, 0, 2]])
-    assert np.array_equal(sub.teacher_server_logits, teacher_s[[4, 0, 2]])
-    assert sub.alpha == spec.alpha and sub.mode == spec.mode
-
-
 def test_all_losses_nonnegative():
     rng = np.random.default_rng(17)
     for _ in range(20):
         student, teacher_c, teacher_s, labels = _random_case(rng)
         assert classification_loss(student, labels) >= 0
         assert distillation_loss(teacher_c, student, 2.0) >= 0
-        spec = LossSpec(mode="flwf2", alpha=0.3, beta=0.3, temperature=2.0)
-        assert flwf2_loss(labels, student, teacher_c, teacher_s, spec) >= 0
+        spec = LossSpec(mode="flwf2", alpha=0.3, beta=0.3, temperature=2.0,
+                        teacher_client_logits=teacher_c,
+                        teacher_server_logits=teacher_s)
+        assert combined_loss(spec, student, labels) >= 0
+
+
+# -- properties of the one-pass objective --------------------------------------------
+
+
+@st.composite
+def objective_cases(draw):
+    """A random batch, objective and teacher set; ``want`` is the objective
+    composed from the per-term reference losses, None where evaluating the
+    spec must fail (flwf1 without its teacher)."""
+    rows = draw(st.integers(1, 9))
+    n = draw(st.integers(2, 7))
+    mode = draw(st.sampled_from(losses.MODES))
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(0.0, 1.0))
+    assume(alpha + beta <= 1.0)
+    t = draw(st.one_of(st.just(1.0), st.floats(0.25, 8.0)))
+    with_client = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 5.0))
+    student, teacher_c, teacher_s = (scale * rng.normal(size=(rows, n)) for _ in range(3))
+    labels = one_hot(rng.integers(0, n, size=rows), n)
+    if not with_client:
+        teacher_c = None
+
+    ce = classification_loss(student, labels)
+    if mode == "fine-tune":
+        spec, want = LossSpec(), ce
+    elif mode == "flwf1":
+        spec = LossSpec(mode="flwf1", alpha=alpha, temperature=t,
+                        teacher_client_logits=teacher_c)
+        want = None if teacher_c is None else (
+            alpha * ce + (1 - alpha) * distillation_loss(teacher_c, student, t))
+    else:
+        spec = LossSpec(mode="flwf2", alpha=alpha, beta=beta, temperature=t,
+                        teacher_client_logits=teacher_c,
+                        teacher_server_logits=teacher_s)
+        dis_s = distillation_loss(teacher_s, student, t)
+        want = (alpha * ce + (1 - alpha) * dis_s if teacher_c is None else
+                alpha * ce + beta * distillation_loss(teacher_c, student, t)
+                + (1 - alpha - beta) * dis_s)
+    return spec, student, labels, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(objective_cases())
+def test_combined_loss_equals_its_term_composition(case):
+    spec, student, labels, want = case
+    if want is None:
+        with pytest.raises(ValueError):
+            combined_loss(spec, student, labels)
+        return
+    got = combined_loss(spec, student, labels)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    temperatures = {1.0} if spec.mode == "fine-tune" else {1.0, spec.temperature}
+    assert len(resolve_targets(spec, labels)) == len(temperatures)
+
+
+@settings(max_examples=60, deadline=None)
+@given(objective_cases())
+def test_combined_loss_grad_matches_finite_differences(case):
+    spec, student, labels, want = case
+    assume(want is not None)
+    grad = combined_loss_grad(spec, student, labels)
+    fd = _fd_logits(lambda o: combined_loss(spec, o, labels), student)
+    np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
