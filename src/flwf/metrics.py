@@ -4,6 +4,9 @@ The ledger stores, for every evaluated model (each client after its local
 training, the server after aggregation), the model's argmax predictions
 on the one fixed test set.  Storing raw predictions rather than summary
 numbers keeps every derived metric re-checkable by a brute-force pass.
+Records are keyed by ``(owner, round)`` in one dict kept in append order;
+each is also reduced to per-class hit counts when appended, so every
+accuracy is one ratio of counts (:meth:`MetricsLedger.class_subset_accuracy`).
 
 Notation used throughout (k = owner, r = round, t/d = task indices):
 
@@ -67,7 +70,8 @@ class MetricsLedger:
 
     ``task_classes[k]`` lists the class tuples of owner k's tasks in
     order and ``task_rounds[k]`` their round budgets; owners without an
-    entry (the server) only support whole-test metrics.
+    entry (the server) only support whole-test metrics.  ``records`` maps
+    ``(owner, round)`` to its :class:`RoundRecord` in append order.
     """
 
     test_labels: np.ndarray
@@ -75,7 +79,7 @@ class MetricsLedger:
     total_rounds: int
     task_classes: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
     task_rounds: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    records: list[RoundRecord] = field(default_factory=list)
+    records: dict[tuple[str, int], RoundRecord] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self.test_labels = np.asarray(self.test_labels, dtype=int)
@@ -83,6 +87,9 @@ class MetricsLedger:
             raise ValueError("ledger needs a nonempty test set")
         if self.test_labels.min() < 0 or self.test_labels.max() >= self.n_classes:
             raise ValueError("test labels outside 0..n_classes-1")
+        # Test examples per class; per record, its correct predictions per class.
+        self._class_counts = np.bincount(self.test_labels, minlength=self.n_classes)
+        self._hits: dict[tuple[str, int], np.ndarray] = {}
         if set(self.task_classes) != set(self.task_rounds):
             raise ValueError("task_classes and task_rounds must cover the same owners")
         for owner, budgets in self.task_rounds.items():
@@ -98,24 +105,21 @@ class MetricsLedger:
             raise ValueError("prediction vector length does not match the test set")
         if record.predictions.min() < 0 or record.predictions.max() >= self.n_classes:
             raise ValueError("predictions outside 0..n_classes-1")
-        if any(r.owner == record.owner and r.round_index == record.round_index
-               for r in self.records):
+        key = (record.owner, record.round_index)
+        if key in self.records:
             raise ValueError(
                 f"duplicate record for {record.owner!r} round {record.round_index}")
-        self.records.append(record)
+        self.records[key] = record
+        correct = self.test_labels[record.predictions == self.test_labels]
+        self._hits[key] = np.bincount(correct, minlength=self.n_classes)
 
     def record_for(self, owner: str, round_index: int) -> RoundRecord:
-        for r in self.records:
-            if r.owner == owner and r.round_index == round_index:
-                return r
-        raise KeyError(f"no record for {owner!r} round {round_index}")
+        if (owner, round_index) not in self.records:
+            raise KeyError(f"no record for {owner!r} round {round_index}")
+        return self.records[(owner, round_index)]
 
     def owners(self) -> tuple[str, ...]:
-        seen = []
-        for r in self.records:
-            if r.owner not in seen:
-                seen.append(r.owner)
-        return tuple(seen)
+        return tuple(dict.fromkeys(owner for owner, _ in self.records))
 
     # -- task geometry -----------------------------------------------------
 
@@ -133,16 +137,19 @@ class MetricsLedger:
     # -- per-round accuracies ----------------------------------------------
 
     def whole_test_accuracy(self, owner: str, round_index: int) -> float:
-        record = self.record_for(owner, round_index)
-        return float(np.mean(record.predictions == self.test_labels))
+        return self.class_subset_accuracy(owner, round_index, range(self.n_classes))
 
     def class_subset_accuracy(self, owner: str, round_index: int,
                               classes) -> float:
-        record = self.record_for(owner, round_index)
-        mask = np.isin(self.test_labels, np.asarray(list(classes), dtype=int))
-        if not mask.any():
+        """The one accuracy rule: hits over the distinct in-range ``classes``
+        divided by their test counts, an exact k/n rounded once, as
+        ``np.mean`` over a boolean mask would give."""
+        hits = self._hits[(owner, round_index)]  # a missing record: KeyError((owner, round))
+        idx = [c for c in {int(c) for c in classes} if 0 <= c < self.n_classes]
+        n = self._class_counts[idx].sum()
+        if n == 0:
             raise ValueError(f"no test examples for classes {sorted(classes)}")
-        return float(np.mean(record.predictions[mask] == self.test_labels[mask]))
+        return float(hits[idx].sum() / n)
 
     def task_accuracy(self, owner: str, round_index: int, d: int) -> float:
         """a(k, r, d): accuracy on the test examples of task d's classes."""
@@ -154,17 +161,16 @@ class MetricsLedger:
 
     # -- aggregate metrics ---------------------------------------------------
 
-    def _require_rounds(self, owner: str) -> None:
-        have = {r.round_index for r in self.records if r.owner == owner}
-        missing = [r for r in range(1, self.total_rounds + 1) if r not in have]
+    def _require_rounds(self, owner: str, rounds: range) -> range:
+        missing = [r for r in rounds if (owner, r) not in self.records]
         if missing:
             raise ValueError(f"{owner!r} is missing rounds {missing}")
+        return rounds
 
     def general_accuracy(self, owner: str) -> float:
         """A_gen: mean whole-test accuracy over rounds 1..R."""
-        self._require_rounds(owner)
-        return float(np.mean([self.whole_test_accuracy(owner, r)
-                              for r in range(1, self.total_rounds + 1)]))
+        rounds = self._require_rounds(owner, range(1, self.total_rounds + 1))
+        return float(np.mean([self.whole_test_accuracy(owner, r) for r in rounds]))
 
     def personal_accuracy(self, owner: str) -> float:
         """A_per: mean accuracy on the classes learnt so far.
@@ -172,13 +178,9 @@ class MetricsLedger:
         Rounds with an empty learnt set contribute nothing and shrink the
         denominator.
         """
-        self._require_rounds(owner)
-        terms = []
-        for r in range(1, self.total_rounds + 1):
-            learnt = self.record_for(owner, r).learnt_classes
-            if not learnt:
-                continue
-            terms.append(self.class_subset_accuracy(owner, r, learnt))
+        learnt = {r: self.records[(owner, r)].learnt_classes
+                  for r in self._require_rounds(owner, range(1, self.total_rounds + 1))}
+        terms = [self.class_subset_accuracy(owner, r, c) for r, c in learnt.items() if c]
         if not terms:
             raise ValueError(f"{owner!r} never learnt any class")
         return float(np.mean(terms))
@@ -190,12 +192,7 @@ class MetricsLedger:
 
     def avg_task_accuracy(self, owner: str, t: int) -> float:
         """A_task(k, t) = (1/t) sum over d = 1..t of abar(k, t, d)."""
-        window = self.task_window(owner, t)
-        have = {r.round_index for r in self.records if r.owner == owner}
-        unfinished = [r for r in window if r not in have]
-        if unfinished:
-            raise ValueError(f"task {t} of {owner!r} not finished: "
-                             f"missing rounds {unfinished}")
+        self._require_rounds(owner, self.task_window(owner, t))
         return float(np.mean([self.window_task_accuracy(owner, t, d)
                               for d in range(1, t + 1)]))
 
@@ -220,8 +217,7 @@ class MetricsLedger:
     def csv_rows(self) -> list[tuple]:
         """Rows (owner, round, metric, task, value); '' task for whole-test."""
         rows: list[tuple] = []
-        for record in self.records:
-            owner, r = record.owner, record.round_index
+        for owner, r in self.records:
             rows.append((owner, r, "whole_test_accuracy", "",
                          self.whole_test_accuracy(owner, r)))
             if owner in self.task_classes and r >= 1:
@@ -233,11 +229,9 @@ class MetricsLedger:
     def figure_rows(self) -> list[tuple]:
         """Rows (round, owner, class, accuracy) for per-class curves."""
         rows: list[tuple] = []
-        for record in self.records:
+        for owner, r in self.records:
             for c in range(self.n_classes):
-                rows.append((record.round_index, record.owner, c,
-                             self.class_accuracy(record.owner,
-                                                 record.round_index, c)))
+                rows.append((r, owner, c, self.class_accuracy(owner, r, c)))
         return rows
 
     # -- serialization -------------------------------------------------------
@@ -256,7 +250,7 @@ class MetricsLedger:
                  "predictions": r.predictions.tolist(),
                  "current_task": r.current_task,
                  "learnt_classes": list(r.learnt_classes)}
-                for r in self.records],
+                for r in self.records.values()],
         }
         return json.dumps(doc, sort_keys=True)
 

@@ -12,7 +12,7 @@ Tensors are plain numpy float64 arrays in row-major order with a leading
 batch axis.  Dense layers flatten whatever trailing shape they receive;
 conv1d/maxpool1d operate on ``(batch, length, channels)``.  A model is a
 :class:`ModelParams` value; every operation returns a new value and never
-mutates its inputs, so models can be shared freely across threads.
+mutates its inputs.
 
 Weight initialization is uniform in ``[-s, s]`` with
 ``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Max-pool ties break
@@ -126,7 +126,7 @@ def params_equal(a: ModelParams, b: ModelParams) -> bool:
 
 
 def params_digest(params: ModelParams) -> str:
-    """Stable content hash, used to assert that teacher models stay frozen."""
+    """Stable content hash of a model's architecture and weights."""
     h = hashlib.sha256()
     h.update(json.dumps(_architecture_meta(params), sort_keys=True).encode())
     for w in params.weights:
@@ -374,7 +374,8 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     flwf1 spec trains as fine-tune).  The batch order is drawn once from
     the seeded shuffle and then chunked into size-B mini-batches (the last
     chunk may be short); every epoch iterates the same chunks.  Per-batch
-    loss values are appended to ``loss_trace`` when given.
+    loss values are appended to ``loss_trace`` when given.  A
+    :class:`FloatingPointError` names the epoch and step where it arose.
     """
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
@@ -388,14 +389,18 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
               [t._replace(probs=t.probs[chunk]) for t in targets])
              for chunk in chunks]
     current = params
-    for _ in range(cfg.epochs):
-        for features, chunk_targets in steps:
-            logits, caches = _forward_pass(current, features, True, rng, keep_caches=True)
-            value, dlogits = losses.loss_and_grad(chunk_targets, logits)
-            if loss_trace is not None:
-                loss_trace.append(value)
-            current = sgd_step(current, _backward_pass(current, caches, dlogits),
-                               cfg.learning_rate)
+    for epoch in range(1, cfg.epochs + 1):
+        for step, (features, chunk_targets) in enumerate(steps, 1):
+            try:
+                logits, caches = _forward_pass(current, features, True, rng,
+                                               keep_caches=True)
+                value, dlogits = losses.loss_and_grad(chunk_targets, logits)
+                if loss_trace is not None:
+                    loss_trace.append(value)
+                current = sgd_step(current, _backward_pass(current, caches, dlogits),
+                                   cfg.learning_rate)
+            except FloatingPointError as err:
+                raise FloatingPointError(f"epoch {epoch}, step {step}: {err}") from err
     return current
 
 

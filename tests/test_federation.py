@@ -1,6 +1,7 @@
 """Round protocol: aggregation, client updates, scheduling, determinism."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
 from flwf.metrics import SERVER
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
-                          TrainConfig, init_params, params_equal)
+                          TrainConfig, forward, init_params, params_equal)
 
 LAYERS = (LayerConfig(KIND_DENSE, units=16), LayerConfig(KIND_RELU),
           LayerConfig(KIND_DROPOUT, rate=0.2), LayerConfig(KIND_DENSE, units=3),
@@ -225,6 +226,29 @@ def test_client_update_changes_the_student_but_not_the_inputs():
     assert params_equal(teacher, teacher_before)
 
 
+def test_client_update_leaves_both_teachers_read_only():
+    server = model(seed=3)
+    teacher = model(seed=4)
+    spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
+                           temperature=2.0)
+    out, _ = client_update(server, teacher, make_batch(6), train_cfg(), spec)
+    for params in (server, teacher):
+        assert not any(a.flags.writeable for w in params.weights for a in w.values())
+    assert all(a.flags.writeable for w in out.weights for a in w.values())
+
+
+def test_client_update_rejects_a_write_into_a_teacher(monkeypatch):
+    def forward_that_writes(params, inputs, training=False, rng=None):
+        params.weights[0]["W"][0, 0] += 1.0
+        return forward(params, inputs, training=training, rng=rng)
+
+    monkeypatch.setattr("flwf.federation.forward", forward_that_writes)
+    spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
+                           temperature=2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        client_update(model(seed=3), model(seed=4), make_batch(7), train_cfg(), spec)
+
+
 def test_client_update_rejects_prefilled_teacher_logits():
     server = model(seed=3)
     batch = make_batch(5)
@@ -357,6 +381,15 @@ def test_run_round_without_exemplars_leaves_stores_empty():
     assert all(c.store.entries == {} for c in clients)
 
 
+def test_run_round_divergence_names_client_round_epoch_and_step():
+    scenario = dataclasses.replace(tiny_scenario(), learning_rate=1e300)
+    pool, test, server, ledger, clients = fresh_runtime(scenario)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
+        run_round(scenario, server, clients, pool, test, ledger, 1)
+    assert re.fullmatch(r"c1, round 1, epoch \d+, step \d+: non-finite \w+.*",
+                        str(err.value))
+
+
 # -- run_experiment --------------------------------------------------------------
 
 
@@ -380,7 +413,7 @@ def test_run_experiment_zero_rounds_evaluates_initial_server_only():
     result = run_experiment(scenario)
     assert result.reports == []
     assert result.ledger.owners() == (SERVER,)
-    assert [r.round_index for r in result.ledger.records] == [0]
+    assert [r.round_index for r in result.ledger.records.values()] == [0]
     assert all(c.params is None for c in result.clients)
 
 
@@ -388,10 +421,10 @@ def test_run_experiment_ledger_covers_all_owners_and_rounds():
     result = run_experiment(tiny_scenario(seed=12))
     assert set(result.ledger.owners()) == {SERVER, "c1", "cg"}
     for owner in ("c1", "cg"):
-        rounds = sorted(r.round_index for r in result.ledger.records
+        rounds = sorted(r.round_index for r in result.ledger.records.values()
                         if r.owner == owner)
         assert rounds == [1, 2]
-    server_rounds = sorted(r.round_index for r in result.ledger.records
+    server_rounds = sorted(r.round_index for r in result.ledger.records.values()
                            if r.owner == SERVER)
     assert server_rounds == [0, 1, 2]
     # aggregates are computable straight off the finished ledger

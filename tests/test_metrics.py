@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flwf.metrics import SERVER, MetricsLedger, RoundRecord, accuracy_on, predict
 from flwf.network import (KIND_DENSE, KIND_SOFTMAX_OUTPUT, LayerConfig,
@@ -250,10 +252,106 @@ def test_json_round_trip_is_lossless():
     assert clone.task_classes == ledger.task_classes
     assert clone.task_rounds == ledger.task_rounds
     assert len(clone.records) == len(ledger.records)
-    for a, b in zip(clone.records, ledger.records):
+    for a, b in zip(clone.records.values(), ledger.records.values()):
         assert (a.owner, a.round_index) == (b.owner, b.round_index)
         assert np.array_equal(a.predictions, b.predictions)
         assert a.current_task == b.current_task
         assert a.learnt_classes == b.learnt_classes
     assert clone.general_accuracy("c") == ledger.general_accuracy("c")
     assert clone.to_json() == ledger.to_json()
+
+
+# -- properties: random ledgers against brute force ----------------------------
+
+
+@st.composite
+def random_ledgers(draw):
+    """A client "c" and the server over random tasks, labels and predictions.
+
+    Per-class test counts of 1..7 make most subset sizes non-powers of two,
+    so an accuracy computed in another order or precision would show up.
+    """
+    n_classes = draw(st.integers(2, 6))
+    counts = draw(st.lists(st.integers(1, 7), min_size=n_classes, max_size=n_classes))
+    labels = np.repeat(np.arange(n_classes), counts)
+    labels = labels[draw(st.permutations(range(len(labels))))]
+    order = draw(st.permutations(range(n_classes)))
+    cuts = draw(st.sets(st.integers(1, n_classes - 1), max_size=3))
+    bounds = [0, *sorted(cuts), n_classes]
+    task_classes = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+    budgets = tuple(draw(st.integers(1, 3)) for _ in task_classes)
+    rounds = sum(budgets)
+    preds = {key: np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                                         min_size=len(labels), max_size=len(labels))))
+             for key in [(SERVER, 0)] + [(o, r) for r in range(1, rounds + 1)
+                                         for o in ("c", SERVER)]}
+    learnt = {r: tuple(draw(st.sets(st.integers(0, n_classes - 1))))
+              for r in range(1, rounds + 1)}
+    append_order = draw(st.permutations(list(preds)))
+    ledger = MetricsLedger(test_labels=labels, n_classes=n_classes,
+                           total_rounds=rounds, task_classes={"c": task_classes},
+                           task_rounds={"c": budgets})
+    for owner, r in append_order:
+        extra = (None, learnt[r]) if owner == "c" else ()
+        ledger.append(RoundRecord(owner, r, preds[(owner, r)], *extra))
+    subset = draw(st.lists(st.integers(-1, n_classes), min_size=1, max_size=4))
+    return ledger, labels, preds, learnt, append_order, subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_ledgers())
+def test_ledger_matches_brute_force_on_random_ledgers(case):
+    ledger, labels, preds, learnt, append_order, subset = case
+    task_classes = ledger.task_classes["c"]
+    rounds = ledger.total_rounds
+
+    def acc(owner, r, classes):
+        mask = np.isin(labels, list(classes))
+        return np.mean(preds[(owner, r)][mask] == labels[mask])
+
+    for owner, r in preds:
+        assert ledger.whole_test_accuracy(owner, r) == np.mean(preds[(owner, r)] == labels)
+        for c in range(ledger.n_classes):
+            assert ledger.class_accuracy(owner, r, c) == acc(owner, r, (c,))
+        if np.isin(labels, subset).any():
+            assert ledger.class_subset_accuracy(owner, r, subset) == acc(owner, r, subset)
+        else:
+            with pytest.raises(ValueError):
+                ledger.class_subset_accuracy(owner, r, subset)
+        if owner == "c":
+            for d, classes in enumerate(task_classes, 1):
+                assert ledger.task_accuracy(owner, r, d) == acc(owner, r, classes)
+
+    for owner in ("c", SERVER):
+        assert ledger.general_accuracy(owner) == np.mean(
+            [np.mean(preds[(owner, r)] == labels) for r in range(1, rounds + 1)])
+    per = [acc("c", r, learnt[r]) for r in range(1, rounds + 1) if learnt[r]]
+    if per:
+        assert ledger.personal_accuracy("c") == np.mean(per)
+    else:
+        with pytest.raises(ValueError):
+            ledger.personal_accuracy("c")
+
+    starts = np.cumsum((0,) + ledger.task_rounds["c"])
+
+    def abar(t, d):
+        return np.mean([acc("c", r, task_classes[d - 1])
+                        for r in range(starts[t - 1] + 1, starts[t] + 1)])
+
+    for t in range(1, len(task_classes) + 1):
+        assert ledger.avg_task_accuracy("c", t) == np.mean(
+            [abar(t, d) for d in range(1, t + 1)])
+        if t >= 2:
+            f = [max(abar(i, d) for i in range(d, t)) - abar(t, d) for d in range(1, t)]
+            assert [ledger.forgetting("c", t, d) for d in range(1, t)] == f
+            assert ledger.average_forgetting("c", t) == np.mean(f)
+
+    assert ledger.owners() == tuple(dict.fromkeys(o for o, _ in append_order))
+    assert list(ledger.records) == append_order
+    with pytest.raises(KeyError):
+        ledger.record_for("c", 0)
+    with pytest.raises(KeyError):
+        ledger.whole_test_accuracy("nobody", 1)
+    owner, r = append_order[-1]
+    with pytest.raises(ValueError, match="duplicate"):
+        ledger.append(RoundRecord(owner, r, preds[(owner, r)]))
