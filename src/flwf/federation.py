@@ -144,7 +144,10 @@ def fedavg(params_list, sizes) -> ModelParams:
     for params, w in zip(params_list[1:], weights[1:]):
         for target, base_w, source in zip(out.weights, base.weights, params.weights):
             for key in target:
-                target[key] += w * (source[key] - base_w[key])
+                # target += w * (source - base), one temporary per buffer
+                delta = source[key] - base_w[key]
+                delta *= w
+                target[key] += delta
     return out
 
 

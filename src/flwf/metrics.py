@@ -7,6 +7,7 @@ numbers keeps every derived metric re-checkable by a brute-force pass.
 Records are keyed by ``(owner, round)`` in one dict kept in append order;
 each is also reduced to per-class hit counts when appended, so every
 accuracy is one ratio of counts (:meth:`MetricsLedger.class_subset_accuracy`).
+Window means ``abar`` are kept once computed and dropped on every append.
 
 Notation used throughout (k = owner, r = round, t/d = task indices):
 
@@ -90,6 +91,8 @@ class MetricsLedger:
         # Test examples per class; per record, its correct predictions per class.
         self._class_counts = np.bincount(self.test_labels, minlength=self.n_classes)
         self._hits: dict[tuple[str, int], np.ndarray] = {}
+        # abar(k, t, d) by (owner, t, d): forgetting and A_task reread each many times.
+        self._window_means: dict[tuple[str, int, int], float] = {}
         if set(self.task_classes) != set(self.task_rounds):
             raise ValueError("task_classes and task_rounds must cover the same owners")
         for owner, budgets in self.task_rounds.items():
@@ -112,6 +115,7 @@ class MetricsLedger:
         self.records[key] = record
         correct = self.test_labels[record.predictions == self.test_labels]
         self._hits[key] = np.bincount(correct, minlength=self.n_classes)
+        self._window_means.clear()
 
     def record_for(self, owner: str, round_index: int) -> RoundRecord:
         if (owner, round_index) not in self.records:
@@ -186,9 +190,14 @@ class MetricsLedger:
         return float(np.mean(terms))
 
     def window_task_accuracy(self, owner: str, t: int, d: int) -> float:
-        """abar(k, t, d): task-d accuracy averaged over task t's rounds."""
-        window = self.task_window(owner, t)
-        return float(np.mean([self.task_accuracy(owner, r, d) for r in window]))
+        """abar(k, t, d): task-d accuracy averaged over task t's rounds,
+        computed once per (owner, t, d) between appends."""
+        key = (owner, t, d)
+        if key not in self._window_means:
+            window = self.task_window(owner, t)
+            self._window_means[key] = float(
+                np.mean([self.task_accuracy(owner, r, d) for r in window]))
+        return self._window_means[key]
 
     def avg_task_accuracy(self, owner: str, t: int) -> float:
         """A_task(k, t) = (1/t) sum over d = 1..t of abar(k, t, d)."""

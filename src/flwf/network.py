@@ -14,6 +14,18 @@ conv1d/maxpool1d operate on ``(batch, length, channels)``.  A model is a
 :class:`ModelParams` value; every operation returns a new value and never
 mutates its inputs.
 
+conv1d runs as im2col plus GEMM: the input's length-K windows are
+copied once into a ``(B*Lout, K*C)`` column buffer, the forward pass is
+one product with ``W`` reshaped to ``(K*C, F)``, dW is one product of
+the buffer's transpose with the output gradient, and dX is one product
+into column gradients folded back with K strided adds.  The buffer is
+the layer's cache.  Backward computes weight gradients only, so the
+input gradient stops after layer 1; layer 0's would flow into the data,
+whatever the layer kind.  Inference (:func:`forward`) keeps no caches
+and max-pools with a plain ``max`` over each window; training keeps the
+argmax that routes the pool's gradient.  Both give the same values.
+An SGD step allocates one temporary per parameter buffer.
+
 Weight initialization is uniform in ``[-s, s]`` with
 ``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Max-pool ties break
 toward the lowest index.  Given equal seeds, training is bit-for-bit
@@ -230,17 +242,19 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
                     f"does not match weight rows {w['W'].shape[0]}")
             flat = x.reshape(x.shape[0], -1)
             cache = (x.shape, flat)
-            x = flat @ w["W"] + w["b"]
+            x = flat @ w["W"]
+            x += w["b"]
         elif layer.kind == KIND_CONV1D:
             if x.ndim != 3:
                 raise ShapeMismatchError(f"layer {i} (conv1d): needs 3-d input, got {x.shape}")
-            windows = sliding_window_view(x, layer.kernel, axis=1)  # (B, Lout, C, K)
-            cache = windows
-            x = np.einsum("blck,kcf->blf", windows, w["W"]) + w["b"]
+            x, cache = _conv1d_forward(x, w["W"], w["b"])
         elif layer.kind == KIND_MAXPOOL1D:
             if x.ndim != 3:
                 raise ShapeMismatchError(f"layer {i} (maxpool1d): needs 3-d input, got {x.shape}")
-            x, cache = _maxpool_forward(x, layer.pool)
+            if keep_caches:
+                x, cache = _maxpool_forward(x, layer.pool)
+            else:  # no backward pass follows, so no argmax to route through
+                x = _pool_windows(x, layer.pool).max(axis=2)
         elif layer.kind == KIND_RELU:
             cache = x > 0
             x = np.maximum(x, 0.0)
@@ -274,10 +288,52 @@ def forward(params: ModelParams, inputs, training: bool = False, rng=None) -> np
     return logits
 
 
-def _maxpool_forward(x, pool):
+def _conv1d_forward(x, W, b):
+    """im2col, then one GEMM: ``(B, L, C)`` -> ``(B, L - K + 1, F)``.
+
+    Row ``(b, l)`` of the column buffer holds ``x[b, l:l+K, :]`` flattened
+    k-major, the order of ``W``'s ``(K, C)`` axes, so ``W`` reshapes to
+    the ``(K*C, F)`` GEMM operand without a copy.  The buffer is the cache.
+    """
+    kernel, channels, filters = W.shape
+    batch, length, _ = x.shape
+    lout = length - kernel + 1
+    cols = (sliding_window_view(x, kernel, axis=1).swapaxes(2, 3)
+            .reshape(batch * lout, kernel * channels))
+    y = cols @ W.reshape(kernel * channels, filters)
+    y += b
+    return y.reshape(batch, lout, filters), (cols, x.shape)
+
+
+def _conv1d_param_grads(cache, W, dy) -> dict[str, np.ndarray]:
+    """dW as one GEMM over the column buffer; db as a sum over (B, L)."""
+    cols, _ = cache
+    dw = cols.T @ dy.reshape(-1, dy.shape[2])
+    return {"W": dw.reshape(W.shape), "b": dy.sum(axis=(0, 1))}
+
+
+def _conv1d_input_grad(cache, W, dy) -> np.ndarray:
+    """dx as one GEMM into column gradients, folded back by K strided adds."""
+    _, in_shape = cache
+    kernel, channels, filters = W.shape
+    batch, lout, _ = dy.shape
+    dcols = (dy.reshape(batch * lout, filters)
+             @ W.reshape(kernel * channels, filters).T).reshape(batch, lout, kernel, channels)
+    dx = np.zeros(in_shape)
+    for k in range(kernel):
+        dx[:, k:k + lout, :] += dcols[:, :, k, :]
+    return dx
+
+
+def _pool_windows(x, pool):
+    """``(B, L, C)`` -> ``(B, L // pool, pool, C)``, the trailing remainder dropped."""
     b, length, c = x.shape
     lout = length // pool
-    trimmed = x[:, :lout * pool, :].reshape(b, lout, pool, c)
+    return x[:, :lout * pool, :].reshape(b, lout, pool, c)
+
+
+def _maxpool_forward(x, pool):
+    trimmed = _pool_windows(x, pool)
     idx = trimmed.argmax(axis=2)  # first occurrence: ties go to the lowest index
     out = np.take_along_axis(trimmed, idx[:, :, None, :], axis=2)[:, :, 0, :]
     return out, (idx, x.shape, pool)
@@ -295,6 +351,8 @@ def _maxpool_backward(cache, dout):
 
 
 def _backward_pass(params: ModelParams, caches, dlogits) -> ModelParams:
+    """Weight gradients, last layer first.  The input gradient stops at
+    layer 1: layer 0's would flow into the data, which has no parameter."""
     grads: list[dict[str, np.ndarray]] = [dict() for _ in params.weights]
     dx = dlogits
     for i in range(len(params.architecture) - 1, -1, -1):
@@ -302,19 +360,15 @@ def _backward_pass(params: ModelParams, caches, dlogits) -> ModelParams:
         w = params.weights[i]
         cache = caches[i]
         if layer.kind == KIND_DENSE:
-            orig_shape, flat = cache
-            grads[i] = {"W": flat.T @ dx, "b": dx.sum(axis=0)}
-            dx = (dx @ w["W"].T).reshape(orig_shape)
+            grads[i] = {"W": cache[1].T @ dx, "b": dx.sum(axis=0)}
         elif layer.kind == KIND_CONV1D:
-            windows = cache
-            grads[i] = {"W": np.einsum("blck,blf->kcf", windows, dx),
-                        "b": dx.sum(axis=(0, 1))}
-            kernel = w["W"].shape[0]
-            b_, lout, _ = dx.shape
-            dxin = np.zeros((b_, lout + kernel - 1, w["W"].shape[1]))
-            for k in range(kernel):
-                dxin[:, k:k + lout, :] += dx @ w["W"][k].T
-            dx = dxin
+            grads[i] = _conv1d_param_grads(cache, w["W"], dx)
+        if i == 0:
+            break
+        if layer.kind == KIND_DENSE:
+            dx = (dx @ w["W"].T).reshape(cache[0])
+        elif layer.kind == KIND_CONV1D:
+            dx = _conv1d_input_grad(cache, w["W"], dx)
         elif layer.kind == KIND_MAXPOOL1D:
             dx = _maxpool_backward(cache, dx)
         elif layer.kind == KIND_RELU:
@@ -358,7 +412,9 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
         for key in w:
             if w[key].shape != g[key].shape:
                 raise ShapeMismatchError(f"gradient shape {g[key].shape} vs {w[key].shape}")
-            step[key] = w[key] - learning_rate * g[key]
+            # w - lr * g with the product's buffer reused for the result
+            step[key] = learning_rate * g[key]
+            np.subtract(w[key], step[key], out=step[key])
             if not np.isfinite(step[key]).all():
                 raise FloatingPointError("non-finite parameters after SGD step")
         new_weights.append(step)

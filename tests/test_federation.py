@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flwf import losses
 from flwf.config import ClientConfig, ScenarioConfig, SyntheticSource
@@ -100,6 +102,44 @@ def test_fedavg_matches_brute_force_weighted_mean():
         got = fedavg(models, sizes)
         want = brute_average(models, sizes)
         assert max_abs_gap(got, want) < 1e-12
+
+
+CONV_LAYERS = (LayerConfig("conv1d", filters=3, kernel=3), LayerConfig(KIND_RELU),
+               LayerConfig("maxpool1d", pool=2), LayerConfig(KIND_DENSE, units=3),
+               LayerConfig(KIND_SOFTMAX_OUTPUT))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(LAYERS, INPUT), (CONV_LAYERS, (10, 2))]),
+       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(0.1, 500.0)),
+                min_size=1, max_size=5),
+       st.booleans())
+def test_fedavg_equals_delta_form_sum_and_keeps_inputs(net, members, read_only):
+    """Bit-for-bit ``base + sum_i w_i * (src_i - base)``, accumulated in
+    client order, and no input buffer written, read-only ones included."""
+    arch, input_shape = net
+    models = []
+    for seed, _ in members:
+        m = init_params(arch, input_shape, seed=seed)
+        rng = np.random.default_rng(seed)
+        for w in m.weights:
+            if "b" in w:
+                w["b"] = rng.normal(size=w["b"].shape)
+            for arr in w.values():
+                arr.setflags(write=not read_only)
+        models.append(m)
+    snapshots = [m.copy() for m in models]
+    sizes = [size for _, size in members]
+    got = fedavg(models, sizes)
+    weights = np.asarray(sizes) / np.sum(sizes)
+    base = models[0]
+    for i, target in enumerate(got.weights):
+        for key in target:
+            want = base.weights[i][key].copy()
+            for m, w in zip(models[1:], weights[1:]):
+                want += w * (m.weights[i][key] - base.weights[i][key])
+            assert np.array_equal(target[key], want)
+    assert all(params_equal(m, snap) for m, snap in zip(models, snapshots))
 
 
 def test_fedavg_of_identical_models_is_exact():

@@ -355,3 +355,32 @@ def test_ledger_matches_brute_force_on_random_ledgers(case):
     owner, r = append_order[-1]
     with pytest.raises(ValueError, match="duplicate"):
         ledger.append(RoundRecord(owner, r, preds[(owner, r)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_ledgers())
+def test_window_means_are_computed_once_per_owner_and_task_pair(case):
+    """The summary's A_task and F values equal those of fresh ledgers, and
+    every abar(c, t, d) behind them reads its rounds once between appends."""
+    ledger, labels, preds = case[:3]
+    text = ledger.to_json()
+    n = ledger.n_tasks("c")
+
+    def summary(of):
+        return ([of().avg_task_accuracy("c", t) for t in range(1, n + 1)],
+                [of().average_forgetting("c", t) for t in range(2, n + 1)])
+
+    calls: dict = {}
+    task_accuracy = ledger.task_accuracy
+
+    def counted(owner, r, d):
+        calls[(owner, r, d)] = calls.get((owner, r, d), 0) + 1
+        return task_accuracy(owner, r, d)
+
+    ledger.task_accuracy = counted
+    assert summary(lambda: ledger) == summary(lambda: MetricsLedger.from_json(text))
+    assert set(calls.values()) == {1}  # task windows are disjoint
+    ledger.append(RoundRecord("other", 1, preds[("c", 1)]))  # clears the memo
+    ledger.avg_task_accuracy("c", n)
+    assert all(calls[("c", r, d)] == 2
+               for r in ledger.task_window("c", n) for d in range(1, n + 1))

@@ -5,14 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from flwf.datasets import RoundBatch
 from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
-                          ShapeMismatchError, TrainConfig, _maxpool_backward,
-                          _maxpool_forward, backward, forward, infer_shapes,
-                          init_params, load_model, loss_on_batch, params_digest,
-                          params_equal, save_model, sgd_step, train_local)
+                          ShapeMismatchError, TrainConfig, _conv1d_forward,
+                          _conv1d_input_grad, _conv1d_param_grads, _forward_pass,
+                          _maxpool_backward, _maxpool_forward, backward, forward,
+                          infer_shapes, init_params, load_model, loss_on_batch,
+                          params_digest, params_equal, save_model, sgd_step,
+                          train_local)
 
 MLP = (LayerConfig("dense", units=8), LayerConfig("relu"),
        LayerConfig("dense", units=3), LayerConfig("softmax-output"))
@@ -132,6 +137,67 @@ def test_conv1d_hand_computation():
     assert forward(params, x)[0, 0] == pytest.approx(54.0)
 
 
+def conv1d_einsum_reference(x, W, b, dy):
+    """Forward, dW and dX of a valid stride-1 conv1d as einsums over the
+    window view: the layer's definition, kept here as the oracle."""
+    kernel = W.shape[0]
+    windows = sliding_window_view(x, kernel, axis=1)  # (B, Lout, C, K)
+    y = np.einsum("blck,kcf->blf", windows, W) + b
+    dw = np.einsum("blck,blf->kcf", windows, dy)
+    dx = np.zeros_like(x)
+    for k in range(kernel):
+        dx[:, k:k + dy.shape[1], :] += np.einsum("blf,cf->blc", dy, W[k])
+    return y, dw, dx
+
+
+@st.composite
+def conv1d_shapes(draw):
+    length = draw(st.integers(1, 24))
+    kernel = draw(st.one_of(st.just(1), st.just(length), st.integers(1, length)))
+    return (draw(st.integers(1, 5)), length, draw(st.integers(1, 6)),
+            draw(st.integers(1, 6)), kernel, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(conv1d_shapes())
+def test_conv1d_im2col_matches_einsum_reference(shape):
+    batch, length, channels, filters, kernel, seed = shape
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, length, channels))
+    W = rng.normal(size=(kernel, channels, filters))
+    b = rng.normal(size=filters)
+    dy = rng.normal(size=(batch, length - kernel + 1, filters))
+    y, cache = _conv1d_forward(x, W, b)
+    grads = _conv1d_param_grads(cache, W, dy)
+    dx = _conv1d_input_grad(cache, W, dy)
+    ref_y, ref_dw, ref_dx = conv1d_einsum_reference(x, W, b, dy)
+    for got, ref in ((y, ref_y), (grads["W"], ref_dw), (dx, ref_dx)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(grads["b"], dy.sum(axis=(0, 1)))
+
+
+def test_inference_forward_equals_training_forward_bit_for_bit():
+    """Inference max-pools without argmax; with integer inputs and weights
+    the ReLU zeros and equal sums tie inside pool windows, and the logits
+    must still equal the cached training path's exactly."""
+    ties = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        params = init_params(CONVNET, (10, 2), seed=seed)
+        for w in params.weights:
+            for key in w:
+                w[key] = rng.integers(-2, 3, size=w[key].shape).astype(float)
+        x = rng.integers(-2, 3, size=(16, 10, 2)).astype(float)
+        logits, _ = _forward_pass(params, x, False, None, keep_caches=True)
+        assert np.array_equal(forward(params, x), logits)
+        pooled = np.maximum(_conv1d_forward(x, params.weights[0]["W"],
+                                            params.weights[0]["b"])[0], 0.0)
+        windows = pooled[:, :8, :].reshape(16, 4, 2, 3)
+        ties += int((windows[:, :, 0, :] == windows[:, :, 1, :]).sum())
+    assert ties > 0
+
+
 def test_maxpool_forward_and_tie_routing():
     x = np.array([[[5.0], [5.0], [3.0], [1.0]]])  # tie in the first window
     out, cache = _maxpool_forward(x, 2)
@@ -218,6 +284,12 @@ PER_KIND_NETS = {
     "conv1d": ((LayerConfig("conv1d", filters=2, kernel=3),
                 LayerConfig("dense", units=3),
                 LayerConfig("softmax-output")), (7, 2)),
+    # a conv1d that is not layer 0 is the one whose input gradient is computed
+    "conv1d-stacked": ((LayerConfig("conv1d", filters=2, kernel=3),
+                        LayerConfig("relu"),
+                        LayerConfig("conv1d", filters=3, kernel=2),
+                        LayerConfig("dense", units=3),
+                        LayerConfig("softmax-output")), (7, 2)),
     "maxpool1d": (CONVNET, (10, 2)),
     "relu": (MLP, (5,)),
     "dropout": ((LayerConfig("dense", units=6),
@@ -257,6 +329,34 @@ def test_sgd_step_arithmetic():
     for w, s in zip(params.weights, stepped.weights):
         for key in w:
             assert np.allclose(s[key], 0.5 * w[key])
+
+
+def read_only_copy(params):
+    out = params.copy()
+    for w in out.weights:
+        for arr in w.values():
+            arr.setflags(write=False)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(MLP, (5,)), (CONVNET, (10, 2))]),
+       st.integers(0, 2**32 - 1), st.floats(1e-4, 10.0), st.booleans())
+def test_sgd_step_equals_w_minus_lr_g_and_keeps_inputs(net, seed, lr, read_only):
+    arch, input_shape = net
+    rng = np.random.default_rng(seed)
+    params = init_params(arch, input_shape, seed=seed)
+    grads = ModelParams(arch, input_shape,
+                        [{k: rng.normal(size=v.shape) for k, v in w.items()}
+                         for w in params.weights])
+    if read_only:
+        params, grads = read_only_copy(params), read_only_copy(grads)
+    before = params.copy(), grads.copy()
+    stepped = sgd_step(params, grads, lr)
+    for w, g, s in zip(params.weights, grads.weights, stepped.weights):
+        for key in w:
+            assert np.array_equal(s[key], w[key] - lr * g[key])
+    assert params_equal(params, before[0]) and params_equal(grads, before[1])
 
 
 def test_sgd_step_rejects_mismatched_grads():
