@@ -65,8 +65,7 @@ assert worst < 1e-4
 # -- training loop -----------------------------------------------------------------
 
 # ten epochs of seeded mini-batch SGD; the loss is summed over each batch
-cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=10,
-                  dropout_rate=0.5, rng_seed=7)
+cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=10, rng_seed=7)
 trace = []
 trained = train_local(params, batch, cfg, spec, loss_trace=trace)
 

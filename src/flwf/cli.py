@@ -100,11 +100,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
 def _resolve_scenario(args) -> ScenarioConfig:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("run", "exactly one of --preset / --config is required")
-    if args.preset is not None:
-        scenario = config_mod.preset(args.preset,
-                                     seed=0 if args.seed is None else args.seed)
-    else:
-        scenario = config_mod.parse_config(args.config, seed=args.seed)
+    scenario = config_mod.parse_config(args.preset or args.config, seed=args.seed)
     if args.data_csv is not None:
         scenario = dataclasses.replace(scenario, data=CsvSource(path=args.data_csv))
     return scenario

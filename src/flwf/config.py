@@ -5,8 +5,17 @@ A scenario bundles everything one seeded run needs: the data source, the
 network architecture, the federated schedule (rounds, epochs, batch size,
 learning rate), and one entry per simulated client with its task
 sequence, aggregation weight, algorithm, loss coefficients, strategy
-policy, and exemplar switch.  Unknown fields anywhere in a config file
-are rejected, and every validation error names the offending field path.
+policy, and exemplar switch.
+
+The dataclasses are the file format.  A mapping's keys are the fields of
+its dataclass: a field without a default is required, an absent one
+takes the dataclass default, and scalar values are coerced to their
+annotated type.  Only nested values have their own builders: layers
+(a dropout layer without a rate inherits the scenario's ``dropout``),
+clients, their task lists and policies, and the data source, chosen by
+its ``kind``.  Unknown fields anywhere in a config file are rejected,
+every validation error names the offending field path, and
+:func:`to_dict` writes the same fields in declaration order.
 
 The named presets encode the three study scenarios plus the plain
 fine-tuning baseline on synthetic data: the observed client
@@ -16,16 +25,20 @@ for the remaining clients with balanced all-class data and a
 proportionally larger aggregation weight.
 """
 
+import contextlib
 import dataclasses
+import functools
 import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import MISSING, dataclass, field
+from typing import ClassVar
 
 import yaml
 
 from . import losses
-from .continual import StrategyPolicy, TaskSequence, TaskSpec
-from .network import (LayerConfig, infer_shapes, layer_config_from_dict,
-                      layer_to_dict)
+from .continual import (POLICY_DISTILL_ALL, POLICY_FINE_TUNE_ALL, POLICY_HYBRID,
+                        StrategyPolicy, TaskSequence, TaskSpec)
+from .network import KIND_DROPOUT, LayerConfig, infer_shapes, layer_to_dict
 
 ALGO_MODES = losses.MODES  # fine-tune | flwf1 | flwf2
 
@@ -52,6 +65,7 @@ class ConfigError(ValueError):
 class SyntheticSource:
     """Gaussian class clusters drawn inside the run from the experiment seed."""
 
+    kind: ClassVar[str] = "synthetic"
     per_class: int = 1000
     feature_dim: int = 16
     separation: float = 1.5
@@ -69,6 +83,7 @@ class SyntheticSource:
 class CsvSource:
     """External feature CSV; last column is the integer class label."""
 
+    kind: ClassVar[str] = "csv"
     path: str
 
     def __post_init__(self):
@@ -76,19 +91,24 @@ class CsvSource:
             raise ConfigError("data.path", "must be a non-empty path")
 
 
-@dataclass(frozen=True)
+_SOURCES = {cls.kind: cls for cls in (SyntheticSource, CsvSource)}
+
+
+# Fields are declared in the order a config file lists them, which is the
+# order to_dict writes them; keyword-only lets defaults precede the rest.
+@dataclass(frozen=True, kw_only=True)
 class ClientConfig:
     """One simulated client of the federation."""
 
     name: str
     weight: float
     algo: str
-    tasks: TaskSequence
     alpha: float = 1.0
     beta: float | None = None
     temperature: float = 2.0
     policy: StrategyPolicy = field(default_factory=StrategyPolicy)
     use_exemplars: bool = False
+    tasks: TaskSequence
 
     def __post_init__(self):
         where = f"clients[{self.name}]"
@@ -104,7 +124,7 @@ class ClientConfig:
             raise ConfigError(f"{where}.{error[0]}", error[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     label: str
     seed: int
@@ -117,11 +137,11 @@ class ScenarioConfig:
     input_shape: tuple[int, ...]
     layers: tuple[LayerConfig, ...]
     total_clients: int
-    clients: tuple[ClientConfig, ...]
-    data: SyntheticSource | CsvSource
     round_data_size: int = 120
     test_per_class: int = 100
     exemplar_capacity: int = 10
+    data: SyntheticSource | CsvSource
+    clients: tuple[ClientConfig, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
@@ -211,38 +231,24 @@ def uci_cnn_layers(n_classes: int = 6, dropout: float = 0.5) -> tuple[LayerConfi
     )
 
 
-def _preset_clients(algo: str, policy_mode: str, use_exemplars: bool,
-                    alpha: float, beta: float | None,
-                    temperature: float) -> tuple[ClientConfig, ...]:
-    observed_tasks = TaskSequence((TaskSpec((1,), 4), TaskSpec((2,), 4)))
-    general_tasks = TaskSequence((TaskSpec((0, 1, 2, 3, 4, 5), 8),))
-    policy = StrategyPolicy(mode=policy_mode)
-    common = dict(algo=algo, alpha=alpha, beta=beta, temperature=temperature,
-                  policy=policy, use_exemplars=use_exemplars)
-    return (
-        ClientConfig(name="client1", weight=1.0, tasks=observed_tasks, **common),
-        ClientConfig(name="generalized", weight=4.0, tasks=general_tasks, **common),
-    )
-
-
 def preset(name: str, seed: int = 0) -> ScenarioConfig:
     """A named scenario; raises ConfigError for unknown names."""
     if name not in PRESET_NAMES:
         raise ConfigError("preset", f"unknown preset {name!r}; "
                                     f"known: {list(PRESET_NAMES)}")
     if name == "baseline-finetune":
-        clients = _preset_clients(algo=losses.MODE_FINE_TUNE,
-                                  policy_mode="fine-tune-all",
-                                  use_exemplars=False,
-                                  alpha=1.0, beta=None, temperature=2.0)
+        common = dict(algo=losses.MODE_FINE_TUNE,
+                      policy=StrategyPolicy(mode=POLICY_FINE_TUNE_ALL))
     else:
         algo = losses.MODE_FLWF1 if name.endswith("flwf1") else losses.MODE_FLWF2
-        beta = 0.7 if algo == losses.MODE_FLWF2 else None
-        policy_mode = "distill-all" if name.startswith("exp1") else "hybrid"
-        use_exemplars = name.startswith("exp3")
-        clients = _preset_clients(algo=algo, policy_mode=policy_mode,
-                                  use_exemplars=use_exemplars,
-                                  alpha=0.001, beta=beta, temperature=2.0)
+        common = dict(algo=algo, alpha=0.001,
+                      policy=StrategyPolicy(mode=POLICY_DISTILL_ALL
+                                            if name.startswith("exp1") else POLICY_HYBRID),
+                      use_exemplars=name.startswith("exp3"))
+        if algo == losses.MODE_FLWF2:
+            common["beta"] = 0.7
+    observed_tasks = TaskSequence((TaskSpec((1,), 4), TaskSpec((2,), 4)))
+    general_tasks = TaskSequence((TaskSpec((0, 1, 2, 3, 4, 5), 8),))
     dropout = 0.5
     return ScenarioConfig(
         label=name,
@@ -256,189 +262,126 @@ def preset(name: str, seed: int = 0) -> ScenarioConfig:
         input_shape=(16,),
         layers=default_mlp_layers(n_classes=6, dropout=dropout),
         total_clients=5,
-        clients=clients,
-        data=SyntheticSource(per_class=1000, feature_dim=16, separation=1.5),
-        round_data_size=120,
-        test_per_class=100,
-        exemplar_capacity=10,
+        clients=(
+            ClientConfig(name="client1", weight=1.0, tasks=observed_tasks, **common),
+            ClientConfig(name="generalized", weight=4.0, tasks=general_tasks, **common),
+        ),
+        data=SyntheticSource(),
     )
 
 
 # -- dict / YAML conversion ----------------------------------------------------
 
 
-def _require_keys(doc: dict, known: set[str], required: set[str], path: str) -> None:
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(path or "config",
-                          f"unknown fields {sorted(unknown)}; known: {sorted(known)}")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(path or "config", f"missing fields {sorted(missing)}")
-
-
-def _layers_from_list(entries, default_dropout: float) -> tuple[LayerConfig, ...]:
-    layers = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"layers[{i}]", "each layer must be a mapping")
-        entry = dict(entry)
-        if entry.get("kind") == "dropout" and "rate" not in entry:
-            entry["rate"] = default_dropout
-        try:
-            layers.append(layer_config_from_dict(entry))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"layers[{i}]", str(exc)) from exc
-    return tuple(layers)
-
-
-def _tasks_from_list(entries, path: str) -> TaskSequence:
-    tasks = []
-    for i, entry in enumerate(entries):
-        where = f"{path}.tasks[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(where, "each task must be a mapping")
-        _require_keys(entry, {"classes", "rounds"}, {"classes", "rounds"}, where)
-        try:
-            tasks.append(TaskSpec(tuple(entry["classes"]), int(entry["rounds"])))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(where, str(exc)) from exc
+@contextlib.contextmanager
+def _at(path: str):
+    """Re-raise a TypeError or ValueError as a ConfigError at ``path``."""
     try:
-        return TaskSequence(tuple(tasks))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.tasks", str(exc)) from exc
-
-
-def _policy_from_dict(entry, path: str) -> StrategyPolicy:
-    if not isinstance(entry, dict):
-        raise ConfigError(path, "policy must be a mapping")
-    _require_keys(entry, {"mode", "balance_threshold"}, {"mode"}, path)
-    try:
-        return StrategyPolicy(mode=entry["mode"],
-                              balance_threshold=float(entry.get("balance_threshold", 0.5)))
-    except ValueError as exc:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _client_from_dict(entry, index: int) -> ClientConfig:
-    path = f"clients[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(path, "each client must be a mapping")
-    known = {"name", "weight", "algo", "tasks", "alpha", "beta", "temperature",
-             "policy", "use_exemplars"}
-    _require_keys(entry, known, {"name", "weight", "algo", "tasks"}, path)
-    beta = entry.get("beta")
-    return ClientConfig(
-        name=str(entry["name"]),
-        weight=float(entry["weight"]),
-        algo=str(entry["algo"]),
-        tasks=_tasks_from_list(entry["tasks"], path),
-        alpha=float(entry.get("alpha", 1.0)),
-        beta=None if beta is None else float(beta),
-        temperature=float(entry.get("temperature", 2.0)),
-        policy=_policy_from_dict(entry.get("policy", {"mode": "distill-all"}),
-                                 path + ".policy"),
-        use_exemplars=bool(entry.get("use_exemplars", False)),
-    )
+def _coerce(annotation, value):
+    """A scalar as its annotated type (``X | None`` keeps None); other
+    values pass through for the dataclass to check."""
+    if isinstance(annotation, types.UnionType):
+        if value is None:
+            return None
+        annotation = next(a for a in annotation.__args__ if a is not type(None))
+    return annotation(value) if annotation in (bool, int, float, str) else value
 
 
-def _data_from_dict(entry) -> SyntheticSource | CsvSource:
-    if not isinstance(entry, dict):
-        raise ConfigError("data", "data must be a mapping with a 'kind'")
-    kind = entry.get("kind")
-    if kind == "synthetic":
-        _require_keys(entry, {"kind", "per_class", "feature_dim", "separation"},
-                      {"kind"}, "data")
-        return SyntheticSource(per_class=int(entry.get("per_class", 1000)),
-                               feature_dim=int(entry.get("feature_dim", 16)),
-                               separation=float(entry.get("separation", 1.5)))
-    if kind == "csv":
-        _require_keys(entry, {"kind", "path"}, {"kind", "path"}, "data")
-        return CsvSource(path=str(entry["path"]))
-    raise ConfigError("data.kind", f"must be 'synthetic' or 'csv', got {kind!r}")
+def _build(cls, doc, path: str, **convert):
+    """``cls`` from a mapping whose keys are its fields.
+
+    A field without a default is required, an absent one takes its
+    default, scalars are coerced by annotation, and ``convert[name](value,
+    field_path)`` builds the nested ones.  Errors carry the field path.
+    """
+    where = path or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(where, "must be a mapping")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ConfigError(where, f"unknown fields {sorted(map(str, unknown))}; "
+                                 f"known: {sorted(fields)}")
+    missing = {name for name, f in fields.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING}
+    if missing:
+        raise ConfigError(where, f"missing fields {sorted(missing)}")
+    values = {}
+    for name in fields:
+        if name not in doc:
+            continue
+        sub = f"{path}.{name}" if path else name
+        with _at(sub):
+            values[name] = (convert[name](doc[name], sub) if name in convert
+                            else _coerce(fields[name].type, doc[name]))
+    with _at(where):
+        return cls(**values)
+
+
+def _each(build):
+    """Converter for a list whose entries ``build(entry, entry_path)`` makes."""
+    return lambda entries, path: tuple(build(e, f"{path}[{i}]")
+                                       for i, e in enumerate(entries))
+
+
+def _client(entry, path: str) -> ClientConfig:
+    tasks = _each(functools.partial(_build, TaskSpec))
+    return _build(ClientConfig, entry, path,
+                  policy=functools.partial(_build, StrategyPolicy),
+                  tasks=lambda entries, sub: TaskSequence(tasks(entries, sub)))
+
+
+def _source(entry, path: str) -> SyntheticSource | CsvSource:
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if kind not in _SOURCES:
+        raise ConfigError(path + ".kind", f"must be one of {list(_SOURCES)}, got {kind!r}")
+    return _build(_SOURCES[kind], {k: v for k, v in entry.items() if k != "kind"}, path)
 
 
 def from_dict(doc: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a plain mapping."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "top level must be a mapping")
-    known = {"label", "seed", "rounds", "epochs", "batch_size", "learning_rate",
-             "dropout", "n_classes", "input_shape", "layers", "total_clients",
-             "clients", "data", "round_data_size", "test_per_class",
-             "exemplar_capacity"}
-    required = {"label", "seed", "rounds", "epochs", "batch_size",
-                "learning_rate", "dropout", "n_classes", "input_shape",
-                "layers", "total_clients", "clients", "data"}
-    _require_keys(doc, known, required, "")
-    dropout = float(doc["dropout"])
-    return ScenarioConfig(
-        label=str(doc["label"]),
-        seed=int(doc["seed"]),
-        rounds=int(doc["rounds"]),
-        epochs=int(doc["epochs"]),
-        batch_size=int(doc["batch_size"]),
-        learning_rate=float(doc["learning_rate"]),
-        dropout=dropout,
-        n_classes=int(doc["n_classes"]),
-        input_shape=tuple(int(d) for d in doc["input_shape"]),
-        layers=_layers_from_list(doc["layers"], dropout),
-        total_clients=int(doc["total_clients"]),
-        clients=tuple(_client_from_dict(c, i)
-                      for i, c in enumerate(doc["clients"])),
-        data=_data_from_dict(doc["data"]),
-        round_data_size=int(doc.get("round_data_size", 120)),
-        test_per_class=int(doc.get("test_per_class", 100)),
-        exemplar_capacity=int(doc.get("exemplar_capacity", 10)),
-    )
+
+    def layer(entry, path):
+        if isinstance(entry, dict) and entry.get("kind") == KIND_DROPOUT:
+            entry = {"rate": float(doc["dropout"]), **entry}
+        return _build(LayerConfig, entry, path)
+
+    return _build(ScenarioConfig, doc, "",
+                  input_shape=lambda dims, _: tuple(int(d) for d in dims),
+                  layers=_each(layer), clients=_each(_client), data=_source)
+
+
+def _plain(value):
+    """A config value as plain lists and mappings, fields in declaration order."""
+    if isinstance(value, LayerConfig):
+        return layer_to_dict(value)
+    if isinstance(value, TaskSequence):
+        value = value.tasks
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    doc = {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple(_SOURCES.values())):
+        doc = {"kind": value.kind, **doc}
+    return doc
 
 
 def to_dict(cfg: ScenarioConfig) -> dict:
     """Plain mapping that from_dict parses back to an equal config."""
-    if isinstance(cfg.data, SyntheticSource):
-        data = {"kind": "synthetic", "per_class": cfg.data.per_class,
-                "feature_dim": cfg.data.feature_dim,
-                "separation": cfg.data.separation}
-    else:
-        data = {"kind": "csv", "path": cfg.data.path}
-    return {
-        "label": cfg.label,
-        "seed": cfg.seed,
-        "rounds": cfg.rounds,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "dropout": cfg.dropout,
-        "n_classes": cfg.n_classes,
-        "input_shape": list(cfg.input_shape),
-        "layers": [layer_to_dict(layer) for layer in cfg.layers],
-        "total_clients": cfg.total_clients,
-        "round_data_size": cfg.round_data_size,
-        "test_per_class": cfg.test_per_class,
-        "exemplar_capacity": cfg.exemplar_capacity,
-        "data": data,
-        "clients": [
-            {
-                "name": c.name,
-                "weight": c.weight,
-                "algo": c.algo,
-                "alpha": c.alpha,
-                "beta": c.beta,
-                "temperature": c.temperature,
-                "policy": {"mode": c.policy.mode,
-                           "balance_threshold": c.policy.balance_threshold},
-                "use_exemplars": c.use_exemplars,
-                "tasks": [{"classes": list(t.classes), "rounds": t.rounds}
-                          for t in c.tasks.tasks],
-            }
-            for c in cfg.clients
-        ],
-    }
+    return _plain(cfg)
 
 
 def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    return from_dict(doc)
+        return from_dict(yaml.safe_load(fh))
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:
@@ -450,9 +393,7 @@ def parse_config(name_or_path: str, seed: int | None = None) -> ScenarioConfig:
     """Resolve a preset name or a YAML file path; the seed argument, when
     given, overrides the config's seed."""
     if name_or_path in PRESET_NAMES:
-        cfg = preset(name_or_path, seed=0 if seed is None else seed)
-        return cfg
-    cfg = load_config(name_or_path)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+        cfg = preset(name_or_path)
+    else:
+        cfg = load_config(name_or_path)
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)

@@ -107,14 +107,12 @@ def normalized_label_entropy(labels, n_classes: int) -> float:
     return float(-(p * np.log(p)).sum() / math.log(n_classes) + 0.0)
 
 
-def is_unbalanced(batch: RoundBatch, n_classes: int | None = None,
-                  threshold: float = 0.5) -> bool:
-    """True when the batch's normalized label entropy falls below the threshold."""
+def is_unbalanced(batch: RoundBatch, threshold: float = 0.5) -> bool:
+    """True when the batch's normalized label entropy over its ``n_classes``
+    falls below the threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    if n_classes is None:
-        n_classes = batch.n_classes
-    return normalized_label_entropy(batch.labels, n_classes) < threshold
+    return normalized_label_entropy(batch.labels, batch.n_classes) < threshold
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ class ExemplarStore:
 
 
 def update_exemplars(store: ExemplarStore, task_id: int, batch: RoundBatch,
-                     capacity: int | None = None, seed=0) -> ExemplarStore:
+                     seed=0) -> ExemplarStore:
     """Store (or refresh) the task's exemplars with a fresh random draw.
 
     A revisited task's entry is replaced wholesale.  A batch smaller than
@@ -182,9 +180,8 @@ def update_exemplars(store: ExemplarStore, task_id: int, batch: RoundBatch,
     """
     if len(batch) == 0:
         raise ValueError("cannot draw exemplars from an empty batch")
-    cap = store.capacity if capacity is None else capacity
     rng = np.random.default_rng(seed)
-    take = min(cap, len(batch))
+    take = min(store.capacity, len(batch))
     picks = rng.choice(len(batch), size=take, replace=False)
     picks.sort()
     entries = dict(store.entries)

@@ -115,7 +115,7 @@ def client_update(server_params: ModelParams, client_teacher: ModelParams | None
         fills["teacher_server_logits"] = forward(server_params, batch.features)
     spec = dataclasses.replace(spec, **fills)
 
-    student = train_local(server_params.copy(), batch, train_cfg, spec,
+    student = train_local(server_params, batch, train_cfg, spec,
                           loss_trace=loss_trace)
     return student, losses.objective_terms(spec)[0]
 
@@ -181,7 +181,6 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
             learning_rate=scenario.learning_rate,
             batch_size=scenario.batch_size,
             epochs=scenario.epochs,
-            dropout_rate=scenario.dropout,
             rng_seed=_seed_int(stream_seed(scenario.seed, SEED_TRAIN,
                                            client.index, round_index)))
         trace: list[float] = []

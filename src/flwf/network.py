@@ -93,7 +93,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     epochs: int
-    dropout_rate: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -103,8 +102,6 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
 
 @dataclass(eq=False)
@@ -190,29 +187,24 @@ def init_params(architecture, input_shape, seed) -> ModelParams:
     """Fresh model with uniform Glorot weights and zero biases."""
     architecture = tuple(architecture)
     input_shape = tuple(int(d) for d in input_shape)
-    infer_shapes(architecture, input_shape)
+    layer_inputs = [input_shape] + infer_shapes(architecture, input_shape)[:-1]
     rng = np.random.default_rng(seed)
     weights: list[dict[str, np.ndarray]] = []
-    cur = input_shape
-    for layer in architecture:
+    for layer, shape in zip(architecture, layer_inputs):
         if layer.kind == KIND_DENSE:
-            fan_in = int(np.prod(cur))
+            fan_in = math.prod(shape)
             s = math.sqrt(6.0 / (fan_in + layer.units))
             weights.append({"W": rng.uniform(-s, s, (fan_in, layer.units)),
                             "b": np.zeros(layer.units)})
-            cur = (layer.units,)
         elif layer.kind == KIND_CONV1D:
-            length, channels = cur
+            channels = shape[1]
             fan_in = layer.kernel * channels
             fan_out = layer.kernel * layer.filters
             s = math.sqrt(6.0 / (fan_in + fan_out))
             weights.append({"W": rng.uniform(-s, s, (layer.kernel, channels, layer.filters)),
                             "b": np.zeros(layer.filters)})
-            cur = (length - layer.kernel + 1, layer.filters)
         else:
             weights.append({})
-            if layer.kind == KIND_MAXPOOL1D:
-                cur = (cur[0] // layer.pool, cur[1])
     return ModelParams(architecture, input_shape, weights)
 
 
@@ -432,11 +424,13 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     chunk may be short); every epoch iterates the same chunks.  Per-batch
     loss values are appended to ``loss_trace`` when given.  A
     :class:`FloatingPointError` names the epoch and step where it arose.
+    ``params`` is never written: the first step allocates every buffer
+    anew, and zero epochs return a copy.
     """
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
     if cfg.epochs == 0:
-        return params
+        return params.copy()
     targets = losses.resolve_targets(spec, data.one_hot())
     rng = np.random.default_rng(cfg.rng_seed)
     order = rng.permutation(len(data))

@@ -341,8 +341,7 @@ def test_10_real_data_central_training(capsys):
     batch = draw_round_data(pool, classes=range(6), size=1920, seed=1)
     params = init_params(uci_cnn_layers(n_classes=6, dropout=0.5), (128, 9),
                          seed=2)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, epochs=3,
-                      dropout_rate=0.5, rng_seed=3)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, epochs=3, rng_seed=3)
     trained = train_local(params, batch, cfg,
                           losses.LossSpec(mode="fine-tune"))
     acc = accuracy_on(trained, test.features, test.labels)

@@ -1,19 +1,27 @@
 """Scenario configuration, YAML round-trips, and the command-line tools."""
 
+import copy
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flwf import cli
-from flwf.config import (PRESET_NAMES, ConfigError, CsvSource, ScenarioConfig,
-                         SyntheticSource, from_dict, load_config, parse_config,
-                         preset, save_config, to_dict)
+from flwf.config import (PRESET_NAMES, ClientConfig, ConfigError, CsvSource,
+                         ScenarioConfig, SyntheticSource, from_dict, load_config,
+                         parse_config, preset, save_config, to_dict)
+from flwf.continual import StrategyPolicy
 from flwf.datasets import generate_synthetic, save_csv
 from flwf.network import KIND_DROPOUT
+
+EXAMPLE_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                "example-scenario.yaml")
 
 
 def tiny_doc(seed=0, rounds=2):
@@ -184,6 +192,127 @@ def test_missing_required_field_rejected():
     with pytest.raises(ConfigError) as err:
         from_dict(doc)
     assert "learning_rate" in str(err.value)
+
+
+def _defaults(cls) -> dict:
+    """The value each optional field of ``cls`` takes when a file omits it."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            out[f.name] = dataclasses.asdict(f.default_factory())
+    return out
+
+
+def _optional_keys(doc) -> list:
+    """(container path, key, value an omitted key stands for) for every key
+    of a preset document that a config file may leave out."""
+    keys = [((), k, v) for k, v in _defaults(ScenarioConfig).items()]
+    keys += [(("data",), k, v) for k, v in _defaults(SyntheticSource).items()]
+    for i in range(len(doc["clients"])):
+        keys += [(("clients", i), k, v) for k, v in _defaults(ClientConfig).items()]
+        keys += [(("clients", i, "policy"), k, v)
+                 for k, v in _defaults(StrategyPolicy).items()]
+    keys += [(("layers", k), "rate", doc["dropout"])
+             for k, layer in enumerate(doc["layers"]) if layer["kind"] == KIND_DROPOUT]
+    return keys
+
+
+def _container(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _field_path(path) -> str:
+    """``("clients", 0, "policy")`` -> ``clients[0].policy``; () -> ``config``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                   for p in path).lstrip(".") or "config"
+
+
+def _outcome(doc):
+    try:
+        return to_dict(from_dict(doc))
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRESET_NAMES), st.data())
+def test_omitted_optional_keys_take_their_defaults(name, data):
+    doc = to_dict(preset(name, seed=1))
+    keys = _optional_keys(doc)
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique_by=lambda c: c[:2]))
+    dropped, filled = copy.deepcopy(doc), copy.deepcopy(doc)
+    # fill parents before their children, drop children before their parents
+    for path, key, value in sorted(chosen, key=lambda c: len(c[0])):
+        _container(filled, path)[key] = copy.deepcopy(value)
+    for path, key, _ in sorted(chosen, key=lambda c: -len(c[0])):
+        _container(dropped, path).pop(key)
+    assert _outcome(dropped) == _outcome(filled)
+
+
+def test_a_preset_without_any_optional_key_parses_to_the_defaults():
+    doc = to_dict(preset("baseline-finetune", seed=1))
+    for path, key, _ in sorted(_optional_keys(doc), key=lambda c: -len(c[0])):
+        _container(doc, path).pop(key)
+    cfg = from_dict(doc)
+    assert (cfg.round_data_size, cfg.test_per_class, cfg.exemplar_capacity) == (120, 100, 10)
+    assert cfg.data == SyntheticSource(per_class=1000, feature_dim=16, separation=1.5)
+    for c in cfg.clients:
+        assert (c.alpha, c.beta, c.temperature, c.use_exemplars) == (1.0, None, 2.0, False)
+        assert c.policy == StrategyPolicy(mode="distill-all", balance_threshold=0.5)
+    assert [layer.rate for layer in cfg.layers if layer.kind == KIND_DROPOUT] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("path", [
+    (), ("clients", 1), ("clients", 0, "policy"), ("clients", 1, "tasks", 0),
+    ("data",), ("layers", 2),
+])
+def test_unknown_key_is_rejected_with_its_path_at_every_level(path):
+    doc = tiny_doc()
+    _container(doc, path)["bogus"] = 1
+    with pytest.raises(ConfigError) as err:
+        from_dict(doc)
+    assert str(err.value).startswith(f"{_field_path(path)}: unknown fields ['bogus']")
+
+
+def test_unknown_keys_of_mixed_types_are_listed():
+    doc = tiny_doc()
+    doc.update({1: "x", "zz": 2})
+    with pytest.raises(ConfigError, match=r"^config: unknown fields \['1', 'zz'\]"):
+        from_dict(doc)
+
+
+@pytest.mark.parametrize("path, key, value", [
+    ((), "rounds", "many"),
+    (("clients", 0), "weight", "heavy"),
+    (("clients", 0, "policy"), "balance_threshold", [0.3]),
+    (("clients", 0, "tasks", 1), "rounds", None),
+    (("data",), "per_class", "lots"),
+    (("layers", 0), "units", "wide"),
+])
+def test_uncoercible_value_is_rejected_with_its_field_path(path, key, value):
+    doc = tiny_doc()
+    _container(doc, path)[key] = value
+    with pytest.raises(ConfigError) as err:
+        from_dict(doc)
+    assert str(err.value).startswith(_field_path((*path, key)) + ": ")
+
+
+def test_policy_mode_may_be_omitted():
+    doc = tiny_doc()
+    doc["clients"][0]["policy"] = {"balance_threshold": 0.3}
+    policy = from_dict(doc).clients[0].policy
+    assert policy == StrategyPolicy(mode="distill-all", balance_threshold=0.3)
+
+
+def test_example_scenario_is_the_hybrid_flwf2_preset_apart_from_its_label():
+    example = to_dict(load_config(EXAMPLE_SCENARIO))
+    reference = to_dict(preset("exp2-hybrid-flwf2", seed=0))
+    assert example.pop("label") != reference.pop("label")
+    assert example == reference
 
 
 def test_config_error_carries_its_path():

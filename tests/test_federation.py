@@ -201,8 +201,7 @@ def make_batch(seed, labels=(0, 1, 2)):
 
 
 def train_cfg(epochs=2, seed=5):
-    return TrainConfig(learning_rate=0.05, batch_size=16, epochs=epochs,
-                       dropout_rate=0.2, rng_seed=seed)
+    return TrainConfig(learning_rate=0.05, batch_size=16, epochs=epochs, rng_seed=seed)
 
 
 def test_client_update_zero_epochs_returns_fresh_copy_of_server():
@@ -212,6 +211,18 @@ def test_client_update_zero_epochs_returns_fresh_copy_of_server():
     assert params_equal(out, server)
     assert out is not server
     assert mode == losses.MODE_FINE_TUNE
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_client_update_student_shares_no_buffer_with_server(epochs):
+    server = model(seed=3)
+    snapshot = server.copy()
+    out, _ = client_update(server, None, make_batch(0), train_cfg(epochs=epochs),
+                           losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    assert not any(np.shares_memory(a, b)
+                   for wo, ws in zip(out.weights, server.weights)
+                   for a, b in zip(wo.values(), ws.values()))
+    assert params_equal(server, snapshot)
 
 
 def test_client_update_fine_tune_ignores_teachers():

@@ -398,8 +398,7 @@ def test_train_local_trace_has_one_entry_per_step():
 def test_train_local_deterministic_and_input_preserving():
     params, batch = _training_setup(rows=16)
     snapshot = params.copy()
-    cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2,
-                      dropout_rate=0.0, rng_seed=7)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, rng_seed=7)
     a = train_local(params, batch, cfg, LossSpec())
     b = train_local(params, batch, cfg, LossSpec())
     assert params_equal(a, b)
