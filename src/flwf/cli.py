@@ -20,6 +20,8 @@ import json
 import os
 import sys
 
+import yaml
+
 from . import config as config_mod
 from .config import ConfigError, CsvSource, ScenarioConfig
 from .federation import ExperimentResult, run_experiment
@@ -109,7 +111,7 @@ def _resolve_scenario(args) -> ScenarioConfig:
 def cmd_run(args) -> int:
     try:
         scenario = _resolve_scenario(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = args.out or os.path.join(

@@ -286,12 +286,17 @@ def _at(path: str):
 
 def _coerce(annotation, value):
     """A scalar as its annotated type (``X | None`` keeps None); other
-    values pass through for the dataclass to check."""
+    values pass through for the dataclass to check.  A ``bool`` field takes
+    only ``true``/``false``: ``bool("false")`` would be True."""
     if isinstance(annotation, types.UnionType):
         if value is None:
             return None
         annotation = next(a for a in annotation.__args__ if a is not type(None))
-    return annotation(value) if annotation in (bool, int, float, str) else value
+    if annotation is bool:
+        if not isinstance(value, bool):
+            raise TypeError(f"must be true or false, got {value!r}")
+        return value
+    return annotation(value) if annotation in (int, float, str) else value
 
 
 def _build(cls, doc, path: str, **convert):

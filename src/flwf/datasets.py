@@ -10,6 +10,7 @@ ids in ``[0, n_classes)``.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +119,36 @@ def load_csv(path, n_classes: int = 6) -> DatasetPool:
 
     A non-numeric first row is treated as a header.  Ragged rows, non-numeric
     features and out-of-range labels are rejected with their line number.
+    The rows are parsed in one vectorized pass; a file that pass rejects or
+    whose labels fail a check is scanned again row by row, which either
+    names the offending line or, for spellings only Python's ``float``
+    reads, returns the pool.
     """
+    table = _parse_table(path)
+    if table is not None and table.shape[0] > 0 and table.shape[1] >= 2:
+        labels = table[:, -1]
+        if (np.isfinite(labels).all() and (labels == np.trunc(labels)).all()
+                and ((labels >= 0) & (labels < n_classes)).all()):
+            return DatasetPool(np.ascontiguousarray(table[:, :-1]),
+                               labels.astype(int), n_classes)
+    return _scan_csv_rows(path, n_classes)
+
+
+def _parse_table(path) -> np.ndarray | None:
+    """The numeric rows below an optional header as one 2-d array, or
+    None if ``np.loadtxt`` rejects them."""
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            first = next(csv.reader([fh.readline()]), [])
+            if not first or _looks_numeric(first):
+                fh.seek(0)
+            warnings.simplefilter("ignore")  # an empty file is reported by the scan
+            return np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error):
+        return None
+
+
+def _scan_csv_rows(path, n_classes: int) -> DatasetPool:
     features: list[list[float]] = []
     labels: list[int] = []
     width = None

@@ -72,10 +72,10 @@ class ServerState:
 
 @dataclass
 class RoundReport:
-    """What one round produced, keyed by client name."""
+    """What one round produced, keyed by client name.  Models are not
+    kept here: each client holds its latest one, the server the aggregate."""
 
     round_index: int
-    params: dict[str, ModelParams] = field(default_factory=dict)
     sizes: dict[str, int] = field(default_factory=dict)
     modes: dict[str, str] = field(default_factory=dict)
     loss_traces: dict[str, list[float]] = field(default_factory=dict)
@@ -123,8 +123,12 @@ def client_update(server_params: ModelParams, client_teacher: ModelParams | None
 def fedavg(params_list, sizes) -> ModelParams:
     """Size-weighted element-wise average of the clients' models.
 
-    Computed in delta form around the first model so that aggregating
-    identical models returns them exactly.
+    Computed in delta form around the first model, ``base + sum_i w_i *
+    (src_i - base)`` accumulated in list order, so that aggregating
+    identical models returns them exactly.  The first delta is computed
+    into the output buffer and ``base`` added to it (IEEE addition
+    commutes, so this is bit for bit ``base + delta``); each further model
+    takes one temporary per buffer.  The inputs are never written.
     """
     params_list = list(params_list)
     sizes = np.asarray(list(sizes), dtype=float)
@@ -140,22 +144,33 @@ def fedavg(params_list, sizes) -> ModelParams:
             raise ValueError("fedavg models must share one architecture")
     weights = sizes / sizes.sum()
     assert abs(weights.sum() - 1.0) <= 1e-12
-    out = base.copy()
+    if len(params_list) == 1:
+        return base.copy()
+    out_weights: list[dict[str, np.ndarray]] = [{} for _ in base.weights]
     for params, w in zip(params_list[1:], weights[1:]):
-        for target, base_w, source in zip(out.weights, base.weights, params.weights):
-            for key in target:
-                # target += w * (source - base), one temporary per buffer
-                delta = source[key] - base_w[key]
+        for target, base_w, source in zip(out_weights, base.weights, params.weights):
+            for key, b in base_w.items():
+                delta = np.subtract(source[key], b)
                 delta *= w
-                target[key] += delta
-    return out
+                if key in target:
+                    target[key] += delta
+                else:  # the first delta becomes the output buffer
+                    target[key] = np.add(delta, b, out=delta)
+    return ModelParams(base.architecture, base.input_shape, out_weights)
 
 
 def run_round(scenario: ScenarioConfig, server: ServerState,
               clients: list[ClientRuntime], pool: DatasetPool, test: TestSet,
               ledger: MetricsLedger, round_index: int) -> tuple[ServerState, RoundReport]:
     """One full communication round; mutates clients (params, stores) and
-    the ledger, returns the next server state."""
+    the ledger, returns the next server state.
+
+    Each client's trained model replaces its previous one as soon as it
+    is trained, and the aggregate is averaged from ``clients[i].params``,
+    so no model outlives the round that needs it: while a client trains,
+    the live models are the server's, one teacher per client (the latest
+    model of each), the student and its gradient.
+    """
     if round_index != server.round_index + 1:
         raise ValueError(f"round {round_index} does not follow "
                          f"server round {server.round_index}")
@@ -189,7 +204,6 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                 server.params, client.params, batch, train_cfg, spec, loss_trace=trace)
         except FloatingPointError as err:
             raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
-        report.params[client.name] = params
         report.sizes[client.name] = len(fresh)
         report.loss_traces[client.name] = trace
         report.draw_sources[client.name] = fresh.source_indices.copy()
@@ -207,7 +221,7 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
             learnt_classes=cfg.tasks.classes_started_by(round_index)))
 
     aggregated = fedavg(
-        [report.params[c.name] for c in clients],
+        [c.params for c in clients],
         [c.cfg.weight * report.sizes[c.name] for c in clients])
     ledger.append(RoundRecord(
         owner=SERVER, round_index=round_index,

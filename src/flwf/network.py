@@ -11,8 +11,11 @@ materialized inside the network.
 Tensors are plain numpy float64 arrays in row-major order with a leading
 batch axis.  Dense layers flatten whatever trailing shape they receive;
 conv1d/maxpool1d operate on ``(batch, length, channels)``.  A model is a
-:class:`ModelParams` value; every operation returns a new value and never
-mutates its inputs.
+:class:`ModelParams` value.  Every operation returns a new value and
+never mutates its inputs, except that :func:`sgd_step` consumes its
+gradient: the step is written into the gradient's buffers, so training
+holds two models at a time, the current one and the gradient that
+becomes the next.
 
 conv1d runs as im2col plus GEMM: the input's length-K windows are
 copied once into a ``(B*Lout, K*C)`` column buffer, the forward pass is
@@ -24,7 +27,6 @@ input gradient stops after layer 1; layer 0's would flow into the data,
 whatever the layer kind.  Inference (:func:`forward`) keeps no caches
 and max-pools with a plain ``max`` over each window; training keeps the
 argmax that routes the pool's gradient.  Both give the same values.
-An SGD step allocates one temporary per parameter buffer.
 
 Weight initialization is uniform in ``[-s, s]`` with
 ``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Max-pool ties break
@@ -393,24 +395,25 @@ def backward(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
-    """One plain gradient step: ``params - learning_rate * grads``."""
+    """One plain gradient step: ``params - learning_rate * grads``, written
+    into ``grads``' own buffers, which become the returned model.
+
+    ``grads`` is consumed (read-only gradients raise ``ValueError``);
+    ``params`` is never written.
+    """
     if not params.same_architecture(grads):
         raise ShapeMismatchError("gradient architecture does not match parameters")
-    new_weights = []
     for w, g in zip(params.weights, grads.weights):
         if w.keys() != g.keys():
             raise ShapeMismatchError("gradient buffers do not match parameter buffers")
-        step = {}
         for key in w:
             if w[key].shape != g[key].shape:
                 raise ShapeMismatchError(f"gradient shape {g[key].shape} vs {w[key].shape}")
-            # w - lr * g with the product's buffer reused for the result
-            step[key] = learning_rate * g[key]
-            np.subtract(w[key], step[key], out=step[key])
-            if not np.isfinite(step[key]).all():
+            g[key] *= learning_rate
+            np.subtract(w[key], g[key], out=g[key])
+            if not np.isfinite(g[key]).all():
                 raise FloatingPointError("non-finite parameters after SGD step")
-        new_weights.append(step)
-    return ModelParams(params.architecture, params.input_shape, new_weights)
+    return grads
 
 
 def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
@@ -424,8 +427,8 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     chunk may be short); every epoch iterates the same chunks.  Per-batch
     loss values are appended to ``loss_trace`` when given.  A
     :class:`FloatingPointError` names the epoch and step where it arose.
-    ``params`` is never written: the first step allocates every buffer
-    anew, and zero epochs return a copy.
+    ``params`` is never written: each step writes the new model into its
+    own fresh gradient buffers, and zero epochs return a copy.
     """
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")

@@ -301,6 +301,16 @@ def test_uncoercible_value_is_rejected_with_its_field_path(path, key, value):
     assert str(err.value).startswith(_field_path((*path, key)) + ": ")
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_bool_field_takes_only_true_or_false(value):
+    doc = tiny_doc()
+    doc["clients"][0]["use_exemplars"] = value
+    with pytest.raises(ConfigError, match=r"^clients\[0\]\.use_exemplars: "):
+        from_dict(doc)
+    doc["clients"][0]["use_exemplars"] = False
+    assert from_dict(doc).clients[0].use_exemplars is False
+
+
 def test_policy_mode_may_be_omitted():
     doc = tiny_doc()
     doc["clients"][0]["policy"] = {"balance_threshold": 0.3}
@@ -405,6 +415,13 @@ def test_run_reports_missing_config_file(tmp_path, capsys):
     code, _, err = run_cli(["run", "--config", str(tmp_path / "nope.yaml")],
                            capsys)
     assert code == 1 and "error:" in err
+
+
+def test_run_reports_yaml_syntax_error(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("label: [unclosed\n")
+    code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Data plumbing: synthetic pools, disjoint draws, CSV round trips."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flwf.datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
-                           _allocate_per_class, draw_round_data, draw_test_set,
-                           generate_synthetic, load_csv, save_csv)
+                           _allocate_per_class, _scan_csv_rows, draw_round_data,
+                           draw_test_set, generate_synthetic, load_csv, save_csv)
 
 
 def small_pool(seed=0, per_class=40, n_classes=3, dim=4):
@@ -175,6 +180,7 @@ def test_csv_header_is_optional(tmp_path):
     ("1.0,2.0,1.5\n", "line 1"),                 # non-integer label
     ("1.0,2.0,9\n", "line 1"),                   # label out of range
     ("", "no data"),                             # nothing at all
+    ("1.0,2.0,0\n \n3.0,4.0,0\n", "line 2"),    # whitespace-only line
 ])
 def test_csv_loader_rejects_malformed_input(tmp_path, body, fragment):
     path = tmp_path / "bad.csv"
@@ -182,6 +188,61 @@ def test_csv_loader_rejects_malformed_input(tmp_path, body, fragment):
     with pytest.raises(ValueError) as err:
         load_csv(path, n_classes=6)
     assert fragment in str(err.value)
+
+
+def assert_same_pool(a, b):
+    assert a.features.dtype == b.features.dtype and a.features.flags.c_contiguous
+    assert np.array_equal(a.features, b.features, equal_nan=True)
+    assert a.labels.dtype == b.labels.dtype
+    assert np.array_equal(a.labels, b.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                  elements=st.floats()),
+       st.integers(0, 2**32 - 1))
+def test_csv_parses_repr_floats_exactly_as_the_row_scan(tmp_path_factory, features,
+                                                        seed):
+    labels = np.random.default_rng(seed).integers(0, 6, size=len(features))
+    pool = DatasetPool(features, labels, 6)
+    path = tmp_path_factory.mktemp("csv") / "pool.csv"
+    save_csv(pool, path)
+    loaded = load_csv(path, n_classes=6)
+    assert_same_pool(loaded, pool)
+    assert_same_pool(loaded, _scan_csv_rows(path, 6))
+
+
+def test_csv_fixed_point_table_parses_as_the_row_scan(tmp_path):
+    """The benchmark's spelling: ``np.savetxt`` with ``%.6f`` features and
+    ``%d`` labels under a header line."""
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.normal(0.0, 2.0, (60, 40)), rng.integers(0, 6, 60)])
+    path = tmp_path / "har.csv"
+    np.savetxt(path, table, fmt=["%.6f"] * 40 + ["%d"], delimiter=",",
+               header=",".join([f"f{i}" for i in range(40)] + ["label"]),
+               comments="")
+    loaded = load_csv(path, n_classes=6)
+    assert_same_pool(loaded, _scan_csv_rows(path, 6))
+    assert loaded.features.shape == (60, 40)
+
+
+@pytest.mark.parametrize("body", [
+    "1_0,2.5,1\n3.0,4.0,0\n",         # underscores: Python's float only
+    '"1.0",2.5,1\n3.0,4.0,0\n',        # quoted cells
+    "1.0,2.5,1\r3.0,4.0,0\r",          # bare carriage returns
+    "\nf0,f1,label\n1.0,2.5,1\n",     # blank first line, header-like row after
+    "1.0,2.5,1.0\n3.0,4.0,-0.0\n",     # integer-valued float labels
+])
+def test_csv_loader_agrees_with_the_row_scan_on_odd_spellings(tmp_path, body):
+    path = tmp_path / "odd.csv"
+    path.write_text(body, newline="")
+    try:
+        want = _scan_csv_rows(path, 6)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            load_csv(path, n_classes=6)
+    else:
+        assert_same_pool(load_csv(path, n_classes=6), want)
 
 
 def test_loaded_pool_runs_through_draws(tmp_path):

@@ -1,14 +1,17 @@
 """Round protocol: aggregation, client updates, scheduling, determinism."""
 
 import dataclasses
+import gc
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flwf import losses
+from flwf import federation, losses
 from flwf.config import ClientConfig, ScenarioConfig, SyntheticSource
 from flwf.continual import StrategyPolicy, TaskSequence, TaskSpec
 from flwf.datasets import RoundBatch
@@ -176,6 +179,60 @@ def test_fedavg_stays_inside_convex_hull():
             stack = np.stack([m.weights[i][key] for m in models])
             assert (out.weights[i][key] >= stack.min(axis=0) - 1e-12).all()
             assert (out.weights[i][key] <= stack.max(axis=0) + 1e-12).all()
+
+
+NETS = st.sampled_from([(LAYERS, INPUT), (CONV_LAYERS, (10, 2))])
+MEMBERS = st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(0.1, 500.0)),
+                   min_size=1, max_size=5)
+
+
+def random_model(net, seed):
+    """Glorot weights with normal biases, so every buffer is nonzero."""
+    m = init_params(*net, seed=seed)
+    rng = np.random.default_rng(seed)
+    for w in m.weights:
+        if "b" in w:
+            w["b"] = rng.normal(size=w["b"].shape)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(NETS, MEMBERS, st.integers(0, 2**32 - 1))
+def test_fedavg_is_permutation_invariant_for_random_models(net, members, order_seed):
+    models = [random_model(net, seed) for seed, _ in members]
+    sizes = [size for _, size in members]
+    order = np.random.default_rng(order_seed).permutation(len(models))
+    shuffled = fedavg([models[i] for i in order], [sizes[i] for i in order])
+    assert max_abs_gap(fedavg(models, sizes), shuffled) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(NETS, MEMBERS)
+def test_fedavg_of_random_models_stays_inside_their_convex_hull(net, members):
+    models = [random_model(net, seed) for seed, _ in members]
+    out = fedavg(models, [size for _, size in members])
+    for i, target in enumerate(out.weights):
+        for key in target:
+            stack = np.stack([m.weights[i][key] for m in models])
+            slack = 1e-12 * max(1.0, np.abs(stack).max())
+            assert (target[key] >= stack.min(axis=0) - slack).all()
+            assert (target[key] <= stack.max(axis=0) + slack).all()
+
+
+def test_fedavg_of_two_models_allocates_one_model():
+    """The first delta is computed into the output: the traced peak of
+    averaging two N-byte models is one model, no full-size temporary."""
+    arch = (LayerConfig(KIND_DENSE, units=256), LayerConfig(KIND_SOFTMAX_OUTPUT))
+    a, b = init_params(arch, (512,), seed=1), init_params(arch, (512,), seed=2)
+    n_bytes = sum(arr.nbytes for w in a.weights for arr in w.values())
+    tracemalloc.start()
+    try:
+        out = fedavg([a, b], [1, 3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_bytes <= peak <= 1.1 * n_bytes
+    assert max_abs_gap(out, brute_average([a, b], [1, 3])) < 1e-12
 
 
 def test_fedavg_input_validation():
@@ -361,8 +418,8 @@ def test_run_round_single_client_aggregate_is_that_client():
                                    total_clients=1)
     pool, test, server, ledger, clients = fresh_runtime(scenario)
     server, report = run_round(scenario, server, clients, pool, test, ledger, 1)
-    assert params_equal(server.params, report.params["solo"])
     assert params_equal(server.params, clients[0].params)
+    assert server.params is not clients[0].params
 
 
 def test_run_round_aggregate_uses_weight_hints():
@@ -370,7 +427,7 @@ def test_run_round_aggregate_uses_weight_hints():
     pool, test, server, ledger, clients = fresh_runtime(scenario)
     before = server.params
     server, report = run_round(scenario, server, clients, pool, test, ledger, 1)
-    want = brute_average([report.params["c1"], report.params["cg"]],
+    want = brute_average([clients[0].params, clients[1].params],
                          [1.0 * report.sizes["c1"], 4.0 * report.sizes["cg"]])
     assert max_abs_gap(server.params, want) < 1e-12
     assert report.sizes == {"c1": 24, "cg": 24}
@@ -442,6 +499,34 @@ def test_run_round_divergence_names_client_round_epoch_and_step():
 
 
 # -- run_experiment --------------------------------------------------------------
+
+
+def test_no_model_outlives_the_round_that_needs_it(monkeypatch):
+    """Round 1's client models and aggregate are garbage after two more
+    rounds, while the experiment result is still held."""
+    split = TaskSequence((TaskSpec((1,), 2), TaskSpec((2,), 1)))
+    joint = TaskSequence((TaskSpec((0, 1, 2), 3),))
+    c1, cg = tiny_clients()
+    scenario = tiny_scenario(rounds=3, clients=(dataclasses.replace(c1, tasks=split),
+                                                dataclasses.replace(cg, tasks=joint)))
+    scenario = dataclasses.replace(scenario, round_data_size=12)
+    refs = []
+    real_run_round = federation.run_round
+
+    def spy(scenario, server, clients, *rest):
+        next_server, report = real_run_round(scenario, server, clients, *rest)
+        if report.round_index == 1:
+            models = [c.params for c in clients] + [next_server.params]
+            refs.extend(weakref.ref(arr) for m in models
+                        for w in m.weights for arr in w.values())
+        return next_server, report
+
+    monkeypatch.setattr(federation, "run_round", spy)
+    result = run_experiment(scenario)
+    gc.collect()
+    assert result.server.round_index == 3 and len(result.reports) == 3
+    assert refs and all(ref() is None for ref in refs)
+
 
 
 def test_run_experiment_is_deterministic():

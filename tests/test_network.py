@@ -342,7 +342,10 @@ def read_only_copy(params):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(MLP, (5,)), (CONVNET, (10, 2))]),
        st.integers(0, 2**32 - 1), st.floats(1e-4, 10.0), st.booleans())
-def test_sgd_step_equals_w_minus_lr_g_and_keeps_inputs(net, seed, lr, read_only):
+def test_sgd_step_writes_w_minus_lr_g_into_the_gradient_buffers(net, seed, lr,
+                                                                 read_only):
+    """Bit for bit ``w - lr * g`` of a snapshot, returned in ``grads``' own
+    buffers; ``params`` is never written, read-only ones included."""
     arch, input_shape = net
     rng = np.random.default_rng(seed)
     params = init_params(arch, input_shape, seed=seed)
@@ -350,13 +353,21 @@ def test_sgd_step_equals_w_minus_lr_g_and_keeps_inputs(net, seed, lr, read_only)
                         [{k: rng.normal(size=v.shape) for k, v in w.items()}
                          for w in params.weights])
     if read_only:
-        params, grads = read_only_copy(params), read_only_copy(grads)
+        params = read_only_copy(params)
     before = params.copy(), grads.copy()
     stepped = sgd_step(params, grads, lr)
-    for w, g, s in zip(params.weights, grads.weights, stepped.weights):
+    for w, g, s, buf in zip(before[0].weights, before[1].weights,
+                            stepped.weights, grads.weights):
         for key in w:
             assert np.array_equal(s[key], w[key] - lr * g[key])
-    assert params_equal(params, before[0]) and params_equal(grads, before[1])
+            assert np.shares_memory(s[key], buf[key])
+    assert params_equal(params, before[0])
+
+
+def test_sgd_step_rejects_read_only_grads():
+    params = init_params(CONVNET, (10, 2), seed=0)
+    with pytest.raises(ValueError):
+        sgd_step(params, read_only_copy(params), 0.1)
 
 
 def test_sgd_step_rejects_mismatched_grads():
