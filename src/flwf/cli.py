@@ -72,30 +72,42 @@ def summarize(result: ExperimentResult) -> dict:
     }
 
 
-def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
-    """Write the four artifacts; returns the paths written."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    path = os.path.join(out_dir, METRICS_NAME)
-    _write_csv(path, ("owner", "round", "metric", "task", "value"),
-               result.ledger.csv_rows())
-    written.append(path)
-
-    path = os.path.join(out_dir, FIGURE_NAME)
-    _write_csv(path, ("round", "owner", "class", "accuracy"),
-               result.ledger.figure_rows())
-    written.append(path)
-
-    path = os.path.join(out_dir, SUMMARY_NAME)
+def _write_summary(result: ExperimentResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summarize(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(path)
 
-    path = os.path.join(out_dir, RESOLVED_NAME)
-    config_mod.save_config(result.scenario, path)
-    written.append(path)
+
+def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
+    """Write the four artifacts; returns the paths written.
+
+    If any write fails, every artifact path already begun is removed
+    before the error propagates: partial outputs must not look like a
+    finished run.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    writers = (
+        (METRICS_NAME, lambda path: _write_csv(
+            path, ("owner", "round", "metric", "task", "value"),
+            result.ledger.csv_rows())),
+        (FIGURE_NAME, lambda path: _write_csv(
+            path, ("round", "owner", "class", "accuracy"),
+            result.ledger.figure_rows())),
+        (SUMMARY_NAME, lambda path: _write_summary(result, path)),
+        (RESOLVED_NAME, lambda path: config_mod.save_config(result.scenario, path)),
+    )
+    written: list[str] = []
+    try:
+        for name, write in writers:
+            written.append(os.path.join(out_dir, name))
+            write(written[-1])
+    except BaseException:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
     return written
 
 
@@ -116,16 +128,9 @@ def cmd_run(args) -> int:
         return 1
     out_dir = args.out or os.path.join(
         "out", f"{scenario.label}-seed{scenario.seed}")
-    written: list[str] = []
     try:
-        result = run_experiment(scenario)
-        written = write_outputs(result, out_dir)
-    except Exception as exc:  # partial outputs must not look like a finished run
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        written = write_outputs(run_experiment(scenario), out_dir)
+    except Exception as exc:  # write_outputs has removed its partial files
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in written:

@@ -24,9 +24,17 @@ the buffer's transpose with the output gradient, and dX is one product
 into column gradients folded back with K strided adds.  The buffer is
 the layer's cache.  Backward computes weight gradients only, so the
 input gradient stops after layer 1; layer 0's would flow into the data,
-whatever the layer kind.  Inference (:func:`forward`) keeps no caches
-and max-pools with a plain ``max`` over each window; training keeps the
-argmax that routes the pool's gradient.  Both give the same values.
+whatever the layer kind.  Inference (:func:`forward`) keeps no caches.
+
+Max-pool takes each window's maximum as a running ``np.maximum`` over
+the pool's strided slices, in both passes, so inference and training
+give the same values.  Training also records the first slice that holds
+each maximum (first-hit routing, as ``argmax`` ties break), and backward
+scatters the output gradient there into one zeroed input gradient.
+ReLU rectifies in place every activation the pass allocated; only when
+it sees the input itself (ReLU first, or after an inference dropout)
+does it allocate, so the caller's array is never written.  Its
+``x > 0`` mask is built only when a backward pass will read it.
 
 Weight initialization is uniform in ``[-s, s]`` with
 ``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Max-pool ties break
@@ -54,6 +62,7 @@ KIND_DROPOUT = "dropout"
 KIND_SOFTMAX_OUTPUT = "softmax-output"
 LAYER_KINDS = (KIND_DENSE, KIND_CONV1D, KIND_MAXPOOL1D, KIND_RELU,
                KIND_DROPOUT, KIND_SOFTMAX_OUTPUT)
+SGD_CHUNK = 1 << 16  # elements (512 KB of float64) per slice of a large SGD step
 
 
 class ShapeMismatchError(ValueError):
@@ -216,7 +225,7 @@ def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
         raise ShapeMismatchError("input must carry a leading batch axis")
     if x.shape[1:] == params.input_shape:
         return x
-    if x.ndim == 2 and x.shape[1] == int(np.prod(params.input_shape)):
+    if x.ndim == 2 and x.shape[1] == math.prod(params.input_shape):
         return x.reshape((x.shape[0], *params.input_shape))
     raise ShapeMismatchError(
         f"input: per-example shape {x.shape[1:]} does not match model input "
@@ -225,14 +234,14 @@ def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
 
 def _forward_pass(params: ModelParams, inputs, training: bool, rng,
                   keep_caches: bool):
-    x = _coerce_input(params, inputs)
+    x = inputs = _coerce_input(params, inputs)
     caches: list = []
     for i, (layer, w) in enumerate(zip(params.architecture, params.weights)):
         cache = None
         if layer.kind == KIND_DENSE:
-            if int(np.prod(x.shape[1:])) != w["W"].shape[0]:
+            if math.prod(x.shape[1:]) != w["W"].shape[0]:
                 raise ShapeMismatchError(
-                    f"layer {i} (dense): flattened input size {int(np.prod(x.shape[1:]))} "
+                    f"layer {i} (dense): flattened input size {math.prod(x.shape[1:])} "
                     f"does not match weight rows {w['W'].shape[0]}")
             flat = x.reshape(x.shape[0], -1)
             cache = (x.shape, flat)
@@ -245,13 +254,14 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
         elif layer.kind == KIND_MAXPOOL1D:
             if x.ndim != 3:
                 raise ShapeMismatchError(f"layer {i} (maxpool1d): needs 3-d input, got {x.shape}")
-            if keep_caches:
-                x, cache = _maxpool_forward(x, layer.pool)
-            else:  # no backward pass follows, so no argmax to route through
-                x = _pool_windows(x, layer.pool).max(axis=2)
+            x, cache = _maxpool_forward(x, layer.pool, keep_caches)
         elif layer.kind == KIND_RELU:
-            cache = x > 0
-            x = np.maximum(x, 0.0)
+            if keep_caches:
+                cache = x > 0
+            if x is inputs:  # never write the caller's array
+                x = np.maximum(x, 0.0)
+            else:  # every other layer hands over a fresh array
+                np.maximum(x, 0.0, out=x)
         elif layer.kind == KIND_DROPOUT:
             if training and layer.rate > 0.0:
                 if rng is None:
@@ -326,21 +336,36 @@ def _pool_windows(x, pool):
     return x[:, :lout * pool, :].reshape(b, lout, pool, c)
 
 
-def _maxpool_forward(x, pool):
-    trimmed = _pool_windows(x, pool)
-    idx = trimmed.argmax(axis=2)  # first occurrence: ties go to the lowest index
-    out = np.take_along_axis(trimmed, idx[:, :, None, :], axis=2)[:, :, 0, :]
-    return out, (idx, x.shape, pool)
+def _maxpool_forward(x, pool, keep_winner=True):
+    """Window maxima as a running ``np.maximum`` over the ``pool`` strided
+    slices of :func:`_pool_windows`, slice 0 first; always a fresh array.
+
+    With ``keep_winner`` the cache holds, per output, the slice its maximum
+    came from: the last slice to beat the running maximum strictly, so ties
+    go to the lowest index, as ``argmax`` gives them.  On equal operands
+    ``np.maximum`` returns its second, so the earlier slice's value (and
+    sign bit) is kept.
+    """
+    windows = _pool_windows(x, pool)
+    out = windows[:, :, 0, :]
+    winner = np.zeros(out.shape, np.min_scalar_type(pool - 1)) if keep_winner else None
+    for j in range(1, pool):
+        slice_j = windows[:, :, j, :]
+        if winner is not None:
+            np.maximum(winner, np.multiply(slice_j > out, j, dtype=winner.dtype),
+                       out=winner)
+        out = np.maximum(slice_j, out, out=out if j > 1 else None)
+    if pool == 1:
+        out = out.copy()
+    return out, ((winner, x.shape, pool) if keep_winner else None)
 
 
 def _maxpool_backward(cache, dout):
-    idx, shape, pool = cache
-    b, length, c = shape
-    lout = length // pool
-    dtrimmed = np.zeros((b, lout, pool, c))
-    np.put_along_axis(dtrimmed, idx[:, :, None, :], dout[:, :, None, :], axis=2)
+    """Scatter ``dout`` into a zeroed ``dx`` at each window's winning slice."""
+    winner, shape, pool = cache
     dx = np.zeros(shape)
-    dx[:, :lout * pool, :] = dtrimmed.reshape(b, lout * pool, c)
+    np.put_along_axis(_pool_windows(dx, pool), winner[:, :, None, :],
+                      dout[:, :, None, :], axis=2)
     return dx
 
 
@@ -399,7 +424,12 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
     into ``grads``' own buffers, which become the returned model.
 
     ``grads`` is consumed (read-only gradients raise ``ValueError``);
-    ``params`` is never written.
+    ``params`` is never written.  A C-contiguous gradient buffer of more
+    than :data:`SGD_CHUNK` elements is stepped and checked slice by slice
+    of its flattened view, so the scale, the subtraction and the
+    finiteness check each read a slice that is still in cache; other
+    buffers take the three calls whole.  Either way a non-finite value
+    anywhere raises.
     """
     if not params.same_architecture(grads):
         raise ShapeMismatchError("gradient architecture does not match parameters")
@@ -409,11 +439,22 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
         for key in w:
             if w[key].shape != g[key].shape:
                 raise ShapeMismatchError(f"gradient shape {g[key].shape} vs {w[key].shape}")
-            g[key] *= learning_rate
-            np.subtract(w[key], g[key], out=g[key])
-            if not np.isfinite(g[key]).all():
-                raise FloatingPointError("non-finite parameters after SGD step")
+            if g[key].size > SGD_CHUNK and g[key].flags.c_contiguous:
+                w_flat, g_flat = w[key].reshape(-1), g[key].reshape(-1)
+                for start in range(0, g_flat.size, SGD_CHUNK):
+                    stop = start + SGD_CHUNK
+                    _step_into(w_flat[start:stop], g_flat[start:stop], learning_rate)
+            else:
+                _step_into(w[key], g[key], learning_rate)
     return grads
+
+
+def _step_into(w, g, learning_rate):
+    """``g = w - learning_rate * g`` in ``g``'s buffer; non-finite raises."""
+    g *= learning_rate
+    np.subtract(w, g, out=g)
+    if not np.isfinite(g).all():
+        raise FloatingPointError("non-finite parameters after SGD step")
 
 
 def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,

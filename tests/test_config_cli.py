@@ -18,6 +18,7 @@ from flwf.config import (PRESET_NAMES, ClientConfig, ConfigError, CsvSource,
                          parse_config, preset, save_config, to_dict)
 from flwf.continual import StrategyPolicy
 from flwf.datasets import generate_synthetic, save_csv
+from flwf.metrics import MetricsLedger
 from flwf.network import KIND_DROPOUT
 
 EXAMPLE_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -437,6 +438,30 @@ def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):
     assert code == 1 and "error:" in err
     if os.path.isdir(out_dir):
         assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize("failing", ["csv_rows", "figure_rows", "summarize",
+                                     "save_config"])
+def test_failed_write_removes_every_artifact_already_written(tmp_path, capsys,
+                                                             monkeypatch, failing):
+    """A writer that raises midway (after metrics.csv and figure_data.csv,
+    inside an opened summary.json, ...) leaves no file behind."""
+    def boom(*args, **kwargs):
+        raise RuntimeError(f"{failing} failed")
+
+    if failing == "summarize":
+        monkeypatch.setattr(cli, "summarize", boom)
+    elif failing == "save_config":
+        monkeypatch.setattr(cli.config_mod, "save_config", boom)
+    else:
+        monkeypatch.setattr(MetricsLedger, failing, boom)
+    cfg = write_tiny_config(tmp_path)
+    out_dir = tmp_path / "failed"
+    code, out, err = run_cli(["run", "--config", cfg, "--out", str(out_dir)],
+                             capsys)
+    assert code == 1 and f"error: {failing} failed" in err
+    assert out == ""
+    assert os.listdir(out_dir) == []
 
 
 def test_run_data_csv_override(tmp_path, capsys):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flwf.continual import (ExemplarStore, StrategyPolicy, TaskSequence,
                             TaskSpec, compose_training_batch, current_task,
                             is_unbalanced, normalized_label_entropy,
                             select_loss_mode, update_exemplars)
 from flwf.datasets import RoundBatch
+from flwf.metrics import MetricsLedger
 
 # frozen hand computation: 90% / 10% split over a 6-class problem
 ENTROPY_90_10 = 0.1814322619606436
@@ -86,6 +89,49 @@ def test_classes_started_by():
     assert PAPER_LIKE.classes_started_by(4) == (1,)
     assert PAPER_LIKE.classes_started_by(5) == (1, 2)
     assert PAPER_LIKE.classes_started_by(8) == (1, 2)
+
+
+@st.composite
+def task_sequences(draw):
+    """1-5 tasks with budgets 1-6 over disjoint, shuffled class sets."""
+    budgets = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(budgets),
+                          max_size=len(budgets)))
+    classes = draw(st.permutations(range(sum(sizes))))
+    tasks, start = [], 0
+    for budget, size in zip(budgets, sizes):
+        tasks.append(TaskSpec(tuple(classes[start:start + size]), budget))
+        start += size
+    return TaskSequence(tuple(tasks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(task_sequences())
+def test_task_geometry_agrees_with_a_round_by_round_scan(seq):
+    """current_task, classes_started_by and MetricsLedger.task_window all
+    follow from walking the rounds and spending each task's budget in turn."""
+    n_classes = sum(len(task.classes) for task in seq.tasks)
+    ledger = MetricsLedger(
+        test_labels=np.arange(n_classes), n_classes=n_classes,
+        total_rounds=seq.total_rounds,
+        task_classes={"k": tuple(task.classes for task in seq.tasks)},
+        task_rounds={"k": tuple(task.rounds for task in seq.tasks)})
+    t, spent, learnt = 1, 0, set(seq.tasks[0].classes)
+    windows = {}
+    for r in range(1, seq.total_rounds + 1):
+        if spent == seq.tasks[t - 1].rounds:
+            t, spent = t + 1, 0
+            learnt |= set(seq.tasks[t - 1].classes)
+        spent += 1
+        windows.setdefault(t, []).append(r)
+        assert current_task(seq, r) == (t, seq.tasks[t - 1])
+        assert seq.classes_started_by(r) == tuple(sorted(learnt))
+    assert t == len(seq.tasks) and spent == seq.tasks[-1].rounds
+    for t, rounds in windows.items():
+        assert list(ledger.task_window("k", t)) == rounds
+    for r in (0, seq.total_rounds + 1):
+        with pytest.raises(ValueError):
+            current_task(seq, r)
 
 
 # -- unbalanced detection ----------------------------------------------------------

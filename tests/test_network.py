@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from flwf.datasets import RoundBatch
 from flwf.losses import LossSpec
-from flwf.network import (KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
+from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
                           ShapeMismatchError, TrainConfig, _conv1d_forward,
                           _conv1d_input_grad, _conv1d_param_grads, _forward_pass,
                           _maxpool_backward, _maxpool_forward, backward, forward,
@@ -216,6 +216,76 @@ def test_maxpool_drops_trailing_remainder():
     assert dx[0, 4].tolist() == [0.0, 0.0]  # remainder row gets no gradient
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns, sign bits of zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def signed_small_ints(rng, shape):
+    """Small integers (ties within pool windows are common) with each zero
+    given a random sign, so the kept value's sign bit is observable."""
+    x = rng.integers(-2, 3, size=shape).astype(float)
+    return np.where((x == 0) & rng.integers(0, 2, size=shape).astype(bool), -0.0, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda length: st.tuples(
+           st.just(length), st.integers(1, length))),
+       st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_maxpool_matches_argmax_reference_bit_for_bit(length_pool, batch,
+                                                      channels, seed):
+    """Forward values (training and inference) and routed gradients equal
+    an argmax/take_along_axis/put_along_axis reference, sign bits
+    included; lengths cover L % pool != 0, pool = 1 and pool = L."""
+    length, pool = length_pool
+    rng = np.random.default_rng(seed)
+    x = signed_small_ints(rng, (batch, length, channels))
+    dout = signed_small_ints(rng, (batch, length // pool, channels))
+    lout = length // pool
+    windows = x[:, :lout * pool, :].reshape(batch, lout, pool, channels)
+    idx = windows.argmax(axis=2)[:, :, None, :]
+    ref_out = np.take_along_axis(windows, idx, axis=2)[:, :, 0, :]
+    ref_dwin = np.zeros((batch, lout, pool, channels))
+    np.put_along_axis(ref_dwin, idx, dout[:, :, None, :], axis=2)
+    ref_dx = np.zeros(x.shape)
+    ref_dx[:, :lout * pool, :] = ref_dwin.reshape(batch, lout * pool, channels)
+
+    snapshot = x.copy()
+    out, cache = _maxpool_forward(x, pool)
+    inference, no_cache = _maxpool_forward(x, pool, keep_winner=False)
+    assert no_cache is None
+    assert same_bits(out, ref_out) and same_bits(inference, ref_out)
+    assert not np.shares_memory(out, x) and not np.shares_memory(inference, x)
+    assert same_bits(_maxpool_backward(cache, dout), ref_dx)  # unrouted: +0.0
+    assert same_bits(x, snapshot)
+
+
+RELU_FIRST = (LayerConfig("relu"), LayerConfig("dense", units=3),
+              LayerConfig("softmax-output"))
+DROPOUT_RELU = (LayerConfig("dropout", rate=0.5), LayerConfig("relu"),
+                LayerConfig("dense", units=3), LayerConfig("softmax-output"))
+
+
+@pytest.mark.parametrize("arch", [RELU_FIRST, DROPOUT_RELU],
+                         ids=["relu-first", "dropout-relu"])
+@pytest.mark.parametrize("flat", [False, True], ids=["shaped", "flat"])
+def test_relu_never_writes_the_callers_input(arch, flat):
+    """The in-place ReLU rectifies only activations the pass allocated; when
+    it sees the (coerced) input itself, the caller's array is untouched."""
+    params = init_params(arch, (3, 2), seed=0)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(6, 3, 2))
+    if flat:
+        x = x.reshape(6, 6)
+    snapshot = x.copy()
+    forward(params, x)
+    forward(params, x, training=True, rng=np.random.default_rng(2))
+    _forward_pass(params, x, True, np.random.default_rng(3), keep_caches=True)
+    backward(params, RoundBatch(x, rng.integers(0, 3, size=6), 3), LossSpec(),
+             training=True, rng=np.random.default_rng(4))
+    assert same_bits(x, snapshot)
+
+
 def test_dropout_identity_at_inference():
     arch = (LayerConfig("dense", units=6), LayerConfig("dropout", rate=0.5),
             LayerConfig("dense", units=3), LayerConfig("softmax-output"))
@@ -362,6 +432,44 @@ def test_sgd_step_writes_w_minus_lr_g_into_the_gradient_buffers(net, seed, lr,
             assert np.array_equal(s[key], w[key] - lr * g[key])
             assert np.shares_memory(s[key], buf[key])
     assert params_equal(params, before[0])
+
+
+# 90,000 weights: one full SGD_CHUNK slice and a partial last one
+MULTI_CHUNK = (LayerConfig("dense", units=300), LayerConfig("softmax-output"))
+
+
+def multi_chunk_setup(seed=0):
+    rng = np.random.default_rng(seed)
+    params = init_params(MULTI_CHUNK, (300,), seed=seed)
+    grads = ModelParams(MULTI_CHUNK, (300,),
+                        [{k: rng.normal(size=v.shape) for k, v in w.items()}
+                         for w in params.weights])
+    assert SGD_CHUNK < grads.weights[0]["W"].size < 2 * SGD_CHUNK
+    return params, grads
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sgd_step_on_multi_chunk_buffers_equals_w_minus_lr_g(order):
+    """Sliced when the gradient is C-contiguous; a Fortran-ordered one has no
+    flat view and is stepped whole, into its own buffer all the same."""
+    params, grads = multi_chunk_setup()
+    grads.weights[0]["W"] = np.asarray(grads.weights[0]["W"], order=order)
+    before = params.copy(), grads.copy()
+    stepped = sgd_step(params, grads, 0.37)
+    for w, g, s, buf in zip(before[0].weights, before[1].weights,
+                            stepped.weights, grads.weights):
+        for key in w:
+            assert np.array_equal(s[key], w[key] - 0.37 * g[key])
+            assert np.shares_memory(s[key], buf[key])
+    assert params_equal(params, before[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sgd_step_raises_on_a_non_finite_value_in_the_last_chunk_only(bad):
+    params, grads = multi_chunk_setup()
+    grads.weights[0]["W"].reshape(-1)[-1] = bad
+    with pytest.raises(FloatingPointError, match="non-finite parameters after SGD step"):
+        sgd_step(params, grads, 0.1)
 
 
 def test_sgd_step_rejects_read_only_grads():

@@ -18,8 +18,12 @@ scenario below is run once with each tree's ``src``:
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario passes when ``metrics.csv``,
 ``figure_data.csv``, ``summary.json`` and ``resolved_config.yaml`` are
-byte-identical.  One line is printed per scenario; the exit code is 1 if
-any scenario differs or fails to run on either side, else 0.
+byte-identical, and so are the final models: the child that runs the
+scenario also writes ``models.sha256``, one sha256 over every weight array
+of the server model and of each client model.  The artifacts hold only
+accuracies, so without the digests a change that moves weights but flips
+no prediction would pass.  One line is printed per scenario; the exit
+code is 1 if any scenario differs or fails to run on either side, else 0.
 """
 
 import argparse
@@ -30,8 +34,36 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = "models.sha256"
 ARTIFACTS = ("metrics.csv", "figure_data.csv", "summary.json",
-             "resolved_config.yaml")
+             "resolved_config.yaml", DIGESTS)
+# ``flwf run`` with the experiment result kept, then one digest line per
+# final model.  Uses only what every tree has: ``flwf.cli.main`` looking up
+# ``run_experiment`` at call time, ``.server.params``,
+# ``.clients[i].params`` and ``.weights``.
+CHILD = """
+import hashlib, sys
+import numpy as np
+from flwf import cli
+
+results = []
+run_experiment = cli.run_experiment
+cli.run_experiment = lambda scenario: results.append(run_experiment(scenario)) or results[-1]
+code = cli.main(sys.argv[2:])
+if code == 0:
+    result = results[0]
+    lines = []
+    for name, model in [("server", result.server.params)] + [
+            (f"client{i}", c.params) for i, c in enumerate(result.clients)]:
+        h = hashlib.sha256()
+        for w in model.weights if model is not None else ():
+            for key in sorted(w):
+                h.update(np.ascontiguousarray(w[key]).tobytes())
+        lines.append(f"{name} {h.hexdigest()}\\n")
+    with open(sys.argv[1], "w") as fh:
+        fh.writelines(lines)
+sys.exit(code)
+"""
 PRESET_SEEDS = (1, 2, 3)
 WORKLOAD_SEEDS = (7, 9)
 WORKLOADS = ("long-horizon", "paper-cnn")
@@ -58,10 +90,12 @@ def scenarios(inputs_dir: Path):
 
 
 def run(tree: Path, args, out_dir: Path) -> str | None:
-    """Run ``flwf run`` from ``tree``; returns an error line or None."""
+    """Run ``flwf run`` from ``tree`` and digest its final models; returns
+    an error line or None."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "flwf.cli", "run", *args, "--out", str(out_dir)],
+        [sys.executable, "-c", CHILD, str(out_dir / DIGESTS),
+         "run", *args, "--out", str(out_dir)],
         cwd=out_dir.parent, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or [""]
@@ -112,7 +146,7 @@ def main(argv=None) -> int:
             failures += verdict != "identical"
             print(f"{name}: {verdict}", flush=True)
         print(f"{len(todo) - failures}/{len(todo)} scenarios byte-identical "
-              f"to {args.rev}")
+              f"to {args.rev}, final models included")
     return 1 if failures else 0
 
 
