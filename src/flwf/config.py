@@ -136,7 +136,7 @@ class ScenarioConfig:
     n_classes: int
     input_shape: tuple[int, ...]
     layers: tuple[LayerConfig, ...]
-    total_clients: int
+    total_clients: int = 5
     round_data_size: int = 120
     test_per_class: int = 100
     exemplar_capacity: int = 10
@@ -261,7 +261,6 @@ def preset(name: str, seed: int = 0) -> ScenarioConfig:
         n_classes=6,
         input_shape=(16,),
         layers=default_mlp_layers(n_classes=6, dropout=dropout),
-        total_clients=5,
         clients=(
             ClientConfig(name="client1", weight=1.0, tasks=observed_tasks, **common),
             ClientConfig(name="generalized", weight=4.0, tasks=general_tasks, **common),

@@ -5,9 +5,20 @@ training, the server after aggregation), the model's argmax predictions
 on the one fixed test set.  Storing raw predictions rather than summary
 numbers keeps every derived metric re-checkable by a brute-force pass.
 Records are keyed by ``(owner, round)`` in one dict kept in append order;
-each is also reduced to per-class hit counts when appended, so every
-accuracy is one ratio of counts (:meth:`MetricsLedger.class_subset_accuracy`).
-Window means ``abar`` are kept once computed and dropped on every append.
+each is also reduced to per-class hit counts when appended.
+
+Every accuracy comes from one table and one rule.  The table ``H`` holds
+each record's hit counts (records x classes, in append order); it is
+stacked from the per-record counts on the first read after an append and
+dropped on the next append, so appending stays O(1).  The rule
+(:meth:`MetricsLedger._accuracies`) divides ``H[rows] @ M.T`` by
+``counts @ M.T``, with ``M`` the 0/1 membership matrix of the class sets
+asked for: every value is one float64 division of two exact integer sums,
+which is what ``np.mean`` over a boolean mask gives.  The exports read a
+whole owner (or the whole ledger) in one call.  Every mean over rounds is
+``np.mean`` of a 1-D array in round order, never ``mean(axis=0)`` of a 2-D
+block, whose summation order can differ in the last bit.  Window means
+``abar`` are kept once computed and dropped on every append.
 
 Notation used throughout (k = owner, r = round, t/d = task indices):
 
@@ -88,10 +99,14 @@ class MetricsLedger:
             raise ValueError("ledger needs a nonempty test set")
         if self.test_labels.min() < 0 or self.test_labels.max() >= self.n_classes:
             raise ValueError("test labels outside 0..n_classes-1")
-        # Test examples per class; per record, its correct predictions per class.
+        # Test examples per class; per record, its correct predictions per
+        # class (row i of the hit table H is the i-th record appended).
         self._class_counts = np.bincount(self.test_labels, minlength=self.n_classes)
-        self._hits: dict[tuple[str, int], np.ndarray] = {}
-        # abar(k, t, d) by (owner, t, d): forgetting and A_task reread each many times.
+        self._row_of: dict[tuple[str, int], int] = {}
+        self._hit_rows: list[np.ndarray] = []
+        # Both dropped on every append: H stacked from _hit_rows, and
+        # abar(k, t, d) by (owner, t, d), which forgetting rereads many times.
+        self._table: np.ndarray | None = None
         self._window_means: dict[tuple[str, int, int], float] = {}
         if set(self.task_classes) != set(self.task_rounds):
             raise ValueError("task_classes and task_rounds must cover the same owners")
@@ -114,7 +129,9 @@ class MetricsLedger:
                 f"duplicate record for {record.owner!r} round {record.round_index}")
         self.records[key] = record
         correct = self.test_labels[record.predictions == self.test_labels]
-        self._hits[key] = np.bincount(correct, minlength=self.n_classes)
+        self._row_of[key] = len(self._hit_rows)
+        self._hit_rows.append(np.bincount(correct, minlength=self.n_classes))
+        self._table = None
         self._window_means.clear()
 
     def record_for(self, owner: str, round_index: int) -> RoundRecord:
@@ -138,6 +155,37 @@ class MetricsLedger:
     def n_tasks(self, owner: str) -> int:
         return len(self.task_rounds[owner])
 
+    # -- the accuracy table ------------------------------------------------
+
+    def _hit_table(self) -> np.ndarray:
+        """H: (records x classes) hit counts in append order, stacked on the
+        first read after an append."""
+        if self._table is None:
+            self._table = np.array(self._hit_rows, dtype=np.int64).reshape(
+                -1, self.n_classes)
+        return self._table
+
+    def _rows(self, owner: str, rounds) -> list[int]:
+        """H's rows for ``rounds`` of ``owner``; a missing record raises
+        ``KeyError((owner, round))``."""
+        return [self._row_of[(owner, r)] for r in rounds]
+
+    def _accuracies(self, rows, class_sets) -> np.ndarray:
+        """The one accuracy rule: a (rows x sets) float64 table of each
+        row's hits on the distinct in-range classes of each set over their
+        test counts, ``(H[rows] @ M.T) / (counts @ M.T)`` with ``M`` the 0/1
+        class membership of the sets.  Each value is one true division of
+        two exact int64 sums, as ``np.mean`` over a boolean mask gives."""
+        masks = np.zeros((len(class_sets), self.n_classes), dtype=np.int64)
+        for i, classes in enumerate(class_sets):
+            masks[i, [c for c in {int(c) for c in classes} if 0 <= c < self.n_classes]] = 1
+        counts = self._class_counts @ masks.T
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            raise ValueError(
+                f"no test examples for classes {sorted(class_sets[empty[0]])}")
+        return (self._hit_table()[rows] @ masks.T) / counts
+
     # -- per-round accuracies ----------------------------------------------
 
     def whole_test_accuracy(self, owner: str, round_index: int) -> float:
@@ -145,15 +193,10 @@ class MetricsLedger:
 
     def class_subset_accuracy(self, owner: str, round_index: int,
                               classes) -> float:
-        """The one accuracy rule: hits over the distinct in-range ``classes``
-        divided by their test counts, an exact k/n rounded once, as
-        ``np.mean`` over a boolean mask would give."""
-        hits = self._hits[(owner, round_index)]  # a missing record: KeyError((owner, round))
-        idx = [c for c in {int(c) for c in classes} if 0 <= c < self.n_classes]
-        n = self._class_counts[idx].sum()
-        if n == 0:
-            raise ValueError(f"no test examples for classes {sorted(classes)}")
-        return float(hits[idx].sum() / n)
+        """Accuracy of one record on the test examples of ``classes``
+        (duplicates and out-of-range classes are ignored)."""
+        rows = self._rows(owner, (round_index,))
+        return float(self._accuracies(rows, (tuple(classes),))[0, 0])
 
     def task_accuracy(self, owner: str, round_index: int, d: int) -> float:
         """a(k, r, d): accuracy on the test examples of task d's classes."""
@@ -174,7 +217,8 @@ class MetricsLedger:
     def general_accuracy(self, owner: str) -> float:
         """A_gen: mean whole-test accuracy over rounds 1..R."""
         rounds = self._require_rounds(owner, range(1, self.total_rounds + 1))
-        return float(np.mean([self.whole_test_accuracy(owner, r) for r in rounds]))
+        column = self._accuracies(self._rows(owner, rounds), (range(self.n_classes),))
+        return float(np.mean(column[:, 0]))
 
     def personal_accuracy(self, owner: str) -> float:
         """A_per: mean accuracy on the classes learnt so far.
@@ -182,21 +226,24 @@ class MetricsLedger:
         Rounds with an empty learnt set contribute nothing and shrink the
         denominator.
         """
-        learnt = {r: self.records[(owner, r)].learnt_classes
-                  for r in self._require_rounds(owner, range(1, self.total_rounds + 1))}
-        terms = [self.class_subset_accuracy(owner, r, c) for r, c in learnt.items() if c]
-        if not terms:
+        rounds = self._require_rounds(owner, range(1, self.total_rounds + 1))
+        learnt = {r: self.records[(owner, r)].learnt_classes for r in rounds}
+        rounds = [r for r, c in learnt.items() if c]
+        if not rounds:
             raise ValueError(f"{owner!r} never learnt any class")
-        return float(np.mean(terms))
+        index = {c: i for i, c in enumerate(dict.fromkeys(learnt[r] for r in rounds))}
+        table = self._accuracies(self._rows(owner, rounds), list(index))
+        return float(np.mean(table[np.arange(len(rounds)),
+                                   [index[learnt[r]] for r in rounds]]))
 
     def window_task_accuracy(self, owner: str, t: int, d: int) -> float:
         """abar(k, t, d): task-d accuracy averaged over task t's rounds,
         computed once per (owner, t, d) between appends."""
         key = (owner, t, d)
         if key not in self._window_means:
-            window = self.task_window(owner, t)
-            self._window_means[key] = float(
-                np.mean([self.task_accuracy(owner, r, d) for r in window]))
+            column = self._accuracies(self._rows(owner, self.task_window(owner, t)),
+                                      (self.task_classes[owner][d - 1],))
+            self._window_means[key] = float(np.mean(column[:, 0]))
         return self._window_means[key]
 
     def avg_task_accuracy(self, owner: str, t: int) -> float:
@@ -224,24 +271,35 @@ class MetricsLedger:
     # -- export --------------------------------------------------------------
 
     def csv_rows(self) -> list[tuple]:
-        """Rows (owner, round, metric, task, value); '' task for whole-test."""
-        rows: list[tuple] = []
+        """Rows (owner, round, metric, task, value); '' task for whole-test.
+
+        Each owner's records are read in one table against the whole test
+        set and its tasks, so an owner's task set without test examples
+        raises once the owner has any record.
+        """
+        rows: dict[str, list[int]] = {}
+        for i, (owner, _) in enumerate(self.records):
+            rows.setdefault(owner, []).append(i)
+        tables = {owner: iter(self._accuracies(
+                      owner_rows, [range(self.n_classes),
+                                   *self.task_classes.get(owner, ())]).tolist())
+                  for owner, owner_rows in rows.items()}
+        out: list[tuple] = []
         for owner, r in self.records:
-            rows.append((owner, r, "whole_test_accuracy", "",
-                         self.whole_test_accuracy(owner, r)))
-            if owner in self.task_classes and r >= 1:
-                for d in range(1, self.n_tasks(owner) + 1):
-                    rows.append((owner, r, "task_accuracy", d,
-                                 self.task_accuracy(owner, r, d)))
-        return rows
+            whole, *tasks = next(tables[owner])
+            out.append((owner, r, "whole_test_accuracy", "", whole))
+            if tasks and r >= 1:
+                out.extend((owner, r, "task_accuracy", d, value)
+                           for d, value in enumerate(tasks, 1))
+        return out
 
     def figure_rows(self) -> list[tuple]:
         """Rows (round, owner, class, accuracy) for per-class curves."""
-        rows: list[tuple] = []
-        for owner, r in self.records:
-            for c in range(self.n_classes):
-                rows.append((r, owner, c, self.class_accuracy(owner, r, c)))
-        return rows
+        table = self._accuracies(slice(None),
+                                 [(c,) for c in range(self.n_classes)]).tolist()
+        return [(r, owner, c, value)
+                for (owner, r), values in zip(self.records, table)
+                for c, value in enumerate(values)]
 
     # -- serialization -------------------------------------------------------
 

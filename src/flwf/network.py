@@ -390,12 +390,12 @@ def _backward_pass(params: ModelParams, caches, dlogits) -> ModelParams:
             dx = _conv1d_input_grad(cache, w["W"], dx)
         elif layer.kind == KIND_MAXPOOL1D:
             dx = _maxpool_backward(cache, dx)
-        elif layer.kind == KIND_RELU:
-            dx = dx * cache
-        elif layer.kind == KIND_DROPOUT:
-            if cache is not None:
+        elif layer.kind in (KIND_RELU, KIND_DROPOUT) and cache is not None:
+            if dx is dlogits:  # never write the caller's logit gradient
                 dx = dx * cache
-        # softmax-output: identity
+            else:  # every other dx is a fresh array this pass made
+                np.multiply(dx, cache, out=dx)
+        # softmax-output and inference dropout: identity
     return ModelParams(params.architecture, params.input_shape, grads)
 
 

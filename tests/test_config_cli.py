@@ -126,6 +126,25 @@ def test_yaml_round_trip(tmp_path):
     assert doc["label"] == "exp3-exemplars-flwf2"
 
 
+def test_total_clients_may_be_omitted(tmp_path):
+    """A YAML without ``total_clients`` parses to the same scenario, and
+    writes the same resolved_config.yaml, as one that sets it to 5."""
+    doc = to_dict(preset("exp2-hybrid-flwf2", seed=2))
+    assert doc["total_clients"] == 5
+    written, omitted = tmp_path / "written.yaml", tmp_path / "omitted.yaml"
+    written.write_text(yaml.safe_dump(doc))
+    del doc["total_clients"]
+    omitted.write_text(yaml.safe_dump(doc))
+    configs = [load_config(path) for path in (written, omitted)]
+    assert configs[0] == configs[1]
+    resolved = []
+    for i, cfg in enumerate(configs):
+        save_config(cfg, tmp_path / f"resolved{i}.yaml")
+        resolved.append((tmp_path / f"resolved{i}.yaml").read_bytes())
+    assert resolved[0] == resolved[1]
+    assert b"total_clients: 5" in resolved[0]
+
+
 def test_dropout_layers_inherit_scenario_rate():
     cfg = from_dict(tiny_doc())
     rates = [layer.rate for layer in cfg.layers if layer.kind == KIND_DROPOUT]

@@ -1,5 +1,8 @@
 """Ledger accounting: per-round accuracies, aggregates, forgetting, export."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,33 +269,49 @@ def test_json_round_trip_is_lossless():
 
 @st.composite
 def random_ledgers(draw):
-    """A client "c" and the server over random tasks, labels and predictions.
+    """Client "c", up to two more clients and the server over random tasks,
+    labels and predictions, appended in a random order.
 
     Per-class test counts of 1..7 make most subset sizes non-powers of two,
     so an accuracy computed in another order or precision would show up.
+    Task class tuples carry duplicates and out-of-range classes, which the
+    ledger ignores; each task keeps at least one class with test examples.
     """
     n_classes = draw(st.integers(2, 6))
     counts = draw(st.lists(st.integers(1, 7), min_size=n_classes, max_size=n_classes))
     labels = np.repeat(np.arange(n_classes), counts)
     labels = labels[draw(st.permutations(range(len(labels))))]
+
+    def noisy(task):
+        extra = st.sampled_from([*task, -1, n_classes, n_classes + 3])
+        return tuple(draw(st.permutations([*task, *draw(st.lists(extra, max_size=2))])))
+
     order = draw(st.permutations(range(n_classes)))
     cuts = draw(st.sets(st.integers(1, n_classes - 1), max_size=3))
     bounds = [0, *sorted(cuts), n_classes]
-    task_classes = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
-    budgets = tuple(draw(st.integers(1, 3)) for _ in task_classes)
-    rounds = sum(budgets)
+    task_classes = {"c": tuple(noisy(order[a:b]) for a, b in zip(bounds, bounds[1:]))}
+    task_rounds = {"c": tuple(draw(st.integers(1, 3)) for _ in task_classes["c"])}
+    rounds = sum(task_rounds["c"])
+    for owner in ("c1", "c2")[:draw(st.integers(0, 2))]:
+        cuts = draw(st.sets(st.integers(1, rounds - 1), max_size=2)) if rounds > 1 else ()
+        bounds = [0, *sorted(cuts), rounds]
+        task_rounds[owner] = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        task_classes[owner] = tuple(
+            noisy(draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=3)))
+            for _ in task_rounds[owner])
+    owners = (*task_classes, SERVER)
     preds = {key: np.array(draw(st.lists(st.integers(0, n_classes - 1),
                                          min_size=len(labels), max_size=len(labels))))
              for key in [(SERVER, 0)] + [(o, r) for r in range(1, rounds + 1)
-                                         for o in ("c", SERVER)]}
+                                         for o in owners]}
     learnt = {r: tuple(draw(st.sets(st.integers(0, n_classes - 1))))
               for r in range(1, rounds + 1)}
     append_order = draw(st.permutations(list(preds)))
     ledger = MetricsLedger(test_labels=labels, n_classes=n_classes,
-                           total_rounds=rounds, task_classes={"c": task_classes},
-                           task_rounds={"c": budgets})
+                           total_rounds=rounds, task_classes=task_classes,
+                           task_rounds=task_rounds)
     for owner, r in append_order:
-        extra = (None, learnt[r]) if owner == "c" else ()
+        extra = () if owner == SERVER else (None, learnt[r])
         ledger.append(RoundRecord(owner, r, preds[(owner, r)], *extra))
     subset = draw(st.lists(st.integers(-1, n_classes), min_size=1, max_size=4))
     return ledger, labels, preds, learnt, append_order, subset
@@ -360,8 +379,9 @@ def test_ledger_matches_brute_force_on_random_ledgers(case):
 @settings(max_examples=60, deadline=None)
 @given(random_ledgers())
 def test_window_means_are_computed_once_per_owner_and_task_pair(case):
-    """The summary's A_task and F values equal those of fresh ledgers, and
-    every abar(c, t, d) behind them reads its rounds once between appends."""
+    """The summary's A_task and F values equal those of fresh ledgers; every
+    abar(c, t, d) behind them is computed once, from a hit table stacked
+    once between appends and once more after one."""
     ledger, labels, preds = case[:3]
     text = ledger.to_json()
     n = ledger.n_tasks("c")
@@ -370,17 +390,78 @@ def test_window_means_are_computed_once_per_owner_and_task_pair(case):
         return ([of().avg_task_accuracy("c", t) for t in range(1, n + 1)],
                 [of().average_forgetting("c", t) for t in range(2, n + 1)])
 
-    calls: dict = {}
-    task_accuracy = ledger.task_accuracy
+    stacks: list[int] = []
+    reads: list[int] = []
+    hit_table, accuracies = ledger._hit_table, ledger._accuracies
 
-    def counted(owner, r, d):
-        calls[(owner, r, d)] = calls.get((owner, r, d), 0) + 1
-        return task_accuracy(owner, r, d)
+    def counted_table():
+        if ledger._table is None:
+            stacks.append(len(ledger.records))
+        return hit_table()
 
-    ledger.task_accuracy = counted
+    def counted_accuracies(rows, class_sets):
+        reads.append(len(class_sets))
+        return accuracies(rows, class_sets)
+
+    ledger._hit_table, ledger._accuracies = counted_table, counted_accuracies
     assert summary(lambda: ledger) == summary(lambda: MetricsLedger.from_json(text))
-    assert set(calls.values()) == {1}  # task windows are disjoint
-    ledger.append(RoundRecord("other", 1, preds[("c", 1)]))  # clears the memo
+    assert stacks == [len(ledger.records)]
+    assert len(reads) == n * (n + 1) // 2  # one per (t, d <= t)
+    ledger.append(RoundRecord("other", 1, preds[("c", 1)]))  # drops the table
     ledger.avg_task_accuracy("c", n)
-    assert all(calls[("c", r, d)] == 2
-               for r in ledger.task_window("c", n) for d in range(1, n + 1))
+    assert stacks == [len(ledger.records) - 1, len(ledger.records)]
+
+
+def brute_export(ledger, labels, preds):
+    """csv_rows and figure_rows rebuilt from the raw predictions, one
+    ``np.mean`` over a boolean mask per value."""
+    def acc(owner, r, classes):
+        mask = np.isin(labels, list(classes))
+        return float(np.mean(preds[(owner, r)][mask] == labels[mask]))
+
+    csv_rows, figure_rows = [], []
+    for owner, r in ledger.records:
+        csv_rows.append((owner, r, "whole_test_accuracy", "", acc(owner, r, labels)))
+        if owner in ledger.task_classes and r >= 1:
+            csv_rows += [(owner, r, "task_accuracy", d, acc(owner, r, classes))
+                         for d, classes in enumerate(ledger.task_classes[owner], 1)]
+        figure_rows += [(r, owner, c, acc(owner, r, (c,))) for c in range(ledger.n_classes)]
+    return csv_rows, figure_rows
+
+
+def assert_same_rows(rows, brute):
+    assert rows == brute
+    assert [type(row[-1]) for row in rows] == [float] * len(rows)
+    assert [repr(row[-1]) for row in rows] == [repr(row[-1]) for row in brute]
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_ledgers(), st.data())
+def test_exports_match_brute_force_rows(case, data):
+    ledger, labels, preds = case[:3]
+    brute = brute_export(ledger, labels, preds)
+    assert_same_rows(ledger.csv_rows(), brute[0])
+    assert_same_rows(ledger.figure_rows(), brute[1])
+
+    # one more record after an export: the table is rebuilt and shows it
+    owner = data.draw(st.sampled_from(["c", "late"]))
+    late = np.array(data.draw(st.lists(st.integers(0, ledger.n_classes - 1),
+                                       min_size=len(labels), max_size=len(labels))))
+    ledger.append(RoundRecord(owner, ledger.total_rounds + 1, late))
+    preds = {**preds, (owner, ledger.total_rounds + 1): late}
+    brute = brute_export(ledger, labels, preds)
+    assert_same_rows(ledger.csv_rows(), brute[0])
+    assert_same_rows(ledger.figure_rows(), brute[1])
+
+    # a task whose classes have no test examples fails the export by name
+    doc = json.loads(ledger.to_json())
+    d = data.draw(st.integers(0, len(doc["task_classes"]["c"]) - 1))
+    empty = data.draw(st.lists(st.sampled_from([-2, -1, ledger.n_classes, 9]),
+                               min_size=1, max_size=3))
+    doc["task_classes"]["c"][d] = empty
+    broken = MetricsLedger.from_json(json.dumps(doc))
+    message = f"no test examples for classes {sorted(empty)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        broken.csv_rows()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        broken.task_accuracy("c", 1, d + 1)

@@ -13,7 +13,8 @@ from flwf.datasets import RoundBatch
 from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
                           ShapeMismatchError, TrainConfig, _conv1d_forward,
-                          _conv1d_input_grad, _conv1d_param_grads, _forward_pass,
+                          _backward_pass, _conv1d_input_grad, _conv1d_param_grads,
+                          _forward_pass,
                           _maxpool_backward, _maxpool_forward, backward, forward,
                           infer_shapes, init_params, load_model, loss_on_batch,
                           params_digest, params_equal, save_model, sgd_step,
@@ -284,6 +285,29 @@ def test_relu_never_writes_the_callers_input(arch, flat):
     backward(params, RoundBatch(x, rng.integers(0, 3, size=6), 3), LossSpec(),
              training=True, rng=np.random.default_rng(4))
     assert same_bits(x, snapshot)
+
+
+@pytest.mark.parametrize("arch", [
+    (LayerConfig("dense", units=4), LayerConfig("relu"), LayerConfig("softmax-output")),
+    (LayerConfig("dense", units=4), LayerConfig("relu"),
+     LayerConfig("dropout", rate=0.5), LayerConfig("softmax-output")),
+], ids=["dense-relu-softmax", "dense-relu-dropout-softmax"])
+def test_backward_never_writes_the_callers_logit_gradient(arch):
+    """ReLU and dropout scale their gradient in place, except when it is
+    still the caller's ``dlogits``: a read-only one passes unchanged, and
+    the weight gradients equal those from a writable copy."""
+    params = init_params(arch, (3,), seed=0)
+    x = np.random.default_rng(1).normal(size=(6, 3))
+    _, caches = _forward_pass(params, x, True, np.random.default_rng(2),
+                              keep_caches=True)
+    dlogits = np.random.default_rng(3).normal(size=(6, 4))
+    snapshot = dlogits.copy()
+    dlogits.flags.writeable = False
+    grads = _backward_pass(params, caches, dlogits)
+    assert same_bits(dlogits, snapshot)
+    reference = _backward_pass(params, caches, snapshot.copy())
+    assert all(same_bits(g[key], r[key])
+               for g, r in zip(grads.weights, reference.weights) for key in g)
 
 
 def test_dropout_identity_at_inference():
