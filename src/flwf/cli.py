@@ -34,11 +34,12 @@ RESOLVED_NAME = "resolved_config.yaml"
 
 
 def _write_csv(path, header, rows):
+    """``csv.writer`` writes a Python float with ``repr``, so every value
+    reads back exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def summarize(result: ExperimentResult) -> dict:
@@ -146,7 +147,10 @@ def _load_summary(path) -> dict:
     if os.path.isdir(path):
         path = os.path.join(path, SUMMARY_NAME)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        summary = json.load(fh)
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return summary
 
 
 def _shape_key(summary: dict):
@@ -181,7 +185,7 @@ def _compare_row(summary: dict) -> list:
 def cmd_compare(args) -> int:
     try:
         summaries = [_load_summary(p) for p in args.runs]
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     shapes = {_shape_key(s) for s in summaries}
@@ -195,7 +199,11 @@ def cmd_compare(args) -> int:
     for r in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
-    _write_csv(args.out, COMPARE_COLUMNS, rows)
+    try:
+        _write_csv(args.out, COMPARE_COLUMNS, rows)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

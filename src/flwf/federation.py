@@ -5,9 +5,11 @@ draws its round data from the shared pool, optionally mixes in stored
 exemplars, picks its loss mode, trains locally for E epochs, and returns
 its parameters; the server then aggregates them with size-and-hint
 weighted FedAvg.  The client's own previous-round model and the incoming
-server model serve as the two distillation teachers; both are frozen for
-the whole round: their arrays are made read-only before their logits are
-computed (once, before any SGD step), so any write into them raises.
+server model serve as the two distillation teachers.  Both are made
+read-only before their logits are computed (once, before any SGD step),
+so any write into them raises.  The server teacher stays frozen for the
+whole round; the client teacher lives only until its logits exist, and is
+dropped before the first gradient is allocated.
 
 All randomness comes from per-(purpose, client, round) seed streams
 derived from the one experiment seed.
@@ -66,7 +68,7 @@ class ClientRuntime:
 
 @dataclass
 class ServerState:
-    params: ModelParams
+    params: ModelParams | None  # None once run_round has consumed it
     round_index: int = 0
 
 
@@ -82,16 +84,27 @@ class RoundReport:
     draw_sources: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def client_update(server_params: ModelParams, client_teacher: ModelParams | None,
-                  batch: RoundBatch, train_cfg: TrainConfig,
-                  spec: losses.LossSpec, loss_trace: list | None = None
-                  ) -> tuple[ModelParams, str]:
-    """One local update: student starts from the server model, teachers are
-    made read-only, and the returned mode is what was actually trained with.
+def _freeze(params: ModelParams) -> None:
+    """Make every weight array read-only.  A function of its own, so that
+    no loop variable in the caller keeps a teacher alive."""
+    for w in params.weights:
+        for arr in w.values():
+            arr.setflags(write=False)
 
-    ``client_teacher`` is None on a client's first round; what the
-    objective becomes without it is decided by
-    :func:`flwf.losses.objective_terms`.  Teacher logits arriving
+
+def client_update(server_params: ModelParams, client: ClientRuntime,
+                  batch: RoundBatch, train_cfg: TrainConfig,
+                  spec: losses.LossSpec, loss_trace: list | None = None) -> str:
+    """One local update: the student starts from the server model, the
+    teachers are made read-only, and the trained student replaces
+    ``client.params``.  Returns the mode that was actually trained with.
+
+    ``client.params`` is the client teacher, None on a client's first
+    round; what the objective becomes without it is decided by
+    :func:`flwf.losses.objective_terms`.  It is dropped from ``client`` as
+    soon as its logits exist, before the first gradient is allocated, so
+    nothing here keeps it alive while the student trains (if training
+    fails, ``client.params`` stays None).  Teacher logits arriving
     pre-filled in ``spec`` are an error: they are computed here, once,
     from the frozen teachers.
     """
@@ -102,22 +115,20 @@ def client_update(server_params: ModelParams, client_teacher: ModelParams | None
     if spec.teacher_client_logits is not None or spec.teacher_server_logits is not None:
         raise ValueError("teacher logits are computed inside client_update")
 
-    for teacher in (server_params, client_teacher):
-        if teacher is not None:
-            for w in teacher.weights:
-                for arr in w.values():
-                    arr.setflags(write=False)
-
+    _freeze(server_params)
     fills = {}
-    if spec.mode != losses.MODE_FINE_TUNE and client_teacher is not None:
-        fills["teacher_client_logits"] = forward(client_teacher, batch.features)
+    if client.params is not None:
+        _freeze(client.params)
+        if spec.mode != losses.MODE_FINE_TUNE:
+            fills["teacher_client_logits"] = forward(client.params, batch.features)
     if spec.mode == losses.MODE_FLWF2:
         fills["teacher_server_logits"] = forward(server_params, batch.features)
     spec = dataclasses.replace(spec, **fills)
 
-    student = train_local(server_params, batch, train_cfg, spec,
-                          loss_trace=loss_trace)
-    return student, losses.objective_terms(spec)[0]
+    client.params = None  # the client teacher's logits exist: drop it now
+    client.params = train_local(server_params, batch, train_cfg, spec,
+                                loss_trace=loss_trace)
+    return losses.objective_terms(spec)[0]
 
 
 def fedavg(params_list, sizes) -> ModelParams:
@@ -163,17 +174,24 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
               clients: list[ClientRuntime], pool: DatasetPool, test: TestSet,
               ledger: MetricsLedger, round_index: int) -> tuple[ServerState, RoundReport]:
     """One full communication round; mutates clients (params, stores) and
-    the ledger, returns the next server state.
+    the ledger, consumes ``server``'s model and returns the next server
+    state.
 
-    Each client's trained model replaces its previous one as soon as it
-    is trained, and the aggregate is averaged from ``clients[i].params``,
-    so no model outlives the round that needs it: while a client trains,
-    the live models are the server's, one teacher per client (the latest
-    model of each), the student and its gradient.
+    Between SGD steps at most ``len(clients) + 1`` models are live: the
+    server's, which is the student's start and the one teacher frozen for
+    the whole round, and one per client.  A client's previous model is its
+    teacher only until its logits exist; it is dropped before the first
+    gradient is allocated, and the student takes its place.  A step's
+    gradient is one model more while it is computed, and becomes the next
+    student.  Once the last client has trained, ``server.params`` is set
+    to None, so FedAvg's output is allocated next to the clients' models
+    alone.
     """
     if round_index != server.round_index + 1:
         raise ValueError(f"round {round_index} does not follow "
                          f"server round {server.round_index}")
+    if server.params is None:
+        raise ValueError("the server state's model was consumed by an earlier round")
     report = RoundReport(round_index=round_index)
 
     for client in clients:
@@ -200,15 +218,14 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                                            client.index, round_index)))
         trace: list[float] = []
         try:
-            params, report.modes[client.name] = client_update(
-                server.params, client.params, batch, train_cfg, spec, loss_trace=trace)
+            report.modes[client.name] = client_update(
+                server.params, client, batch, train_cfg, spec, loss_trace=trace)
         except FloatingPointError as err:
             raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
         report.sizes[client.name] = len(fresh)
         report.loss_traces[client.name] = trace
         report.draw_sources[client.name] = fresh.source_indices.copy()
 
-        client.params = params  # next round's client teacher
         if cfg.use_exemplars:
             client.store = update_exemplars(
                 client.store, t, fresh,
@@ -216,10 +233,11 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                                  client.index, round_index))
         ledger.append(RoundRecord(
             owner=client.name, round_index=round_index,
-            predictions=predict(params, test.features),
+            predictions=predict(client.params, test.features),
             current_task=t,
             learnt_classes=cfg.tasks.classes_started_by(round_index)))
 
+    server.params = None  # every client has trained from it
     aggregated = fedavg(
         [c.params for c in clients],
         [c.cfg.weight * report.sizes[c.name] for c in clients])

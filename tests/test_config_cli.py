@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import io
 import json
 import os
 
@@ -558,3 +559,44 @@ def test_compare_reports_unreadable_run(tmp_path, capsys):
     code, _, err = run_cli(["compare", run, str(tmp_path / "ghost"),
                             "--out", str(tmp_path / "y.csv")], capsys)
     assert code == 1 and "error:" in err
+
+
+def test_compare_reports_a_summary_that_is_not_an_object(tmp_path, capsys):
+    run = finished_run(tmp_path, capsys, seed=8)
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]\n")
+    code, _, err = run_cli(["compare", run, str(listed),
+                            "--out", str(tmp_path / "z.csv")], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "not a JSON object" in err
+
+
+def test_compare_reports_an_unwritable_table(tmp_path, capsys):
+    runs = [finished_run(tmp_path, capsys, seed) for seed in (1, 2)]
+    out = tmp_path / "missing-dir" / "cmp.csv"
+    code, _, err = run_cli(["compare", *runs, "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and not out.exists()
+
+
+# -- cli: csv --------------------------------------------------------------------
+
+
+def test_write_csv_floats_read_back_exactly(tmp_path):
+    rows = [("sum", 1, 0.1 + 0.2), ("third", 2, 1 / 3), ("subnormal", 3, 5e-324),
+            ("big", 4, 1e16), ("zero", 5, -0.0)]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ("name", "n", "value"), rows)
+    with open(path, newline="") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == ["name", "n", "value"]
+    assert [(name, int(n), float(v)) for name, n, v in back[1:]] == rows
+    assert all(str(float(v)) == v for _, _, v in back[1:])
+    # the same bytes as the per-cell repr form written before writerows
+    old = io.StringIO(newline="")
+    writer = csv.writer(old, lineterminator="\n")
+    writer.writerow(("name", "n", "value"))
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    assert path.read_bytes() == old.getvalue().encode("utf-8")
+

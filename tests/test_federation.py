@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flwf import federation, losses
+from flwf import federation, losses, network
 from flwf.config import ClientConfig, ScenarioConfig, SyntheticSource
-from flwf.continual import StrategyPolicy, TaskSequence, TaskSpec
+from flwf.continual import ExemplarStore, StrategyPolicy, TaskSequence, TaskSpec
 from flwf.datasets import RoundBatch
 from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
                              SEED_INIT, SEED_ROUND_DRAW, SEED_TEST_DRAW,
@@ -261,10 +261,19 @@ def train_cfg(epochs=2, seed=5):
     return TrainConfig(learning_rate=0.05, batch_size=16, epochs=epochs, rng_seed=seed)
 
 
+def update(server, teacher, batch, cfg, spec):
+    """``client_update`` for a client whose previous model is ``teacher``;
+    returns (the student it stored on the client, the mode)."""
+    client = ClientRuntime(index=0, cfg=tiny_clients()[0],
+                           store=ExemplarStore(capacity=5), params=teacher)
+    mode = client_update(server, client, batch, cfg, spec)
+    return client.params, mode
+
+
 def test_client_update_zero_epochs_returns_fresh_copy_of_server():
     server = model(seed=3)
-    out, mode = client_update(server, None, make_batch(0), train_cfg(epochs=0),
-                              losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    out, mode = update(server, None, make_batch(0), train_cfg(epochs=0),
+                       losses.LossSpec(mode=losses.MODE_FINE_TUNE))
     assert params_equal(out, server)
     assert out is not server
     assert mode == losses.MODE_FINE_TUNE
@@ -274,8 +283,8 @@ def test_client_update_zero_epochs_returns_fresh_copy_of_server():
 def test_client_update_student_shares_no_buffer_with_server(epochs):
     server = model(seed=3)
     snapshot = server.copy()
-    out, _ = client_update(server, None, make_batch(0), train_cfg(epochs=epochs),
-                           losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    out, _ = update(server, None, make_batch(0), train_cfg(epochs=epochs),
+                    losses.LossSpec(mode=losses.MODE_FINE_TUNE))
     assert not any(np.shares_memory(a, b)
                    for wo, ws in zip(out.weights, server.weights)
                    for a, b in zip(wo.values(), ws.values()))
@@ -286,10 +295,10 @@ def test_client_update_fine_tune_ignores_teachers():
     server = model(seed=3)
     teacher = model(seed=4)
     batch = make_batch(1)
-    with_teacher, _ = client_update(server, teacher, batch, train_cfg(),
-                                    losses.LossSpec(mode=losses.MODE_FINE_TUNE))
-    without, _ = client_update(server, None, batch, train_cfg(),
-                               losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    with_teacher, _ = update(server, teacher, batch, train_cfg(),
+                             losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    without, _ = update(server, None, batch, train_cfg(),
+                        losses.LossSpec(mode=losses.MODE_FINE_TUNE))
     assert params_equal(with_teacher, without)
 
 
@@ -297,10 +306,10 @@ def test_client_update_flwf1_without_teacher_falls_back_to_fine_tune():
     server = model(seed=3)
     batch = make_batch(2)
     spec = losses.LossSpec(mode=losses.MODE_FLWF1, alpha=0.4, temperature=2.0)
-    got, mode = client_update(server, None, batch, train_cfg(), spec)
+    got, mode = update(server, None, batch, train_cfg(), spec)
     assert mode == losses.MODE_FINE_TUNE
-    want, _ = client_update(server, None, batch, train_cfg(),
-                            losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    want, _ = update(server, None, batch, train_cfg(),
+                     losses.LossSpec(mode=losses.MODE_FINE_TUNE))
     assert params_equal(got, want)
 
 
@@ -312,10 +321,10 @@ def test_client_update_flwf2_with_full_label_weight_matches_fine_tune():
     batch = make_batch(3)
     spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=1.0, beta=0.0,
                            temperature=2.0)
-    got, mode = client_update(server, teacher, batch, train_cfg(), spec)
+    got, mode = update(server, teacher, batch, train_cfg(), spec)
     assert mode == losses.MODE_FLWF2
-    want, _ = client_update(server, None, batch, train_cfg(),
-                            losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    want, _ = update(server, None, batch, train_cfg(),
+                     losses.LossSpec(mode=losses.MODE_FINE_TUNE))
     assert max_abs_gap(got, want) < 1e-12
 
 
@@ -327,7 +336,7 @@ def test_client_update_changes_the_student_but_not_the_inputs():
     batch = make_batch(4, labels=(1,))
     spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
                            temperature=2.0)
-    out, mode = client_update(server, teacher, batch, train_cfg(), spec)
+    out, mode = update(server, teacher, batch, train_cfg(), spec)
     assert mode == losses.MODE_FLWF2
     assert not params_equal(out, server)
     assert params_equal(server, server_before)
@@ -339,7 +348,7 @@ def test_client_update_leaves_both_teachers_read_only():
     teacher = model(seed=4)
     spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
                            temperature=2.0)
-    out, _ = client_update(server, teacher, make_batch(6), train_cfg(), spec)
+    out, _ = update(server, teacher, make_batch(6), train_cfg(), spec)
     for params in (server, teacher):
         assert not any(a.flags.writeable for w in params.weights for a in w.values())
     assert all(a.flags.writeable for w in out.weights for a in w.values())
@@ -354,7 +363,7 @@ def test_client_update_rejects_a_write_into_a_teacher(monkeypatch):
     spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
                            temperature=2.0)
     with pytest.raises(ValueError, match="read-only"):
-        client_update(model(seed=3), model(seed=4), make_batch(7), train_cfg(), spec)
+        update(model(seed=3), model(seed=4), make_batch(7), train_cfg(), spec)
 
 
 def test_client_update_rejects_prefilled_teacher_logits():
@@ -364,21 +373,20 @@ def test_client_update_rejects_prefilled_teacher_logits():
                            temperature=2.0,
                            teacher_server_logits=np.zeros((len(batch), 3)))
     with pytest.raises(ValueError):
-        client_update(server, None, batch, train_cfg(), spec)
+        update(server, None, batch, train_cfg(), spec)
 
 
 def test_client_update_rejects_empty_batch():
     batch = RoundBatch(np.zeros((0, 8)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError):
-        client_update(model(seed=0), None, batch, train_cfg(),
-                      losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+        update(model(seed=0), None, batch, train_cfg(),
+               losses.LossSpec(mode=losses.MODE_FINE_TUNE))
 
 
 # -- run_round -----------------------------------------------------------------------
 
 
 def fresh_runtime(scenario):
-    from flwf.continual import ExemplarStore
     from flwf.datasets import draw_test_set
     from flwf.federation import build_pool
     from flwf.metrics import MetricsLedger
@@ -527,6 +535,88 @@ def test_no_model_outlives_the_round_that_needs_it(monkeypatch):
     assert result.server.round_index == 3 and len(result.reports) == 3
     assert refs and all(ref() is None for ref in refs)
 
+def _array_refs(params):
+    """Weak references to every weight array of ``params``."""
+    return [weakref.ref(arr) for w in params.weights for arr in w.values()]
+
+
+def _forward_through_wrappers(monkeypatch):
+    """Wrap ``client_update`` and ``run_round`` where the round protocol
+    looks them up in a function that forwards ``*args, **kwargs``, as a
+    tracer's span does: the wrapper's frame holds every argument while the
+    call runs, so a model passed as an argument would stay alive."""
+    for name in ("client_update", "run_round"):
+        fn = getattr(federation, name)
+
+        def forwarding(*args, _fn=fn, **kwargs):
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(federation, name, forwarding)
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+@pytest.mark.parametrize("algo", [losses.MODE_FLWF2, losses.MODE_FINE_TUNE])
+def test_client_teacher_is_gone_before_the_first_sgd_step(monkeypatch, algo, wrapped):
+    """In round 2 each client's round-1 model is freed, by reference
+    counting alone, before its first SGD step allocates a gradient."""
+    if wrapped:
+        _forward_through_wrappers(monkeypatch)
+    pending = []  # (client, refs to its previous model) until its first step
+    freed = []  # (client, whether that model was gone at its first step)
+    real_update, real_step = federation.client_update, network.sgd_step
+
+    def spy_update(server_params, client, *rest, **kwargs):
+        if client.params is not None:
+            pending.append((client.name, _array_refs(client.params)))
+        return real_update(server_params, client, *rest, **kwargs)
+
+    def spy_step(*args, **kwargs):
+        if pending:
+            name, refs = pending.pop()
+            freed.append((name, all(ref() is None for ref in refs)))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "client_update", spy_update)
+    monkeypatch.setattr(network, "sgd_step", spy_step)
+    result = run_experiment(tiny_scenario(rounds=2, algo=algo))
+    # the flwf2 run distils from c1's teacher in round 2; cg's balanced
+    # batch keeps it on fine-tuning
+    want = {"c1": algo, "cg": losses.MODE_FINE_TUNE}
+    assert result.reports[1].modes == want
+    assert freed == [("c1", True), ("cg", True)]
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_previous_aggregate_is_gone_before_fedavg(monkeypatch, wrapped):
+    """Each round's incoming server model is freed, by reference counting
+    alone, before FedAvg allocates the new aggregate."""
+    if wrapped:
+        _forward_through_wrappers(monkeypatch)
+    incoming = []
+    freed = []
+    real_round, real_fedavg = federation.run_round, federation.fedavg
+
+    def spy_round(scenario, server, *rest):
+        incoming.append(_array_refs(server.params))
+        return real_round(scenario, server, *rest)
+
+    def spy_fedavg(*args, **kwargs):
+        freed.append(all(ref() is None for ref in incoming[-1]))
+        return real_fedavg(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "run_round", spy_round)
+    monkeypatch.setattr(federation, "fedavg", spy_fedavg)
+    run_experiment(tiny_scenario(rounds=2))
+    assert freed == [True, True]
+
+
+def test_run_round_rejects_a_consumed_server_state():
+    scenario = tiny_scenario()
+    pool, test, server, ledger, clients = fresh_runtime(scenario)
+    next_server, _ = run_round(scenario, server, clients, pool, test, ledger, 1)
+    assert server.params is None and next_server.params is not None
+    with pytest.raises(ValueError, match="consumed"):
+        run_round(scenario, ServerState(None, round_index=1), clients, pool,
+                  test, ledger, 2)
 
 
 def test_run_experiment_is_deterministic():

@@ -22,8 +22,12 @@ byte-identical, and so are the final models: the child that runs the
 scenario also writes ``models.sha256``, one sha256 over every weight array
 of the server model and of each client model.  The artifacts hold only
 accuracies, so without the digests a change that moves weights but flips
-no prediction would pass.  One line is printed per scenario; the exit
-code is 1 if any scenario differs or fails to run on either side, else 0.
+no prediction would pass.  The child also writes its own peak RSS
+(``ru_maxrss``) to ``peak_rss.kb``, which is not compared: each scenario's
+line ends with the base -> change peak RSS in MB, so a change to model
+lifetimes shows its effect per scenario.  One line is printed per
+scenario; the exit code is 1 if any scenario differs or fails to run on
+either side, else 0.
 """
 
 import argparse
@@ -35,21 +39,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = "models.sha256"
+PEAK_RSS = "peak_rss.kb"  # the child's ru_maxrss in KiB; reported, not compared
 ARTIFACTS = ("metrics.csv", "figure_data.csv", "summary.json",
              "resolved_config.yaml", DIGESTS)
 # ``flwf run`` with the experiment result kept, then one digest line per
-# final model.  Uses only what every tree has: ``flwf.cli.main`` looking up
-# ``run_experiment`` at call time, ``.server.params``,
-# ``.clients[i].params`` and ``.weights``.
+# final model and the process's peak RSS.  Uses only what every tree has:
+# ``flwf.cli.main`` looking up ``run_experiment`` at call time,
+# ``.server.params``, ``.clients[i].params`` and ``.weights``.
 CHILD = """
-import hashlib, sys
+import hashlib, resource, sys
 import numpy as np
 from flwf import cli
 
 results = []
 run_experiment = cli.run_experiment
 cli.run_experiment = lambda scenario: results.append(run_experiment(scenario)) or results[-1]
-code = cli.main(sys.argv[2:])
+code = cli.main(sys.argv[3:])
+with open(sys.argv[2], "w") as fh:
+    fh.write(f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}\\n")
 if code == 0:
     result = results[0]
     lines = []
@@ -95,12 +102,18 @@ def run(tree: Path, args, out_dir: Path) -> str | None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(out_dir / DIGESTS),
-         "run", *args, "--out", str(out_dir)],
+         str(out_dir / PEAK_RSS), "run", *args, "--out", str(out_dir)],
         cwd=out_dir.parent, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or [""]
         return f"exit code {proc.returncode}: {tail[0]}"
     return None
+
+
+def peak_rss(out_dir: Path) -> str:
+    """The child's peak RSS in MB, or ``?`` if it wrote none."""
+    path = out_dir / PEAK_RSS
+    return f"{int(path.read_text()) / 1024:.1f}" if path.is_file() else "?"
 
 
 def compare(base_dir: Path, change_dir: Path) -> list[str]:
@@ -144,7 +157,8 @@ def main(argv=None) -> int:
                 differ = compare(dirs["base"], dirs["change"])
                 verdict = "DIFFERS " + ", ".join(differ) if differ else "identical"
             failures += verdict != "identical"
-            print(f"{name}: {verdict}", flush=True)
+            print(f"{name}: {verdict}  (peak RSS {peak_rss(dirs['base'])} -> "
+                  f"{peak_rss(dirs['change'])} MB)", flush=True)
         print(f"{len(todo) - failures}/{len(todo)} scenarios byte-identical "
               f"to {args.rev}, final models included")
     return 1 if failures else 0
