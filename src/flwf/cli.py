@@ -143,13 +143,45 @@ COMPARE_COLUMNS = ("method", "seed", "A_gen_1", "A_gen_g", "A_gen_server",
                    "A_per_1", "A_2_1", "F_2_1")
 
 
+_NUMBER = (int, float, type(None))  # a summary value that may be formatted or empty
+
+
 def _load_summary(path) -> dict:
+    """A ``summary.json`` (or a run directory's), checked to hold every
+    field :func:`_shape_key` and :func:`_compare_row` read in the type they
+    read it as, so a malformed file is one ``ValueError`` naming the field."""
     if os.path.isdir(path):
         path = os.path.join(path, SUMMARY_NAME)
     with open(path, "r", encoding="utf-8") as fh:
         summary = json.load(fh)
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: not a JSON object")
+
+    def require(ok, field, what):
+        if not ok:
+            raise ValueError(f"{path}: {field} is not {what}")
+
+    cfg, metrics = summary.get("config", {}), summary.get("metrics", {})
+    require(isinstance(cfg, dict), "config", "a JSON object")
+    require(isinstance(metrics, dict), "metrics", "a JSON object")
+    order = summary.get("client_order", [])
+    require(isinstance(order, list) and all(isinstance(name, str) for name in order),
+            "client_order", "a list of strings")
+    clients = cfg.get("clients", [])
+    require(isinstance(clients, list) and all(isinstance(c, dict) for c in clients),
+            "config.clients", "a list of JSON objects")
+    for key in ("rounds", "n_classes"):
+        require(isinstance(cfg.get(key), _NUMBER), f"config.{key}", "a number")
+    for owner, entry in metrics.items():
+        require(isinstance(entry, dict), f"metrics[{owner}]", "a JSON object")
+        for key in ("A_gen", "A_per"):
+            require(isinstance(entry.get(key), _NUMBER), f"metrics[{owner}].{key}",
+                    "a number")
+        for key in ("A_task", "F"):
+            values = entry.get(key, {})
+            require(isinstance(values, dict)
+                    and all(isinstance(v, _NUMBER) for v in values.values()),
+                    f"metrics[{owner}].{key}", "an object of numbers")
     return summary
 
 

@@ -85,11 +85,13 @@ class RoundReport:
 
 
 def _freeze(params: ModelParams) -> None:
-    """Make every weight array read-only.  A function of its own, so that
-    no loop variable in the caller keeps a teacher alive."""
+    """Make ``flat`` and every view into it read-only; no view can be made
+    writable again.  A function of its own, so that no loop variable in
+    the caller keeps a teacher alive."""
+    params.flat.setflags(write=False)
     for w in params.weights:
-        for arr in w.values():
-            arr.setflags(write=False)
+        for view in w.values():
+            view.setflags(write=False)
 
 
 def client_update(server_params: ModelParams, client: ClientRuntime,
@@ -135,11 +137,12 @@ def fedavg(params_list, sizes) -> ModelParams:
     """Size-weighted element-wise average of the clients' models.
 
     Computed in delta form around the first model, ``base + sum_i w_i *
-    (src_i - base)`` accumulated in list order, so that aggregating
-    identical models returns them exactly.  The first delta is computed
-    into the output buffer and ``base`` added to it (IEEE addition
-    commutes, so this is bit for bit ``base + delta``); each further model
-    takes one temporary per buffer.  The inputs are never written.
+    (src_i - base)`` accumulated in list order over the models' ``flat``
+    buffers, so that aggregating identical models returns them exactly.
+    The first delta is computed into the output buffer and ``base`` added
+    to it (IEEE addition commutes, so this is bit for bit ``base +
+    delta``); every further model's delta goes through one shared
+    temporary.  The inputs are never written.
     """
     params_list = list(params_list)
     sizes = np.asarray(list(sizes), dtype=float)
@@ -151,23 +154,21 @@ def fedavg(params_list, sizes) -> ModelParams:
         raise ValueError("sizes must be positive")
     base = params_list[0]
     for other in params_list[1:]:
-        if not base.same_architecture(other):
+        if not base.same_layout(other):
             raise ValueError("fedavg models must share one architecture")
     weights = sizes / sizes.sum()
     assert abs(weights.sum() - 1.0) <= 1e-12
     if len(params_list) == 1:
         return base.copy()
-    out_weights: list[dict[str, np.ndarray]] = [{} for _ in base.weights]
-    for params, w in zip(params_list[1:], weights[1:]):
-        for target, base_w, source in zip(out_weights, base.weights, params.weights):
-            for key, b in base_w.items():
-                delta = np.subtract(source[key], b)
-                delta *= w
-                if key in target:
-                    target[key] += delta
-                else:  # the first delta becomes the output buffer
-                    target[key] = np.add(delta, b, out=delta)
-    return ModelParams(base.architecture, base.input_shape, out_weights)
+    out = np.subtract(params_list[1].flat, base.flat)  # the first delta
+    out *= weights[1]
+    out += base.flat
+    delta = None
+    for params, w in zip(params_list[2:], weights[2:]):
+        delta = np.subtract(params.flat, base.flat, out=delta)
+        delta *= w
+        out += delta
+    return base.with_flat(out)
 
 
 def run_round(scenario: ScenarioConfig, server: ServerState,
@@ -177,15 +178,19 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
     the ledger, consumes ``server``'s model and returns the next server
     state.
 
-    Between SGD steps at most ``len(clients) + 1`` models are live: the
-    server's, which is the student's start and the one teacher frozen for
-    the whole round, and one per client.  A client's previous model is its
-    teacher only until its logits exist; it is dropped before the first
-    gradient is allocated, and the student takes its place.  A step's
-    gradient is one model more while it is computed, and becomes the next
-    student.  Once the last client has trained, ``server.params`` is set
-    to None, so FedAvg's output is allocated next to the clients' models
-    alone.
+    Between the SGD steps of a one-step local update ``len(clients) + 1``
+    models are live: the server's, which is the student's start and the
+    one teacher frozen for the whole round, and one per client.  A
+    client's previous model is its teacher only until its logits exist;
+    it is dropped before the first gradient is allocated, and the student
+    takes its place.  A step's gradient is one model more while it is
+    computed, and becomes the next student.  From the second step of a
+    local update on, the model a step stepped from is kept as the next
+    gradient's buffer, so a multi-step update holds that one extra model
+    between its steps too.  The peak, ``len(clients) + 2`` models while a
+    gradient is computed, is the same either way.  Once the last client
+    has trained, ``server.params`` is set to None, so FedAvg's output is
+    allocated next to the clients' models alone.
     """
     if round_index != server.round_index + 1:
         raise ValueError(f"round {round_index} does not follow "

@@ -11,11 +11,17 @@ materialized inside the network.
 Tensors are plain numpy float64 arrays in row-major order with a leading
 batch axis.  Dense layers flatten whatever trailing shape they receive;
 conv1d/maxpool1d operate on ``(batch, length, channels)``.  A model is a
-:class:`ModelParams` value.  Every operation returns a new value and
-never mutates its inputs, except that :func:`sgd_step` consumes its
-gradient: the step is written into the gradient's buffers, so training
-holds two models at a time, the current one and the gradient that
-becomes the next.
+:class:`ModelParams` value: one flat float64 buffer, laid out layer by
+layer with ``W`` before ``b``, and per layer a read-only mapping of
+reshaped views into it, so whole-model work (a step, an average, a copy,
+a comparison, a digest) is one pass over one array.  Every operation
+returns a new value and never mutates its inputs, except that
+:func:`sgd_step` consumes its gradient: the step is written into the
+gradient's buffer, which becomes the next model.  The backward pass
+writes each weight gradient into its view with ``out=``, so
+:func:`train_local` computes every gradient after its second into the
+model the previous step stepped from: a local update of any length
+allocates at most two gradient buffers.
 
 conv1d runs as im2col plus GEMM: the input's length-K windows are
 copied once into a ``(B*Lout, K*C)`` column buffer, the forward pass is
@@ -47,6 +53,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -115,21 +122,63 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
-@dataclass(eq=False)
 class ModelParams:
-    """All trainable buffers of one network plus its architecture."""
+    """All trainable buffers of one network plus its architecture.
 
-    architecture: tuple[LayerConfig, ...]
-    input_shape: tuple[int, ...]
-    weights: list[dict[str, np.ndarray]]
+    Every buffer lives in ``flat``, one C-contiguous float64 array laid out
+    layer by layer with each layer's keys sorted (``W`` before ``b``);
+    ``layout`` records each layer's ``(key, shape)`` pairs in that order.
+    ``weights[i][key]`` is a reshaped view into ``flat``, held in a
+    read-only mapping, so rebinding a buffer raises ``TypeError`` instead
+    of silently detaching it: write into a view, or into ``flat``.  The
+    constructor packs separate arrays (any memory order, read-only ones
+    included) into a new ``flat`` once; :meth:`with_flat` lays a buffer
+    of the right size out as this model without copying it.
+    """
+
+    def __init__(self, architecture, input_shape, weights):
+        layout = tuple(tuple((key, np.shape(w[key])) for key in sorted(w))
+                       for w in weights)
+        self._bind(architecture, input_shape, layout,
+                   np.empty(sum(math.prod(shape) for keys in layout for _, shape in keys)))
+        for source, packed in zip(weights, self.weights):
+            for key, view in packed.items():
+                view[...] = source[key]
+
+    def _bind(self, architecture, input_shape, layout, flat):
+        self.architecture, self.input_shape = architecture, input_shape
+        self.layout, self.flat = layout, flat
+        views, start = [], 0
+        for keys in layout:
+            layer = {}
+            for key, shape in keys:
+                stop = start + math.prod(shape)
+                layer[key] = flat[start:stop].reshape(shape)
+                start = stop
+            views.append(MappingProxyType(layer))
+        self.weights = tuple(views)
+
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """A model with this architecture and layout whose buffers are
+        views into ``flat``, a C-contiguous float64 buffer of ``self.flat``'s
+        shape."""
+        if (flat.shape != self.flat.shape or flat.dtype != np.float64
+                or not flat.flags.c_contiguous):
+            raise ShapeMismatchError(f"buffer {flat.dtype}{flat.shape} does not fit "
+                                     f"the layout's float64{self.flat.shape}")
+        out = ModelParams.__new__(ModelParams)
+        out._bind(self.architecture, self.input_shape, self.layout, flat)
+        return out
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.architecture, self.input_shape,
-                           [{k: v.copy() for k, v in w.items()} for w in self.weights])
+        return self.with_flat(self.flat.copy())
 
     def same_architecture(self, other: "ModelParams") -> bool:
         return (self.architecture == other.architecture
                 and self.input_shape == other.input_shape)
+
+    def same_layout(self, other: "ModelParams") -> bool:
+        return self.same_architecture(other) and self.layout == other.layout
 
     @property
     def n_outputs(self) -> int:
@@ -138,20 +187,15 @@ class ModelParams:
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Exact (bit-for-bit) equality of two models."""
-    if not a.same_architecture(b):
-        return False
-    return all(wa.keys() == wb.keys()
-               and all(np.array_equal(wa[k], wb[k]) for k in wa)
-               for wa, wb in zip(a.weights, b.weights))
+    return a.same_layout(b) and np.array_equal(a.flat, b.flat)
 
 
 def params_digest(params: ModelParams) -> str:
-    """Stable content hash of a model's architecture and weights."""
+    """Stable content hash of a model's architecture and weights: the
+    bytes of ``flat``, which are every buffer in layer and key order."""
     h = hashlib.sha256()
     h.update(json.dumps(_architecture_meta(params), sort_keys=True).encode())
-    for w in params.weights:
-        for key in sorted(w):
-            h.update(np.ascontiguousarray(w[key]).tobytes())
+    h.update(params.flat)
     return h.hexdigest()
 
 
@@ -309,11 +353,15 @@ def _conv1d_forward(x, W, b):
     return y.reshape(batch, lout, filters), (cols, x.shape)
 
 
-def _conv1d_param_grads(cache, W, dy) -> dict[str, np.ndarray]:
-    """dW as one GEMM over the column buffer; db as a sum over (B, L)."""
+def _conv1d_param_grads(cache, dy, out) -> None:
+    """dW as one GEMM over the column buffer, written into ``out["W"]``;
+    db as a sum over (B, L), written into ``out["b"]``.  Both outputs are
+    C-contiguous, so ``W``'s ``(K*C, F)`` reshape is a view."""
     cols, _ = cache
-    dw = cols.T @ dy.reshape(-1, dy.shape[2])
-    return {"W": dw.reshape(W.shape), "b": dy.sum(axis=(0, 1))}
+    dw = out["W"]
+    np.matmul(cols.T, dy.reshape(-1, dy.shape[2]),
+              out=dw.reshape(-1, dw.shape[2]))
+    dy.sum(axis=(0, 1), out=out["b"])
 
 
 def _conv1d_input_grad(cache, W, dy) -> np.ndarray:
@@ -369,19 +417,24 @@ def _maxpool_backward(cache, dout):
     return dx
 
 
-def _backward_pass(params: ModelParams, caches, dlogits) -> ModelParams:
-    """Weight gradients, last layer first.  The input gradient stops at
-    layer 1: layer 0's would flow into the data, which has no parameter."""
-    grads: list[dict[str, np.ndarray]] = [dict() for _ in params.weights]
+def _backward_pass(params: ModelParams, caches, dlogits,
+                   out: ModelParams | None = None) -> ModelParams:
+    """Weight gradients, last layer first, written into the views of
+    ``out`` (laid out as ``params``; a fresh model when None), which is
+    returned.  The input gradient stops at layer 1: layer 0's would flow
+    into the data, which has no parameter."""
+    if out is None:
+        out = params.with_flat(np.empty(params.flat.shape))
     dx = dlogits
     for i in range(len(params.architecture) - 1, -1, -1):
         layer = params.architecture[i]
-        w = params.weights[i]
+        w, g = params.weights[i], out.weights[i]
         cache = caches[i]
         if layer.kind == KIND_DENSE:
-            grads[i] = {"W": cache[1].T @ dx, "b": dx.sum(axis=0)}
+            np.matmul(cache[1].T, dx, out=g["W"])
+            dx.sum(axis=0, out=g["b"])
         elif layer.kind == KIND_CONV1D:
-            grads[i] = _conv1d_param_grads(cache, w["W"], dx)
+            _conv1d_param_grads(cache, dx, g)
         if i == 0:
             break
         if layer.kind == KIND_DENSE:
@@ -396,7 +449,7 @@ def _backward_pass(params: ModelParams, caches, dlogits) -> ModelParams:
             else:  # every other dx is a fresh array this pass made
                 np.multiply(dx, cache, out=dx)
         # softmax-output and inference dropout: identity
-    return ModelParams(params.architecture, params.input_shape, grads)
+    return out
 
 
 def loss_on_batch(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
@@ -421,31 +474,22 @@ def backward(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
     """One plain gradient step: ``params - learning_rate * grads``, written
-    into ``grads``' own buffers, which become the returned model.
+    into ``grads``' own buffer, which becomes the returned model.
 
-    ``grads`` is consumed (read-only gradients raise ``ValueError``);
-    ``params`` is never written.  A C-contiguous gradient buffer of more
-    than :data:`SGD_CHUNK` elements is stepped and checked slice by slice
-    of its flattened view, so the scale, the subtraction and the
-    finiteness check each read a slice that is still in cache; other
-    buffers take the three calls whole.  Either way a non-finite value
+    ``grads`` is consumed (a read-only ``grads.flat`` raises
+    ``ValueError``); ``params`` is never written.  The two layouts are
+    compared once, then ``flat`` is stepped and checked in
+    :data:`SGD_CHUNK`-element slices, so the scale, the subtraction and the
+    finiteness check each read a slice that is still in cache; a model
+    smaller than one slice takes the three calls once.  A non-finite value
     anywhere raises.
     """
-    if not params.same_architecture(grads):
-        raise ShapeMismatchError("gradient architecture does not match parameters")
-    for w, g in zip(params.weights, grads.weights):
-        if w.keys() != g.keys():
-            raise ShapeMismatchError("gradient buffers do not match parameter buffers")
-        for key in w:
-            if w[key].shape != g[key].shape:
-                raise ShapeMismatchError(f"gradient shape {g[key].shape} vs {w[key].shape}")
-            if g[key].size > SGD_CHUNK and g[key].flags.c_contiguous:
-                w_flat, g_flat = w[key].reshape(-1), g[key].reshape(-1)
-                for start in range(0, g_flat.size, SGD_CHUNK):
-                    stop = start + SGD_CHUNK
-                    _step_into(w_flat[start:stop], g_flat[start:stop], learning_rate)
-            else:
-                _step_into(w[key], g[key], learning_rate)
+    if not params.same_layout(grads):
+        raise ShapeMismatchError("gradient buffers do not match parameter buffers")
+    w, g = params.flat, grads.flat
+    for start in range(0, g.size, SGD_CHUNK):
+        stop = start + SGD_CHUNK
+        _step_into(w[start:stop], g[start:stop], learning_rate)
     return grads
 
 
@@ -468,8 +512,13 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     chunk may be short); every epoch iterates the same chunks.  Per-batch
     loss values are appended to ``loss_trace`` when given.  A
     :class:`FloatingPointError` names the epoch and step where it arose.
-    ``params`` is never written: each step writes the new model into its
-    own fresh gradient buffers, and zero epochs return a copy.
+
+    ``params`` is never written, and zero epochs return a copy.  Each step
+    computes its gradient into a spare model and steps it into the new
+    current one (:func:`sgd_step`).  The spare is the model the previous
+    step stepped from, once that is no longer ``params``, so however many
+    steps run, at most two gradient buffers are allocated, and between
+    steps one model besides the current one is held.
     """
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
@@ -482,7 +531,7 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     steps = [(data.features[chunk],
               [t._replace(probs=t.probs[chunk]) for t in targets])
              for chunk in chunks]
-    current = params
+    current, spare = params, None
     for epoch in range(1, cfg.epochs + 1):
         for step, (features, chunk_targets) in enumerate(steps, 1):
             try:
@@ -491,8 +540,9 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
                 value, dlogits = losses.loss_and_grad(chunk_targets, logits)
                 if loss_trace is not None:
                     loss_trace.append(value)
-                current = sgd_step(current, _backward_pass(current, caches, dlogits),
-                                   cfg.learning_rate)
+                grads = _backward_pass(current, caches, dlogits, out=spare)
+                spare = None if current is params else current
+                current = sgd_step(current, grads, cfg.learning_rate)
             except FloatingPointError as err:
                 raise FloatingPointError(f"epoch {epoch}, step {step}: {err}") from err
     return current
@@ -529,12 +579,7 @@ def load_model(path) -> ModelParams:
     with np.load(path) as data:
         meta = json.loads(str(data["__meta__"]))
         architecture = tuple(layer_config_from_dict(entry) for entry in meta["layers"])
-        weights: list[dict[str, np.ndarray]] = []
-        for i, layer in enumerate(architecture):
-            w = {}
-            for key in ("W", "b"):
-                name = f"layer{i}_{key}"
-                if name in data:
-                    w[key] = data[name].copy()
-            weights.append(w)
-    return ModelParams(architecture, tuple(meta["input_shape"]), weights)
+        weights = [{key: data[f"layer{i}_{key}"] for key in ("W", "b")
+                    if f"layer{i}_{key}" in data}
+                   for i in range(len(architecture))]
+        return ModelParams(architecture, tuple(meta["input_shape"]), weights)

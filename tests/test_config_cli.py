@@ -571,6 +571,30 @@ def test_compare_reports_a_summary_that_is_not_an_object(tmp_path, capsys):
     assert err.startswith("error: ") and "not a JSON object" in err
 
 
+@pytest.mark.parametrize("summary, complaint", [
+    ({"metrics": [], "config": "x"}, "config is not a JSON object"),
+    ({"metrics": [], "config": {}}, "metrics is not a JSON object"),
+    ({"metrics": {"c1": 0.5}}, "metrics[c1] is not a JSON object"),
+    ({"client_order": "c1"}, "client_order is not a list of strings"),
+    ({"client_order": ["c1", 2]}, "client_order is not a list of strings"),
+    ({"config": {"clients": [1]}}, "config.clients is not a list of JSON objects"),
+    ({"config": {"rounds": [8]}}, "config.rounds is not a number"),
+    ({"metrics": {"c1": {"A_gen": "x"}}}, "metrics[c1].A_gen is not a number"),
+    ({"metrics": {"c1": {"F": {"2": "x"}}}}, "metrics[c1].F is not an object of numbers"),
+], ids=["config-string", "metrics-list", "owner-number", "order-string",
+        "order-number", "client-number", "rounds-list", "a-gen-string",
+        "forgetting-string"])
+def test_compare_reports_a_summary_field_of_the_wrong_type(tmp_path, capsys,
+                                                           summary, complaint):
+    run = finished_run(tmp_path, capsys, seed=8)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(summary))
+    code, _, err = run_cli(["compare", run, str(bad),
+                            "--out", str(tmp_path / "z.csv")], capsys)
+    assert code == 1
+    assert err == f"error: {bad}: {complaint}\n"
+
+
 def test_compare_reports_an_unwritable_table(tmp_path, capsys):
     runs = [finished_run(tmp_path, capsys, seed) for seed in (1, 2)]
     out = tmp_path / "missing-dir" / "cmp.csv"

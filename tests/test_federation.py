@@ -41,7 +41,7 @@ def brute_average(params_list, sizes):
     out = params_list[0].copy()
     for i in range(len(out.weights)):
         for key in out.weights[i]:
-            out.weights[i][key] = sum(
+            out.weights[i][key][...] = sum(
                 wi * p.weights[i][key] for wi, p in zip(w, params_list))
     return out
 
@@ -127,7 +127,7 @@ def test_fedavg_equals_delta_form_sum_and_keeps_inputs(net, members, read_only):
         rng = np.random.default_rng(seed)
         for w in m.weights:
             if "b" in w:
-                w["b"] = rng.normal(size=w["b"].shape)
+                w["b"][...] = rng.normal(size=w["b"].shape)
             for arr in w.values():
                 arr.setflags(write=not read_only)
         models.append(m)
@@ -192,7 +192,7 @@ def random_model(net, seed):
     rng = np.random.default_rng(seed)
     for w in m.weights:
         if "b" in w:
-            w["b"] = rng.normal(size=w["b"].shape)
+            w["b"][...] = rng.normal(size=w["b"].shape)
     return m
 
 

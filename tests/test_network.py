@@ -1,7 +1,10 @@
 """Network engine: shape inference, forward semantics, FD gradient checks,
 SGD, local training, and serialization."""
 
+import hashlib
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from flwf import losses, network
 from flwf.datasets import RoundBatch
 from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
@@ -16,9 +20,9 @@ from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelPara
                           _backward_pass, _conv1d_input_grad, _conv1d_param_grads,
                           _forward_pass,
                           _maxpool_backward, _maxpool_forward, backward, forward,
-                          infer_shapes, init_params, load_model, loss_on_batch,
-                          params_digest, params_equal, save_model, sgd_step,
-                          train_local)
+                          infer_shapes, init_params, layer_to_dict, load_model,
+                          loss_on_batch, params_digest, params_equal, save_model,
+                          sgd_step, train_local)
 
 MLP = (LayerConfig("dense", units=8), LayerConfig("relu"),
        LayerConfig("dense", units=3), LayerConfig("softmax-output"))
@@ -129,10 +133,10 @@ def test_conv1d_hand_computation():
     arch = (LayerConfig("conv1d", filters=1, kernel=2),
             LayerConfig("dense", units=1), LayerConfig("softmax-output"))
     params = init_params(arch, (3, 1), seed=0)
-    params.weights[0]["W"] = np.array([[[1.0]], [[10.0]]])  # (kernel, in, out)
-    params.weights[0]["b"] = np.array([0.5])
-    params.weights[1]["W"] = np.array([[1.0], [1.0]])
-    params.weights[1]["b"] = np.array([0.0])
+    params.weights[0]["W"][...] = np.array([[[1.0]], [[10.0]]])  # (kernel, in, out)
+    params.weights[0]["b"][...] = np.array([0.5])
+    params.weights[1]["W"][...] = np.array([[1.0], [1.0]])
+    params.weights[1]["b"][...] = np.array([0.0])
     x = np.array([[[1.0], [2.0], [3.0]]])
     # conv outputs: [1+20+0.5, 2+30+0.5] = [21.5, 32.5]; dense sums them
     assert forward(params, x)[0, 0] == pytest.approx(54.0)
@@ -169,7 +173,8 @@ def test_conv1d_im2col_matches_einsum_reference(shape):
     b = rng.normal(size=filters)
     dy = rng.normal(size=(batch, length - kernel + 1, filters))
     y, cache = _conv1d_forward(x, W, b)
-    grads = _conv1d_param_grads(cache, W, dy)
+    grads = {"W": np.empty(W.shape), "b": np.empty(filters)}
+    _conv1d_param_grads(cache, dy, grads)
     dx = _conv1d_input_grad(cache, W, dy)
     ref_y, ref_dw, ref_dx = conv1d_einsum_reference(x, W, b, dy)
     for got, ref in ((y, ref_y), (grads["W"], ref_dw), (dx, ref_dx)):
@@ -188,7 +193,7 @@ def test_inference_forward_equals_training_forward_bit_for_bit():
         params = init_params(CONVNET, (10, 2), seed=seed)
         for w in params.weights:
             for key in w:
-                w[key] = rng.integers(-2, 3, size=w[key].shape).astype(float)
+                w[key][...] = rng.integers(-2, 3, size=w[key].shape).astype(float)
         x = rng.integers(-2, 3, size=(16, 10, 2)).astype(float)
         logits, _ = _forward_pass(params, x, False, None, keep_caches=True)
         assert np.array_equal(forward(params, x), logits)
@@ -427,6 +432,7 @@ def test_sgd_step_arithmetic():
 
 def read_only_copy(params):
     out = params.copy()
+    out.flat.setflags(write=False)
     for w in out.weights:
         for arr in w.values():
             arr.setflags(write=False)
@@ -462,11 +468,12 @@ def test_sgd_step_writes_w_minus_lr_g_into_the_gradient_buffers(net, seed, lr,
 MULTI_CHUNK = (LayerConfig("dense", units=300), LayerConfig("softmax-output"))
 
 
-def multi_chunk_setup(seed=0):
+def multi_chunk_setup(seed=0, order="C"):
     rng = np.random.default_rng(seed)
     params = init_params(MULTI_CHUNK, (300,), seed=seed)
     grads = ModelParams(MULTI_CHUNK, (300,),
-                        [{k: rng.normal(size=v.shape) for k, v in w.items()}
+                        [{k: np.asarray(rng.normal(size=v.shape), order=order)
+                          for k, v in w.items()}
                          for w in params.weights])
     assert SGD_CHUNK < grads.weights[0]["W"].size < 2 * SGD_CHUNK
     return params, grads
@@ -474,10 +481,11 @@ def multi_chunk_setup(seed=0):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_sgd_step_on_multi_chunk_buffers_equals_w_minus_lr_g(order):
-    """Sliced when the gradient is C-contiguous; a Fortran-ordered one has no
-    flat view and is stepped whole, into its own buffer all the same."""
-    params, grads = multi_chunk_setup()
-    grads.weights[0]["W"] = np.asarray(grads.weights[0]["W"], order=order)
+    """Stepped slice by slice of ``flat``; a gradient packed from
+    Fortran-ordered arrays lands in the same C-contiguous layout."""
+    params, grads = multi_chunk_setup(order=order)
+    assert grads.flat.flags.c_contiguous
+    assert all(v.flags.c_contiguous for w in grads.weights for v in w.values())
     before = params.copy(), grads.copy()
     stepped = sgd_step(params, grads, 0.37)
     for w, g, s, buf in zip(before[0].weights, before[1].weights,
@@ -494,6 +502,128 @@ def test_sgd_step_raises_on_a_non_finite_value_in_the_last_chunk_only(bad):
     grads.weights[0]["W"].reshape(-1)[-1] = bad
     with pytest.raises(FloatingPointError, match="non-finite parameters after SGD step"):
         sgd_step(params, grads, 0.1)
+
+
+@st.composite
+def random_nets(draw):
+    """A random MLP or conv1d net (conv1d, relu, optional maxpool1d, then
+    dense layers) with an optional dropout, and its input shape."""
+    layers = []
+    if draw(st.booleans()):
+        length = draw(st.integers(4, 12))
+        input_shape = (length, draw(st.integers(1, 3)))
+        layers += [LayerConfig("conv1d", filters=draw(st.integers(1, 4)),
+                               kernel=draw(st.integers(1, length // 2))),
+                   LayerConfig("relu")]
+        if draw(st.booleans()):
+            layers.append(LayerConfig("maxpool1d", pool=2))
+    else:
+        input_shape = (draw(st.integers(1, 6)),)
+    for _ in range(draw(st.integers(0, 2))):
+        layers += [LayerConfig("dense", units=draw(st.integers(1, 6))),
+                   LayerConfig("relu")]
+    if draw(st.booleans()):
+        layers.append(LayerConfig("dropout", rate=0.3))
+    layers += [LayerConfig("dense", units=draw(st.integers(2, 4))),
+               LayerConfig("softmax-output")]
+    return tuple(layers), input_shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_nets(), st.sampled_from(["C", "F", "read-only"]),
+       st.integers(0, 2**32 - 1))
+def test_packing_gives_one_c_contiguous_flat_that_every_view_shares(net, form,
+                                                                     seed):
+    """Separate arrays, C- or Fortran-ordered or read-only, pack into one
+    writable C-contiguous ``flat`` in layer and key order; each view holds
+    its array's values in ``flat``'s memory, cannot be rebound, and
+    ``params_digest`` equals the per-buffer sha256 of the arrays."""
+    arch, input_shape = net
+    rng = np.random.default_rng(seed)
+    arrays = [{key: np.asarray(rng.normal(size=view.shape),
+                               order="F" if form == "F" else "C")
+               for key, view in w.items()}
+              for w in init_params(arch, input_shape, seed=0).weights]
+    if form == "read-only":
+        for w in arrays:
+            for arr in w.values():
+                arr.setflags(write=False)
+    params = ModelParams(arch, input_shape, arrays)
+    flat = params.flat
+    assert flat.ndim == 1 and flat.dtype == np.float64
+    assert flat.flags.c_contiguous and flat.flags.writeable
+    assert same_bits(flat, np.concatenate(
+        [w[key].reshape(-1) for w in arrays for key in sorted(w)]))
+    for w, packed in zip(arrays, params.weights):
+        assert list(packed) == sorted(w)
+        for key, view in packed.items():
+            assert same_bits(view, w[key]) and view.flags.c_contiguous
+            assert np.shares_memory(view, flat)
+            assert not np.shares_memory(view, w[key])
+            with pytest.raises(TypeError):
+                packed[key] = np.zeros(view.shape)
+    old = hashlib.sha256(json.dumps(
+        {"input_shape": list(input_shape),
+         "layers": [layer_to_dict(layer) for layer in arch]},
+        sort_keys=True).encode())
+    for w in arrays:
+        for key in sorted(w):
+            old.update(np.ascontiguousarray(w[key]).tobytes())
+    assert params_digest(params) == old.hexdigest()
+
+
+def reference_train_local(params, data, cfg, spec):
+    """``train_local`` with a fresh gradient model allocated every step."""
+    targets = losses.resolve_targets(spec, data.one_hot())
+    rng = np.random.default_rng(cfg.rng_seed)
+    order = rng.permutation(len(data))
+    current = params
+    for _ in range(cfg.epochs):
+        for start in range(0, len(order), cfg.batch_size):
+            chunk = order[start:start + cfg.batch_size]
+            logits, caches = _forward_pass(current, data.features[chunk], True,
+                                           rng, keep_caches=True)
+            _, dlogits = losses.loss_and_grad(
+                [t._replace(probs=t.probs[chunk]) for t in targets], logits)
+            current = sgd_step(current, _backward_pass(current, caches, dlogits),
+                               cfg.learning_rate)
+    return current
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_nets(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
+                                                                batch_size, rows,
+                                                                seed):
+    """Bit for bit the fresh-gradient reference, ``params`` (read-only)
+    never written, and every step's gradient lands in one of at most two
+    buffers, neither of them ``params.flat``."""
+    arch, input_shape = net
+    rng = np.random.default_rng(seed)
+    params = read_only_copy(init_params(arch, input_shape, seed=seed))
+    snapshot = params.copy()
+    batch = make_batch(rng, params, rows=rows)
+    spec = spec_for("flwf2", rng, rows, params.n_outputs)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs,
+                      rng_seed=seed)
+    want = reference_train_local(params, batch, cfg, spec)
+    grad_buffers = []  # every step's gradient ``flat``, kept alive
+
+    def spy(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        grad_buffers.append(grads.flat)
+        return grads
+
+    real_backward = network._backward_pass
+    with mock.patch.object(network, "_backward_pass", spy):
+        got = train_local(params, batch, cfg, spec)
+    assert same_bits(got.flat, want.flat)
+    assert params_equal(params, snapshot)
+    steps = epochs * math.ceil(rows / batch_size)
+    distinct = {id(buf) for buf in grad_buffers}
+    assert len(grad_buffers) == steps and len(distinct) == min(steps, 2)
+    assert id(params.flat) not in distinct and id(got.flat) in distinct
 
 
 def test_sgd_step_rejects_read_only_grads():

@@ -13,7 +13,13 @@ scenario below is run once with each tree's ``src``:
 * the 7 presets at seeds 1, 2 and 3;
 * ``configs/example-scenario.yaml`` at its own seed;
 * the ``long-horizon`` and ``paper-cnn`` scenarios that
-  ``perfbench/workloads.py`` writes, at seeds 7 and 9.
+  ``perfbench/workloads.py`` writes, at seeds 7 and 9;
+* ``conv-steps`` (:func:`conv_steps_scenario`) at seeds 4 and 5: a small
+  conv1d net on synthetic data that takes about ten SGD steps per
+  client-round, so conv gradients computed into a reused model's buffer
+  are compared too (``paper-cnn`` takes one step per client-round).
+
+28 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario passes when ``metrics.csv``,
@@ -74,12 +80,42 @@ sys.exit(code)
 PRESET_SEEDS = (1, 2, 3)
 WORKLOAD_SEEDS = (7, 9)
 WORKLOADS = ("long-horizon", "paper-cnn")
+CONV_SEEDS = (4, 5)
+
+
+def conv_steps_scenario(seed: int) -> dict:
+    """``[16, 4]`` windows of 64 synthetic features through conv1d, relu,
+    maxpool1d, dense and softmax-output; 3 epochs of batch-16 steps over
+    48 fresh rows per client-round, plus exemplars for ``client1`` (flwf2,
+    distilling from both teachers) from round 2 on."""
+    def client(name, weight, algo, tasks, **extra):
+        return {"name": name, "weight": weight, "algo": algo,
+                "policy": {"mode": "distill-all"}, "tasks": tasks, **extra}
+
+    return {
+        "label": "conv-steps", "seed": seed, "rounds": 4, "epochs": 3,
+        "batch_size": 16, "learning_rate": 0.01, "dropout": 0.5, "n_classes": 6,
+        "input_shape": [16, 4],
+        "layers": [{"kind": "conv1d", "filters": 8, "kernel": 3},
+                   {"kind": "relu"}, {"kind": "maxpool1d", "pool": 2},
+                   {"kind": "dense", "units": 6}, {"kind": "softmax-output"}],
+        "clients": [
+            client("client1", 1.0, "flwf2", [{"classes": [1], "rounds": 2},
+                                             {"classes": [2], "rounds": 2}],
+                   alpha=0.001, beta=0.7, use_exemplars=True),
+            client("generalized", 4.0, "fine-tune",
+                   [{"classes": [0, 1, 2, 3, 4, 5], "rounds": 4}]),
+        ],
+        "data": {"kind": "synthetic", "per_class": 200, "feature_dim": 64},
+        "round_data_size": 48, "test_per_class": 20,
+    }
 
 
 def scenarios(inputs_dir: Path):
     """``[(name, flwf run arguments), ...]``; writes the workload inputs."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import yaml
     from flwf.config import PRESET_NAMES
     import workloads
 
@@ -93,6 +129,10 @@ def scenarios(inputs_dir: Path):
             for label, path, _ in workloads.write_inputs(workload, seed, str(work_dir)):
                 out.append((f"{label}-seed{seed}",
                             ["--config", path, "--seed", str(seed)]))
+    for seed in CONV_SEEDS:
+        path = inputs_dir / f"conv-steps-seed{seed}.yaml"
+        path.write_text(yaml.safe_dump(conv_steps_scenario(seed), sort_keys=False))
+        out.append((f"conv-steps-seed{seed}", ["--config", str(path)]))
     return out
 
 
@@ -100,6 +140,7 @@ def run(tree: Path, args, out_dir: Path) -> str | None:
     """Run ``flwf run`` from ``tree`` and digest its final models; returns
     an error line or None."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out_dir.mkdir(parents=True)  # the child writes its peak RSS here even if the run fails
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(out_dir / DIGESTS),
          str(out_dir / PEAK_RSS), "run", *args, "--out", str(out_dir)],
@@ -147,7 +188,6 @@ def main(argv=None) -> int:
             errors = []
             for side, tree in (("base", base_tree), ("change", ROOT)):
                 dirs[side] = tmp / side / name
-                dirs[side].parent.mkdir(exist_ok=True)
                 err = run(tree, run_args, dirs[side])
                 if err is not None:
                     errors.append(f"{side} {err}")
