@@ -8,8 +8,9 @@ weighted FedAvg.  The client's own previous-round model and the incoming
 server model serve as the two distillation teachers.  Both are made
 read-only before their logits are computed (once, before any SGD step),
 so any write into them raises.  The server teacher stays frozen for the
-whole round; the client teacher lives only until its logits exist, and is
-dropped before the first gradient is allocated.
+whole round; the client teacher lives only until its logits exist.  When
+nothing else holds them, their buffers take the client's first gradient
+and the next aggregate (:func:`flwf.network.reclaim`).
 
 All randomness comes from per-(purpose, client, round) seed streams
 derived from the one experiment seed.
@@ -28,8 +29,9 @@ from .datasets import (DatasetPool, RoundBatch, TestSet, draw_round_data,
                        draw_test_set, generate_synthetic, load_csv)
 from .metrics import SERVER, MetricsLedger, RoundRecord, predict
 # params_digest is not called here; perfbench/child.py's ENTRY_POINTS traces this site.
-from .network import (ModelParams, TrainConfig, forward, init_params,
-                      params_digest, train_local)  # noqa: F401
+from .network import (SGD_CHUNK, ModelParams, ShapeMismatchError, TrainConfig,
+                      forward, init_params, params_digest, reclaim,
+                      train_local)  # noqa: F401
 
 # Purposes of the derived seed streams; a stream is identified by the
 # tuple (experiment seed, purpose, client index, round), so adding a
@@ -85,9 +87,9 @@ class RoundReport:
 
 
 def _freeze(params: ModelParams) -> None:
-    """Make ``flat`` and every view into it read-only; no view can be made
-    writable again.  A function of its own, so that no loop variable in
-    the caller keeps a teacher alive."""
+    """Make ``flat`` and every view into it read-only, until
+    :func:`flwf.network.reclaim` takes the last reference.  A function of
+    its own, so that no loop variable in the caller keeps a teacher alive."""
     params.flat.setflags(write=False)
     for w in params.weights:
         for view in w.values():
@@ -104,9 +106,10 @@ def client_update(server_params: ModelParams, client: ClientRuntime,
     ``client.params`` is the client teacher, None on a client's first
     round; what the objective becomes without it is decided by
     :func:`flwf.losses.objective_terms`.  It is dropped from ``client`` as
-    soon as its logits exist, before the first gradient is allocated, so
+    soon as its logits exist, before the first gradient is computed, so
     nothing here keeps it alive while the student trains (if training
-    fails, ``client.params`` stays None).  Teacher logits arriving
+    fails, ``client.params`` stays None); unless anything else holds it,
+    its buffer takes the first gradient.  Teacher logits arriving
     pre-filled in ``spec`` are an error: they are computed here, once,
     from the frozen teachers.
     """
@@ -127,22 +130,25 @@ def client_update(server_params: ModelParams, client: ClientRuntime,
         fills["teacher_server_logits"] = forward(server_params, batch.features)
     spec = dataclasses.replace(spec, **fills)
 
-    client.params = None  # the client teacher's logits exist: drop it now
+    # the client teacher's logits exist: drop it, its buffer for the first gradient
+    spare = None if client.params is None else reclaim(client.params)
+    client.params = None
     client.params = train_local(server_params, batch, train_cfg, spec,
-                                loss_trace=loss_trace)
+                                loss_trace=loss_trace, spare=spare)
     return losses.objective_terms(spec)[0]
 
 
-def fedavg(params_list, sizes) -> ModelParams:
-    """Size-weighted element-wise average of the clients' models.
+def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
+    """Size-weighted element-wise average of the clients' models, written
+    into ``out`` (fresh when None) and returned.
 
-    Computed in delta form around the first model, ``base + sum_i w_i *
-    (src_i - base)`` accumulated in list order over the models' ``flat``
-    buffers, so that aggregating identical models returns them exactly.
-    The first delta is computed into the output buffer and ``base`` added
-    to it (IEEE addition commutes, so this is bit for bit ``base +
-    delta``); every further model's delta goes through one shared
-    temporary.  The inputs are never written.
+    Delta form around the first model, ``base + sum_i w_i * (src_i -
+    base)`` in list order, so identical models average exactly.  One pass
+    over ``flat`` in :data:`SGD_CHUNK`-element slices: a slice of ``out``
+    takes the first delta, scaled, plus ``base`` (IEEE addition commutes);
+    later deltas go through one slice-sized temporary.  The inputs are
+    never written: an ``out`` that shares memory with one raises
+    ``ValueError``, one of another layout :class:`ShapeMismatchError`.
     """
     params_list = list(params_list)
     sizes = np.asarray(list(sizes), dtype=float)
@@ -156,19 +162,29 @@ def fedavg(params_list, sizes) -> ModelParams:
     for other in params_list[1:]:
         if not base.same_layout(other):
             raise ValueError("fedavg models must share one architecture")
+    if out is None:
+        out = base.with_flat(np.empty(base.flat.shape))
+    elif not base.same_layout(out):
+        raise ShapeMismatchError("fedavg's output does not match the models' layout")
+    elif any(np.shares_memory(out.flat, p.flat) for p in params_list):
+        raise ValueError("fedavg's output shares memory with a model it averages")
     weights = sizes / sizes.sum()
     assert abs(weights.sum() - 1.0) <= 1e-12
     if len(params_list) == 1:
-        return base.copy()
-    out = np.subtract(params_list[1].flat, base.flat)  # the first delta
-    out *= weights[1]
-    out += base.flat
-    delta = None
-    for params, w in zip(params_list[2:], weights[2:]):
-        delta = np.subtract(params.flat, base.flat, out=delta)
-        delta *= w
-        out += delta
-    return base.with_flat(out)
+        np.copyto(out.flat, base.flat)
+        return out
+    delta = np.empty(min(SGD_CHUNK, base.flat.size)) if len(params_list) > 2 else None
+    for start in range(0, base.flat.size, SGD_CHUNK):
+        stop = start + SGD_CHUNK
+        acc, b = out.flat[start:stop], base.flat[start:stop]
+        np.subtract(params_list[1].flat[start:stop], b, out=acc)  # the first delta
+        acc *= weights[1]
+        acc += b
+        for params, w in zip(params_list[2:], weights[2:]):
+            d = np.subtract(params.flat[start:stop], b, out=delta[:acc.size])
+            d *= w
+            acc += d
+    return out
 
 
 def run_round(scenario: ScenarioConfig, server: ServerState,
@@ -179,18 +195,16 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
     state.
 
     Between the SGD steps of a one-step local update ``len(clients) + 1``
-    models are live: the server's, which is the student's start and the
-    one teacher frozen for the whole round, and one per client.  A
-    client's previous model is its teacher only until its logits exist;
-    it is dropped before the first gradient is allocated, and the student
-    takes its place.  A step's gradient is one model more while it is
-    computed, and becomes the next student.  From the second step of a
-    local update on, the model a step stepped from is kept as the next
-    gradient's buffer, so a multi-step update holds that one extra model
-    between its steps too.  The peak, ``len(clients) + 2`` models while a
-    gradient is computed, is the same either way.  Once the last client
-    has trained, ``server.params`` is set to None, so FedAvg's output is
-    allocated next to the clients' models alone.
+    models are live: the server's (the student's start and a teacher
+    frozen for the whole round) and one per client.  A longer update also
+    holds the model its last step stepped from, for the next gradient.
+    The peak, ``len(clients) + 2`` models while a gradient is computed,
+    is the same either way.  A client's previous model is dropped once
+    its teacher logits exist, and the server's once the last client has
+    trained (``server.params`` is set to None).  Unless anything else
+    holds it (:func:`flwf.network.reclaim`), each dropped model's buffer
+    takes the client's first gradient or the aggregate, so from round 2
+    on a round of one-step updates allocates no model.
     """
     if round_index != server.round_index + 1:
         raise ValueError(f"round {round_index} does not follow "
@@ -242,10 +256,12 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
             current_task=t,
             learnt_classes=cfg.tasks.classes_started_by(round_index)))
 
-    server.params = None  # every client has trained from it
+    # every client has trained from the server model: drop it, its buffer for FedAvg
+    out = reclaim(server.params)
+    server.params = None
     aggregated = fedavg(
         [c.params for c in clients],
-        [c.cfg.weight * report.sizes[c.name] for c in clients])
+        [c.cfg.weight * report.sizes[c.name] for c in clients], out=out)
     ledger.append(RoundRecord(
         owner=SERVER, round_index=round_index,
         predictions=predict(aggregated, test.features)))

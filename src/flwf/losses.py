@@ -141,12 +141,6 @@ def classification_loss(student_logits: np.ndarray, labels: np.ndarray) -> float
     return float(-(labels * log_softmax(student_logits)).sum())
 
 
-def classification_loss_grad(student_logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(classification_loss)/d(student logits): softmax(o) - y per row."""
-    labels = _check_one_hot(labels)
-    return softmax(np.asarray(student_logits, dtype=float)) - labels
-
-
 def distillation_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
                       temperature: float) -> float:
     """Cross-entropy of the student's tempered distribution under the teacher's.
@@ -160,17 +154,6 @@ def distillation_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
     p_teacher = temperature_scaled_probs(teacher_logits, temperature)
     log_q = log_softmax(student_logits / temperature)
     return float(-(p_teacher * log_q).sum())
-
-
-def distillation_loss_grad(teacher_logits: np.ndarray, student_logits: np.ndarray,
-                           temperature: float) -> np.ndarray:
-    """d(distillation_loss)/d(student logits): (softmax(o/T) - p_teacher) / T."""
-    teacher_logits = np.asarray(teacher_logits, dtype=float)
-    student_logits = np.asarray(student_logits, dtype=float)
-    _check_aligned(teacher_logits, student_logits)
-    p_teacher = temperature_scaled_probs(teacher_logits, temperature)
-    q_student = temperature_scaled_probs(student_logits, temperature)
-    return (q_student - p_teacher) / temperature
 
 
 def objective_terms(spec: LossSpec) -> tuple[str, list]:

@@ -18,10 +18,9 @@ a comparison, a digest) is one pass over one array.  Every operation
 returns a new value and never mutates its inputs, except that
 :func:`sgd_step` consumes its gradient: the step is written into the
 gradient's buffer, which becomes the next model.  The backward pass
-writes each weight gradient into its view with ``out=``, so
-:func:`train_local` computes every gradient after its second into the
-model the previous step stepped from: a local update of any length
-allocates at most two gradient buffers.
+writes each weight gradient into a spare model's views with ``out=``:
+the caller's (see :func:`reclaim`), then the model the previous step
+stepped from, so a local update allocates at most two gradient buffers.
 
 conv1d runs as im2col plus GEMM: the input's length-K windows are
 copied once into a ``(B*Lout, K*C)`` column buffer, the forward pass is
@@ -32,26 +31,18 @@ the layer's cache.  Backward computes weight gradients only, so the
 input gradient stops after layer 1; layer 0's would flow into the data,
 whatever the layer kind.  Inference (:func:`forward`) keeps no caches.
 
-Max-pool takes each window's maximum as a running ``np.maximum`` over
-the pool's strided slices, in both passes, so inference and training
-give the same values.  Training also records the first slice that holds
-each maximum (first-hit routing, as ``argmax`` ties break), and backward
-scatters the output gradient there into one zeroed input gradient.
-ReLU rectifies in place every activation the pass allocated; only when
-it sees the input itself (ReLU first, or after an inference dropout)
-does it allocate, so the caller's array is never written.  Its
-``x > 0`` mask is built only when a backward pass will read it.
-
-Weight initialization is uniform in ``[-s, s]`` with
-``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Max-pool ties break
-toward the lowest index.  Given equal seeds, training is bit-for-bit
-reproducible.
+Max-pool is a running ``np.maximum`` over the pool's strided slices in
+both passes (see :func:`_maxpool_forward`).  ReLU rectifies in place
+every activation the pass allocated, never the caller's input, and
+builds its ``x > 0`` mask only for a backward pass.  Weights start
+uniform in ``[-s, s]``, ``s = sqrt(6 / (fan_in + fan_out))`` per layer.
+Given equal seeds, training is bit-for-bit reproducible.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -139,13 +130,14 @@ class ModelParams:
     def __init__(self, architecture, input_shape, weights):
         layout = tuple(tuple((key, np.shape(w[key])) for key in sorted(w))
                        for w in weights)
-        self._bind(architecture, input_shape, layout,
-                   np.empty(sum(math.prod(shape) for keys in layout for _, shape in keys)))
+        self._bind(architecture, input_shape, layout, None)
         for source, packed in zip(weights, self.weights):
             for key, view in packed.items():
                 view[...] = source[key]
 
     def _bind(self, architecture, input_shape, layout, flat):
+        if flat is None:
+            flat = np.empty(sum(math.prod(shape) for keys in layout for _, shape in keys))
         self.architecture, self.input_shape = architecture, input_shape
         self.layout, self.flat = layout, flat
         views, start = [], 0
@@ -173,12 +165,9 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return self.with_flat(self.flat.copy())
 
-    def same_architecture(self, other: "ModelParams") -> bool:
-        return (self.architecture == other.architecture
-                and self.input_shape == other.input_shape)
-
     def same_layout(self, other: "ModelParams") -> bool:
-        return self.same_architecture(other) and self.layout == other.layout
+        return (self.architecture == other.architecture
+                and self.input_shape == other.input_shape and self.layout == other.layout)
 
     @property
     def n_outputs(self) -> int:
@@ -194,9 +183,42 @@ def params_digest(params: ModelParams) -> str:
     """Stable content hash of a model's architecture and weights: the
     bytes of ``flat``, which are every buffer in layer and key order."""
     h = hashlib.sha256()
-    h.update(json.dumps(_architecture_meta(params), sort_keys=True).encode())
+    h.update(json.dumps({"input_shape": list(params.input_shape),
+                         "layers": [layer_to_dict(layer) for layer in params.architecture]},
+                        sort_keys=True).encode())
     h.update(params.flat)
     return h.hexdigest()
+
+
+# What ``sys.getrefcount`` reads for a function's argument nothing else holds
+_ARG_REFS = (lambda obj: sys.getrefcount(obj))(object())
+
+
+def reclaim(params: ModelParams) -> ModelParams | None:
+    """Hand back the buffer of a model the caller holds the last reference to.
+
+    Returns ``params.flat``, made writable again, under new views; its
+    stale values are to be overwritten whole, and the caller drops
+    ``params`` next.  Returns None, changing nothing, when CPython's
+    reference counts show that anything else holds the model, its
+    ``weights``, a mapping, a view or ``flat`` (or a view of it), or when
+    ``flat`` does not own its memory.  So a frozen teacher becomes
+    writable only once nothing else can see it.
+    """
+    flat = params.flat
+    n_views = sum(len(keys) for keys in params.layout)
+    # Each count is the object's holders inside the model (the caller's
+    # reference, for the model) plus what this frame holds while counting:
+    # the argument, and a loop variable or the local ``flat``.
+    if (sys.getrefcount(params) != _ARG_REFS + 1
+            or sys.getrefcount(params.weights) != 2
+            or any(sys.getrefcount(w) != 3 for w in params.weights)
+            or any(sys.getrefcount(v) != 3 for w in params.weights for v in w.values())
+            or sys.getrefcount(flat) != n_views + 3
+            or not flat.flags.owndata):
+        return None
+    flat.setflags(write=True)
+    return params.with_flat(flat)
 
 
 def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
@@ -239,28 +261,35 @@ def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
 
 
 def init_params(architecture, input_shape, seed) -> ModelParams:
-    """Fresh model with uniform Glorot weights and zero biases."""
+    """Fresh model with uniform Glorot weights and zero biases, drawn into
+    its ``flat``: ``rng.random`` into each ``W`` view, mapped onto
+    ``[-s, s]`` in place as ``rng.uniform`` does (``low + (high - low) * u``)."""
     architecture = tuple(architecture)
     input_shape = tuple(int(d) for d in input_shape)
     layer_inputs = [input_shape] + infer_shapes(architecture, input_shape)[:-1]
-    rng = np.random.default_rng(seed)
-    weights: list[dict[str, np.ndarray]] = []
+    layout, bounds = [], []
     for layer, shape in zip(architecture, layer_inputs):
         if layer.kind == KIND_DENSE:
-            fan_in = math.prod(shape)
-            s = math.sqrt(6.0 / (fan_in + layer.units))
-            weights.append({"W": rng.uniform(-s, s, (fan_in, layer.units)),
-                            "b": np.zeros(layer.units)})
+            w_shape, fan_out = (math.prod(shape), layer.units), layer.units
         elif layer.kind == KIND_CONV1D:
-            channels = shape[1]
-            fan_in = layer.kernel * channels
+            w_shape = (layer.kernel, shape[1], layer.filters)
             fan_out = layer.kernel * layer.filters
-            s = math.sqrt(6.0 / (fan_in + fan_out))
-            weights.append({"W": rng.uniform(-s, s, (layer.kernel, channels, layer.filters)),
-                            "b": np.zeros(layer.filters)})
         else:
-            weights.append({})
-    return ModelParams(architecture, input_shape, weights)
+            layout.append(())
+            continue
+        layout.append((("W", w_shape), ("b", w_shape[-1:])))
+        fan_in = math.prod(w_shape[:-1])  # every axis of W but the output's
+        bounds.append(math.sqrt(6.0 / (fan_in + fan_out)))
+    params = ModelParams.__new__(ModelParams)
+    params._bind(architecture, input_shape, tuple(layout), None)
+    rng = np.random.default_rng(seed)
+    for w, s in zip([w for w in params.weights if w], bounds):
+        view = w["W"]
+        rng.random(out=view)
+        view *= s - (-s)
+        view += -s
+        w["b"][...] = 0.0
+    return params
 
 
 def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
@@ -502,7 +531,8 @@ def _step_into(w, g, learning_rate):
 
 
 def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
-                spec: losses.LossSpec, loss_trace: list | None = None) -> ModelParams:
+                spec: losses.LossSpec, loss_trace: list | None = None,
+                spare: ModelParams | None = None) -> ModelParams:
     """E epochs of mini-batch SGD on one round's data.
 
     The objective is resolved into its targets once (see
@@ -515,11 +545,15 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
 
     ``params`` is never written, and zero epochs return a copy.  Each step
     computes its gradient into a spare model and steps it into the new
-    current one (:func:`sgd_step`).  The spare is the model the previous
-    step stepped from, once that is no longer ``params``, so however many
-    steps run, at most two gradient buffers are allocated, and between
-    steps one model besides the current one is held.
+    current one (:func:`sgd_step`).  The first spare is ``spare``, a model
+    of ``params``' layout to overwrite (fresh when None), later ones the
+    model the previous step stepped from, once that is no longer
+    ``params``.  So at most two gradient buffers are allocated (one with
+    ``spare``), and between steps one model besides the current is held.
     """
+    if spare is not None and (not params.same_layout(spare)
+                              or np.shares_memory(spare.flat, params.flat)):
+        raise ShapeMismatchError("spare must be a separate model of params' layout")
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
     if cfg.epochs == 0:
@@ -531,7 +565,7 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     steps = [(data.features[chunk],
               [t._replace(probs=t.probs[chunk]) for t in targets])
              for chunk in chunks]
-    current, spare = params, None
+    current = params
     for epoch in range(1, cfg.epochs + 1):
         for step, (features, chunk_targets) in enumerate(steps, 1):
             try:
@@ -549,37 +583,5 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
 
 
 def layer_to_dict(layer: LayerConfig) -> dict:
-    """The layer's kind plus the fields set for it; inverse of :func:`layer_config_from_dict`."""
+    """The layer's kind plus the fields set for it."""
     return {name: value for name, value in vars(layer).items() if value is not None}
-
-
-def layer_config_from_dict(entry: dict) -> LayerConfig:
-    unknown = set(entry) - {f.name for f in dataclasses.fields(LayerConfig)}
-    if unknown:
-        raise ValueError(f"unknown layer fields: {sorted(unknown)}")
-    return LayerConfig(**entry)
-
-
-def _architecture_meta(params: ModelParams) -> dict:
-    return {"input_shape": list(params.input_shape),
-            "layers": [layer_to_dict(layer) for layer in params.architecture]}
-
-
-def save_model(params: ModelParams, path) -> None:
-    """Serialize to ``.npz`` with a JSON architecture header; bit-exact round trip."""
-    arrays = {"__meta__": np.asarray(json.dumps(_architecture_meta(params), sort_keys=True))}
-    for i, w in enumerate(params.weights):
-        for key, arr in w.items():
-            arrays[f"layer{i}_{key}"] = arr
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_model(path) -> ModelParams:
-    with np.load(path) as data:
-        meta = json.loads(str(data["__meta__"]))
-        architecture = tuple(layer_config_from_dict(entry) for entry in meta["layers"])
-        weights = [{key: data[f"layer{i}_{key}"] for key in ("W", "b")
-                    if f"layer{i}_{key}" in data}
-                   for i in range(len(architecture))]
-        return ModelParams(architecture, tuple(meta["input_shape"]), weights)

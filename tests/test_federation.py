@@ -5,6 +5,7 @@ import gc
 import re
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
 from flwf.metrics import SERVER
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
-                          TrainConfig, forward, init_params, params_equal)
+                          ShapeMismatchError, TrainConfig, forward, init_params,
+                          params_equal)
 
 LAYERS = (LayerConfig(KIND_DENSE, units=16), LayerConfig(KIND_RELU),
           LayerConfig(KIND_DROPOUT, rate=0.2), LayerConfig(KIND_DENSE, units=3),
@@ -233,6 +235,59 @@ def test_fedavg_of_two_models_allocates_one_model():
         tracemalloc.stop()
     assert n_bytes <= peak <= 1.1 * n_bytes
     assert max_abs_gap(out, brute_average([a, b], [1, 3])) < 1e-12
+
+
+def three_pass_fedavg(params_list, sizes):
+    """The former FedAvg: the delta form in three whole-buffer passes
+    into a fresh buffer, later deltas through one full-size temporary."""
+    sizes = np.asarray(list(sizes), dtype=float)
+    weights = sizes / sizes.sum()
+    base = params_list[0]
+    if len(params_list) == 1:
+        return base.copy()
+    out = np.subtract(params_list[1].flat, base.flat)
+    out *= weights[1]
+    out += base.flat
+    delta = None
+    for params, w in zip(params_list[2:], weights[2:]):
+        delta = np.subtract(params.flat, base.flat, out=delta)
+        delta *= w
+        out += delta
+    return base.with_flat(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(NETS, st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(0.1, 500.0)),
+                      min_size=1, max_size=4),
+       st.integers(1, 80), st.booleans())
+def test_sliced_fedavg_equals_the_three_pass_form_bit_for_bit(net, members, chunk,
+                                                              with_out):
+    """Slices as small as one element straddle every buffer edge of both
+    nets (60 and 195 weights); a given ``out``, filled with NaN, is
+    overwritten whole and returned."""
+    models = [random_model(net, seed) for seed, _ in members]
+    sizes = [size for _, size in members]
+    want = three_pass_fedavg(models, sizes)
+    out = models[0].with_flat(np.full(models[0].flat.shape, np.nan)) if with_out else None
+    with mock.patch.object(federation, "SGD_CHUNK", chunk):
+        got = fedavg(models, sizes, out=out)
+    assert np.array_equal(got.flat.view(np.uint64), want.flat.view(np.uint64))
+    assert got.same_layout(want)
+    if with_out:
+        assert got is out
+
+
+def test_fedavg_rejects_an_out_it_cannot_write():
+    a, b = model(seed=1), model(seed=2)
+    with pytest.raises(ValueError, match="shares memory"):
+        fedavg([a, b], [1, 1], out=b)
+    with pytest.raises(ValueError, match="shares memory"):
+        fedavg([a], [1], out=a.with_flat(a.flat))
+    other = init_params(CONV_LAYERS, (10, 2), seed=0)
+    with pytest.raises(ShapeMismatchError):
+        fedavg([a, b], [1, 1], out=other)
+    out = a.with_flat(np.full(a.flat.shape, np.nan))
+    assert fedavg([a], [3], out=out) is out and params_equal(out, a)
 
 
 def test_fedavg_input_validation():
@@ -607,6 +662,85 @@ def test_previous_aggregate_is_gone_before_fedavg(monkeypatch, wrapped):
     monkeypatch.setattr(federation, "fedavg", spy_fedavg)
     run_experiment(tiny_scenario(rounds=2))
     assert freed == [True, True]
+
+
+def one_step_conv_scenario(rounds):
+    """Conv1d clients that each take one SGD step per round (24 fresh rows,
+    batch 24, one epoch), as ``paper-cnn`` does."""
+    c1, cg = tiny_clients()
+    split = TaskSequence((TaskSpec((1,), 1), TaskSpec((2,), rounds - 1)))
+    joint = TaskSequence((TaskSpec((0, 1, 2), rounds),))
+    return dataclasses.replace(
+        tiny_scenario(rounds=rounds, clients=(dataclasses.replace(c1, tasks=split),
+                                              dataclasses.replace(cg, tasks=joint))),
+        layers=CONV_LAYERS, input_shape=(10, 2), epochs=1, batch_size=24,
+        data=SyntheticSource(per_class=200, feature_dim=20, separation=1.5))
+
+
+def test_steady_rounds_recycle_every_model_buffer(monkeypatch):
+    """From round 2 on, each client's model lives in its previous model's
+    buffer (the first gradient's), and every round's aggregate in the
+    buffer of the server model it consumed: no steady one-step round
+    allocates a model-sized buffer for a gradient or for FedAvg."""
+    scenario = one_step_conv_scenario(rounds=4)
+    spares, outs, addresses = [], [], []
+    real_round = federation.run_round
+    real_train, real_fedavg = federation.train_local, federation.fedavg
+
+    def spy_round(scenario, server, clients, *rest):
+        incoming = server.params.flat.ctypes.data
+        next_server, report = real_round(scenario, server, clients, *rest)
+        addresses.append((incoming, next_server.params.flat.ctypes.data,
+                          [c.params.flat.ctypes.data for c in clients]))
+        return next_server, report
+
+    def spy_train(*args, spare=None, **kwargs):
+        spares.append(spare is not None)
+        return real_train(*args, spare=spare, **kwargs)
+
+    def spy_fedavg(*args, out=None, **kwargs):
+        outs.append(out is not None)
+        return real_fedavg(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(federation, "run_round", spy_round)
+    monkeypatch.setattr(federation, "train_local", spy_train)
+    monkeypatch.setattr(federation, "fedavg", spy_fedavg)
+    result = run_experiment(scenario)
+    assert all(len(trace) == 1 for r in result.reports for trace in r.loss_traces.values())
+    assert spares == [False, False] + [True, True] * 3  # round 1 has no teachers
+    assert outs == [True] * 4
+    assert all(aggregate == incoming for incoming, aggregate, _ in addresses)
+    for (_, _, before), (_, _, after) in zip(addresses, addresses[1:]):
+        assert after == before
+
+
+@pytest.mark.parametrize("hold", ["model", "view"])
+@pytest.mark.parametrize("owner", ["client", "server"])
+def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
+    """A round-1 model (client c1's or the aggregate) held across round 2,
+    whole or by one view, is a teacher there and is never written: its
+    bytes stay as they were and read-only, the buffers fall back to fresh
+    ones, and the run's results equal an unheld run's."""
+    scenario = one_step_conv_scenario(rounds=3)
+    unheld = run_experiment(scenario).ledger.to_json()
+    held, snapshots = [], []
+    real_round = federation.run_round
+
+    def spy_round(scenario, server, clients, *rest):
+        next_server, report = real_round(scenario, server, clients, *rest)
+        if report.round_index == 1:
+            m = clients[0].params if owner == "client" else next_server.params
+            held.append(m if hold == "model" else m.weights[3]["W"])
+            snapshots.append(np.array(m.flat if hold == "model" else m.weights[3]["W"]))
+        return next_server, report
+
+    monkeypatch.setattr(federation, "run_round", spy_round)
+    result = run_experiment(scenario)
+    kept = held[0]
+    arr = kept.flat if hold == "model" else kept
+    assert not arr.flags.writeable
+    assert np.array_equal(arr, snapshots[0])
+    assert result.ledger.to_json() == unheld
 
 
 def test_run_round_rejects_a_consumed_server_state():

@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flwf import losses
-from flwf.losses import (LossSpec, classification_loss, classification_loss_grad,
-                         combined_loss, combined_loss_grad, distillation_loss,
-                         distillation_loss_grad, log_softmax, resolve_targets,
-                         softmax, temperature_scaled_probs)
+from flwf.losses import (LossSpec, Target, classification_loss, combined_loss,
+                         combined_loss_grad, distillation_loss, log_softmax,
+                         loss_and_grad, resolve_targets, softmax,
+                         temperature_scaled_probs)
 
 # frozen hand-computed values
 CE_SINGLE_PEAK = 1.0435917781858575       # logits [1,0,0,0,0,0], true class 0
@@ -113,7 +113,7 @@ def test_classification_grad_matches_finite_differences():
     for _ in range(20):
         logits = rng.normal(size=(5, 6)) * 2
         labels = one_hot(rng.integers(0, 6, size=5), 6)
-        grad = classification_loss_grad(logits, labels)
+        grad = loss_and_grad([Target(1.0, 1.0, labels)], logits)[1]
         fd = _fd_logits(lambda o: classification_loss(o, labels), logits)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
@@ -187,7 +187,8 @@ def test_distillation_grad_matches_finite_differences():
         teacher = rng.normal(size=(4, 6)) * 2
         student = rng.normal(size=(4, 6)) * 2
         t = rng.uniform(0.5, 4.0)
-        grad = distillation_loss_grad(teacher, student, t)
+        soft = temperature_scaled_probs(teacher, t)
+        grad = loss_and_grad([Target(t, 1.0, soft)], student)[1]
         fd = _fd_logits(lambda o: distillation_loss(teacher, o, t), student)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 

@@ -4,6 +4,8 @@ SGD, local training, and serialization."""
 import hashlib
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,9 +22,9 @@ from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelPara
                           _backward_pass, _conv1d_input_grad, _conv1d_param_grads,
                           _forward_pass,
                           _maxpool_backward, _maxpool_forward, backward, forward,
-                          infer_shapes, init_params, layer_to_dict, load_model,
-                          loss_on_batch, params_digest, params_equal, save_model,
-                          sgd_step, train_local)
+                          infer_shapes, init_params, layer_to_dict, loss_on_batch,
+                          params_digest, params_equal, reclaim, sgd_step,
+                          train_local)
 
 MLP = (LayerConfig("dense", units=8), LayerConfig("relu"),
        LayerConfig("dense", units=3), LayerConfig("softmax-output"))
@@ -592,13 +594,14 @@ def reference_train_local(params, data, cfg, spec):
 
 @settings(max_examples=40, deadline=None)
 @given(random_nets(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 20),
-       st.integers(0, 2**32 - 1))
+       st.integers(0, 2**32 - 1), st.booleans())
 def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
                                                                 batch_size, rows,
-                                                                seed):
+                                                                seed, with_spare):
     """Bit for bit the fresh-gradient reference, ``params`` (read-only)
     never written, and every step's gradient lands in one of at most two
-    buffers, neither of them ``params.flat``."""
+    buffers, neither of them ``params.flat``.  A given ``spare``, filled
+    with NaN, takes the first gradient and changes no bit of the result."""
     arch, input_shape = net
     rng = np.random.default_rng(seed)
     params = read_only_copy(init_params(arch, input_shape, seed=seed))
@@ -608,6 +611,7 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
     cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs,
                       rng_seed=seed)
     want = reference_train_local(params, batch, cfg, spec)
+    spare = params.with_flat(np.full(params.flat.shape, np.nan)) if with_spare else None
     grad_buffers = []  # every step's gradient ``flat``, kept alive
 
     def spy(*args, **kwargs):
@@ -617,13 +621,107 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
 
     real_backward = network._backward_pass
     with mock.patch.object(network, "_backward_pass", spy):
-        got = train_local(params, batch, cfg, spec)
+        got = train_local(params, batch, cfg, spec, spare=spare)
     assert same_bits(got.flat, want.flat)
     assert params_equal(params, snapshot)
     steps = epochs * math.ceil(rows / batch_size)
     distinct = {id(buf) for buf in grad_buffers}
     assert len(grad_buffers) == steps and len(distinct) == min(steps, 2)
     assert id(params.flat) not in distinct and id(got.flat) in distinct
+    if with_spare:
+        assert grad_buffers[0] is spare.flat
+
+
+def test_train_local_rejects_a_spare_it_cannot_overwrite():
+    params, batch = _training_setup(rows=6)
+    cfg = TrainConfig(learning_rate=0.1, batch_size=3, epochs=1)
+    spec = LossSpec(mode="fine-tune")
+    with pytest.raises(ShapeMismatchError):
+        train_local(params, batch, cfg, spec, spare=init_params(CONVNET, (10, 2), seed=0))
+    with pytest.raises(ShapeMismatchError, match="separate model"):
+        train_local(params, batch, cfg, spec, spare=params.with_flat(params.flat))
+
+
+def per_layer_init(arch, input_shape, seed):
+    """The former ``init_params``: each layer's ``W`` drawn whole with
+    ``rng.uniform``, then every array packed into a new model."""
+    rng = np.random.default_rng(seed)
+    weights = []
+    for layer, shape in zip(arch, [input_shape] + infer_shapes(arch, input_shape)[:-1]):
+        if layer.kind == "dense":
+            fan_in = math.prod(shape)
+            s = math.sqrt(6.0 / (fan_in + layer.units))
+            weights.append({"W": rng.uniform(-s, s, (fan_in, layer.units)),
+                            "b": np.zeros(layer.units)})
+        elif layer.kind == "conv1d":
+            s = math.sqrt(6.0 / (layer.kernel * shape[1] + layer.kernel * layer.filters))
+            weights.append({"W": rng.uniform(-s, s, (layer.kernel, shape[1], layer.filters)),
+                            "b": np.zeros(layer.filters)})
+        else:
+            weights.append({})
+    return ModelParams(arch, input_shape, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_nets(), st.integers(0, 2**32 - 1))
+def test_init_params_draws_in_place_bit_for_bit_as_per_layer_uniform(net, seed):
+    arch, input_shape = net
+    got = init_params(arch, input_shape, seed=seed)
+    want = per_layer_init(arch, input_shape, seed)
+    assert got.layout == want.layout and same_bits(got.flat, want.flat)
+    assert got.flat.flags.c_contiguous and got.flat.flags.writeable
+
+
+def test_init_params_holds_no_draw_beside_the_model():
+    """The traced peak of initializing an N-byte model is one model."""
+    arch = (LayerConfig("dense", units=256), LayerConfig("softmax-output"))
+    tracemalloc.start()
+    try:
+        params = init_params(arch, (512,), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params.flat.nbytes <= peak <= 1.1 * params.flat.nbytes
+
+
+# what a test holds across ``reclaim``, as a function of the model
+HOLDS = {
+    "nothing": lambda m: None,
+    "the model": lambda m: m,
+    "its weights": lambda m: m.weights,
+    "one mapping": lambda m: m.weights[3],
+    "one view": lambda m: m.weights[0]["b"],
+    "a view of a view": lambda m: m.weights[0]["W"].T,
+    "flat": lambda m: m.flat,
+    "a slice of flat": lambda m: m.flat[2:5],
+}
+
+
+@pytest.mark.parametrize("held", list(HOLDS))
+def test_reclaim_hands_back_only_a_buffer_nothing_else_holds(held):
+    """The box's attribute is the last reference ``reclaim`` is handed.
+    Unheld, the frozen buffer comes back writable under new views; held
+    in any way, ``reclaim`` returns None and the model stays frozen."""
+    box = SimpleNamespace(model=read_only_copy(init_params(CONVNET, (10, 2), seed=3)))
+    snapshot = box.model.copy()
+    address = box.model.flat.ctypes.data
+    kept = HOLDS[held](box.model)
+    got = reclaim(box.model)
+    if kept is None:
+        assert got.flat.ctypes.data == address and got.flat.flags.writeable
+        assert got.same_layout(snapshot) and params_equal(got, snapshot)
+        assert all(v.flags.writeable and np.shares_memory(v, got.flat)
+                   for w in got.weights for v in w.values())
+    else:
+        assert got is None
+        assert not box.model.flat.flags.writeable
+        assert params_equal(box.model, snapshot)
+
+
+def test_reclaim_refuses_a_buffer_it_does_not_own():
+    params = init_params(CONVNET, (10, 2), seed=3)
+    box = SimpleNamespace(model=params.with_flat(np.zeros(params.flat.size + 1)[1:]))
+    assert reclaim(box.model) is None
 
 
 def test_sgd_step_rejects_read_only_grads():
@@ -709,19 +807,6 @@ def test_train_local_teacher_logits_follow_the_shuffle():
     for w, t in zip(params.weights, trained.weights):
         for key in w:
             np.testing.assert_allclose(w[key], t[key], atol=1e-12)
-
-
-# -- serialization -----------------------------------------------------------------
-
-
-def test_save_load_roundtrip_bit_exact(tmp_path):
-    params = init_params(CONVNET, (10, 2), seed=9)
-    path = tmp_path / "model.npz"
-    save_model(params, path)
-    loaded = load_model(path)
-    assert params_equal(params, loaded)
-    assert loaded.architecture == params.architecture
-    assert loaded.input_shape == params.input_shape
 
 
 def test_params_digest_stability_and_sensitivity():

@@ -29,9 +29,10 @@ scenario also writes ``models.sha256``, one sha256 over every weight array
 of the server model and of each client model.  The artifacts hold only
 accuracies, so without the digests a change that moves weights but flips
 no prediction would pass.  The child also writes its own peak RSS
-(``ru_maxrss``) to ``peak_rss.kb``, which is not compared: each scenario's
-line ends with the base -> change peak RSS in MB, so a change to model
-lifetimes shows its effect per scenario.  One line is printed per
+(``ru_maxrss``) and minor page faults (``ru_minflt``) to ``rusage.txt``,
+which are not compared: each scenario's line ends with the base -> change
+peak RSS in MB and minor faults, so a change to model lifetimes or buffer
+reuse shows its effect per scenario.  One line is printed per
 scenario; the exit code is 1 if any scenario differs or fails to run on
 either side, else 0.
 """
@@ -45,11 +46,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = "models.sha256"
-PEAK_RSS = "peak_rss.kb"  # the child's ru_maxrss in KiB; reported, not compared
+RUSAGE = "rusage.txt"  # the child's ru_maxrss (KiB) and ru_minflt; reported, not compared
 ARTIFACTS = ("metrics.csv", "figure_data.csv", "summary.json",
              "resolved_config.yaml", DIGESTS)
 # ``flwf run`` with the experiment result kept, then one digest line per
-# final model and the process's peak RSS.  Uses only what every tree has:
+# final model and the process's peak RSS and minor faults.  Uses only what every tree has:
 # ``flwf.cli.main`` looking up ``run_experiment`` at call time,
 # ``.server.params``, ``.clients[i].params`` and ``.weights``.
 CHILD = """
@@ -61,8 +62,9 @@ results = []
 run_experiment = cli.run_experiment
 cli.run_experiment = lambda scenario: results.append(run_experiment(scenario)) or results[-1]
 code = cli.main(sys.argv[3:])
+usage = resource.getrusage(resource.RUSAGE_SELF)
 with open(sys.argv[2], "w") as fh:
-    fh.write(f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}\\n")
+    fh.write(f"{usage.ru_maxrss} {usage.ru_minflt}\\n")
 if code == 0:
     result = results[0]
     lines = []
@@ -140,10 +142,10 @@ def run(tree: Path, args, out_dir: Path) -> str | None:
     """Run ``flwf run`` from ``tree`` and digest its final models; returns
     an error line or None."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out_dir.mkdir(parents=True)  # the child writes its peak RSS here even if the run fails
+    out_dir.mkdir(parents=True)  # the child writes its rusage here even if the run fails
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(out_dir / DIGESTS),
-         str(out_dir / PEAK_RSS), "run", *args, "--out", str(out_dir)],
+         str(out_dir / RUSAGE), "run", *args, "--out", str(out_dir)],
         cwd=out_dir.parent, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or [""]
@@ -151,10 +153,14 @@ def run(tree: Path, args, out_dir: Path) -> str | None:
     return None
 
 
-def peak_rss(out_dir: Path) -> str:
-    """The child's peak RSS in MB, or ``?`` if it wrote none."""
-    path = out_dir / PEAK_RSS
-    return f"{int(path.read_text()) / 1024:.1f}" if path.is_file() else "?"
+def rusage(out_dir: Path) -> tuple[str, str]:
+    """The child's peak RSS in MB and minor page faults, or ``?`` for each
+    if it wrote none."""
+    path = out_dir / RUSAGE
+    if not path.is_file():
+        return "?", "?"
+    maxrss_kb, minflt = path.read_text().split()
+    return f"{int(maxrss_kb) / 1024:.1f}", minflt
 
 
 def compare(base_dir: Path, change_dir: Path) -> list[str]:
@@ -197,8 +203,10 @@ def main(argv=None) -> int:
                 differ = compare(dirs["base"], dirs["change"])
                 verdict = "DIFFERS " + ", ".join(differ) if differ else "identical"
             failures += verdict != "identical"
-            print(f"{name}: {verdict}  (peak RSS {peak_rss(dirs['base'])} -> "
-                  f"{peak_rss(dirs['change'])} MB)", flush=True)
+            (base_rss, base_flt), (change_rss, change_flt) = (
+                rusage(dirs["base"]), rusage(dirs["change"]))
+            print(f"{name}: {verdict}  (peak RSS {base_rss} -> {change_rss} MB, "
+                  f"minor faults {base_flt} -> {change_flt})", flush=True)
         print(f"{len(todo) - failures}/{len(todo)} scenarios byte-identical "
               f"to {args.rev}, final models included")
     return 1 if failures else 0
