@@ -3,16 +3,16 @@ The network engine: shapes, gradients, and a short training run
 ================================================================
 
 Builds the two architectures the simulator uses (a small dense network
-and a 1D convolutional network), verifies one analytic gradient against
+and the paper's 1D convolutional network), verifies one analytic gradient against
 central finite differences, and trains on a toy batch to show the loss
 trace falling.
 """
 
 import numpy as np
 
-from flwf import (LayerConfig, LossSpec, ModelParams, RoundBatch, TrainConfig,
-                  backward, forward, infer_shapes, init_params, loss_on_batch,
-                  train_local)
+from flwf import (LayerConfig, LossSpec, RoundBatch, TrainConfig, backward,
+                  forward, infer_shapes, init_params, loss_on_batch, train_local,
+                  uci_cnn_layers)
 
 # -- two architectures ---------------------------------------------------------
 
@@ -20,9 +20,7 @@ mlp = (LayerConfig("dense", units=32), LayerConfig("relu"),
        LayerConfig("dropout", rate=0.5),
        LayerConfig("dense", units=6), LayerConfig("softmax-output"))
 
-cnn = (LayerConfig("conv1d", filters=8, kernel=5), LayerConfig("relu"),
-       LayerConfig("maxpool1d", pool=4),
-       LayerConfig("dense", units=6), LayerConfig("softmax-output"))
+cnn = uci_cnn_layers()  # the paper's network for 128x9 inertial windows
 
 print("dense network on flat 16-dim inputs:")
 for layer, shape in zip(mlp, infer_shapes(mlp, (16,))):

@@ -23,11 +23,10 @@ from .federation import (ClientRuntime, ExperimentResult, RoundReport,
 from .losses import (LossSpec, classification_loss, combined_loss,
                      combined_loss_grad, distillation_loss, log_softmax, softmax,
                      temperature_scaled_probs)
-from .metrics import MetricsLedger, RoundRecord, accuracy_on, predict
+from .metrics import MetricsLedger, RoundRecord, predict
 from .network import (LayerConfig, ModelParams, ShapeMismatchError, TrainConfig,
                       backward, forward, infer_shapes, init_params,
-                      loss_on_batch, params_digest, params_equal, sgd_step,
-                      train_local)
+                      loss_on_batch, params_digest, sgd_step, train_local)
 
 __version__ = "0.1.0"
 
@@ -37,15 +36,15 @@ __all__ = [
     "MetricsLedger", "ModelParams", "PoolExhaustedError", "RoundBatch",
     "RoundRecord", "RoundReport", "ScenarioConfig", "ServerState",
     "ShapeMismatchError", "StrategyPolicy", "SyntheticSource", "TaskSequence",
-    "TaskSpec", "TestSet", "TrainConfig", "accuracy_on", "backward",
-    "classification_loss", "client_update", "combined_loss",
-    "combined_loss_grad", "compose_training_batch", "current_task",
-    "default_mlp_layers", "distillation_loss", "draw_round_data",
-    "draw_test_set", "fedavg", "forward", "generate_synthetic", "infer_shapes",
-    "init_params", "is_unbalanced", "load_config", "load_csv", "log_softmax",
-    "loss_on_batch", "normalized_label_entropy", "params_digest",
-    "params_equal", "parse_config", "predict", "preset", "run_experiment",
-    "run_round", "save_config", "save_csv", "select_loss_mode", "sgd_step",
-    "softmax", "stream_seed", "temperature_scaled_probs", "train_local",
-    "uci_cnn_layers", "update_exemplars",
+    "TaskSpec", "TestSet", "TrainConfig", "backward", "classification_loss",
+    "client_update", "combined_loss", "combined_loss_grad",
+    "compose_training_batch", "current_task", "default_mlp_layers",
+    "distillation_loss", "draw_round_data", "draw_test_set", "fedavg",
+    "forward", "generate_synthetic", "infer_shapes", "init_params",
+    "is_unbalanced", "load_config", "load_csv", "log_softmax", "loss_on_batch",
+    "normalized_label_entropy", "params_digest", "parse_config", "predict",
+    "preset", "run_experiment", "run_round", "save_config", "save_csv",
+    "select_loss_mode", "sgd_step", "softmax", "stream_seed",
+    "temperature_scaled_probs", "train_local", "uci_cnn_layers",
+    "update_exemplars",
 ]

@@ -143,7 +143,9 @@ COMPARE_COLUMNS = ("method", "seed", "A_gen_1", "A_gen_g", "A_gen_server",
                    "A_per_1", "A_2_1", "F_2_1")
 
 
-_NUMBER = (int, float, type(None))  # a summary value that may be formatted or empty
+def _is_number(value) -> bool:
+    """A summary value that may be formatted or empty; a bool is not one."""
+    return value is None or type(value) in (int, float)
 
 
 def _load_summary(path) -> dict:
@@ -171,16 +173,15 @@ def _load_summary(path) -> dict:
     require(isinstance(clients, list) and all(isinstance(c, dict) for c in clients),
             "config.clients", "a list of JSON objects")
     for key in ("rounds", "n_classes"):
-        require(isinstance(cfg.get(key), _NUMBER), f"config.{key}", "a number")
+        require(_is_number(cfg.get(key)), f"config.{key}", "a number")
     for owner, entry in metrics.items():
         require(isinstance(entry, dict), f"metrics[{owner}]", "a JSON object")
         for key in ("A_gen", "A_per"):
-            require(isinstance(entry.get(key), _NUMBER), f"metrics[{owner}].{key}",
-                    "a number")
+            require(_is_number(entry.get(key)), f"metrics[{owner}].{key}", "a number")
         for key in ("A_task", "F"):
             values = entry.get(key, {})
             require(isinstance(values, dict)
-                    and all(isinstance(v, _NUMBER) for v in values.values()),
+                    and all(_is_number(v) for v in values.values()),
                     f"metrics[{owner}].{key}", "an object of numbers")
     return summary
 

@@ -285,8 +285,10 @@ def _at(path: str):
 
 def _coerce(annotation, value):
     """A scalar as its annotated type (``X | None`` keeps None); other
-    values pass through for the dataclass to check.  A ``bool`` field takes
-    only ``true``/``false``: ``bool("false")`` would be True."""
+    values pass through for the dataclass to check.  The coercions that
+    would change a value raise instead: a ``bool`` field takes only
+    ``true``/``false`` (``bool("false")`` is True), a number field no bool,
+    and an ``int`` field no float with a fraction (``int`` truncates it)."""
     if isinstance(annotation, types.UnionType):
         if value is None:
             return None
@@ -295,6 +297,10 @@ def _coerce(annotation, value):
         if not isinstance(value, bool):
             raise TypeError(f"must be true or false, got {value!r}")
         return value
+    if annotation in (int, float) and isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    if annotation is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
     return annotation(value) if annotation in (int, float, str) else value
 
 
@@ -335,8 +341,12 @@ def _each(build):
                                        for i, e in enumerate(entries))
 
 
+def _ints(values, _path) -> tuple[int, ...]:
+    return tuple(_coerce(int, v) for v in values)
+
+
 def _client(entry, path: str) -> ClientConfig:
-    tasks = _each(functools.partial(_build, TaskSpec))
+    tasks = _each(functools.partial(_build, TaskSpec, classes=_ints))
     return _build(ClientConfig, entry, path,
                   policy=functools.partial(_build, StrategyPolicy),
                   tasks=lambda entries, sub: TaskSequence(tasks(entries, sub)))
@@ -358,7 +368,7 @@ def from_dict(doc: dict) -> ScenarioConfig:
         return _build(LayerConfig, entry, path)
 
     return _build(ScenarioConfig, doc, "",
-                  input_shape=lambda dims, _: tuple(int(d) for d in dims),
+                  input_shape=_ints,
                   layers=_each(layer), clients=_each(_client), data=_source)
 
 

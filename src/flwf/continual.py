@@ -163,12 +163,6 @@ class ExemplarStore:
             if len(feats) > self.capacity:
                 raise ValueError(f"task {task_id}: entry exceeds capacity")
 
-    def total_size(self) -> int:
-        return sum(len(feats) for feats, _ in self.entries.values())
-
-    def tasks_seen(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
 
 def update_exemplars(store: ExemplarStore, task_id: int, batch: RoundBatch,
                      seed=0) -> ExemplarStore:

@@ -34,7 +34,6 @@ Notation used throughout (k = owner, r = round, t/d = task indices):
 * ``F(k, t)``             mean of f(k, t, d) over d < t.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,14 +46,6 @@ SERVER = "server"
 def predict(params: ModelParams, features) -> np.ndarray:
     """Argmax class ids; ties resolve to the lowest class index."""
     return np.argmax(forward(params, features), axis=1)
-
-
-def accuracy_on(params: ModelParams, features, labels) -> float:
-    """Fraction of argmax-correct predictions on a nonempty subset."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("accuracy over an empty subset is undefined")
-    return float(np.mean(predict(params, features) == labels))
 
 
 @dataclass(frozen=True)
@@ -139,9 +130,6 @@ class MetricsLedger:
             raise KeyError(f"no record for {owner!r} round {round_index}")
         return self.records[(owner, round_index)]
 
-    def owners(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(owner for owner, _ in self.records))
-
     # -- task geometry -----------------------------------------------------
 
     def task_window(self, owner: str, t: int) -> range:
@@ -202,9 +190,6 @@ class MetricsLedger:
         """a(k, r, d): accuracy on the test examples of task d's classes."""
         return self.class_subset_accuracy(
             owner, round_index, self.task_classes[owner][d - 1])
-
-    def class_accuracy(self, owner: str, round_index: int, class_id: int) -> float:
-        return self.class_subset_accuracy(owner, round_index, (class_id,))
 
     # -- aggregate metrics ---------------------------------------------------
 
@@ -300,41 +285,3 @@ class MetricsLedger:
         return [(r, owner, c, value)
                 for (owner, r), values in zip(self.records, table)
                 for c, value in enumerate(values)]
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "test_labels": self.test_labels.tolist(),
-            "n_classes": self.n_classes,
-            "total_rounds": self.total_rounds,
-            "task_classes": {k: [list(c) for c in v]
-                             for k, v in self.task_classes.items()},
-            "task_rounds": {k: list(v) for k, v in self.task_rounds.items()},
-            "records": [
-                {"owner": r.owner,
-                 "round": r.round_index,
-                 "predictions": r.predictions.tolist(),
-                 "current_task": r.current_task,
-                 "learnt_classes": list(r.learnt_classes)}
-                for r in self.records.values()],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsLedger":
-        doc = json.loads(text)
-        ledger = cls(
-            test_labels=np.asarray(doc["test_labels"], dtype=int),
-            n_classes=doc["n_classes"],
-            total_rounds=doc["total_rounds"],
-            task_classes={k: tuple(tuple(c) for c in v)
-                          for k, v in doc["task_classes"].items()},
-            task_rounds={k: tuple(v) for k, v in doc["task_rounds"].items()},
-        )
-        for r in doc["records"]:
-            ledger.append(RoundRecord(r["owner"], r["round"],
-                                      np.asarray(r["predictions"], dtype=int),
-                                      r["current_task"],
-                                      tuple(r["learnt_classes"])))
-        return ledger

@@ -14,10 +14,10 @@ conv1d/maxpool1d operate on ``(batch, length, channels)``.  A model is a
 :class:`ModelParams` value: one flat float64 buffer, laid out layer by
 layer with ``W`` before ``b``, and per layer a read-only mapping of
 reshaped views into it, so whole-model work (a step, an average, a copy,
-a comparison, a digest) is one pass over one array.  Every operation
-returns a new value and never mutates its inputs, except that
-:func:`sgd_step` consumes its gradient: the step is written into the
-gradient's buffer, which becomes the next model.  The backward pass
+a digest) is one pass over one array.  Every operation returns a new
+value and never mutates its inputs, except that :func:`sgd_step`
+consumes its gradient: the step is written into the gradient's buffer,
+which becomes the next model.  The backward pass
 writes each weight gradient into a spare model's views with ``out=``:
 the caller's (see :func:`reclaim`), then the model the previous step
 stepped from, so a local update allocates at most two gradient buffers.
@@ -58,8 +58,10 @@ KIND_MAXPOOL1D = "maxpool1d"
 KIND_RELU = "relu"
 KIND_DROPOUT = "dropout"
 KIND_SOFTMAX_OUTPUT = "softmax-output"
-LAYER_KINDS = (KIND_DENSE, KIND_CONV1D, KIND_MAXPOOL1D, KIND_RELU,
-               KIND_DROPOUT, KIND_SOFTMAX_OUTPUT)
+# The fields each layer kind takes; every other field stays None.
+LAYER_FIELDS = {KIND_DENSE: ("units",), KIND_CONV1D: ("filters", "kernel"),
+                KIND_MAXPOOL1D: ("pool",), KIND_RELU: (), KIND_DROPOUT: ("rate",),
+                KIND_SOFTMAX_OUTPUT: ()}
 SGD_CHUNK = 1 << 16  # elements (512 KB of float64) per slice of a large SGD step
 
 
@@ -79,20 +81,18 @@ class LayerConfig:
     rate: float | None = None      # dropout
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in LAYER_FIELDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == KIND_DENSE and (self.units is None or self.units < 1):
-            raise ValueError("dense layer needs units > 0")
-        if self.kind == KIND_CONV1D:
-            if self.filters is None or self.filters < 1:
-                raise ValueError("conv1d layer needs filters > 0")
-            if self.kernel is None or self.kernel < 1:
-                raise ValueError("conv1d layer needs kernel > 0")
-        if self.kind == KIND_MAXPOOL1D and (self.pool is None or self.pool < 1):
-            raise ValueError("maxpool1d layer needs pool > 0")
-        if self.kind == KIND_DROPOUT:
-            if self.rate is None or not 0.0 <= self.rate < 1.0:
-                raise ValueError("dropout rate must lie in [0, 1)")
+        for name in ("units", "filters", "kernel", "pool", "rate"):
+            value = getattr(self, name)
+            if name not in LAYER_FIELDS[self.kind]:
+                if value is not None:
+                    raise ValueError(f"{self.kind} layer takes no {name}")
+            elif name == "rate":
+                if value is None or not 0.0 <= value < 1.0:
+                    raise ValueError("dropout rate must lie in [0, 1)")
+            elif value is None or value < 1:
+                raise ValueError(f"{self.kind} layer needs {name} > 0")
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,20 @@ class ModelParams:
     ``weights[i][key]`` is a reshaped view into ``flat``, held in a
     read-only mapping, so rebinding a buffer raises ``TypeError`` instead
     of silently detaching it: write into a view, or into ``flat``.  The
-    constructor packs separate arrays (any memory order, read-only ones
-    included) into a new ``flat`` once; :meth:`with_flat` lays a buffer
-    of the right size out as this model without copying it.
+    one constructor lays ``flat`` out without copying it (given None, it
+    allocates an uninitialized buffer of the layout's size); a buffer that
+    is not a C-contiguous float64 array of that size raises
+    :class:`ShapeMismatchError`.
     """
 
-    def __init__(self, architecture, input_shape, weights):
-        layout = tuple(tuple((key, np.shape(w[key])) for key in sorted(w))
-                       for w in weights)
-        self._bind(architecture, input_shape, layout, None)
-        for source, packed in zip(weights, self.weights):
-            for key, view in packed.items():
-                view[...] = source[key]
-
-    def _bind(self, architecture, input_shape, layout, flat):
+    def __init__(self, architecture, input_shape, layout, flat: np.ndarray | None = None):
+        size = sum(math.prod(shape) for keys in layout for _, shape in keys)
         if flat is None:
-            flat = np.empty(sum(math.prod(shape) for keys in layout for _, shape in keys))
+            flat = np.empty(size)
+        elif (flat.shape != (size,) or flat.dtype != np.float64
+                or not flat.flags.c_contiguous):
+            raise ShapeMismatchError(f"buffer {flat.dtype}{flat.shape} does not fit "
+                                     f"the layout's float64{(size,)}")
         self.architecture, self.input_shape = architecture, input_shape
         self.layout, self.flat = layout, flat
         views, start = [], 0
@@ -151,16 +149,8 @@ class ModelParams:
         self.weights = tuple(views)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
-        """A model with this architecture and layout whose buffers are
-        views into ``flat``, a C-contiguous float64 buffer of ``self.flat``'s
-        shape."""
-        if (flat.shape != self.flat.shape or flat.dtype != np.float64
-                or not flat.flags.c_contiguous):
-            raise ShapeMismatchError(f"buffer {flat.dtype}{flat.shape} does not fit "
-                                     f"the layout's float64{self.flat.shape}")
-        out = ModelParams.__new__(ModelParams)
-        out._bind(self.architecture, self.input_shape, self.layout, flat)
-        return out
+        """This model's architecture and layout over ``flat``."""
+        return ModelParams(self.architecture, self.input_shape, self.layout, flat)
 
     def copy(self) -> "ModelParams":
         return self.with_flat(self.flat.copy())
@@ -168,15 +158,6 @@ class ModelParams:
     def same_layout(self, other: "ModelParams") -> bool:
         return (self.architecture == other.architecture
                 and self.input_shape == other.input_shape and self.layout == other.layout)
-
-    @property
-    def n_outputs(self) -> int:
-        return infer_shapes(self.architecture, self.input_shape)[-1][0]
-
-
-def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Exact (bit-for-bit) equality of two models."""
-    return a.same_layout(b) and np.array_equal(a.flat, b.flat)
 
 
 def params_digest(params: ModelParams) -> str:
@@ -280,8 +261,7 @@ def init_params(architecture, input_shape, seed) -> ModelParams:
         layout.append((("W", w_shape), ("b", w_shape[-1:])))
         fan_in = math.prod(w_shape[:-1])  # every axis of W but the output's
         bounds.append(math.sqrt(6.0 / (fan_in + fan_out)))
-    params = ModelParams.__new__(ModelParams)
-    params._bind(architecture, input_shape, tuple(layout), None)
+    params = ModelParams(architecture, input_shape, tuple(layout))
     rng = np.random.default_rng(seed)
     for w, s in zip([w for w in params.weights if w], bounds):
         view = w["W"]

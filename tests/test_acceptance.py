@@ -17,10 +17,10 @@ from flwf import cli, losses
 from flwf.config import preset, uci_cnn_layers
 from flwf.datasets import RoundBatch, draw_round_data, draw_test_set, load_csv
 from flwf.federation import run_experiment
-from flwf.metrics import MetricsLedger, RoundRecord, accuracy_on
-from flwf.network import (LayerConfig, ModelParams, TrainConfig, backward,
-                          init_params, loss_on_batch, params_equal,
-                          train_local)
+from flwf.metrics import MetricsLedger, RoundRecord, predict
+from flwf.network import (LayerConfig, TrainConfig, backward, infer_shapes,
+                          init_params, loss_on_batch, train_local)
+from helpers import packed, same_model
 
 SEEDS = (1, 2, 3, 4, 5)
 FT = "baseline-finetune"
@@ -81,8 +81,9 @@ FD_NETS = {
 
 def fd_batch(rng, params, rows=4):
     x = rng.normal(size=(rows,) + params.input_shape)
-    y = rng.integers(0, params.n_outputs, size=rows)
-    return RoundBatch(x.reshape(rows, -1), y, params.n_outputs)
+    n_outputs = infer_shapes(params.architecture, params.input_shape)[-1][0]
+    y = rng.integers(0, n_outputs, size=rows)
+    return RoundBatch(x.reshape(rows, -1), y, n_outputs)
 
 
 def fd_spec(mode, rng, rows, n):
@@ -114,7 +115,7 @@ def fd_param_grads(params, batch, spec, training, rng_seed, h=1e-5):
                 out[idx] = (value(up) - value(dn)) / (2 * h)
             g[key] = out
         grads.append(g)
-    return ModelParams(params.architecture, params.input_shape, grads)
+    return packed(params.architecture, params.input_shape, grads)
 
 
 def test_01_gradients_match_finite_differences(capsys):
@@ -130,7 +131,7 @@ def test_01_gradients_match_finite_differences(capsys):
                 rng = np.random.default_rng(1000 + checked)
                 params = init_params(arch, input_shape, seed=seed)
                 batch = fd_batch(rng, params)
-                spec = fd_spec(mode, rng, len(batch), params.n_outputs)
+                spec = fd_spec(mode, rng, len(batch), batch.n_classes)
                 rng_eval = (None if rng_seed is None
                             else np.random.default_rng(rng_seed))
                 analytic = backward(params, batch, spec, training=training,
@@ -212,8 +213,8 @@ def test_03_fedavg_matches_weighted_mean(capsys):
                 want = sum(wi * m.weights[i][key] for wi, m in zip(w, models))
                 worst = max(worst, float(np.abs(got.weights[i][key] - want).max()))
     base = init_params(arch, (5,), seed=77)
-    identity = params_equal(fedavg([base, base.copy(), base.copy()], [1, 2, 3]),
-                            base)
+    identity = same_model(fedavg([base, base.copy(), base.copy()], [1, 2, 3]),
+                          base)
     report(capsys, 3, worst <= 1e-12 and identity,
            f"fedavg vs independent weighted mean, worst |gap| {worst:.2e} "
            f"<= 1e-12; identical models aggregate to exact identity: {identity}")
@@ -344,7 +345,7 @@ def test_10_real_data_central_training(capsys):
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, epochs=3, rng_seed=3)
     trained = train_local(params, batch, cfg,
                           losses.LossSpec(mode="fine-tune"))
-    acc = accuracy_on(trained, test.features, test.labels)
+    acc = float(np.mean(predict(trained, test.features) == test.labels))
     report(capsys, 10, acc > 0.90,
            f"centrally trained 1D CNN reaches balanced test accuracy "
            f"{acc:.3f} > 0.90 on {path}")

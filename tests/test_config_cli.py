@@ -332,6 +332,19 @@ def test_bool_field_takes_only_true_or_false(value):
     assert from_dict(doc).clients[0].use_exemplars is False
 
 
+@pytest.mark.parametrize("index, layer", [
+    (1, {"kind": "relu", "units": 5}),
+    (0, {"kind": "dense", "units": 32, "rate": 0.3}),
+], ids=["relu-units", "dense-rate"])
+def test_a_layer_field_its_kind_does_not_use_is_rejected(index, layer):
+    doc = tiny_doc()
+    doc["layers"][index] = layer
+    kind, field = layer["kind"], list(layer)[-1]
+    with pytest.raises(ConfigError,
+                       match=rf"^layers\[{index}\]: {kind} layer takes no {field}$"):
+        from_dict(doc)
+
+
 def test_policy_mode_may_be_omitted():
     doc = tiny_doc()
     doc["clients"][0]["policy"] = {"balance_threshold": 0.3}
@@ -443,6 +456,31 @@ def test_run_reports_yaml_syntax_error(tmp_path, capsys):
     cfg.write_text("label: [unclosed\n")
     code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("rounds",), 8.9, "must be an integer, got 8.9"),
+    (("seed",), 7.5, "must be an integer, got 7.5"),
+    (("layers", 0, "units"), 32.7, "must be an integer, got 32.7"),
+    (("input_shape",), [16.4], "must be an integer, got 16.4"),
+    (("clients", 0, "tasks", 0, "classes"), [1.7], "must be an integer, got 1.7"),
+    (("epochs",), True, "must be a number, got True"),
+    (("learning_rate",), True, "must be a number, got True"),
+], ids=["rounds", "seed", "units", "input-shape", "classes", "epochs", "learning-rate"])
+def test_run_rejects_a_number_it_would_have_to_truncate(tmp_path, capsys, path,
+                                                        value, message):
+    """Each value used to be truncated (or a bool read as 1); now the run
+    ends in one error line naming the field, before any output exists."""
+    with open(EXAMPLE_SCENARIO, encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    _container(doc, path[:-1])[path[-1]] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert err == f"error: {_field_path(path)}: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):
@@ -580,10 +618,11 @@ def test_compare_reports_a_summary_that_is_not_an_object(tmp_path, capsys):
     ({"config": {"clients": [1]}}, "config.clients is not a list of JSON objects"),
     ({"config": {"rounds": [8]}}, "config.rounds is not a number"),
     ({"metrics": {"c1": {"A_gen": "x"}}}, "metrics[c1].A_gen is not a number"),
+    ({"metrics": {"c1": {"A_gen": True}}}, "metrics[c1].A_gen is not a number"),
     ({"metrics": {"c1": {"F": {"2": "x"}}}}, "metrics[c1].F is not an object of numbers"),
 ], ids=["config-string", "metrics-list", "owner-number", "order-string",
         "order-number", "client-number", "rounds-list", "a-gen-string",
-        "forgetting-string"])
+        "a-gen-bool", "forgetting-string"])
 def test_compare_reports_a_summary_field_of_the_wrong_type(tmp_path, capsys,
                                                            summary, complaint):
     run = finished_run(tmp_path, capsys, seed=8)

@@ -220,8 +220,8 @@ def test_update_exemplars_leaves_other_tasks_untouched():
     before = store.entries[1][0].copy()
     store2 = update_exemplars(store, 2, b2, seed=1)
     assert np.array_equal(store2.entries[1][0], before)
-    assert store2.total_size() == 8  # two tasks seen -> 2M
-    assert store2.tasks_seen() == (1, 2)
+    assert sum(len(feats) for feats, _ in store2.entries.values()) == 8  # 2M
+    assert sorted(store2.entries) == [1, 2]
 
 
 def test_update_exemplars_does_not_mutate_input_store():

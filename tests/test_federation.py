@@ -24,8 +24,8 @@ from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
 from flwf.metrics import SERVER
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
-                          ShapeMismatchError, TrainConfig, forward, init_params,
-                          params_equal)
+                          ShapeMismatchError, TrainConfig, forward, init_params)
+from helpers import same_model
 
 LAYERS = (LayerConfig(KIND_DENSE, units=16), LayerConfig(KIND_RELU),
           LayerConfig(KIND_DROPOUT, rate=0.2), LayerConfig(KIND_DENSE, units=3),
@@ -51,6 +51,14 @@ def brute_average(params_list, sizes):
 def max_abs_gap(a: ModelParams, b: ModelParams) -> float:
     return max(np.abs(wa[k] - wb[k]).max()
                for wa, wb in zip(a.weights, b.weights) for k in wa)
+
+
+def ledger_outputs(ledger):
+    """Everything a finished ledger holds and exports: its test labels, both
+    exports, and each record's key, predictions, task and learnt classes."""
+    return (ledger.test_labels.tolist(), ledger.csv_rows(), ledger.figure_rows(),
+            [(key, r.predictions.tolist(), r.current_task, r.learnt_classes)
+             for key, r in ledger.records.items()])
 
 
 def tiny_clients(algo="flwf2", use_exemplars=False):
@@ -144,13 +152,13 @@ def test_fedavg_equals_delta_form_sum_and_keeps_inputs(net, members, read_only):
             for m, w in zip(models[1:], weights[1:]):
                 want += w * (m.weights[i][key] - base.weights[i][key])
             assert np.array_equal(target[key], want)
-    assert all(params_equal(m, snap) for m, snap in zip(models, snapshots))
+    assert all(same_model(m, snap) for m, snap in zip(models, snapshots))
 
 
 def test_fedavg_of_identical_models_is_exact():
     base = model(seed=7)
     out = fedavg([base, base.copy(), base.copy()], [3, 5, 2])
-    assert params_equal(out, base)
+    assert same_model(out, base)
 
 
 def test_fedavg_two_party_hand_weights():
@@ -287,7 +295,7 @@ def test_fedavg_rejects_an_out_it_cannot_write():
     with pytest.raises(ShapeMismatchError):
         fedavg([a, b], [1, 1], out=other)
     out = a.with_flat(np.full(a.flat.shape, np.nan))
-    assert fedavg([a], [3], out=out) is out and params_equal(out, a)
+    assert fedavg([a], [3], out=out) is out and same_model(out, a)
 
 
 def test_fedavg_input_validation():
@@ -329,7 +337,7 @@ def test_client_update_zero_epochs_returns_fresh_copy_of_server():
     server = model(seed=3)
     out, mode = update(server, None, make_batch(0), train_cfg(epochs=0),
                        losses.LossSpec(mode=losses.MODE_FINE_TUNE))
-    assert params_equal(out, server)
+    assert same_model(out, server)
     assert out is not server
     assert mode == losses.MODE_FINE_TUNE
 
@@ -343,7 +351,7 @@ def test_client_update_student_shares_no_buffer_with_server(epochs):
     assert not any(np.shares_memory(a, b)
                    for wo, ws in zip(out.weights, server.weights)
                    for a, b in zip(wo.values(), ws.values()))
-    assert params_equal(server, snapshot)
+    assert same_model(server, snapshot)
 
 
 def test_client_update_fine_tune_ignores_teachers():
@@ -354,7 +362,7 @@ def test_client_update_fine_tune_ignores_teachers():
                              losses.LossSpec(mode=losses.MODE_FINE_TUNE))
     without, _ = update(server, None, batch, train_cfg(),
                         losses.LossSpec(mode=losses.MODE_FINE_TUNE))
-    assert params_equal(with_teacher, without)
+    assert same_model(with_teacher, without)
 
 
 def test_client_update_flwf1_without_teacher_falls_back_to_fine_tune():
@@ -365,7 +373,7 @@ def test_client_update_flwf1_without_teacher_falls_back_to_fine_tune():
     assert mode == losses.MODE_FINE_TUNE
     want, _ = update(server, None, batch, train_cfg(),
                      losses.LossSpec(mode=losses.MODE_FINE_TUNE))
-    assert params_equal(got, want)
+    assert same_model(got, want)
 
 
 def test_client_update_flwf2_with_full_label_weight_matches_fine_tune():
@@ -393,9 +401,9 @@ def test_client_update_changes_the_student_but_not_the_inputs():
                            temperature=2.0)
     out, mode = update(server, teacher, batch, train_cfg(), spec)
     assert mode == losses.MODE_FLWF2
-    assert not params_equal(out, server)
-    assert params_equal(server, server_before)
-    assert params_equal(teacher, teacher_before)
+    assert not same_model(out, server)
+    assert same_model(server, server_before)
+    assert same_model(teacher, teacher_before)
 
 
 def test_client_update_leaves_both_teachers_read_only():
@@ -481,7 +489,7 @@ def test_run_round_single_client_aggregate_is_that_client():
                                    total_clients=1)
     pool, test, server, ledger, clients = fresh_runtime(scenario)
     server, report = run_round(scenario, server, clients, pool, test, ledger, 1)
-    assert params_equal(server.params, clients[0].params)
+    assert same_model(server.params, clients[0].params)
     assert server.params is not clients[0].params
 
 
@@ -494,7 +502,7 @@ def test_run_round_aggregate_uses_weight_hints():
                          [1.0 * report.sizes["c1"], 4.0 * report.sizes["cg"]])
     assert max_abs_gap(server.params, want) < 1e-12
     assert report.sizes == {"c1": 24, "cg": 24}
-    assert not params_equal(server.params, before)
+    assert not same_model(server.params, before)
 
 
 def test_run_round_schedules_tasks_and_modes():
@@ -534,7 +542,7 @@ def test_run_round_exemplar_refresh_happens_after_training():
     # round 1: the store was empty during composition, so the trained batch
     # was the 24 fresh rows (2 epochs x ceil(24/16) = 4 steps)
     assert len(r1.loss_traces["c1"]) == 4
-    assert c1.store.tasks_seen() == (1,)
+    assert sorted(c1.store.entries) == [1]
     stored = {tuple(row) for row in c1.store.entries[1][0]}
     drawn = {tuple(row) for row in pool.features[r1.draw_sources["c1"]]}
     assert stored <= drawn
@@ -542,7 +550,7 @@ def test_run_round_exemplar_refresh_happens_after_training():
     # chunks per epoch), and the store gains task 2 afterwards
     server, r2 = run_round(scenario, server, clients, pool, test, ledger, 2)
     assert len(r2.loss_traces["c1"]) == 4
-    assert c1.store.tasks_seen() == (1, 2)
+    assert sorted(c1.store.entries) == [1, 2]
 
 
 def test_run_round_without_exemplars_leaves_stores_empty():
@@ -722,7 +730,7 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
     bytes stay as they were and read-only, the buffers fall back to fresh
     ones, and the run's results equal an unheld run's."""
     scenario = one_step_conv_scenario(rounds=3)
-    unheld = run_experiment(scenario).ledger.to_json()
+    unheld = ledger_outputs(run_experiment(scenario).ledger)
     held, snapshots = [], []
     real_round = federation.run_round
 
@@ -740,7 +748,7 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
     arr = kept.flat if hold == "model" else kept
     assert not arr.flags.writeable
     assert np.array_equal(arr, snapshots[0])
-    assert result.ledger.to_json() == unheld
+    assert ledger_outputs(result.ledger) == unheld
 
 
 def test_run_round_rejects_a_consumed_server_state():
@@ -756,30 +764,30 @@ def test_run_round_rejects_a_consumed_server_state():
 def test_run_experiment_is_deterministic():
     a = run_experiment(tiny_scenario(seed=9))
     b = run_experiment(tiny_scenario(seed=9))
-    assert a.ledger.to_json() == b.ledger.to_json()
-    assert params_equal(a.server.params, b.server.params)
+    assert ledger_outputs(a.ledger) == ledger_outputs(b.ledger)
+    assert same_model(a.server.params, b.server.params)
     for ca, cb in zip(a.clients, b.clients):
-        assert params_equal(ca.params, cb.params)
+        assert same_model(ca.params, cb.params)
 
 
 def test_run_experiment_seed_changes_the_run():
     a = run_experiment(tiny_scenario(seed=9))
     b = run_experiment(tiny_scenario(seed=10))
-    assert a.ledger.to_json() != b.ledger.to_json()
+    assert ledger_outputs(a.ledger) != ledger_outputs(b.ledger)
 
 
 def test_run_experiment_zero_rounds_evaluates_initial_server_only():
     scenario = tiny_scenario(rounds=0)
     result = run_experiment(scenario)
     assert result.reports == []
-    assert result.ledger.owners() == (SERVER,)
+    assert list(result.ledger.records) == [(SERVER, 0)]
     assert [r.round_index for r in result.ledger.records.values()] == [0]
     assert all(c.params is None for c in result.clients)
 
 
 def test_run_experiment_ledger_covers_all_owners_and_rounds():
     result = run_experiment(tiny_scenario(seed=12))
-    assert set(result.ledger.owners()) == {SERVER, "c1", "cg"}
+    assert {owner for owner, _ in result.ledger.records} == {SERVER, "c1", "cg"}
     for owner in ("c1", "cg"):
         rounds = sorted(r.round_index for r in result.ledger.records.values()
                         if r.owner == owner)

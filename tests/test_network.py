@@ -23,8 +23,8 @@ from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelPara
                           _forward_pass,
                           _maxpool_backward, _maxpool_forward, backward, forward,
                           infer_shapes, init_params, layer_to_dict, loss_on_batch,
-                          params_digest, params_equal, reclaim, sgd_step,
-                          train_local)
+                          params_digest, reclaim, sgd_step, train_local)
+from helpers import packed, same_model
 
 MLP = (LayerConfig("dense", units=8), LayerConfig("relu"),
        LayerConfig("dense", units=3), LayerConfig("softmax-output"))
@@ -35,7 +35,7 @@ CONVNET = (LayerConfig("conv1d", filters=3, kernel=3), LayerConfig("relu"),
 
 
 def make_batch(rng, params, rows=6):
-    n = params.n_outputs
+    n = infer_shapes(params.architecture, params.input_shape)[-1][0]
     feats = rng.normal(size=(rows, *params.input_shape))
     labels = rng.integers(0, n, size=rows)
     return RoundBatch(feats, labels, n)
@@ -100,8 +100,8 @@ def test_init_deterministic_per_seed():
     a = init_params(MLP, (5,), seed=11)
     b = init_params(MLP, (5,), seed=11)
     c = init_params(MLP, (5,), seed=12)
-    assert params_equal(a, b)
-    assert not params_equal(a, c)
+    assert same_model(a, b)
+    assert not same_model(a, c)
 
 
 # -- forward semantics -----------------------------------------------------------
@@ -366,7 +366,7 @@ def fd_param_grads(params, batch, spec, training=False, rng_seed=None, h=1e-5):
                 out[idx] = (value(up) - value(dn)) / (2 * h)
             g[key] = out
         grads.append(g)
-    return ModelParams(params.architecture, params.input_shape, grads)
+    return packed(params.architecture, params.input_shape, grads)
 
 
 def spec_for(mode, rng, rows, n):
@@ -410,7 +410,7 @@ def test_gradients_match_finite_differences(kind, mode):
         rng = np.random.default_rng(100 + seed)
         params = init_params(arch, input_shape, seed=seed)
         batch = make_batch(rng, params, rows=4)
-        spec = spec_for(mode, rng, 4, params.n_outputs)
+        spec = spec_for(mode, rng, 4, batch.n_classes)
         rng_eval = None if rng_seed is None else np.random.default_rng(rng_seed)
         analytic = backward(params, batch, spec, training=training, rng=rng_eval)
         numeric = fd_param_grads(params, batch, spec, training=training,
@@ -451,9 +451,9 @@ def test_sgd_step_writes_w_minus_lr_g_into_the_gradient_buffers(net, seed, lr,
     arch, input_shape = net
     rng = np.random.default_rng(seed)
     params = init_params(arch, input_shape, seed=seed)
-    grads = ModelParams(arch, input_shape,
-                        [{k: rng.normal(size=v.shape) for k, v in w.items()}
-                         for w in params.weights])
+    grads = packed(arch, input_shape,
+                   [{k: rng.normal(size=v.shape) for k, v in w.items()}
+                    for w in params.weights])
     if read_only:
         params = read_only_copy(params)
     before = params.copy(), grads.copy()
@@ -463,7 +463,7 @@ def test_sgd_step_writes_w_minus_lr_g_into_the_gradient_buffers(net, seed, lr,
         for key in w:
             assert np.array_equal(s[key], w[key] - lr * g[key])
             assert np.shares_memory(s[key], buf[key])
-    assert params_equal(params, before[0])
+    assert same_model(params, before[0])
 
 
 # 90,000 weights: one full SGD_CHUNK slice and a partial last one
@@ -473,10 +473,10 @@ MULTI_CHUNK = (LayerConfig("dense", units=300), LayerConfig("softmax-output"))
 def multi_chunk_setup(seed=0, order="C"):
     rng = np.random.default_rng(seed)
     params = init_params(MULTI_CHUNK, (300,), seed=seed)
-    grads = ModelParams(MULTI_CHUNK, (300,),
-                        [{k: np.asarray(rng.normal(size=v.shape), order=order)
-                          for k, v in w.items()}
-                         for w in params.weights])
+    grads = packed(MULTI_CHUNK, (300,),
+                   [{k: np.asarray(rng.normal(size=v.shape), order=order)
+                     for k, v in w.items()}
+                    for w in params.weights])
     assert SGD_CHUNK < grads.weights[0]["W"].size < 2 * SGD_CHUNK
     return params, grads
 
@@ -495,7 +495,7 @@ def test_sgd_step_on_multi_chunk_buffers_equals_w_minus_lr_g(order):
         for key in w:
             assert np.array_equal(s[key], w[key] - 0.37 * g[key])
             assert np.shares_memory(s[key], buf[key])
-    assert params_equal(params, before[0])
+    assert same_model(params, before[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -532,38 +532,36 @@ def random_nets(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(random_nets(), st.sampled_from(["C", "F", "read-only"]),
-       st.integers(0, 2**32 - 1))
-def test_packing_gives_one_c_contiguous_flat_that_every_view_shares(net, form,
-                                                                     seed):
-    """Separate arrays, C- or Fortran-ordered or read-only, pack into one
-    writable C-contiguous ``flat`` in layer and key order; each view holds
-    its array's values in ``flat``'s memory, cannot be rebound, and
-    ``params_digest`` equals the per-buffer sha256 of the arrays."""
+@given(random_nets(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_one_constructor_lays_flat_out_as_views_that_share_it(net, given_flat,
+                                                                  seed):
+    """A C-contiguous float64 buffer of the layout's size is laid out layer
+    by layer, keys in order, without a copy (None gets a new writable one);
+    each view is C-contiguous in ``flat``'s memory and cannot be rebound,
+    and ``params_digest`` equals the per-buffer sha256 of the arrays.  A
+    buffer of another size or dtype, or a strided one, raises."""
     arch, input_shape = net
-    rng = np.random.default_rng(seed)
-    arrays = [{key: np.asarray(rng.normal(size=view.shape),
-                               order="F" if form == "F" else "C")
-               for key, view in w.items()}
-              for w in init_params(arch, input_shape, seed=0).weights]
-    if form == "read-only":
-        for w in arrays:
-            for arr in w.values():
-                arr.setflags(write=False)
-    params = ModelParams(arch, input_shape, arrays)
+    layout = init_params(arch, input_shape, seed=0).layout
+    size = sum(math.prod(shape) for keys in layout for _, shape in keys)
+    source = np.random.default_rng(seed).normal(size=size)
+    params = ModelParams(arch, input_shape, layout, source if given_flat else None)
     flat = params.flat
-    assert flat.ndim == 1 and flat.dtype == np.float64
+    assert flat.shape == (size,) and flat.dtype == np.float64
     assert flat.flags.c_contiguous and flat.flags.writeable
-    assert same_bits(flat, np.concatenate(
-        [w[key].reshape(-1) for w in arrays for key in sorted(w)]))
-    for w, packed in zip(arrays, params.weights):
-        assert list(packed) == sorted(w)
-        for key, view in packed.items():
-            assert same_bits(view, w[key]) and view.flags.c_contiguous
+    assert (flat is source) == given_flat
+    flat[...] = source
+    arrays, start = [], 0
+    for keys, views in zip(layout, params.weights):
+        assert list(views) == sorted(views) == [key for key, _ in keys]
+        arrays.append({})
+        for key, shape in keys:
+            arrays[-1][key] = source[start:start + math.prod(shape)].reshape(shape)
+            start += math.prod(shape)
+            view = views[key]
+            assert same_bits(view, arrays[-1][key]) and view.flags.c_contiguous
             assert np.shares_memory(view, flat)
-            assert not np.shares_memory(view, w[key])
             with pytest.raises(TypeError):
-                packed[key] = np.zeros(view.shape)
+                views[key] = np.zeros(shape)
     old = hashlib.sha256(json.dumps(
         {"input_shape": list(input_shape),
          "layers": [layer_to_dict(layer) for layer in arch]},
@@ -572,6 +570,9 @@ def test_packing_gives_one_c_contiguous_flat_that_every_view_shares(net, form,
         for key in sorted(w):
             old.update(np.ascontiguousarray(w[key]).tobytes())
     assert params_digest(params) == old.hexdigest()
+    for bad in (np.zeros(size + 1), source.astype(np.float32), np.zeros(2 * size)[::2]):
+        with pytest.raises(ShapeMismatchError, match="does not fit"):
+            ModelParams(arch, input_shape, layout, bad)
 
 
 def reference_train_local(params, data, cfg, spec):
@@ -607,7 +608,7 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
     params = read_only_copy(init_params(arch, input_shape, seed=seed))
     snapshot = params.copy()
     batch = make_batch(rng, params, rows=rows)
-    spec = spec_for("flwf2", rng, rows, params.n_outputs)
+    spec = spec_for("flwf2", rng, rows, batch.n_classes)
     cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs,
                       rng_seed=seed)
     want = reference_train_local(params, batch, cfg, spec)
@@ -623,7 +624,7 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
     with mock.patch.object(network, "_backward_pass", spy):
         got = train_local(params, batch, cfg, spec, spare=spare)
     assert same_bits(got.flat, want.flat)
-    assert params_equal(params, snapshot)
+    assert same_model(params, snapshot)
     steps = epochs * math.ceil(rows / batch_size)
     distinct = {id(buf) for buf in grad_buffers}
     assert len(grad_buffers) == steps and len(distinct) == min(steps, 2)
@@ -659,7 +660,7 @@ def per_layer_init(arch, input_shape, seed):
                             "b": np.zeros(layer.filters)})
         else:
             weights.append({})
-    return ModelParams(arch, input_shape, weights)
+    return packed(arch, input_shape, weights)
 
 
 @settings(max_examples=60, deadline=None)
@@ -709,13 +710,13 @@ def test_reclaim_hands_back_only_a_buffer_nothing_else_holds(held):
     got = reclaim(box.model)
     if kept is None:
         assert got.flat.ctypes.data == address and got.flat.flags.writeable
-        assert got.same_layout(snapshot) and params_equal(got, snapshot)
+        assert got.same_layout(snapshot) and same_model(got, snapshot)
         assert all(v.flags.writeable and np.shares_memory(v, got.flat)
                    for w in got.weights for v in w.values())
     else:
         assert got is None
         assert not box.model.flat.flags.writeable
-        assert params_equal(box.model, snapshot)
+        assert same_model(box.model, snapshot)
 
 
 def test_reclaim_refuses_a_buffer_it_does_not_own():
@@ -747,7 +748,7 @@ def _training_setup(seed=0, rows=20):
 def test_train_local_zero_epochs_is_identity():
     params, batch = _training_setup()
     cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=0)
-    assert params_equal(train_local(params, batch, cfg, LossSpec()), params)
+    assert same_model(train_local(params, batch, cfg, LossSpec()), params)
 
 
 def test_train_local_rejects_empty_batch():
@@ -772,11 +773,11 @@ def test_train_local_deterministic_and_input_preserving():
     cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, rng_seed=7)
     a = train_local(params, batch, cfg, LossSpec())
     b = train_local(params, batch, cfg, LossSpec())
-    assert params_equal(a, b)
-    assert params_equal(params, snapshot)  # no in-place mutation
+    assert same_model(a, b)
+    assert same_model(params, snapshot)  # no in-place mutation
     c = train_local(params, batch, TrainConfig(learning_rate=0.05, batch_size=4,
                                                epochs=2, rng_seed=8), LossSpec())
-    assert not params_equal(a, c)
+    assert not same_model(a, c)
 
 
 def test_train_local_reduces_loss_on_separable_data():
@@ -819,7 +820,7 @@ def test_params_digest_stability_and_sensitivity():
 
 def test_softmax_output_layer_is_logit_identity():
     with_head = init_params(MLP, (5,), seed=4)
-    without_head = ModelParams(MLP[:-1], (5,), with_head.weights[:-1])
+    without_head = ModelParams(MLP[:-1], (5,), with_head.layout[:-1], with_head.flat)
     assert with_head.architecture[-1].kind == KIND_SOFTMAX_OUTPUT
     x = np.random.default_rng(5).normal(size=(3, 5))
     assert np.array_equal(forward(with_head, x), forward(without_head, x))
