@@ -288,7 +288,8 @@ def _coerce(annotation, value):
     values pass through for the dataclass to check.  The coercions that
     would change a value raise instead: a ``bool`` field takes only
     ``true``/``false`` (``bool("false")`` is True), a number field no bool,
-    and an ``int`` field no float with a fraction (``int`` truncates it)."""
+    an ``int`` field no float with a fraction (``int`` truncates it), and
+    a ``str`` field nothing but a string."""
     if isinstance(annotation, types.UnionType):
         if value is None:
             return None
@@ -301,7 +302,9 @@ def _coerce(annotation, value):
         raise TypeError(f"must be a number, got {value!r}")
     if annotation is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
-    return annotation(value) if annotation in (int, float, str) else value
+    if annotation is str and not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return annotation(value) if annotation in (int, float) else value
 
 
 def _build(cls, doc, path: str, **convert):

@@ -33,6 +33,9 @@ class TaskSpec:
     rounds: int
 
     def __post_init__(self):
+        for c in self.classes:
+            if isinstance(c, bool) or int(c) != c:
+                raise ValueError(f"class ids must be integers, got {c!r}")
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
         if not self.classes:
             raise ValueError("task must own at least one class")

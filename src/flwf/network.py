@@ -28,15 +28,28 @@ one product with ``W`` reshaped to ``(K*C, F)``, dW is one product of
 the buffer's transpose with the output gradient, and dX is one product
 into column gradients folded back with K strided adds.  The buffer is
 the layer's cache.  Backward computes weight gradients only, so the
-input gradient stops after layer 1; layer 0's would flow into the data,
-whatever the layer kind.  Inference (:func:`forward`) keeps no caches.
+input gradient stops at the first layer a pass runs; its gradient would
+flow into the data, whatever the layer kind.  Inference
+(:func:`forward`) keeps no caches.
 
 Max-pool is a running ``np.maximum`` over the pool's strided slices in
-both passes (see :func:`_maxpool_forward`).  ReLU rectifies in place
-every activation the pass allocated, never the caller's input, and
-builds its ``x > 0`` mask only for a backward pass.  Weights start
-uniform in ``[-s, s]``, ``s = sqrt(6 / (fan_in + fan_out))`` per layer.
-Given equal seeds, training is bit-for-bit reproducible.
+both passes (see :func:`_maxpool_forward`); backward scatters into the
+winning slices with one flat-index assignment.  A relu directly before a
+maxpool1d runs after it, at pooled width (the order is decided once per
+model, :func:`_pass_order`): ReLU commutes with max, so its pass, its
+mask and its backward shrink by the pool size and no bit changes.  At
+inference a conv1d that feeds the pool also adds its bias after it:
+rounding is monotone, so ``max_j fl(y_j + b) == fl(max_j y_j + b)``.
+Training keeps the bias at full width, because the gradient goes to the
+first slice holding the maximum of ``fl(y + b)``, and the rounding can
+tie sums that differ before ``b`` is added.  A window whose maximum is
+<= 0 passes a zero gradient either way, to its maximum's slice here and
+to its first slice with ReLU first, so every gradient keeps its value
+(a zero may change sign).  ReLU rectifies in place every activation the
+pass allocated, never the caller's input, and builds its ``x > 0`` mask
+only for a backward pass.  Weights start uniform in ``[-s, s]``,
+``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Given equal seeds,
+training is bit-for-bit reproducible.
 """
 
 import hashlib
@@ -91,6 +104,10 @@ class LayerConfig:
             elif name == "rate":
                 if value is None or not 0.0 <= value < 1.0:
                     raise ValueError("dropout rate must lie in [0, 1)")
+            elif value is not None and (isinstance(value, bool)
+                                        or not isinstance(value, int)):
+                raise ValueError(f"{self.kind} layer {name} must be an integer, "
+                                 f"got {value!r}")
             elif value is None or value < 1:
                 raise ValueError(f"{self.kind} layer needs {name} > 0")
 
@@ -125,7 +142,8 @@ class ModelParams:
     one constructor lays ``flat`` out without copying it (given None, it
     allocates an uninitialized buffer of the layout's size); a buffer that
     is not a C-contiguous float64 array of that size raises
-    :class:`ShapeMismatchError`.
+    :class:`ShapeMismatchError`.  ``order`` is the order a pass runs the
+    layers in (:func:`_pass_order`).
     """
 
     def __init__(self, architecture, input_shape, layout, flat: np.ndarray | None = None):
@@ -147,6 +165,7 @@ class ModelParams:
                 start = stop
             views.append(MappingProxyType(layer))
         self.weights = tuple(views)
+        self.order = _pass_order(architecture)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
         """This model's architecture and layout over ``flat``."""
@@ -200,6 +219,19 @@ def reclaim(params: ModelParams) -> ModelParams | None:
         return None
     flat.setflags(write=True)
     return params.with_flat(flat)
+
+
+def _pass_order(architecture) -> tuple[int, ...]:
+    """Layer indices in the order a pass runs them: each relu directly
+    before a maxpool1d runs after it, at pooled width.  Decided once per
+    model, so a net without a max-pool runs its layers in order at no
+    per-pass cost."""
+    order = list(range(len(architecture)))
+    for i in range(len(architecture) - 1):
+        if (architecture[i].kind == KIND_RELU
+                and architecture[i + 1].kind == KIND_MAXPOOL1D):
+            order[i], order[i + 1] = i + 1, i
+    return tuple(order)
 
 
 def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
@@ -287,9 +319,15 @@ def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
 
 def _forward_pass(params: ModelParams, inputs, training: bool, rng,
                   keep_caches: bool):
+    """Logits and, with ``keep_caches``, one cache per layer in pass order
+    (:func:`_pass_order`).  Without caches, a conv1d whose output goes
+    straight into a max-pool adds its bias after the pool."""
     x = inputs = _coerce_input(params, inputs)
     caches: list = []
-    for i, (layer, w) in enumerate(zip(params.architecture, params.weights)):
+    architecture, weights, order = params.architecture, params.weights, params.order
+    bias = None  # a conv1d bias that waits for the pool
+    for pos, i in enumerate(order):
+        layer, w = architecture[i], weights[i]
         cache = None
         if layer.kind == KIND_DENSE:
             if math.prod(x.shape[1:]) != w["W"].shape[0]:
@@ -303,11 +341,19 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
         elif layer.kind == KIND_CONV1D:
             if x.ndim != 3:
                 raise ShapeMismatchError(f"layer {i} (conv1d): needs 3-d input, got {x.shape}")
-            x, cache = _conv1d_forward(x, w["W"], w["b"])
+            if (not keep_caches and pos + 1 < len(order)
+                    and architecture[order[pos + 1]].kind == KIND_MAXPOOL1D):
+                bias = w["b"]
+                x, cache = _conv1d_forward(x, w["W"])
+            else:
+                x, cache = _conv1d_forward(x, w["W"], w["b"])
         elif layer.kind == KIND_MAXPOOL1D:
             if x.ndim != 3:
                 raise ShapeMismatchError(f"layer {i} (maxpool1d): needs 3-d input, got {x.shape}")
             x, cache = _maxpool_forward(x, layer.pool, keep_caches)
+            if bias is not None:
+                x += bias
+                bias = None
         elif layer.kind == KIND_RELU:
             if keep_caches:
                 cache = x > 0
@@ -345,8 +391,9 @@ def forward(params: ModelParams, inputs, training: bool = False, rng=None) -> np
     return logits
 
 
-def _conv1d_forward(x, W, b):
-    """im2col, then one GEMM: ``(B, L, C)`` -> ``(B, L - K + 1, F)``.
+def _conv1d_forward(x, W, b=None):
+    """im2col, then one GEMM: ``(B, L, C)`` -> ``(B, L - K + 1, F)``, plus
+    ``b`` when given.
 
     Row ``(b, l)`` of the column buffer holds ``x[b, l:l+K, :]`` flattened
     k-major, the order of ``W``'s ``(K, C)`` axes, so ``W`` reshapes to
@@ -358,7 +405,8 @@ def _conv1d_forward(x, W, b):
     cols = (sliding_window_view(x, kernel, axis=1).swapaxes(2, 3)
             .reshape(batch * lout, kernel * channels))
     y = cols @ W.reshape(kernel * channels, filters)
-    y += b
+    if b is not None:
+        y += b
     return y.reshape(batch, lout, filters), (cols, x.shape)
 
 
@@ -418,33 +466,41 @@ def _maxpool_forward(x, pool, keep_winner=True):
 
 
 def _maxpool_backward(cache, dout):
-    """Scatter ``dout`` into a zeroed ``dx`` at each window's winning slice."""
+    """Scatter ``dout`` into a zeroed ``dx`` at each window's winning slice,
+    as one assignment at flat indices: output ``(b, l, c)`` lands at
+    ``(b, l * pool + winner, c)``."""
     winner, shape, pool = cache
+    batch, lout, channels = winner.shape
+    index = np.multiply(winner, channels, dtype=np.intp)
+    index += (np.arange(batch)[:, None, None] * (shape[1] * channels)
+              + np.arange(lout)[:, None] * (pool * channels))
+    index += np.arange(channels)
     dx = np.zeros(shape)
-    np.put_along_axis(_pool_windows(dx, pool), winner[:, :, None, :],
-                      dout[:, :, None, :], axis=2)
+    dx.reshape(-1)[index.reshape(-1)] = dout.reshape(-1)
     return dx
 
 
 def _backward_pass(params: ModelParams, caches, dlogits,
                    out: ModelParams | None = None) -> ModelParams:
-    """Weight gradients, last layer first, written into the views of
-    ``out`` (laid out as ``params``; a fresh model when None), which is
-    returned.  The input gradient stops at layer 1: layer 0's would flow
-    into the data, which has no parameter."""
+    """Weight gradients, last layer of the pass first, written into the
+    views of ``out`` (laid out as ``params``; a fresh model when None),
+    which is returned.  The input gradient stops at the pass's first layer:
+    its gradient would flow into the data, which has no parameter."""
     if out is None:
         out = params.with_flat(np.empty(params.flat.shape))
+    order = params.order
     dx = dlogits
-    for i in range(len(params.architecture) - 1, -1, -1):
+    for pos in range(len(order) - 1, -1, -1):
+        i = order[pos]
         layer = params.architecture[i]
         w, g = params.weights[i], out.weights[i]
-        cache = caches[i]
+        cache = caches[pos]
         if layer.kind == KIND_DENSE:
             np.matmul(cache[1].T, dx, out=g["W"])
             dx.sum(axis=0, out=g["b"])
         elif layer.kind == KIND_CONV1D:
             _conv1d_param_grads(cache, dx, g)
-        if i == 0:
+        if pos == 0:
             break
         if layer.kind == KIND_DENSE:
             dx = (dx @ w["W"].T).reshape(cache[0])

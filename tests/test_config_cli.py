@@ -466,11 +466,14 @@ def test_run_reports_yaml_syntax_error(tmp_path, capsys):
     (("clients", 0, "tasks", 0, "classes"), [1.7], "must be an integer, got 1.7"),
     (("epochs",), True, "must be a number, got True"),
     (("learning_rate",), True, "must be a number, got True"),
-], ids=["rounds", "seed", "units", "input-shape", "classes", "epochs", "learning-rate"])
+    (("clients", 0, "name"), True, "must be a string, got True"),
+], ids=["rounds", "seed", "units", "input-shape", "classes", "epochs", "learning-rate",
+        "name"])
 def test_run_rejects_a_number_it_would_have_to_truncate(tmp_path, capsys, path,
                                                         value, message):
-    """Each value used to be truncated (or a bool read as 1); now the run
-    ends in one error line naming the field, before any output exists."""
+    """Each value used to be truncated (or a bool read as 1, or as the
+    name "True"); now the run ends in one error line naming the field,
+    before any output exists."""
     with open(EXAMPLE_SCENARIO, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     _container(doc, path[:-1])[path[-1]] = value

@@ -35,6 +35,14 @@ def test_task_spec_validation():
         TaskSpec((1,), 0)
 
 
+@pytest.mark.parametrize("bad", [1.7, True, "3"])
+def test_task_spec_rejects_a_class_id_it_would_have_to_convert(bad):
+    """``int`` would truncate 1.7 to class 1 and read True as class 1."""
+    with pytest.raises(ValueError, match=f"class ids must be integers, got {bad!r}"):
+        TaskSpec((0, bad), 3)
+    assert TaskSpec((np.int64(2), 3.0), 3).classes == (2, 3)
+
+
 def test_sequence_rejects_overlapping_classes():
     with pytest.raises(ValueError) as err:
         TaskSequence((TaskSpec((1, 2), 2), TaskSpec((2, 3), 2)))

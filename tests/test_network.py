@@ -57,6 +57,20 @@ def test_layer_config_validation():
         LayerConfig("dropout", rate=1.0)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("dense", "units", 3.5), ("dense", "units", True), ("dense", "units", 4.0),
+    ("conv1d", "filters", 2.5), ("conv1d", "kernel", False), ("maxpool1d", "pool", 2.0),
+])
+def test_layer_config_rejects_a_size_that_is_not_an_int(kind, field, value):
+    """A fractional, float or bool size is named with its kind and field
+    before ``init_params`` can trip over it."""
+    sizes = {"dense": {"units": 3}, "conv1d": {"filters": 2, "kernel": 3},
+             "maxpool1d": {"pool": 2}}[kind]
+    with pytest.raises(ValueError,
+                       match=f"^{kind} layer {field} must be an integer, got {value!r}$"):
+        LayerConfig(kind, **{**sizes, field: value})
+
+
 def test_infer_shapes_mlp():
     assert infer_shapes(MLP, (5,)) == [(8,), (8,), (3,), (3,)]
 
@@ -236,6 +250,25 @@ def signed_small_ints(rng, shape):
     return np.where((x == 0) & rng.integers(0, 2, size=shape).astype(bool), -0.0, x)
 
 
+def argmax_pool(x, pool):
+    """Each window's value at its first argmax, and that argmax."""
+    batch, length, channels = x.shape
+    lout = length // pool
+    windows = x[:, :lout * pool, :].reshape(batch, lout, pool, channels)
+    idx = windows.argmax(axis=2)[:, :, None, :]
+    return np.take_along_axis(windows, idx, axis=2)[:, :, 0, :], idx
+
+
+def argmax_pool_grad(idx, shape, pool, dout):
+    """``dout`` put at each window's argmax slice of a zeroed ``dx``."""
+    batch, lout, _, channels = idx.shape
+    dwin = np.zeros((batch, lout, pool, channels))
+    np.put_along_axis(dwin, idx, dout[:, :, None, :], axis=2)
+    dx = np.zeros(shape)
+    dx[:, :lout * pool, :] = dwin.reshape(batch, lout * pool, channels)
+    return dx
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 9).flatmap(lambda length: st.tuples(
            st.just(length), st.integers(1, length))),
@@ -249,14 +282,8 @@ def test_maxpool_matches_argmax_reference_bit_for_bit(length_pool, batch,
     rng = np.random.default_rng(seed)
     x = signed_small_ints(rng, (batch, length, channels))
     dout = signed_small_ints(rng, (batch, length // pool, channels))
-    lout = length // pool
-    windows = x[:, :lout * pool, :].reshape(batch, lout, pool, channels)
-    idx = windows.argmax(axis=2)[:, :, None, :]
-    ref_out = np.take_along_axis(windows, idx, axis=2)[:, :, 0, :]
-    ref_dwin = np.zeros((batch, lout, pool, channels))
-    np.put_along_axis(ref_dwin, idx, dout[:, :, None, :], axis=2)
-    ref_dx = np.zeros(x.shape)
-    ref_dx[:, :lout * pool, :] = ref_dwin.reshape(batch, lout * pool, channels)
+    ref_out, idx = argmax_pool(x, pool)
+    ref_dx = argmax_pool_grad(idx, x.shape, pool, dout)
 
     snapshot = x.copy()
     out, cache = _maxpool_forward(x, pool)
@@ -266,6 +293,110 @@ def test_maxpool_matches_argmax_reference_bit_for_bit(length_pool, batch,
     assert not np.shares_memory(out, x) and not np.shares_memory(inference, x)
     assert same_bits(_maxpool_backward(cache, dout), ref_dx)  # unrouted: +0.0
     assert same_bits(x, snapshot)
+
+
+POOLED_BLOCKS = {
+    "relu-pool": (LayerConfig("relu"),),
+    "pool": (),
+    "relu-dropout-pool": (LayerConfig("relu"), LayerConfig("dropout", rate=0.5)),
+}
+
+
+@st.composite
+def pooled_conv_nets(draw):
+    """One or two conv1d blocks, each conv1d -> (relu | nothing | relu,
+    dropout) -> maxpool1d, then dense layers; lengths often leave a pool
+    remainder.  Returns the net, its input shape and whether the conv
+    biases sit at 2**53, where fl(y + b) merges neighbouring sums."""
+    length = draw(st.integers(3, 16))
+    input_shape = (length, draw(st.integers(1, 3)))
+    layers = []
+    for _ in range(draw(st.integers(1, 2))):
+        kernel = draw(st.integers(1, max(1, length // 2)))
+        pool = draw(st.integers(1, length - kernel + 1))
+        layers += [LayerConfig("conv1d", filters=draw(st.integers(1, 4)), kernel=kernel),
+                   *POOLED_BLOCKS[draw(st.sampled_from(sorted(POOLED_BLOCKS)))],
+                   LayerConfig("maxpool1d", pool=pool)]
+        length = (length - kernel + 1) // pool
+    if draw(st.booleans()):
+        layers += [LayerConfig("dense", units=draw(st.integers(1, 5))), LayerConfig("relu")]
+    layers += [LayerConfig("dense", units=draw(st.integers(2, 4))),
+               LayerConfig("softmax-output")]
+    return tuple(layers), input_shape, draw(st.booleans())
+
+
+def plain_order_reference(params, x, dlogits):
+    """Logits and weight gradients (dropout off) with every layer run in
+    the architecture's order: conv1d adds its bias at full width, ReLU
+    rectifies every element, max-pool takes each window's first argmax
+    and routes the gradient there (:func:`argmax_pool`)."""
+    caches = []
+    for layer, w in zip(params.architecture, params.weights):
+        cache = None
+        if layer.kind == "dense":
+            cache = (x.shape, x.reshape(len(x), -1))
+            x = cache[1] @ w["W"] + w["b"]
+        elif layer.kind == "conv1d":
+            x, cache = _conv1d_forward(x, w["W"], w["b"])
+        elif layer.kind == "relu":
+            cache = x > 0
+            x = np.maximum(x, 0.0)
+        elif layer.kind == "maxpool1d":
+            shape = x.shape
+            x, idx = argmax_pool(x, layer.pool)
+            cache = (idx, shape, layer.pool)
+        caches.append(cache)
+    grads = params.with_flat(np.empty(params.flat.shape))
+    dx = dlogits
+    for i in range(len(caches) - 1, 0, -1):
+        layer, w, g, cache = params.architecture[i], params.weights[i], grads.weights[i], caches[i]
+        if layer.kind == "dense":
+            g["W"][...] = cache[1].T @ dx
+            g["b"][...] = dx.sum(axis=0)
+            dx = (dx @ w["W"].T).reshape(cache[0])
+        elif layer.kind == "conv1d":
+            _conv1d_param_grads(cache, dx, g)
+            dx = _conv1d_input_grad(cache, w["W"], dx)
+        elif layer.kind == "relu":
+            dx = dx * cache
+        elif layer.kind == "maxpool1d":
+            dx = argmax_pool_grad(*cache, dx)
+    _conv1d_param_grads(caches[0], dx, grads.weights[0])  # layer 0 is a conv1d
+    return x, grads
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_conv_nets(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_pooled_width_conv_block_matches_the_plain_order(net, batch, seed):
+    """Inference (bias after the pool, ReLU after the pool) and the training
+    pass (bias at full width, ReLU and its mask at pooled width) give the
+    plain-order reference's logits bit for bit.  Inputs and weights are
+    small integers, so windows tie and many have a maximum <= 0; there a
+    zero gradient may change sign, so gradients are compared by value,
+    and one SGD step from each gives the same bits."""
+    arch, input_shape, huge_bias = net
+    rng = np.random.default_rng(seed)
+    params = init_params(arch, input_shape, seed=0)
+    for layer, w in zip(arch, params.weights):
+        for key in w:
+            w[key][...] = rng.integers(-2, 3, size=w[key].shape)
+        if layer.kind == "conv1d":
+            w["b"][...] = rng.integers(-3, 2, size=w["b"].shape) + (2.0**53 if huge_bias else 0.0)
+    x = rng.integers(-2, 3, size=(batch, *input_shape)).astype(float)
+    dlogits = rng.integers(-2, 3, size=(batch, arch[-2].units)).astype(float)
+    kinds = [arch[i].kind for i in params.order]
+    assert sorted(params.order) == list(range(len(arch)))
+    assert ("relu", "maxpool1d") not in zip(kinds, kinds[1:])  # every ReLU at pooled width
+
+    logits, caches = _forward_pass(params, x, False, None, keep_caches=True)
+    ref_logits, ref_grads = plain_order_reference(params, x, dlogits)
+    assert same_bits(forward(params, x), logits)
+    assert same_bits(logits, ref_logits)
+    grads = _backward_pass(params, caches, dlogits)
+    assert all(np.array_equal(g[key], r[key])
+               for g, r in zip(grads.weights, ref_grads.weights) for key in g)
+    assert same_bits(sgd_step(params, grads, 0.25).flat,
+                     sgd_step(params, ref_grads, 0.25).flat)
 
 
 RELU_FIRST = (LayerConfig("relu"), LayerConfig("dense", units=3),

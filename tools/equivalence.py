@@ -17,9 +17,13 @@ scenario below is run once with each tree's ``src``:
 * ``conv-steps`` (:func:`conv_steps_scenario`) at seeds 4 and 5: a small
   conv1d net on synthetic data that takes about ten SGD steps per
   client-round, so conv gradients computed into a reused model's buffer
-  are compared too (``paper-cnn`` takes one step per client-round).
+  are compared too (``paper-cnn`` takes one step per client-round);
+* the same scenario with the conv block's other layer orders, each at one
+  of those seeds: ``conv-pool-first`` (conv1d, maxpool1d, relu) and
+  ``conv-dropout-pool`` (conv1d, relu, dropout, maxpool1d), whose ReLU
+  does not run at pooled width.
 
-28 scenarios in all.
+30 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario passes when ``metrics.csv``,
@@ -83,23 +87,32 @@ PRESET_SEEDS = (1, 2, 3)
 WORKLOAD_SEEDS = (7, 9)
 WORKLOADS = ("long-horizon", "paper-cnn")
 CONV_SEEDS = (4, 5)
+# The layers between the conv1d and the dense layer, per conv scenario label
+CONV_BLOCKS = {
+    "conv-steps": [{"kind": "relu"}, {"kind": "maxpool1d", "pool": 2}],
+    "conv-pool-first": [{"kind": "maxpool1d", "pool": 2}, {"kind": "relu"}],
+    "conv-dropout-pool": [{"kind": "relu"}, {"kind": "dropout"},
+                          {"kind": "maxpool1d", "pool": 2}],
+}
+CONV_RUNS = [("conv-steps", seed) for seed in CONV_SEEDS] + [
+    ("conv-pool-first", CONV_SEEDS[0]), ("conv-dropout-pool", CONV_SEEDS[1])]
 
 
-def conv_steps_scenario(seed: int) -> dict:
-    """``[16, 4]`` windows of 64 synthetic features through conv1d, relu,
-    maxpool1d, dense and softmax-output; 3 epochs of batch-16 steps over
-    48 fresh rows per client-round, plus exemplars for ``client1`` (flwf2,
+def conv_steps_scenario(seed: int, label: str) -> dict:
+    """``[16, 4]`` windows of 64 synthetic features through conv1d, the
+    ``CONV_BLOCKS[label]`` layers (relu then maxpool1d for ``conv-steps``),
+    dense and softmax-output; 3 epochs of batch-16 steps over 48 fresh
+    rows per client-round, plus exemplars for ``client1`` (flwf2,
     distilling from both teachers) from round 2 on."""
     def client(name, weight, algo, tasks, **extra):
         return {"name": name, "weight": weight, "algo": algo,
                 "policy": {"mode": "distill-all"}, "tasks": tasks, **extra}
 
     return {
-        "label": "conv-steps", "seed": seed, "rounds": 4, "epochs": 3,
+        "label": label, "seed": seed, "rounds": 4, "epochs": 3,
         "batch_size": 16, "learning_rate": 0.01, "dropout": 0.5, "n_classes": 6,
         "input_shape": [16, 4],
-        "layers": [{"kind": "conv1d", "filters": 8, "kernel": 3},
-                   {"kind": "relu"}, {"kind": "maxpool1d", "pool": 2},
+        "layers": [{"kind": "conv1d", "filters": 8, "kernel": 3}, *CONV_BLOCKS[label],
                    {"kind": "dense", "units": 6}, {"kind": "softmax-output"}],
         "clients": [
             client("client1", 1.0, "flwf2", [{"classes": [1], "rounds": 2},
@@ -131,10 +144,10 @@ def scenarios(inputs_dir: Path):
             for label, path, _ in workloads.write_inputs(workload, seed, str(work_dir)):
                 out.append((f"{label}-seed{seed}",
                             ["--config", path, "--seed", str(seed)]))
-    for seed in CONV_SEEDS:
-        path = inputs_dir / f"conv-steps-seed{seed}.yaml"
-        path.write_text(yaml.safe_dump(conv_steps_scenario(seed), sort_keys=False))
-        out.append((f"conv-steps-seed{seed}", ["--config", str(path)]))
+    for label, seed in CONV_RUNS:
+        path = inputs_dir / f"{label}-seed{seed}.yaml"
+        path.write_text(yaml.safe_dump(conv_steps_scenario(seed, label), sort_keys=False))
+        out.append((f"{label}-seed{seed}", ["--config", str(path)]))
     return out
 
 
