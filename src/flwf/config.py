@@ -149,6 +149,8 @@ class ScenarioConfig:
         object.__setattr__(self, "clients", tuple(self.clients))
         if not self.label:
             raise ConfigError("label", "must be non-empty")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.rounds < 0:
             raise ConfigError("rounds", "must be >= 0")
         if self.epochs < 0:
@@ -288,8 +290,10 @@ def _coerce(annotation, value):
     values pass through for the dataclass to check.  The coercions that
     would change a value raise instead: a ``bool`` field takes only
     ``true``/``false`` (``bool("false")`` is True), a number field no bool,
-    an ``int`` field no float with a fraction (``int`` truncates it), and
-    a ``str`` field nothing but a string."""
+    an ``int`` field no float with a fraction (``int`` truncates it), a
+    ``float`` field no NaN or infinity (a run would fail mid-way, or run on
+    with a term that contributes nothing), and a ``str`` field nothing but
+    a string."""
     if isinstance(annotation, types.UnionType):
         if value is None:
             return None
@@ -304,6 +308,8 @@ def _coerce(annotation, value):
         raise ValueError(f"must be an integer, got {value!r}")
     if annotation is str and not isinstance(value, str):
         raise TypeError(f"must be a string, got {value!r}")
+    if annotation is float and not math.isfinite(float(value)):
+        raise ValueError(f"must be a finite number, got {value!r}")
     return annotation(value) if annotation in (int, float) else value
 
 

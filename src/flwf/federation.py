@@ -156,8 +156,14 @@ def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
         raise ValueError("fedavg needs at least one model")
     if len(sizes) != len(params_list):
         raise ValueError("one size per model required")
+    if not np.isfinite(sizes).all():
+        raise ValueError(f"sizes must be finite, got {sizes.tolist()}")
     if (sizes <= 0).any():
         raise ValueError("sizes must be positive")
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        total = sizes.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"sizes {sizes.tolist()} sum to {total}, past float64's range")
     base = params_list[0]
     for other in params_list[1:]:
         if not base.same_layout(other):
@@ -168,8 +174,7 @@ def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
         raise ShapeMismatchError("fedavg's output does not match the models' layout")
     elif any(np.shares_memory(out.flat, p.flat) for p in params_list):
         raise ValueError("fedavg's output shares memory with a model it averages")
-    weights = sizes / sizes.sum()
-    assert abs(weights.sum() - 1.0) <= 1e-12
+    weights = sizes / total
     if len(params_list) == 1:
         np.copyto(out.flat, base.flat)
         return out

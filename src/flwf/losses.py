@@ -30,6 +30,7 @@ the batch; the trainer resolves the targets once per round and slices
 their rows when it shuffles and chunks the batch.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,13 +46,13 @@ def coefficient_error(mode: str, alpha: float, beta: float | None,
                       temperature: float) -> tuple[str, str] | None:
     """The first ``(field, reason)`` that breaks the coefficient rule, or None.
 
-    The rule: ``alpha`` in [0, 1], a positive temperature, and ``beta`` in
-    [0, 1] given for flwf2 only, with ``alpha + beta <= 1``.
+    The rule: ``alpha`` in [0, 1], a positive finite temperature, and
+    ``beta`` in [0, 1] given for flwf2 only, with ``alpha + beta <= 1``.
     """
     if not 0.0 <= alpha <= 1.0:
         return "alpha", "must lie in [0, 1]"
-    if temperature <= 0:
-        return "temperature", "must be positive"
+    if not 0 < temperature < math.inf:
+        return "temperature", "must be positive and finite"
     if mode == MODE_FLWF2:
         if beta is None:
             return "beta", "required for flwf2"

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -467,13 +468,27 @@ def test_run_reports_yaml_syntax_error(tmp_path, capsys):
     (("epochs",), True, "must be a number, got True"),
     (("learning_rate",), True, "must be a number, got True"),
     (("clients", 0, "name"), True, "must be a string, got True"),
+    (("learning_rate",), math.nan, "must be a finite number, got nan"),
+    (("learning_rate",), math.inf, "must be a finite number, got inf"),
+    (("clients", 0, "temperature"), math.nan, "must be a finite number, got nan"),
+    (("clients", 0, "temperature"), math.inf, "must be a finite number, got inf"),
+    (("clients", 0, "weight"), math.nan, "must be a finite number, got nan"),
+    (("clients", 0, "weight"), math.inf, "must be a finite number, got inf"),
+    (("data", "separation"), math.nan, "must be a finite number, got nan"),
+    (("data", "separation"), math.inf, "must be a finite number, got inf"),
+    (("seed",), -3, "must be >= 0"),
 ], ids=["rounds", "seed", "units", "input-shape", "classes", "epochs", "learning-rate",
-        "name"])
+        "name", "learning-rate-nan", "learning-rate-inf", "temperature-nan",
+        "temperature-inf", "weight-nan", "weight-inf", "separation-nan", "separation-inf",
+        "negative-seed"])
 def test_run_rejects_a_number_it_would_have_to_truncate(tmp_path, capsys, path,
                                                         value, message):
     """Each value used to be truncated (or a bool read as 1, or as the
-    name "True"); now the run ends in one error line naming the field,
-    before any output exists."""
+    name "True"), or to run into round 1: a non-finite number failed with
+    non-finite parameters or logits, or ended a run in an empty error, or
+    (``temperature: .inf``) zeroed both distillation terms, and a negative
+    seed failed inside numpy naming no field.  Now the run ends in one
+    error line naming the field, before any output exists."""
     with open(EXAMPLE_SCENARIO, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     _container(doc, path[:-1])[path[-1]] = value
@@ -483,6 +498,15 @@ def test_run_rejects_a_number_it_would_have_to_truncate(tmp_path, capsys, path,
     code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out_dir)], capsys)
     assert code == 1
     assert err == f"error: {_field_path(path)}: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["run", "--config", EXAMPLE_SCENARIO, "--seed", "-1",
+                            "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert err == "error: seed: must be >= 0\n"
     assert not out_dir.exists()
 
 

@@ -285,6 +285,19 @@ def test_sliced_fedavg_equals_the_three_pass_form_bit_for_bit(net, members, chun
         assert got is out
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ([1.0, np.inf], "sizes must be finite, got [1.0, inf]"),
+    ([1.0, np.nan], "sizes must be finite, got [1.0, nan]"),
+    ([1e308, 1e308], "sizes [1e+308, 1e+308] sum to inf, past float64's range"),
+], ids=["inf", "nan", "overflowing-total"])
+def test_fedavg_rejects_sizes_it_cannot_weigh(sizes, message):
+    """Each used to fail a bare ``assert`` with an empty message (or pass
+    unchecked under ``python -O``)."""
+    a, b = model(seed=1), model(seed=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fedavg([a, b], sizes)
+
+
 def test_fedavg_rejects_an_out_it_cannot_write():
     a, b = model(seed=1), model(seed=2)
     with pytest.raises(ValueError, match="shares memory"):

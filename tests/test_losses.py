@@ -247,6 +247,14 @@ def test_flwf2_paper_coefficients():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+def test_coefficient_rule_takes_only_a_positive_finite_temperature(temperature):
+    """A NaN temperature used to pass and fail the first SGD step; an
+    infinite one ran on with both distillation terms giving zero gradient."""
+    assert losses.coefficient_error("flwf1", 0.5, None, temperature) == (
+        "temperature", "must be positive and finite")
+
+
 def test_flwf1_alpha_extremes():
     rng = np.random.default_rng(11)
     student, teacher_c, _, labels = _random_case(rng)

@@ -88,8 +88,28 @@ def test_append_rejects_duplicates_and_bad_predictions():
     assert "duplicate" in str(err.value)
     with pytest.raises(ValueError):
         ledger.append(RoundRecord("d", 1, np.zeros(5, dtype=int)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "prediction 7 for test row 0 is not a class id in 0..1")):
         ledger.append(RoundRecord("d", 1, np.full(8, 7)))
+
+    # checked before the ids are narrowed to one byte, where -1 would
+    # wrap to class 255 and 2.9 truncate to class 2
+    wide = MetricsLedger(test_labels=np.arange(256), n_classes=256, total_rounds=1)
+    for row, bad in ((5, -1), (200, 256)):
+        predictions = np.arange(256)
+        predictions[row] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"prediction {bad} for test row {row} is not a class id in 0..255")):
+            wide.append(RoundRecord("d", 1, predictions))
+    three = MetricsLedger(test_labels=[0, 1, 2], n_classes=3, total_rounds=1)
+    for predictions, named in (([0.7, 1.2, 2.9], "prediction 0.7 for test row 0"),
+                               ([0, np.nan, 2], "prediction nan for test row 1")):
+        with pytest.raises(ValueError, match=re.escape(f"{named} is not a class id in 0..2")):
+            three.append(RoundRecord("c", 1, predictions))
+    assert not wide.records and not three.records
+    three.append(RoundRecord("c", 1, [np.int64(0), 1.0, 2]))  # whole numbers pass
+    assert three.record_for("c", 1).predictions.dtype == np.uint8
+    assert three.whole_test_accuracy("c", 1) == 1.0
 
 
 def test_owner_listing_and_lookup():
@@ -259,23 +279,47 @@ def random_ledgers(draw):
     so an accuracy computed in another order or precision would show up.
     Task class tuples carry duplicates and out-of-range classes, which the
     ledger ignores; each task keeps at least one class with test examples.
+    ``n_classes`` is 2..6 or one of 255, 256 and 257, around the largest
+    class count whose ids fit one byte.  For those three, with too many
+    values to draw one at a time, the counts, the label order and the
+    predictions come from a numpy generator seeded by one drawn integer;
+    to keep the per-class brute force affordable, "c" has at most two
+    tasks of one round each and no other client joins.  Predictions are
+    int64 arrays, as ``predict`` returns.
     """
-    n_classes = draw(st.integers(2, 6))
-    counts = draw(st.lists(st.integers(1, 7), min_size=n_classes, max_size=n_classes))
-    labels = np.repeat(np.arange(n_classes), counts)
-    labels = labels[draw(st.permutations(range(len(labels))))]
+    n_classes = draw(st.integers(2, 6) | st.sampled_from([255, 256, 257]))
+    wide = n_classes > 6
+    if wide:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+        def ints(low, high, size):
+            return rng.integers(low, high + 1, size)
+
+        def permutation(n):
+            return rng.permutation(n).tolist()
+    else:
+        def ints(low, high, size):
+            return np.array(draw(st.lists(st.integers(low, high),
+                                          min_size=size, max_size=size)), dtype=np.int64)
+
+        def permutation(n):
+            return draw(st.permutations(range(n)))
+
+    labels = np.repeat(np.arange(n_classes), ints(1, 7, n_classes))
+    labels = labels[permutation(len(labels))]
 
     def noisy(task):
         extra = st.sampled_from([*task, -1, n_classes, n_classes + 3])
         return tuple(draw(st.permutations([*task, *draw(st.lists(extra, max_size=2))])))
 
-    order = draw(st.permutations(range(n_classes)))
-    cuts = draw(st.sets(st.integers(1, n_classes - 1), max_size=3))
+    order = permutation(n_classes)
+    cuts = draw(st.sets(st.integers(1, n_classes - 1), max_size=1 if wide else 3))
     bounds = [0, *sorted(cuts), n_classes]
     task_classes = {"c": tuple(noisy(order[a:b]) for a, b in zip(bounds, bounds[1:]))}
-    task_rounds = {"c": tuple(draw(st.integers(1, 3)) for _ in task_classes["c"])}
+    task_rounds = {"c": tuple(draw(st.integers(1, 1 if wide else 3))
+                              for _ in task_classes["c"])}
     rounds = sum(task_rounds["c"])
-    for owner in ("c1", "c2")[:draw(st.integers(0, 2))]:
+    for owner in ("c1", "c2")[:draw(st.integers(0, 0 if wide else 2))]:
         cuts = draw(st.sets(st.integers(1, rounds - 1), max_size=2)) if rounds > 1 else ()
         bounds = [0, *sorted(cuts), rounds]
         task_rounds[owner] = tuple(b - a for a, b in zip(bounds, bounds[1:]))
@@ -283,8 +327,7 @@ def random_ledgers(draw):
             noisy(draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=3)))
             for _ in task_rounds[owner])
     owners = (*task_classes, SERVER)
-    preds = {key: np.array(draw(st.lists(st.integers(0, n_classes - 1),
-                                         min_size=len(labels), max_size=len(labels))))
+    preds = {key: ints(0, n_classes - 1, len(labels))
              for key in [(SERVER, 0)] + [(o, r) for r in range(1, rounds + 1)
                                          for o in owners]}
     learnt = {r: tuple(draw(st.sets(st.integers(0, n_classes - 1))))
@@ -300,10 +343,20 @@ def random_ledgers(draw):
     return ledger, labels, preds, learnt, append_order, subset
 
 
+def assert_stored_narrow(ledger, preds):
+    """Every record holds its int64 input's values, one byte per test row
+    up to 256 classes and two above."""
+    narrowest = np.uint8 if ledger.n_classes <= 256 else np.uint16
+    for key, record in ledger.records.items():
+        assert record.predictions.dtype == narrowest
+        assert np.array_equal(record.predictions, preds[key])
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_ledgers())
 def test_ledger_matches_brute_force_on_random_ledgers(case):
     ledger, labels, preds, learnt, append_order, subset = case
+    assert_stored_narrow(ledger, preds)
     task_classes = ledger.task_classes["c"]
     rounds = ledger.total_rounds
 
@@ -420,16 +473,18 @@ def assert_same_rows(rows, brute):
 @given(random_ledgers(), st.data())
 def test_exports_match_brute_force_rows(case, data):
     ledger, labels, preds = case[:3]
+    assert_stored_narrow(ledger, preds)
     brute = brute_export(ledger, labels, preds)
     assert_same_rows(ledger.csv_rows(), brute[0])
     assert_same_rows(ledger.figure_rows(), brute[1])
 
     # one more record after an export: the table is rebuilt and shows it
     owner = data.draw(st.sampled_from(["c", "late"]))
-    late = np.array(data.draw(st.lists(st.integers(0, ledger.n_classes - 1),
-                                       min_size=len(labels), max_size=len(labels))))
+    late = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+        0, ledger.n_classes, len(labels))
     ledger.append(RoundRecord(owner, ledger.total_rounds + 1, late))
     preds = {**preds, (owner, ledger.total_rounds + 1): late}
+    assert_stored_narrow(ledger, preds)
     brute = brute_export(ledger, labels, preds)
     assert_same_rows(ledger.csv_rows(), brute[0])
     assert_same_rows(ledger.figure_rows(), brute[1])
@@ -437,8 +492,8 @@ def test_exports_match_brute_force_rows(case, data):
     # a task whose classes have no test examples fails the export by name
     tasks = list(ledger.task_classes["c"])
     d = data.draw(st.integers(0, len(tasks) - 1))
-    empty = data.draw(st.lists(st.sampled_from([-2, -1, ledger.n_classes, 9]),
-                               min_size=1, max_size=3))
+    absent = [-2, -1, ledger.n_classes, ledger.n_classes + 3]
+    empty = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=3))
     tasks[d] = tuple(empty)
     broken = rebuilt(ledger, task_classes={**ledger.task_classes, "c": tuple(tasks)})
     message = f"no test examples for classes {sorted(empty)}"

@@ -882,6 +882,12 @@ def test_train_local_zero_epochs_is_identity():
     assert same_model(train_local(params, batch, cfg, LossSpec()), params)
 
 
+@pytest.mark.parametrize("learning_rate", [0.0, math.nan, math.inf])
+def test_train_config_takes_only_a_positive_finite_learning_rate(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=learning_rate, batch_size=8, epochs=1)
+
+
 def test_train_local_rejects_empty_batch():
     params, batch = _training_setup()
     empty = RoundBatch(batch.features[:0], batch.labels[:0], batch.n_classes)

@@ -21,9 +21,12 @@ scenario below is run once with each tree's ``src``:
 * the same scenario with the conv block's other layer orders, each at one
   of those seeds: ``conv-pool-first`` (conv1d, maxpool1d, relu) and
   ``conv-dropout-pool`` (conv1d, relu, dropout, maxpool1d), whose ReLU
-  does not run at pooled width.
+  does not run at pooled width;
+* ``many-classes`` (:func:`many_classes_scenario`) at seed 6: 300
+  classes, so the ledger stores its predictions in two bytes per test
+  row, and class ids above 255 are predicted, learnt and scored.
 
-30 scenarios in all.
+31 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario passes when ``metrics.csv``,
@@ -96,6 +99,7 @@ CONV_BLOCKS = {
 }
 CONV_RUNS = [("conv-steps", seed) for seed in CONV_SEEDS] + [
     ("conv-pool-first", CONV_SEEDS[0]), ("conv-dropout-pool", CONV_SEEDS[1])]
+MANY_CLASSES_SEED = 6
 
 
 def conv_steps_scenario(seed: int, label: str) -> dict:
@@ -126,6 +130,28 @@ def conv_steps_scenario(seed: int, label: str) -> dict:
     }
 
 
+def many_classes_scenario(seed: int) -> dict:
+    """A small MLP over 300 synthetic classes for two rounds: ``client1``
+    learns classes 250..299 then 0..49 (flwf1), ``generalized`` all 300
+    (fine-tune), scored on 5 test rows per class."""
+    return {
+        "label": "many-classes", "seed": seed, "rounds": 2, "epochs": 2,
+        "batch_size": 32, "learning_rate": 0.05, "dropout": 0.2, "n_classes": 300,
+        "input_shape": [16],
+        "layers": [{"kind": "dense", "units": 32}, {"kind": "relu"}, {"kind": "dropout"},
+                   {"kind": "dense", "units": 300}, {"kind": "softmax-output"}],
+        "clients": [
+            {"name": "client1", "weight": 1.0, "algo": "flwf1", "alpha": 0.5,
+             "tasks": [{"classes": list(range(250, 300)), "rounds": 1},
+                       {"classes": list(range(50)), "rounds": 1}]},
+            {"name": "generalized", "weight": 4.0, "algo": "fine-tune",
+             "tasks": [{"classes": list(range(300)), "rounds": 2}]},
+        ],
+        "data": {"kind": "synthetic", "per_class": 20, "feature_dim": 16},
+        "round_data_size": 300, "test_per_class": 5,
+    }
+
+
 def scenarios(inputs_dir: Path):
     """``[(name, flwf run arguments), ...]``; writes the workload inputs."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -148,6 +174,9 @@ def scenarios(inputs_dir: Path):
         path = inputs_dir / f"{label}-seed{seed}.yaml"
         path.write_text(yaml.safe_dump(conv_steps_scenario(seed, label), sort_keys=False))
         out.append((f"{label}-seed{seed}", ["--config", str(path)]))
+    path = inputs_dir / f"many-classes-seed{MANY_CLASSES_SEED}.yaml"
+    path.write_text(yaml.safe_dump(many_classes_scenario(MANY_CLASSES_SEED), sort_keys=False))
+    out.append((f"many-classes-seed{MANY_CLASSES_SEED}", ["--config", str(path)]))
     return out
 
 
