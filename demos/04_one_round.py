@@ -9,10 +9,8 @@ classes (balanced, so the policy lets it fine-tune).  Aggregation
 weights are the client weight hints times the fresh-draw sizes.
 """
 
-import numpy as np
-
 from flwf import (ClientConfig, LayerConfig, ScenarioConfig, StrategyPolicy,
-                  SyntheticSource, TaskSequence, TaskSpec,
+                  SyntheticSource, TaskSequence, TaskSpec, current_task,
                   normalized_label_entropy, run_experiment)
 
 layers = (LayerConfig("dense", units=16), LayerConfig("relu"),
@@ -38,23 +36,21 @@ scenario = ScenarioConfig(
 
 result = run_experiment(scenario)
 
-for report in result.reports:
-    r = report.round_index
+rows = scenario.round_data_size  # every client draws this many fresh rows
+for r in range(1, scenario.rounds + 1):
     print(f"\n-- round {r} " + "-" * 40)
     for client in result.clients:
-        name = client.name
-        record = result.ledger.record_for(name, r)
-        print(f"  {name}: task {record.current_task}, "
-              f"drew {report.sizes[name]} rows, trained with "
-              f"'{report.modes[name]}', learnt classes {record.learnt_classes}")
-    hint = {c.name: c.cfg.weight for c in result.clients}
-    sizes = report.sizes
-    raw = {n: hint[n] * sizes[n] for n in sizes}
+        name, tasks = client.name, client.cfg.tasks
+        t, _ = current_task(tasks, r)
+        print(f"  {name}: task {t}, drew {rows} rows, trained with "
+              f"'{result.ledger.record_for(name, r).mode}', "
+              f"learnt classes {tasks.classes_started_by(r)}")
+    raw = {c.name: c.cfg.weight * rows for c in result.clients}
     total = sum(raw.values())
     shares = {n: raw[n] / total for n in raw}
     print(f"  aggregation shares (hint x rows, normalized): "
           + ", ".join(f"{n}={s:.2f}" for n, s in shares.items()))
-    for name in sizes:
+    for name in raw:
         acc = result.ledger.whole_test_accuracy(name, r)
         print(f"  {name} whole-test accuracy after local training: {acc:.3f}")
     print(f"  server whole-test accuracy after aggregation:  "

@@ -17,9 +17,9 @@ from .continual import (ExemplarStore, StrategyPolicy, TaskSequence, TaskSpec,
 from .datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
                        draw_round_data, draw_test_set, generate_synthetic,
                        load_csv, save_csv)
-from .federation import (ClientRuntime, ExperimentResult, RoundReport,
-                         ServerState, client_update, fedavg, run_experiment,
-                         run_round, stream_seed)
+from .federation import (ClientRuntime, ExperimentResult, ServerState,
+                         client_update, fedavg, run_experiment, run_round,
+                         stream_seed)
 from .losses import (LossSpec, classification_loss, combined_loss,
                      combined_loss_grad, distillation_loss, log_softmax, softmax,
                      temperature_scaled_probs)
@@ -34,7 +34,7 @@ __all__ = [
     "ClientConfig", "ClientRuntime", "ConfigError", "CsvSource", "DatasetPool",
     "ExemplarStore", "ExperimentResult", "LayerConfig", "LossSpec",
     "MetricsLedger", "ModelParams", "PoolExhaustedError", "RoundBatch",
-    "RoundRecord", "RoundReport", "ScenarioConfig", "ServerState",
+    "RoundRecord", "ScenarioConfig", "ServerState",
     "ShapeMismatchError", "StrategyPolicy", "SyntheticSource", "TaskSequence",
     "TaskSpec", "TestSet", "TrainConfig", "backward", "classification_loss",
     "client_update", "combined_loss", "combined_loss_grad",

@@ -66,9 +66,9 @@ def summarize(result: ExperimentResult) -> dict:
         "seed": scenario.seed,
         "client_order": [c.name for c in scenario.clients],
         "metrics": owners,
-        "modes": {name: {str(r.round_index): r.modes[name]
-                         for r in result.reports}
-                  for name in (c.name for c in scenario.clients)},
+        "modes": {c.name: {str(r): ledger.records[(c.name, r)].mode
+                           for r in range(1, scenario.rounds + 1)}
+                  for c in scenario.clients},
         "config": config_mod.to_dict(scenario),
     }
 

@@ -75,8 +75,8 @@ class SyntheticSource:
             raise ConfigError("data.per_class", "must be positive")
         if self.feature_dim < 1:
             raise ConfigError("data.feature_dim", "must be positive")
-        if self.separation < 0:
-            raise ConfigError("data.separation", "must be non-negative")
+        if not 0 <= self.separation < math.inf:
+            raise ConfigError("data.separation", "must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ class ClientConfig:
         where = f"clients[{self.name}]"
         if not self.name:
             raise ConfigError(where + ".name", "must be non-empty")
-        if self.weight <= 0:
-            raise ConfigError(where + ".weight", "must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ConfigError(where + ".weight", "must be positive and finite")
         if self.algo not in ALGO_MODES:
             raise ConfigError(where + ".algo",
                               f"must be one of {list(ALGO_MODES)}, got {self.algo!r}")
@@ -157,8 +157,8 @@ class ScenarioConfig:
             raise ConfigError("epochs", "must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size", "must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate", "must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate", "must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout", "must lie in [0, 1)")
         if self.n_classes < 2:

@@ -9,6 +9,7 @@ whether the client trains with a distillation objective or plain
 fine-tuning, using the label entropy of the composed training batch.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -63,37 +64,37 @@ class TaskSequence:
             if overlap:
                 raise ValueError(f"task {i + 1} reuses classes {sorted(overlap)}")
             seen |= set(task.classes)
+        # the budgets' running sums, from 0: task t ends at round _ends[t]
+        object.__setattr__(self, "_ends", tuple(itertools.accumulate(
+            (task.rounds for task in self.tasks), initial=0)))
 
     @property
     def total_rounds(self) -> int:
-        return sum(t.rounds for t in self.tasks)
+        return self._ends[-1]
+
+    def window(self, t: int) -> range:
+        """Rounds of task t (1-based): ``(sum of earlier budgets, sum
+        through t]``, so the windows partition ``1..total_rounds``."""
+        if not 1 <= t <= len(self.tasks):
+            raise ValueError(f"no task {t} in a sequence of {len(self.tasks)}")
+        return range(self._ends[t - 1] + 1, self._ends[t] + 1)
 
     def classes_started_by(self, round_index: int) -> tuple[int, ...]:
         """Union of classes of every task whose window starts at or before
         the given round; these are the classes the client has learnt."""
         out: set[int] = set()
-        start = 1
-        for task in self.tasks:
-            if round_index >= start:
+        for t, task in enumerate(self.tasks, start=1):
+            if self.window(t).start <= round_index:
                 out |= set(task.classes)
-            start += task.rounds
         return tuple(sorted(out))
 
 
 def current_task(seq: TaskSequence, round_index: int) -> tuple[int, TaskSpec]:
-    """The (1-based task index, TaskSpec) whose round window contains the round.
-
-    Task t occupies rounds ``(sum of earlier budgets, sum through t]``.
-    """
-    if not 1 <= round_index <= seq.total_rounds:
-        raise ValueError(
-            f"round {round_index} outside 1..{seq.total_rounds}")
-    upper = 0
+    """The (1-based task index, TaskSpec) whose round window contains the round."""
     for t, task in enumerate(seq.tasks, start=1):
-        upper += task.rounds
-        if round_index <= upper:
+        if round_index in seq.window(t):
             return t, task
-    raise AssertionError("unreachable: budgets partition the round range")
+    raise ValueError(f"round {round_index} outside 1..{seq.total_rounds}")
 
 
 def normalized_label_entropy(labels, n_classes: int) -> float:

@@ -17,7 +17,7 @@ derived from the one experiment seed.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,18 +74,6 @@ class ServerState:
     round_index: int = 0
 
 
-@dataclass
-class RoundReport:
-    """What one round produced, keyed by client name.  Models are not
-    kept here: each client holds its latest one, the server the aggregate."""
-
-    round_index: int
-    sizes: dict[str, int] = field(default_factory=dict)
-    modes: dict[str, str] = field(default_factory=dict)
-    loss_traces: dict[str, list[float]] = field(default_factory=dict)
-    draw_sources: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 def _freeze(params: ModelParams) -> None:
     """Make ``flat`` and every view into it read-only, until
     :func:`flwf.network.reclaim` takes the last reference.  A function of
@@ -98,7 +86,7 @@ def _freeze(params: ModelParams) -> None:
 
 def client_update(server_params: ModelParams, client: ClientRuntime,
                   batch: RoundBatch, train_cfg: TrainConfig,
-                  spec: losses.LossSpec, loss_trace: list | None = None) -> str:
+                  spec: losses.LossSpec) -> str:
     """One local update: the student starts from the server model, the
     teachers are made read-only, and the trained student replaces
     ``client.params``.  Returns the mode that was actually trained with.
@@ -133,8 +121,7 @@ def client_update(server_params: ModelParams, client: ClientRuntime,
     # the client teacher's logits exist: drop it, its buffer for the first gradient
     spare = None if client.params is None else reclaim(client.params)
     client.params = None
-    client.params = train_local(server_params, batch, train_cfg, spec,
-                                loss_trace=loss_trace, spare=spare)
+    client.params = train_local(server_params, batch, train_cfg, spec, spare=spare)
     return losses.objective_terms(spec)[0]
 
 
@@ -194,9 +181,10 @@ def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
 
 def run_round(scenario: ScenarioConfig, server: ServerState,
               clients: list[ClientRuntime], pool: DatasetPool, test: TestSet,
-              ledger: MetricsLedger, round_index: int) -> tuple[ServerState, RoundReport]:
+              ledger: MetricsLedger, round_index: int) -> ServerState:
     """One full communication round; mutates clients (params, stores) and
-    the ledger, consumes ``server``'s model and returns the next server
+    the ledger, which gains one :class:`RoundRecord` per client and one for
+    the server, consumes ``server``'s model and returns the next server
     state.
 
     Between the SGD steps of a one-step local update ``len(clients) + 1``
@@ -216,8 +204,7 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                          f"server round {server.round_index}")
     if server.params is None:
         raise ValueError("the server state's model was consumed by an earlier round")
-    report = RoundReport(round_index=round_index)
-
+    weights = []  # FedAvg's: the client's weight hint times its fresh rows
     for client in clients:
         cfg = client.cfg
         t, task = current_task(cfg.tasks, round_index)
@@ -240,15 +227,11 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
             epochs=scenario.epochs,
             rng_seed=_seed_int(stream_seed(scenario.seed, SEED_TRAIN,
                                            client.index, round_index)))
-        trace: list[float] = []
         try:
-            report.modes[client.name] = client_update(
-                server.params, client, batch, train_cfg, spec, loss_trace=trace)
+            mode = client_update(server.params, client, batch, train_cfg, spec)
         except FloatingPointError as err:
             raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
-        report.sizes[client.name] = len(fresh)
-        report.loss_traces[client.name] = trace
-        report.draw_sources[client.name] = fresh.source_indices.copy()
+        weights.append(cfg.weight * len(fresh))
 
         if cfg.use_exemplars:
             client.store = update_exemplars(
@@ -257,21 +240,17 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                                  client.index, round_index))
         ledger.append(RoundRecord(
             owner=client.name, round_index=round_index,
-            predictions=predict(client.params, test.features),
-            current_task=t,
-            learnt_classes=cfg.tasks.classes_started_by(round_index)))
+            predictions=predict(client.params, test.features), mode=mode))
 
     # every client has trained from the server model: drop it, its buffer for FedAvg
     out = reclaim(server.params)
     server.params = None
-    aggregated = fedavg(
-        [c.params for c in clients],
-        [c.cfg.weight * report.sizes[c.name] for c in clients], out=out)
+    aggregated = fedavg([c.params for c in clients], weights, out=out)
     ledger.append(RoundRecord(
         owner=SERVER, round_index=round_index,
         predictions=predict(aggregated, test.features)))
 
-    return ServerState(params=aggregated, round_index=round_index), report
+    return ServerState(params=aggregated, round_index=round_index)
 
 
 @dataclass
@@ -280,8 +259,6 @@ class ExperimentResult:
     server: ServerState
     clients: list[ClientRuntime]
     ledger: MetricsLedger
-    reports: list[RoundReport]
-    test: TestSet
 
 
 def build_pool(scenario: ScenarioConfig) -> DatasetPool:
@@ -306,18 +283,12 @@ def run_experiment(scenario: ScenarioConfig) -> ExperimentResult:
         scenario.layers, scenario.input_shape,
         seed=stream_seed(scenario.seed, SEED_INIT)))
 
-    task_classes = {}
-    task_rounds = {}
-    if scenario.rounds > 0:
-        for c in scenario.clients:
-            task_classes[c.name] = tuple(t.classes for t in c.tasks.tasks)
-            task_rounds[c.name] = tuple(t.rounds for t in c.tasks.tasks)
+    # a zero-round scenario's task budgets need not sum to its 0 rounds
     ledger = MetricsLedger(
         test_labels=test.labels,
         n_classes=scenario.n_classes,
         total_rounds=scenario.rounds,
-        task_classes=task_classes,
-        task_rounds=task_rounds)
+        tasks={c.name: c.tasks for c in scenario.clients} if scenario.rounds > 0 else {})
 
     clients = [ClientRuntime(index=i, cfg=c,
                              store=ExemplarStore(capacity=scenario.exemplar_capacity))
@@ -326,9 +297,7 @@ def run_experiment(scenario: ScenarioConfig) -> ExperimentResult:
     ledger.append(RoundRecord(owner=SERVER, round_index=0,
                               predictions=predict(server.params, test.features)))
 
-    reports: list[RoundReport] = []
     for r in range(1, scenario.rounds + 1):
-        server, report = run_round(scenario, server, clients, pool, test, ledger, r)
-        reports.append(report)
+        server = run_round(scenario, server, clients, pool, test, ledger, r)
     return ExperimentResult(scenario=scenario, server=server, clients=clients,
-                            ledger=ledger, reports=reports, test=test)
+                            ledger=ledger)

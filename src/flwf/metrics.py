@@ -50,6 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .continual import TaskSequence
 from .network import ModelParams, forward
 
 SERVER = "server"
@@ -62,19 +63,18 @@ def predict(params: ModelParams, features) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Predictions of one owner's model on the test set after one round,
-    class ids as given; a ledger checks and narrows them when appended."""
+    """What one owner's round produced: its model's predictions on the test
+    set, class ids as given (a ledger checks and narrows them when
+    appended), and the loss mode a client trained with (None for the
+    server)."""
 
     owner: str
     round_index: int
     predictions: np.ndarray
-    current_task: int | None = None
-    learnt_classes: tuple[int, ...] = ()
+    mode: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "predictions", np.asarray(self.predictions))
-        object.__setattr__(self, "learnt_classes",
-                           tuple(int(c) for c in self.learnt_classes))
         if self.round_index < 0:
             raise ValueError("round index must be >= 0")
 
@@ -83,27 +83,24 @@ class RoundRecord:
 class MetricsLedger:
     """Append-only store of per-round predictions plus the task layout.
 
-    ``task_classes[k]`` lists the class tuples of owner k's tasks in
-    order and ``task_rounds[k]`` their round budgets; owners without an
-    entry (the server) only support whole-test metrics.  ``records`` maps
-    ``(owner, round)`` to its :class:`RoundRecord` in append order, each
-    holding its predictions in the narrowest unsigned type that holds
-    ``n_classes - 1``.
+    ``tasks[k]`` is owner k's task sequence; owners without an entry (the
+    server) only support whole-test metrics.  ``records`` maps ``(owner,
+    round)`` to its :class:`RoundRecord` in append order, each holding its
+    predictions in the narrowest unsigned type that holds ``n_classes - 1``.
     """
 
     test_labels: np.ndarray
     n_classes: int
     total_rounds: int
-    task_classes: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
-    task_rounds: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    tasks: dict[str, TaskSequence] = field(default_factory=dict)
     records: dict[tuple[str, int], RoundRecord] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        self.test_labels = np.asarray(self.test_labels, dtype=int)
-        if self.test_labels.size == 0:
+        labels = np.asarray(self.test_labels)
+        if labels.size == 0:
             raise ValueError("ledger needs a nonempty test set")
-        if self.test_labels.min() < 0 or self.test_labels.max() >= self.n_classes:
-            raise ValueError("test labels outside 0..n_classes-1")
+        self._check_class_ids(labels, "test label")
+        self.test_labels = labels.astype(int, copy=False)
         # Test examples per class; per record, its correct predictions per
         # class (row i of the hit table H is the i-th record appended).
         self._class_counts = np.bincount(self.test_labels, minlength=self.n_classes)
@@ -114,36 +111,34 @@ class MetricsLedger:
         # abar(k, t, d) by (owner, t, d), which forgetting rereads many times.
         self._table: np.ndarray | None = None
         self._window_means: dict[tuple[str, int, int], float] = {}
-        if set(self.task_classes) != set(self.task_rounds):
-            raise ValueError("task_classes and task_rounds must cover the same owners")
-        for owner, budgets in self.task_rounds.items():
-            if len(budgets) != len(self.task_classes[owner]):
-                raise ValueError(f"{owner}: task counts disagree")
-            if sum(budgets) != self.total_rounds:
+        for owner, seq in self.tasks.items():
+            if seq.total_rounds != self.total_rounds:
                 raise ValueError(f"{owner}: round budgets do not sum to {self.total_rounds}")
 
     # -- recording ---------------------------------------------------------
 
-    def append(self, record: RoundRecord) -> None:
-        """Store a copy of ``record`` with its predictions narrowed.
+    def _check_class_ids(self, ids: np.ndarray, what: str) -> None:
+        """Every entry of ``ids`` must be a whole number in
+        ``0..n_classes-1`` (``np.int64(2)`` and ``3.0`` are, ``-1`` and
+        ``0.7`` are not); the first that is not raises ``ValueError``
+        naming it and its test row, before anything is cast."""
+        if ids.dtype.kind not in "iuf":
+            raise ValueError(f"{what}s must be class ids, not {ids.dtype}")
+        valid = (ids >= 0) & (ids < self.n_classes)
+        if ids.dtype.kind == "f":
+            valid &= ids == np.trunc(ids)
+        if not valid.all():
+            row = int(np.argmin(valid))
+            raise ValueError(f"{what} {ids[row].item()!r} for test row {row} "
+                             f"is not a class id in 0..{self.n_classes - 1}")
 
-        Every prediction must be a whole number in ``0..n_classes-1``
-        (``np.int64(2)`` and ``3.0`` are, ``-1`` and ``0.7`` are not); the
-        first that is not raises ``ValueError`` naming it and its test row
-        before anything is cast or stored.
-        """
+    def append(self, record: RoundRecord) -> None:
+        """Store a copy of ``record`` with its predictions narrowed, once
+        each has passed the class-id check of :meth:`_check_class_ids`."""
         predictions = record.predictions
         if predictions.shape != self.test_labels.shape:
             raise ValueError("prediction vector length does not match the test set")
-        if predictions.dtype.kind not in "iuf":
-            raise ValueError(f"predictions must be class ids, not {predictions.dtype}")
-        valid = (predictions >= 0) & (predictions < self.n_classes)
-        if predictions.dtype.kind == "f":
-            valid &= predictions == np.trunc(predictions)
-        if not valid.all():
-            row = int(np.argmin(valid))
-            raise ValueError(f"prediction {predictions[row].item()!r} for test row {row} "
-                             f"is not a class id in 0..{self.n_classes - 1}")
+        self._check_class_ids(predictions, "prediction")
         key = (record.owner, record.round_index)
         if key in self.records:
             raise ValueError(
@@ -161,18 +156,8 @@ class MetricsLedger:
             raise KeyError(f"no record for {owner!r} round {round_index}")
         return self.records[(owner, round_index)]
 
-    # -- task geometry -----------------------------------------------------
-
-    def task_window(self, owner: str, t: int) -> range:
-        """Round indices belonging to owner's task t (1-based)."""
-        budgets = self.task_rounds[owner]
-        if not 1 <= t <= len(budgets):
-            raise ValueError(f"{owner!r} has no task {t}")
-        start = sum(budgets[:t - 1])
-        return range(start + 1, start + budgets[t - 1] + 1)
-
     def n_tasks(self, owner: str) -> int:
-        return len(self.task_rounds[owner])
+        return len(self.tasks[owner].tasks)
 
     # -- the accuracy table ------------------------------------------------
 
@@ -220,7 +205,7 @@ class MetricsLedger:
     def task_accuracy(self, owner: str, round_index: int, d: int) -> float:
         """a(k, r, d): accuracy on the test examples of task d's classes."""
         return self.class_subset_accuracy(
-            owner, round_index, self.task_classes[owner][d - 1])
+            owner, round_index, self.tasks[owner].tasks[d - 1].classes)
 
     # -- aggregate metrics ---------------------------------------------------
 
@@ -237,34 +222,33 @@ class MetricsLedger:
         return float(np.mean(column[:, 0]))
 
     def personal_accuracy(self, owner: str) -> float:
-        """A_per: mean accuracy on the classes learnt so far.
-
-        Rounds with an empty learnt set contribute nothing and shrink the
-        denominator.
-        """
+        """A_per: mean accuracy on the classes learnt so far; in task t's
+        window, the classes of tasks 1..t (``classes_started_by``)."""
         rounds = self._require_rounds(owner, range(1, self.total_rounds + 1))
-        learnt = {r: self.records[(owner, r)].learnt_classes for r in rounds}
-        rounds = [r for r, c in learnt.items() if c]
-        if not rounds:
-            raise ValueError(f"{owner!r} never learnt any class")
-        index = {c: i for i, c in enumerate(dict.fromkeys(learnt[r] for r in rounds))}
-        table = self._accuracies(self._rows(owner, rounds), list(index))
-        return float(np.mean(table[np.arange(len(rounds)),
-                                   [index[learnt[r]] for r in rounds]]))
+        seq = self.tasks[owner]
+        learnt: set[int] = set()
+        class_sets, column = [], []
+        for t, task in enumerate(seq.tasks, start=1):
+            learnt |= set(task.classes)
+            class_sets.append(tuple(sorted(learnt)))
+            column += [t - 1] * len(seq.window(t))
+        table = self._accuracies(self._rows(owner, rounds), class_sets)
+        return float(np.mean(table[np.arange(len(rounds)), column]))
 
     def window_task_accuracy(self, owner: str, t: int, d: int) -> float:
         """abar(k, t, d): task-d accuracy averaged over task t's rounds,
         computed once per (owner, t, d) between appends."""
         key = (owner, t, d)
         if key not in self._window_means:
-            column = self._accuracies(self._rows(owner, self.task_window(owner, t)),
-                                      (self.task_classes[owner][d - 1],))
+            seq = self.tasks[owner]
+            column = self._accuracies(self._rows(owner, seq.window(t)),
+                                      (seq.tasks[d - 1].classes,))
             self._window_means[key] = float(np.mean(column[:, 0]))
         return self._window_means[key]
 
     def avg_task_accuracy(self, owner: str, t: int) -> float:
         """A_task(k, t) = (1/t) sum over d = 1..t of abar(k, t, d)."""
-        self._require_rounds(owner, self.task_window(owner, t))
+        self._require_rounds(owner, self.tasks[owner].window(t))
         return float(np.mean([self.window_task_accuracy(owner, t, d)
                               for d in range(1, t + 1)]))
 
@@ -296,9 +280,12 @@ class MetricsLedger:
         rows: dict[str, list[int]] = {}
         for i, (owner, _) in enumerate(self.records):
             rows.setdefault(owner, []).append(i)
-        tables = {owner: iter(self._accuracies(
-                      owner_rows, [range(self.n_classes),
-                                   *self.task_classes.get(owner, ())]).tolist())
+
+        def class_sets(owner):
+            tasks = self.tasks[owner].tasks if owner in self.tasks else ()
+            return [range(self.n_classes), *(task.classes for task in tasks)]
+
+        tables = {owner: iter(self._accuracies(owner_rows, class_sets(owner)).tolist())
                   for owner, owner_rows in rows.items()}
         out: list[tuple] = []
         for owner, r in self.records:

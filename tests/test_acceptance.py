@@ -15,6 +15,7 @@ import pytest
 
 from flwf import cli, losses
 from flwf.config import preset, uci_cnn_layers
+from flwf.continual import TaskSequence, TaskSpec
 from flwf.datasets import RoundBatch, draw_round_data, draw_test_set, load_csv
 from flwf.federation import run_experiment
 from flwf.metrics import MetricsLedger, RoundRecord, predict
@@ -234,11 +235,10 @@ def test_04_metrics_match_brute_force_exactly(capsys):
              4: np.array([0, 1, 1, 1, 1, 1, 1, 1])}
     learnt = {1: (0,), 2: (0,), 3: (0, 1), 4: (0, 1)}
     ledger = MetricsLedger(test_labels=labels, n_classes=2, total_rounds=4,
-                           task_classes={"c": ((0,), (1,))},
-                           task_rounds={"c": (2, 2)})
+                           tasks={"c": TaskSequence((TaskSpec((0,), 2),
+                                                     TaskSpec((1,), 2)))})
     for r in range(1, 5):
-        ledger.append(RoundRecord("c", r, preds[r], 1 if r <= 2 else 2,
-                                  learnt[r]))
+        ledger.append(RoundRecord("c", r, preds[r]))
 
     def subset_acc(r, classes):
         mask = np.isin(labels, classes)

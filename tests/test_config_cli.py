@@ -501,6 +501,23 @@ def test_run_rejects_a_number_it_would_have_to_truncate(tmp_path, capsys, path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_dataclasses_built_in_code_reject_non_finite_numbers(value):
+    """A config built in code skips the YAML coercion, so each dataclass
+    checks its own float fields with a range that NaN fails too."""
+    scenario = preset("exp1-flwf1", seed=1)
+    client = scenario.clients[0]
+    builds = {
+        "data.separation": lambda: SyntheticSource(separation=value),
+        "learning_rate": lambda: dataclasses.replace(scenario, learning_rate=value),
+        "clients[client1].weight": lambda: dataclasses.replace(client, weight=value),
+    }
+    for field, build in builds.items():
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.path == field
+
+
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, err = run_cli(["run", "--config", EXAMPLE_SCENARIO, "--seed", "-1",

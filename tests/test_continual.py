@@ -10,7 +10,6 @@ from flwf.continual import (ExemplarStore, StrategyPolicy, TaskSequence,
                             is_unbalanced, normalized_label_entropy,
                             select_loss_mode, update_exemplars)
 from flwf.datasets import RoundBatch
-from flwf.metrics import MetricsLedger
 
 # frozen hand computation: 90% / 10% split over a 6-class problem
 ENTROPY_90_10 = 0.1814322619606436
@@ -78,20 +77,6 @@ def test_current_task_rejects_out_of_range_rounds():
         current_task(PAPER_LIKE, 9)
 
 
-def test_task_windows_partition_rounds():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n_tasks = rng.integers(1, 5)
-        budgets = rng.integers(1, 5, size=n_tasks)
-        seq = TaskSequence(tuple(TaskSpec((10 + i,), int(b))
-                                 for i, b in enumerate(budgets)))
-        hits = [current_task(seq, r)[0] for r in range(1, seq.total_rounds + 1)]
-        # every round maps to exactly one task, in order, with the right counts
-        assert hits == sorted(hits)
-        for i, b in enumerate(budgets, start=1):
-            assert hits.count(i) == b
-
-
 def test_classes_started_by():
     assert PAPER_LIKE.classes_started_by(1) == (1,)
     assert PAPER_LIKE.classes_started_by(4) == (1,)
@@ -116,14 +101,8 @@ def task_sequences(draw):
 @settings(max_examples=200, deadline=None)
 @given(task_sequences())
 def test_task_geometry_agrees_with_a_round_by_round_scan(seq):
-    """current_task, classes_started_by and MetricsLedger.task_window all
-    follow from walking the rounds and spending each task's budget in turn."""
-    n_classes = sum(len(task.classes) for task in seq.tasks)
-    ledger = MetricsLedger(
-        test_labels=np.arange(n_classes), n_classes=n_classes,
-        total_rounds=seq.total_rounds,
-        task_classes={"k": tuple(task.classes for task in seq.tasks)},
-        task_rounds={"k": tuple(task.rounds for task in seq.tasks)})
+    """current_task, classes_started_by and TaskSequence.window all follow
+    from walking the rounds and spending each task's budget in turn."""
     t, spent, learnt = 1, 0, set(seq.tasks[0].classes)
     windows = {}
     for r in range(1, seq.total_rounds + 1):
@@ -136,10 +115,13 @@ def test_task_geometry_agrees_with_a_round_by_round_scan(seq):
         assert seq.classes_started_by(r) == tuple(sorted(learnt))
     assert t == len(seq.tasks) and spent == seq.tasks[-1].rounds
     for t, rounds in windows.items():
-        assert list(ledger.task_window("k", t)) == rounds
+        assert list(seq.window(t)) == rounds
     for r in (0, seq.total_rounds + 1):
         with pytest.raises(ValueError):
             current_task(seq, r)
+    for t in (0, len(seq.tasks) + 1):
+        with pytest.raises(ValueError):
+            seq.window(t)
 
 
 # -- unbalanced detection ----------------------------------------------------------

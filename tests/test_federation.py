@@ -55,10 +55,9 @@ def max_abs_gap(a: ModelParams, b: ModelParams) -> float:
 
 def ledger_outputs(ledger):
     """Everything a finished ledger holds and exports: its test labels, both
-    exports, and each record's key, predictions, task and learnt classes."""
+    exports, and each record's key, predictions and mode."""
     return (ledger.test_labels.tolist(), ledger.csv_rows(), ledger.figure_rows(),
-            [(key, r.predictions.tolist(), r.current_task, r.learnt_classes)
-             for key, r in ledger.records.items()])
+            [(key, r.predictions.tolist(), r.mode) for key, r in ledger.records.items()])
 
 
 def tiny_clients(algo="flwf2", use_exemplars=False):
@@ -476,14 +475,27 @@ def fresh_runtime(scenario):
     ledger = MetricsLedger(
         test_labels=test.labels, n_classes=scenario.n_classes,
         total_rounds=scenario.rounds,
-        task_classes={c.name: tuple(t.classes for t in c.tasks.tasks)
-                      for c in scenario.clients},
-        task_rounds={c.name: tuple(t.rounds for t in c.tasks.tasks)
-                     for c in scenario.clients})
+        tasks={c.name: c.tasks for c in scenario.clients})
     clients = [ClientRuntime(index=i, cfg=c,
                              store=ExemplarStore(capacity=scenario.exemplar_capacity))
                for i, c in enumerate(scenario.clients)]
     return pool, test, server, ledger, clients
+
+
+def consumed_per_class(pool):
+    """Pool rows consumed so far (test set included), per class."""
+    return np.bincount(pool.labels[pool.consumed], minlength=pool.n_classes)
+
+
+def count_sgd_steps(monkeypatch):
+    """A list that gains one entry per ``network.sgd_step`` call."""
+    steps, real_step = [], network.sgd_step
+
+    def counted(*args, **kwargs):
+        steps.append(None)
+        return real_step(*args, **kwargs)
+    monkeypatch.setattr(network, "sgd_step", counted)
+    return steps
 
 
 def test_run_round_enforces_round_ordering():
@@ -501,7 +513,7 @@ def test_run_round_single_client_aggregate_is_that_client():
     scenario = dataclasses.replace(tiny_scenario(), clients=clients_cfg,
                                    total_clients=1)
     pool, test, server, ledger, clients = fresh_runtime(scenario)
-    server, report = run_round(scenario, server, clients, pool, test, ledger, 1)
+    server = run_round(scenario, server, clients, pool, test, ledger, 1)
     assert same_model(server.params, clients[0].params)
     assert server.params is not clients[0].params
 
@@ -509,60 +521,58 @@ def test_run_round_single_client_aggregate_is_that_client():
 def test_run_round_aggregate_uses_weight_hints():
     scenario = tiny_scenario()
     pool, test, server, ledger, clients = fresh_runtime(scenario)
-    before = server.params
-    server, report = run_round(scenario, server, clients, pool, test, ledger, 1)
-    want = brute_average([clients[0].params, clients[1].params],
-                         [1.0 * report.sizes["c1"], 4.0 * report.sizes["cg"]])
+    before, consumed = server.params, consumed_per_class(pool)
+    server = run_round(scenario, server, clients, pool, test, ledger, 1)
+    # each client drew round_data_size = 24 fresh rows, weighted by its hint
+    assert (consumed_per_class(pool) - consumed).sum() == 2 * 24
+    want = brute_average([clients[0].params, clients[1].params], [1.0 * 24, 4.0 * 24])
     assert max_abs_gap(server.params, want) < 1e-12
-    assert report.sizes == {"c1": 24, "cg": 24}
     assert not same_model(server.params, before)
 
 
 def test_run_round_schedules_tasks_and_modes():
     scenario = tiny_scenario(algo="flwf1")
     pool, test, server, ledger, clients = fresh_runtime(scenario)
-    server, r1 = run_round(scenario, server, clients, pool, test, ledger, 1)
-    server, r2 = run_round(scenario, server, clients, pool, test, ledger, 2)
+    server = run_round(scenario, server, clients, pool, test, ledger, 1)
+    server = run_round(scenario, server, clients, pool, test, ledger, 2)
+    modes = {(owner, r): record.mode for (owner, r), record in ledger.records.items()}
     # c1 draws task 1 (class 1) then task 2 (class 2); single-class batches
-    # stay unbalanced, but round 1 has no client teacher yet
-    assert ledger.record_for("c1", 1).current_task == 1
-    assert ledger.record_for("c1", 2).current_task == 2
-    assert r1.modes["c1"] == "fine-tune"
-    assert r2.modes["c1"] == "flwf1"
-    # the generalized client always draws balanced batches, so the hybrid
-    # policy keeps it on plain fine-tuning
-    assert r1.modes["cg"] == r2.modes["cg"] == "fine-tune"
-    assert ledger.record_for("c1", 1).learnt_classes == (1,)
-    assert ledger.record_for("c1", 2).learnt_classes == (1, 2)
-    assert ledger.record_for("cg", 2).learnt_classes == (0, 1, 2)
+    # stay unbalanced, but round 1 has no client teacher yet.  The
+    # generalized client always draws balanced batches, so the hybrid
+    # policy keeps it on plain fine-tuning; the server trains with none.
+    assert modes == {("c1", 1): "fine-tune", ("cg", 1): "fine-tune", (SERVER, 1): None,
+                     ("c1", 2): "flwf1", ("cg", 2): "fine-tune", (SERVER, 2): None}
 
 
 def test_run_round_draws_match_task_classes():
     scenario = tiny_scenario()
     pool, test, server, ledger, clients = fresh_runtime(scenario)
-    server, report = run_round(scenario, server, clients, pool, test, ledger, 1)
-    c1_rows = report.draw_sources["c1"]
-    assert (pool.labels[c1_rows] == 1).all()
-    cg_rows = report.draw_sources["cg"]
-    assert set(pool.labels[cg_rows]) == {0, 1, 2}
+    # per class: c1's 24 rows of its current task's class, cg's 8 of each
+    for r, want in ((1, [8, 32, 8]), (2, [8, 8, 32])):
+        consumed = consumed_per_class(pool)
+        server = run_round(scenario, server, clients, pool, test, ledger, r)
+        assert (consumed_per_class(pool) - consumed).tolist() == want
 
 
-def test_run_round_exemplar_refresh_happens_after_training():
+def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     scenario = tiny_scenario(use_exemplars=True)
     pool, test, server, ledger, clients = fresh_runtime(scenario)
     c1 = clients[0]
-    server, r1 = run_round(scenario, server, clients, pool, test, ledger, 1)
-    # round 1: the store was empty during composition, so the trained batch
-    # was the 24 fresh rows (2 epochs x ceil(24/16) = 4 steps)
-    assert len(r1.loss_traces["c1"]) == 4
+    steps = count_sgd_steps(monkeypatch)
+    before = pool.consumed.copy()
+    server = run_round(scenario, server, clients, pool, test, ledger, 1)
+    # round 1: the store was empty during composition, so each client
+    # trained on its 24 fresh rows (2 epochs x ceil(24/16) = 4 steps)
+    assert len(steps) == 2 * 4
     assert sorted(c1.store.entries) == [1]
-    stored = {tuple(row) for row in c1.store.entries[1][0]}
-    drawn = {tuple(row) for row in pool.features[r1.draw_sources["c1"]]}
-    assert stored <= drawn
-    # round 2: task 1 exemplars join the fresh task-2 rows (29 rows -> 2
+    features, labels = c1.store.entries[1]
+    drawn = {tuple(row) for row in pool.features[pool.consumed & ~before]}
+    assert len(features) == scenario.exemplar_capacity and (labels == 1).all()
+    assert {tuple(row) for row in features} <= drawn
+    # round 2: task 1 exemplars join c1's fresh task-2 rows (29 rows -> 2
     # chunks per epoch), and the store gains task 2 afterwards
-    server, r2 = run_round(scenario, server, clients, pool, test, ledger, 2)
-    assert len(r2.loss_traces["c1"]) == 4
+    server = run_round(scenario, server, clients, pool, test, ledger, 2)
+    assert len(steps) == 2 * 4 + 2 * 4
     assert sorted(c1.store.entries) == [1, 2]
 
 
@@ -598,17 +608,17 @@ def test_no_model_outlives_the_round_that_needs_it(monkeypatch):
     real_run_round = federation.run_round
 
     def spy(scenario, server, clients, *rest):
-        next_server, report = real_run_round(scenario, server, clients, *rest)
-        if report.round_index == 1:
+        next_server = real_run_round(scenario, server, clients, *rest)
+        if next_server.round_index == 1:
             models = [c.params for c in clients] + [next_server.params]
             refs.extend(weakref.ref(arr) for m in models
                         for w in m.weights for arr in w.values())
-        return next_server, report
+        return next_server
 
     monkeypatch.setattr(federation, "run_round", spy)
     result = run_experiment(scenario)
     gc.collect()
-    assert result.server.round_index == 3 and len(result.reports) == 3
+    assert result.server.round_index == 3
     assert refs and all(ref() is None for ref in refs)
 
 def _array_refs(params):
@@ -657,7 +667,7 @@ def test_client_teacher_is_gone_before_the_first_sgd_step(monkeypatch, algo, wra
     # the flwf2 run distils from c1's teacher in round 2; cg's balanced
     # batch keeps it on fine-tuning
     want = {"c1": algo, "cg": losses.MODE_FINE_TUNE}
-    assert result.reports[1].modes == want
+    assert {name: result.ledger.record_for(name, 2).mode for name in want} == want
     assert freed == [("c1", True), ("cg", True)]
 
 
@@ -710,10 +720,10 @@ def test_steady_rounds_recycle_every_model_buffer(monkeypatch):
 
     def spy_round(scenario, server, clients, *rest):
         incoming = server.params.flat.ctypes.data
-        next_server, report = real_round(scenario, server, clients, *rest)
+        next_server = real_round(scenario, server, clients, *rest)
         addresses.append((incoming, next_server.params.flat.ctypes.data,
                           [c.params.flat.ctypes.data for c in clients]))
-        return next_server, report
+        return next_server
 
     def spy_train(*args, spare=None, **kwargs):
         spares.append(spare is not None)
@@ -726,8 +736,9 @@ def test_steady_rounds_recycle_every_model_buffer(monkeypatch):
     monkeypatch.setattr(federation, "run_round", spy_round)
     monkeypatch.setattr(federation, "train_local", spy_train)
     monkeypatch.setattr(federation, "fedavg", spy_fedavg)
-    result = run_experiment(scenario)
-    assert all(len(trace) == 1 for r in result.reports for trace in r.loss_traces.values())
+    steps = count_sgd_steps(monkeypatch)
+    run_experiment(scenario)
+    assert len(steps) == 4 * 2  # one step per client-round
     assert spares == [False, False] + [True, True] * 3  # round 1 has no teachers
     assert outs == [True] * 4
     assert all(aggregate == incoming for incoming, aggregate, _ in addresses)
@@ -748,12 +759,12 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
     real_round = federation.run_round
 
     def spy_round(scenario, server, clients, *rest):
-        next_server, report = real_round(scenario, server, clients, *rest)
-        if report.round_index == 1:
+        next_server = real_round(scenario, server, clients, *rest)
+        if next_server.round_index == 1:
             m = clients[0].params if owner == "client" else next_server.params
             held.append(m if hold == "model" else m.weights[3]["W"])
             snapshots.append(np.array(m.flat if hold == "model" else m.weights[3]["W"]))
-        return next_server, report
+        return next_server
 
     monkeypatch.setattr(federation, "run_round", spy_round)
     result = run_experiment(scenario)
@@ -767,7 +778,7 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
 def test_run_round_rejects_a_consumed_server_state():
     scenario = tiny_scenario()
     pool, test, server, ledger, clients = fresh_runtime(scenario)
-    next_server, _ = run_round(scenario, server, clients, pool, test, ledger, 1)
+    next_server = run_round(scenario, server, clients, pool, test, ledger, 1)
     assert server.params is None and next_server.params is not None
     with pytest.raises(ValueError, match="consumed"):
         run_round(scenario, ServerState(None, round_index=1), clients, pool,
@@ -792,7 +803,6 @@ def test_run_experiment_seed_changes_the_run():
 def test_run_experiment_zero_rounds_evaluates_initial_server_only():
     scenario = tiny_scenario(rounds=0)
     result = run_experiment(scenario)
-    assert result.reports == []
     assert list(result.ledger.records) == [(SERVER, 0)]
     assert [r.round_index for r in result.ledger.records.values()] == [0]
     assert all(c.params is None for c in result.clients)

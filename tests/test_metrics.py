@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flwf.continual import TaskSequence, TaskSpec
 from flwf.metrics import SERVER, MetricsLedger, RoundRecord, predict
 from flwf.network import KIND_DENSE, KIND_SOFTMAX_OUTPUT, LayerConfig, forward, init_params
 
@@ -21,16 +22,16 @@ PREDS = {
     4: np.array([0, 1, 1, 1, 1, 1, 1, 1]),  # task1 1/4, task2 4/4
 }
 LEARNT = {1: (0,), 2: (0,), 3: (0, 1), 4: (0, 1)}
-TASK_OF = {1: 1, 2: 1, 3: 2, 4: 2}
+TASKS = TaskSequence((TaskSpec((0,), 2), TaskSpec((1,), 2)))
+MODES = {1: "fine-tune", 2: "flwf1", 3: "flwf1", 4: "flwf1"}
 
 
 def hand_ledger():
-    ledger = MetricsLedger(
-        test_labels=LABELS, n_classes=2, total_rounds=4,
-        task_classes={"c": ((0,), (1,))}, task_rounds={"c": (2, 2)})
+    ledger = MetricsLedger(test_labels=LABELS, n_classes=2, total_rounds=4,
+                           tasks={"c": TASKS})
     ledger.append(RoundRecord(SERVER, 0, np.zeros(8, dtype=int)))
     for r in range(1, 5):
-        ledger.append(RoundRecord("c", r, PREDS[r], TASK_OF[r], LEARNT[r]))
+        ledger.append(RoundRecord("c", r, PREDS[r], MODES[r]))
         ledger.append(RoundRecord(SERVER, r, PREDS[r]))
     return ledger
 
@@ -39,8 +40,7 @@ def rebuilt(ledger, **changes):
     """A new ledger of ``ledger``'s geometry, ``changes`` applied, holding
     its records appended again in order."""
     geometry = dict(test_labels=ledger.test_labels, n_classes=ledger.n_classes,
-                    total_rounds=ledger.total_rounds, task_classes=ledger.task_classes,
-                    task_rounds=ledger.task_rounds)
+                    total_rounds=ledger.total_rounds, tasks=ledger.tasks)
     fresh = MetricsLedger(**{**geometry, **changes})
     for record in ledger.records.values():
         fresh.append(record)
@@ -71,12 +71,9 @@ def test_predict_breaks_ties_toward_lowest_class():
 
 
 def test_ledger_validates_geometry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="round budgets do not sum to 4"):
         MetricsLedger(test_labels=LABELS, n_classes=2, total_rounds=4,
-                      task_classes={"c": ((0,), (1,))}, task_rounds={"c": (2, 3)})
-    with pytest.raises(ValueError):
-        MetricsLedger(test_labels=LABELS, n_classes=2, total_rounds=4,
-                      task_classes={"c": ((0,), (1,))}, task_rounds={})
+                      tasks={"c": TaskSequence((TaskSpec((0,), 2), TaskSpec((1,), 3)))})
     with pytest.raises(ValueError):
         MetricsLedger(test_labels=np.array([0, 2]), n_classes=2, total_rounds=1)
 
@@ -111,21 +108,32 @@ def test_append_rejects_duplicates_and_bad_predictions():
     assert three.record_for("c", 1).predictions.dtype == np.uint8
     assert three.whole_test_accuracy("c", 1) == 1.0
 
+    # test labels pass the same check, before they are cast to int
+    for labels, named in (([0.7, 1.2, 2.9], "test label 0.7 for test row 0"),
+                          ([0, 1, 3], "test label 3 for test row 2"),
+                          ([0, -1, 2], "test label -1 for test row 1")):
+        with pytest.raises(ValueError, match=re.escape(f"{named} is not a class id in 0..2")):
+            MetricsLedger(test_labels=labels, n_classes=3, total_rounds=1)
+    assert MetricsLedger(test_labels=[0.0, 2.0], n_classes=3,
+                         total_rounds=1).test_labels.tolist() == [0, 2]
+
 
 def test_owner_listing_and_lookup():
     ledger = hand_ledger()
     assert list(ledger.records)[:3] == [(SERVER, 0), ("c", 1), (SERVER, 1)]
-    assert ledger.record_for("c", 3).current_task == 2
+    assert [ledger.record_for("c", r).mode for r in range(1, 5)] == list(MODES.values())
+    assert ledger.record_for(SERVER, 3).mode is None
     with pytest.raises(KeyError):
         ledger.record_for("c", 9)
 
 
 def test_task_windows():
-    ledger = hand_ledger()
-    assert list(ledger.task_window("c", 1)) == [1, 2]
-    assert list(ledger.task_window("c", 2)) == [3, 4]
+    seq = hand_ledger().tasks["c"]
+    assert list(seq.window(1)) == [1, 2]
+    assert list(seq.window(2)) == [3, 4]
+    assert [seq.classes_started_by(r) for r in range(1, 5)] == list(LEARNT.values())
     with pytest.raises(ValueError):
-        ledger.task_window("c", 3)
+        seq.window(3)
 
 
 # -- per-round accuracies: exact dyadic values ----------------------------------
@@ -189,16 +197,17 @@ def test_forgetting_exact():
 
 def test_forgetting_takes_max_over_earlier_windows():
     # task-1 accuracy per round: window1 -> 1/4, window2 -> 1, window3 -> 1/2;
-    # the reference for f(3, 1) is the best earlier window, not the first
+    # the reference for f(3, 1) is the best earlier window, not the first.
+    # Task 3's class has no test examples: f(3, d < 3) never reads it.
     ledger = MetricsLedger(
-        test_labels=np.array([0, 0, 0, 0, 1, 1, 1, 1]), n_classes=2,
-        total_rounds=3, task_classes={"c": ((0,), (1,), (0, 1))},
-        task_rounds={"c": (1, 1, 1)})
+        test_labels=np.array([0, 0, 0, 0, 1, 1, 1, 1]), n_classes=3, total_rounds=3,
+        tasks={"c": TaskSequence((TaskSpec((0,), 1), TaskSpec((1,), 1),
+                                  TaskSpec((2,), 1)))})
     table = {1: np.array([0, 1, 1, 1, 0, 0, 0, 0]),
              2: np.array([0, 0, 0, 0, 1, 1, 0, 0]),
              3: np.array([0, 0, 1, 1, 1, 1, 1, 1])}
     for r, preds in table.items():
-        ledger.append(RoundRecord("c", r, preds, r, (0, 1)))
+        ledger.append(RoundRecord("c", r, preds))
     assert ledger.forgetting("c", 3, 1) == 1.0 - 1 / 2
     assert ledger.forgetting("c", 3, 2) == 1 / 2 - 1.0  # negative, not clamped
     assert ledger.average_forgetting("c", 3) == 0.0
@@ -217,19 +226,16 @@ def test_personal_equals_general_when_everything_learnt_from_start():
     rng = np.random.default_rng(5)
     labels = rng.integers(0, 3, size=16)
     ledger = MetricsLedger(test_labels=labels, n_classes=3, total_rounds=3,
-                           task_classes={"c": ((0, 1, 2),)},
-                           task_rounds={"c": (3,)})
+                           tasks={"c": TaskSequence((TaskSpec((0, 1, 2), 3),))})
     for r in range(1, 4):
-        ledger.append(RoundRecord("c", r, rng.integers(0, 3, size=16),
-                                  1, (0, 1, 2)))
+        ledger.append(RoundRecord("c", r, rng.integers(0, 3, size=16)))
     assert ledger.personal_accuracy("c") == ledger.general_accuracy("c")
 
 
 def test_aggregates_require_complete_round_coverage():
     ledger = MetricsLedger(test_labels=LABELS, n_classes=2, total_rounds=4,
-                           task_classes={"c": ((0,), (1,))},
-                           task_rounds={"c": (2, 2)})
-    ledger.append(RoundRecord("c", 1, PREDS[1], 1, (0,)))
+                           tasks={"c": TASKS})
+    ledger.append(RoundRecord("c", 1, PREDS[1]))
     with pytest.raises(ValueError) as err:
         ledger.general_accuracy("c")
     assert "missing rounds" in str(err.value)
@@ -277,15 +283,17 @@ def random_ledgers(draw):
 
     Per-class test counts of 1..7 make most subset sizes non-powers of two,
     so an accuracy computed in another order or precision would show up.
-    Task class tuples carry duplicates and out-of-range classes, which the
-    ledger ignores; each task keeps at least one class with test examples.
-    ``n_classes`` is 2..6 or one of 255, 256 and 257, around the largest
-    class count whose ids fit one byte.  For those three, with too many
-    values to draw one at a time, the counts, the label order and the
+    Each client's tasks are a valid :class:`TaskSequence`: disjoint class
+    sets, "c"'s covering every class, with budgets summing to the run's
+    rounds.  ``n_classes`` is 2..6 or one of 255, 256 and 257, around the
+    largest class count whose ids fit one byte.  For those three, with too
+    many values to draw one at a time, the counts, the label order and the
     predictions come from a numpy generator seeded by one drawn integer;
     to keep the per-class brute force affordable, "c" has at most two
     tasks of one round each and no other client joins.  Predictions are
-    int64 arrays, as ``predict`` returns.
+    int64 arrays, as ``predict`` returns.  ``subset`` is a class list for
+    :meth:`MetricsLedger.class_subset_accuracy` that may repeat classes
+    and name ones out of range, which the ledger ignores.
     """
     n_classes = draw(st.integers(2, 6) | st.sampled_from([255, 256, 257]))
     wide = n_classes > 6
@@ -305,42 +313,39 @@ def random_ledgers(draw):
         def permutation(n):
             return draw(st.permutations(range(n)))
 
+    def split(items, parts):
+        """``items`` cut into ``parts`` nonempty consecutive slices."""
+        cuts = draw(st.sets(st.integers(1, len(items) - 1),
+                            min_size=parts - 1, max_size=parts - 1)) if parts > 1 else ()
+        bounds = [0, *sorted(cuts), len(items)]
+        return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
     labels = np.repeat(np.arange(n_classes), ints(1, 7, n_classes))
     labels = labels[permutation(len(labels))]
 
-    def noisy(task):
-        extra = st.sampled_from([*task, -1, n_classes, n_classes + 3])
-        return tuple(draw(st.permutations([*task, *draw(st.lists(extra, max_size=2))])))
-
-    order = permutation(n_classes)
-    cuts = draw(st.sets(st.integers(1, n_classes - 1), max_size=1 if wide else 3))
-    bounds = [0, *sorted(cuts), n_classes]
-    task_classes = {"c": tuple(noisy(order[a:b]) for a, b in zip(bounds, bounds[1:]))}
-    task_rounds = {"c": tuple(draw(st.integers(1, 1 if wide else 3))
-                              for _ in task_classes["c"])}
-    rounds = sum(task_rounds["c"])
+    n_tasks = draw(st.integers(1, 2 if wide else min(n_classes, 4)))
+    tasks = {"c": TaskSequence(tuple(
+        TaskSpec(tuple(part), draw(st.integers(1, 1 if wide else 3)))
+        for part in split(permutation(n_classes), n_tasks)))}
+    rounds = tasks["c"].total_rounds
     for owner in ("c1", "c2")[:draw(st.integers(0, 0 if wide else 2))]:
-        cuts = draw(st.sets(st.integers(1, rounds - 1), max_size=2)) if rounds > 1 else ()
-        bounds = [0, *sorted(cuts), rounds]
-        task_rounds[owner] = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-        task_classes[owner] = tuple(
-            noisy(draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=3)))
-            for _ in task_rounds[owner])
-    owners = (*task_classes, SERVER)
+        n_tasks = draw(st.integers(1, min(3, rounds, n_classes)))
+        classes = permutation(n_classes)[:draw(st.integers(n_tasks, n_classes))]
+        tasks[owner] = TaskSequence(tuple(
+            TaskSpec(tuple(part), len(window))
+            for part, window in zip(split(classes, n_tasks),
+                                    split(range(rounds), n_tasks))))
+    owners = (*tasks, SERVER)
     preds = {key: ints(0, n_classes - 1, len(labels))
              for key in [(SERVER, 0)] + [(o, r) for r in range(1, rounds + 1)
                                          for o in owners]}
-    learnt = {r: tuple(draw(st.sets(st.integers(0, n_classes - 1))))
-              for r in range(1, rounds + 1)}
     append_order = draw(st.permutations(list(preds)))
     ledger = MetricsLedger(test_labels=labels, n_classes=n_classes,
-                           total_rounds=rounds, task_classes=task_classes,
-                           task_rounds=task_rounds)
+                           total_rounds=rounds, tasks=tasks)
     for owner, r in append_order:
-        extra = () if owner == SERVER else (None, learnt[r])
-        ledger.append(RoundRecord(owner, r, preds[(owner, r)], *extra))
+        ledger.append(RoundRecord(owner, r, preds[(owner, r)]))
     subset = draw(st.lists(st.integers(-1, n_classes), min_size=1, max_size=4))
-    return ledger, labels, preds, learnt, append_order, subset
+    return ledger, labels, preds, append_order, subset
 
 
 def assert_stored_narrow(ledger, preds):
@@ -355,9 +360,9 @@ def assert_stored_narrow(ledger, preds):
 @settings(max_examples=150, deadline=None)
 @given(random_ledgers())
 def test_ledger_matches_brute_force_on_random_ledgers(case):
-    ledger, labels, preds, learnt, append_order, subset = case
+    ledger, labels, preds, append_order, subset = case
     assert_stored_narrow(ledger, preds)
-    task_classes = ledger.task_classes["c"]
+    task_classes = [task.classes for task in ledger.tasks["c"].tasks]
     rounds = ledger.total_rounds
 
     def acc(owner, r, classes):
@@ -380,14 +385,11 @@ def test_ledger_matches_brute_force_on_random_ledgers(case):
     for owner in ("c", SERVER):
         assert ledger.general_accuracy(owner) == np.mean(
             [np.mean(preds[(owner, r)] == labels) for r in range(1, rounds + 1)])
-    per = [acc("c", r, learnt[r]) for r in range(1, rounds + 1) if learnt[r]]
-    if per:
-        assert ledger.personal_accuracy("c") == np.mean(per)
-    else:
-        with pytest.raises(ValueError):
-            ledger.personal_accuracy("c")
+    for owner, seq in ledger.tasks.items():
+        assert ledger.personal_accuracy(owner) == np.mean(
+            [acc(owner, r, seq.classes_started_by(r)) for r in range(1, rounds + 1)])
 
-    starts = np.cumsum((0,) + ledger.task_rounds["c"])
+    starts = np.cumsum([0] + [task.rounds for task in ledger.tasks["c"].tasks])
 
     def abar(t, d):
         return np.mean([acc("c", r, task_classes[d - 1])
@@ -456,9 +458,9 @@ def brute_export(ledger, labels, preds):
     csv_rows, figure_rows = [], []
     for owner, r in ledger.records:
         csv_rows.append((owner, r, "whole_test_accuracy", "", acc(owner, r, labels)))
-        if owner in ledger.task_classes and r >= 1:
-            csv_rows += [(owner, r, "task_accuracy", d, acc(owner, r, classes))
-                         for d, classes in enumerate(ledger.task_classes[owner], 1)]
+        if owner in ledger.tasks and r >= 1:
+            csv_rows += [(owner, r, "task_accuracy", d, acc(owner, r, task.classes))
+                         for d, task in enumerate(ledger.tasks[owner].tasks, 1)]
         figure_rows += [(r, owner, c, acc(owner, r, (c,))) for c in range(ledger.n_classes)]
     return csv_rows, figure_rows
 
@@ -490,12 +492,12 @@ def test_exports_match_brute_force_rows(case, data):
     assert_same_rows(ledger.figure_rows(), brute[1])
 
     # a task whose classes have no test examples fails the export by name
-    tasks = list(ledger.task_classes["c"])
+    tasks = list(ledger.tasks["c"].tasks)
     d = data.draw(st.integers(0, len(tasks) - 1))
-    absent = [-2, -1, ledger.n_classes, ledger.n_classes + 3]
-    empty = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=3))
-    tasks[d] = tuple(empty)
-    broken = rebuilt(ledger, task_classes={**ledger.task_classes, "c": tuple(tasks)})
+    absent = [ledger.n_classes, ledger.n_classes + 3]
+    empty = data.draw(st.lists(st.sampled_from(absent), min_size=1, max_size=2, unique=True))
+    tasks[d] = TaskSpec(tuple(empty), tasks[d].rounds)
+    broken = rebuilt(ledger, tasks={**ledger.tasks, "c": TaskSequence(tuple(tasks))})
     message = f"no test examples for classes {sorted(empty)}"
     with pytest.raises(ValueError, match=re.escape(message)):
         broken.csv_rows()

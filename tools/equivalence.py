@@ -36,10 +36,13 @@ scenario also writes ``models.sha256``, one sha256 over every weight array
 of the server model and of each client model.  The artifacts hold only
 accuracies, so without the digests a change that moves weights but flips
 no prediction would pass.  The child also writes its own peak RSS
-(``ru_maxrss``) and minor page faults (``ru_minflt``) to ``rusage.txt``,
-which are not compared: each scenario's line ends with the base -> change
-peak RSS in MB and minor faults, so a change to model lifetimes or buffer
-reuse shows its effect per scenario.  One line is printed per
+(``VmHWM`` from ``/proc/self/status``) and minor page faults
+(``ru_minflt``) to ``rusage.txt``, which are not compared: each scenario's
+line ends with the base -> change peak RSS in MB and minor faults, so a
+change to model lifetimes or buffer reuse shows its effect per scenario.
+``VmHWM`` starts afresh at exec; ``ru_maxrss`` would not, since Linux
+carries the spawning process's high-water mark into the child, so no
+scenario could read below this tool's own resident size.  One line is printed per
 scenario; the exit code is 1 if any scenario differs or fails to run on
 either side, else 0.
 """
@@ -53,11 +56,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = "models.sha256"
-RUSAGE = "rusage.txt"  # the child's ru_maxrss (KiB) and ru_minflt; reported, not compared
+RUSAGE = "rusage.txt"  # the child's VmHWM (KiB) and ru_minflt; reported, not compared
 ARTIFACTS = ("metrics.csv", "figure_data.csv", "summary.json",
              "resolved_config.yaml", DIGESTS)
 # ``flwf run`` with the experiment result kept, then one digest line per
-# final model and the process's peak RSS and minor faults.  Uses only what every tree has:
+# final model and the process's peak RSS (VmHWM, which exec resets) and minor
+# faults.  Uses only what every tree has:
 # ``flwf.cli.main`` looking up ``run_experiment`` at call time,
 # ``.server.params``, ``.clients[i].params`` and ``.weights``.
 CHILD = """
@@ -69,9 +73,11 @@ results = []
 run_experiment = cli.run_experiment
 cli.run_experiment = lambda scenario: results.append(run_experiment(scenario)) or results[-1]
 code = cli.main(sys.argv[3:])
-usage = resource.getrusage(resource.RUSAGE_SELF)
+with open("/proc/self/status") as fh:
+    peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 with open(sys.argv[2], "w") as fh:
-    fh.write(f"{usage.ru_maxrss} {usage.ru_minflt}\\n")
+    fh.write(f"{peak_kb} {minflt}\\n")
 if code == 0:
     result = results[0]
     lines = []
