@@ -38,6 +38,7 @@ import yaml
 from . import losses
 from .continual import (POLICY_DISTILL_ALL, POLICY_FINE_TUNE_ALL, POLICY_HYBRID,
                         StrategyPolicy, TaskSequence, TaskSpec)
+from .metrics import SERVER
 from .network import KIND_DROPOUT, LayerConfig, infer_shapes, layer_to_dict
 
 ALGO_MODES = losses.MODES  # fine-tune | flwf1 | flwf2
@@ -176,6 +177,8 @@ class ScenarioConfig:
         names = [c.name for c in self.clients]
         if len(set(names)) != len(names):
             raise ConfigError("clients", f"duplicate client names in {names}")
+        if SERVER in names:
+            raise ConfigError("clients", f"{SERVER!r} names the aggregate's records")
         try:
             shapes = infer_shapes(self.layers, self.input_shape)
         except ValueError as exc:

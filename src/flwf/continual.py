@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .datasets import RoundBatch
 
 POLICY_DISTILL_ALL = "distill-all"
 POLICY_HYBRID = "hybrid"
 POLICY_FINE_TUNE_ALL = "fine-tune-all"
 POLICIES = (POLICY_DISTILL_ALL, POLICY_HYBRID, POLICY_FINE_TUNE_ALL)
-
-EXEMPLAR_SOURCE = -1  # source index recorded for replayed rows
 
 
 @dataclass(frozen=True)
@@ -111,12 +108,12 @@ def normalized_label_entropy(labels, n_classes: int) -> float:
     return float(-(p * np.log(p)).sum() / math.log(n_classes) + 0.0)
 
 
-def is_unbalanced(batch: RoundBatch, threshold: float = 0.5) -> bool:
-    """True when the batch's normalized label entropy over its ``n_classes``
-    falls below the threshold."""
+def is_unbalanced(labels, n_classes: int, threshold: float = 0.5) -> bool:
+    """True when the labels' normalized entropy over ``n_classes`` falls
+    below the threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    return normalized_label_entropy(batch.labels, batch.n_classes) < threshold
+    return normalized_label_entropy(labels, n_classes) < threshold
 
 
 @dataclass(frozen=True)
@@ -133,82 +130,65 @@ class StrategyPolicy:
             raise ValueError("balance_threshold must lie in [0, 1]")
 
 
-def select_loss_mode(policy: StrategyPolicy, batch: RoundBatch, algo: str) -> str:
+def select_loss_mode(policy: StrategyPolicy, labels, n_classes: int, algo: str) -> str:
     """Loss mode for this round's training.
 
     ``distill-all`` always uses the algorithm's distillation mode,
     ``fine-tune-all`` never does, and ``hybrid`` distills only when the
-    (already composed) batch looks unbalanced.
+    labels of the (already composed) batch look unbalanced.
     """
     if algo not in (losses.MODE_FLWF1, losses.MODE_FLWF2):
         raise ValueError(f"algo must be flwf1 or flwf2, got {algo!r}")
     if policy.mode == POLICY_FINE_TUNE_ALL:
         return losses.MODE_FINE_TUNE
-    if policy.mode == POLICY_DISTILL_ALL:
-        return algo
-    if is_unbalanced(batch, threshold=policy.balance_threshold):
+    if policy.mode == POLICY_DISTILL_ALL or is_unbalanced(
+            labels, n_classes, threshold=policy.balance_threshold):
         return algo
     return losses.MODE_FINE_TUNE
 
 
 @dataclass
 class ExemplarStore:
-    """Per-task replay memory holding at most ``capacity`` examples per task."""
+    """Per-task replay memory: the pool indices of at most ``capacity``
+    rows per task."""
 
     capacity: int = 10
-    entries: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    entries: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
-        for task_id, (feats, labs) in self.entries.items():
-            if len(feats) != len(labs):
-                raise ValueError(f"task {task_id}: features/labels length mismatch")
-            if len(feats) > self.capacity:
+        for task_id, rows in self.entries.items():
+            if len(rows) > self.capacity:
                 raise ValueError(f"task {task_id}: entry exceeds capacity")
 
 
-def update_exemplars(store: ExemplarStore, task_id: int, batch: RoundBatch,
+def update_exemplars(store: ExemplarStore, task_id: int, fresh: np.ndarray,
                      seed=0) -> ExemplarStore:
-    """Store (or refresh) the task's exemplars with a fresh random draw.
-
-    A revisited task's entry is replaced wholesale.  A batch smaller than
-    the capacity is stored in full.  Returns a new store; the input store
-    and the batch are left untouched.
-    """
-    if len(batch) == 0:
+    """Store (or refresh) the task's exemplars: a seeded random pick of the
+    ``fresh`` pool indices, kept in their order in ``fresh``.  A revisited
+    task's entry is replaced wholesale, and fewer fresh rows than the
+    capacity are stored in full.  Returns a new store; the input store and
+    ``fresh`` are left untouched."""
+    if len(fresh) == 0:
         raise ValueError("cannot draw exemplars from an empty batch")
     rng = np.random.default_rng(seed)
-    take = min(store.capacity, len(batch))
-    picks = rng.choice(len(batch), size=take, replace=False)
+    picks = rng.choice(len(fresh), size=min(store.capacity, len(fresh)), replace=False)
     picks.sort()
-    entries = dict(store.entries)
-    entries[int(task_id)] = (batch.features[picks].copy(), batch.labels[picks].copy())
-    return ExemplarStore(capacity=store.capacity, entries=entries)
+    return ExemplarStore(capacity=store.capacity,
+                         entries={**store.entries, int(task_id): fresh[picks]})
 
 
-def compose_training_batch(batch: RoundBatch, store: ExemplarStore,
-                           current_task_id: int, seed=0) -> RoundBatch:
-    """Round data plus every stored exemplar of the OTHER tasks, reshuffled.
+def compose_training_batch(fresh: np.ndarray, store: ExemplarStore,
+                           current_task_id: int, seed=0) -> np.ndarray:
+    """Pool indices of the round's training batch: the ``fresh`` ones plus
+    every stored exemplar of the OTHER tasks, reshuffled.
 
     Exemplars of the current task are dropped (fresh round data covers
-    them); replayed rows carry source index -1.  With nothing to add the
-    batch is returned as-is.
+    them).  With nothing to add ``fresh`` is returned as-is.
     """
-    extra_feats = []
-    extra_labs = []
-    for task_id in sorted(store.entries):
-        if task_id == current_task_id:
-            continue
-        feats, labs = store.entries[task_id]
-        extra_feats.append(feats)
-        extra_labs.append(labs)
-    if not extra_feats:
-        return batch
-    features = np.concatenate([batch.features] + extra_feats)
-    labels = np.concatenate([batch.labels] + extra_labs)
-    sources = np.concatenate([batch.source_indices,
-                              np.full(len(labels) - len(batch), EXEMPLAR_SOURCE)])
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(labels))
-    return RoundBatch(features[order], labels[order], batch.n_classes, sources[order])
+    replay = [store.entries[t] for t in sorted(store.entries) if t != current_task_id]
+    if not replay:
+        return fresh
+    rows = np.concatenate([fresh] + replay)
+    return rows[np.random.default_rng(seed).permutation(len(rows))]

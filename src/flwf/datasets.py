@@ -20,14 +20,29 @@ class PoolExhaustedError(ValueError):
     """Raised when a draw asks for more unconsumed examples than remain."""
 
 
+def class_ids(values, n_classes: int, what: str, row: str) -> np.ndarray:
+    """``values`` as an int array, once every entry has proved a whole
+    number in ``0..n_classes-1`` (``np.int64(2)`` and ``3.0`` are, ``-1``
+    and ``0.7`` are not); the first that is not raises ``ValueError``
+    naming it and its ``row``.  Checked before the cast, which would
+    truncate 2.9 to class 2."""
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iuf":
+        raise ValueError(f"{what}s must be class ids, not {ids.dtype}")
+    valid = (ids >= 0) & (ids < n_classes)
+    if ids.dtype.kind == "f":
+        valid &= ids == np.trunc(ids)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(f"{what} {ids[i].item()!r} for {row} {i} "
+                         f"is not a class id in 0..{n_classes - 1}")
+    return ids.astype(int, copy=False)
+
+
 @dataclass
 class RoundBatch:
-    """The labeled data one client trains on in one round.
-
-    ``source_indices`` maps each row back to its pool index; replayed
-    exemplar rows carry -1 since their pool slot was consumed in an
-    earlier round.
-    """
+    """The labeled data one client trains on in one round; ``source_indices``
+    maps each row to its pool index, replayed exemplar rows included."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -36,13 +51,9 @@ class RoundBatch:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = class_ids(self.labels, self.n_classes, "label", "batch row")
         if len(self.features) != len(self.labels):
             raise ValueError("features and labels disagree in length")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
-            raise ValueError("label out of range")
-        if self.source_indices is None:
-            self.source_indices = np.full(len(self.labels), -1, dtype=int)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -78,7 +89,7 @@ class DatasetPool:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = class_ids(self.labels, self.n_classes, "label", "pool row")
         if self.consumed is None:
             self.consumed = np.zeros(len(self.labels), dtype=bool)
 
@@ -126,11 +137,10 @@ def load_csv(path, n_classes: int = 6) -> DatasetPool:
     """
     table = _parse_table(path)
     if table is not None and table.shape[0] > 0 and table.shape[1] >= 2:
-        labels = table[:, -1]
-        if (np.isfinite(labels).all() and (labels == np.trunc(labels)).all()
-                and ((labels >= 0) & (labels < n_classes)).all()):
-            return DatasetPool(np.ascontiguousarray(table[:, :-1]),
-                               labels.astype(int), n_classes)
+        try:
+            return DatasetPool(np.ascontiguousarray(table[:, :-1]), table[:, -1], n_classes)
+        except ValueError:
+            pass  # a bad label: the scan names its line
     return _scan_csv_rows(path, n_classes)
 
 
@@ -229,8 +239,7 @@ def draw_round_data(pool: DatasetPool, classes, size: int, seed) -> RoundBatch:
     chosen = np.concatenate(picks)
     chosen = chosen[rng.permutation(len(chosen))]
     pool.consumed[chosen] = True
-    return RoundBatch(pool.features[chosen].copy(), pool.labels[chosen].copy(),
-                      pool.n_classes, chosen.copy())
+    return RoundBatch(pool.features[chosen], pool.labels[chosen], pool.n_classes, chosen)
 
 
 def draw_test_set(pool: DatasetPool, per_class: int, seed) -> TestSet:

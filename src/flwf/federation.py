@@ -1,9 +1,10 @@
 """Synchronous federated rounds: broadcast, local updates, FedAvg, teachers.
 
-Every round r proceeds as: each client receives the current server model,
-draws its round data from the shared pool, optionally mixes in stored
-exemplars, picks its loss mode, trains locally for E epochs, and returns
-its parameters; the server then aggregates them with size-and-hint
+Every round r is planned, then executed.  The plan (:func:`plan_round`)
+makes each client's data-side decisions from the config, the seed streams
+and the pool's labels: its fresh draw, replay, loss mode and exemplar
+refresh.  Then each client trains the server model for E epochs on its
+planned rows, and the server aggregates the results with size-and-hint
 weighted FedAvg.  The client's own previous-round model and the incoming
 server model serve as the two distillation teachers.  Both are made
 read-only before their logits are computed (once, before any SGD step),
@@ -179,13 +180,53 @@ def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
     return out
 
 
+@dataclass(frozen=True)
+class ClientPlan:
+    """One client's round as planned: the composed batch's pool indices in
+    training order, how many of them were drawn fresh (FedAvg weighs the
+    client by its hint times that), the loss mode it trains with, and the
+    seed of its training stream."""
+
+    rows: np.ndarray
+    n_fresh: int
+    mode: str
+    train_seed: int
+
+
+def plan_round(scenario: ScenarioConfig, clients: list[ClientRuntime],
+               pool: DatasetPool, round_index: int) -> list[ClientPlan]:
+    """Every data-side decision of one round, one plan per client in order:
+    its task, the fresh draw (marked consumed in ``pool``), the replay, the
+    exemplar refresh (``client.store`` is replaced) and the loss mode.
+    Reads the config, the seed streams and the pool's labels; no model."""
+    plans = []
+    for client in clients:
+        cfg = client.cfg
+        def seed(purpose):
+            return stream_seed(scenario.seed, purpose, client.index, round_index)
+        t, task = current_task(cfg.tasks, round_index)
+        fresh = draw_round_data(pool, task.classes, scenario.round_data_size,
+                                seed=seed(SEED_ROUND_DRAW)).source_indices
+        rows = fresh
+        if cfg.use_exemplars:  # compose from the store as it stood, then refresh it
+            rows = compose_training_batch(fresh, client.store, t, seed=seed(SEED_COMPOSE))
+            client.store = update_exemplars(client.store, t, fresh, seed=seed(SEED_EXEMPLAR))
+        mode = losses.MODE_FINE_TUNE
+        if (cfg.algo != losses.MODE_FINE_TUNE and select_loss_mode(
+                cfg.policy, pool.labels[rows], pool.n_classes, cfg.algo) == cfg.algo):
+            mode = cfg.algo
+        plans.append(ClientPlan(rows=rows, n_fresh=len(fresh), mode=mode,
+                                train_seed=_seed_int(seed(SEED_TRAIN))))
+    return plans
+
+
 def run_round(scenario: ScenarioConfig, server: ServerState,
               clients: list[ClientRuntime], pool: DatasetPool, test: TestSet,
               ledger: MetricsLedger, round_index: int) -> ServerState:
-    """One full communication round; mutates clients (params, stores) and
-    the ledger, which gains one :class:`RoundRecord` per client and one for
-    the server, consumes ``server``'s model and returns the next server
-    state.
+    """One full communication round, planned (:func:`plan_round`), then
+    executed; mutates clients (params, stores) and the ledger, which gains
+    one :class:`RoundRecord` per client and one for the server, consumes
+    ``server``'s model and returns the next server state.
 
     Between the SGD steps of a one-step local update ``len(clients) + 1``
     models are live: the server's (the student's start and a teacher
@@ -204,40 +245,21 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                          f"server round {server.round_index}")
     if server.params is None:
         raise ValueError("the server state's model was consumed by an earlier round")
-    weights = []  # FedAvg's: the client's weight hint times its fresh rows
-    for client in clients:
+    plans = plan_round(scenario, clients, pool, round_index)
+    for client, plan in zip(clients, plans):
         cfg = client.cfg
-        t, task = current_task(cfg.tasks, round_index)
-        fresh = draw_round_data(
-            pool, task.classes, scenario.round_data_size,
-            seed=stream_seed(scenario.seed, SEED_ROUND_DRAW, client.index, round_index))
-        batch = fresh
-        if cfg.use_exemplars:
-            batch = compose_training_batch(
-                fresh, client.store, t,
-                seed=stream_seed(scenario.seed, SEED_COMPOSE, client.index, round_index))
+        batch = RoundBatch(pool.features[plan.rows], pool.labels[plan.rows],
+                           pool.n_classes, plan.rows)
         spec = losses.LossSpec()
-        if (cfg.algo != losses.MODE_FINE_TUNE
-                and select_loss_mode(cfg.policy, batch, cfg.algo) == cfg.algo):
-            spec = losses.LossSpec(mode=cfg.algo, alpha=cfg.alpha, beta=cfg.beta,
+        if plan.mode != losses.MODE_FINE_TUNE:
+            spec = losses.LossSpec(mode=plan.mode, alpha=cfg.alpha, beta=cfg.beta,
                                    temperature=cfg.temperature)
-        train_cfg = TrainConfig(
-            learning_rate=scenario.learning_rate,
-            batch_size=scenario.batch_size,
-            epochs=scenario.epochs,
-            rng_seed=_seed_int(stream_seed(scenario.seed, SEED_TRAIN,
-                                           client.index, round_index)))
+        train_cfg = TrainConfig(scenario.learning_rate, scenario.batch_size,
+                                scenario.epochs, rng_seed=plan.train_seed)
         try:
             mode = client_update(server.params, client, batch, train_cfg, spec)
         except FloatingPointError as err:
             raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
-        weights.append(cfg.weight * len(fresh))
-
-        if cfg.use_exemplars:
-            client.store = update_exemplars(
-                client.store, t, fresh,
-                seed=stream_seed(scenario.seed, SEED_EXEMPLAR,
-                                 client.index, round_index))
         ledger.append(RoundRecord(
             owner=client.name, round_index=round_index,
             predictions=predict(client.params, test.features), mode=mode))
@@ -245,7 +267,8 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
     # every client has trained from the server model: drop it, its buffer for FedAvg
     out = reclaim(server.params)
     server.params = None
-    aggregated = fedavg([c.params for c in clients], weights, out=out)
+    aggregated = fedavg([c.params for c in clients],
+                        [c.cfg.weight * p.n_fresh for c, p in zip(clients, plans)], out=out)
     ledger.append(RoundRecord(
         owner=SERVER, round_index=round_index,
         predictions=predict(aggregated, test.features)))

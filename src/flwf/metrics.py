@@ -14,10 +14,9 @@ that grows with rounds x owners x test rows.  The ``long-horizon``
 benchmark workload holds 1,681 records of 300 rows: 3.85 MB as int64,
 0.48 MB as one byte each, and its peak RSS is 46.33 MB with the former
 and 43.15 MB with the latter (medians of 10 runs each).
-:meth:`MetricsLedger.append` narrows only after it has checked every id
-to be a whole number in ``0..n_classes-1``, because a cast would change
-a bad id into a valid one: 2.9 truncates to class 2, and -1 wraps to
-255, a class when there are 256.
+:meth:`MetricsLedger.append` narrows only ids that
+:func:`flwf.datasets.class_ids` has passed: a cast would wrap -1 to 255,
+a class when there are 256.
 
 Every accuracy comes from one table and one rule.  The table ``H`` holds
 each record's hit counts (records x classes, in append order); it is
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .continual import TaskSequence
+from .datasets import class_ids
 from .network import ModelParams, forward
 
 SERVER = "server"
@@ -99,8 +99,7 @@ class MetricsLedger:
         labels = np.asarray(self.test_labels)
         if labels.size == 0:
             raise ValueError("ledger needs a nonempty test set")
-        self._check_class_ids(labels, "test label")
-        self.test_labels = labels.astype(int, copy=False)
+        self.test_labels = class_ids(labels, self.n_classes, "test label", "test row")
         # Test examples per class; per record, its correct predictions per
         # class (row i of the hit table H is the i-th record appended).
         self._class_counts = np.bincount(self.test_labels, minlength=self.n_classes)
@@ -117,28 +116,12 @@ class MetricsLedger:
 
     # -- recording ---------------------------------------------------------
 
-    def _check_class_ids(self, ids: np.ndarray, what: str) -> None:
-        """Every entry of ``ids`` must be a whole number in
-        ``0..n_classes-1`` (``np.int64(2)`` and ``3.0`` are, ``-1`` and
-        ``0.7`` are not); the first that is not raises ``ValueError``
-        naming it and its test row, before anything is cast."""
-        if ids.dtype.kind not in "iuf":
-            raise ValueError(f"{what}s must be class ids, not {ids.dtype}")
-        valid = (ids >= 0) & (ids < self.n_classes)
-        if ids.dtype.kind == "f":
-            valid &= ids == np.trunc(ids)
-        if not valid.all():
-            row = int(np.argmin(valid))
-            raise ValueError(f"{what} {ids[row].item()!r} for test row {row} "
-                             f"is not a class id in 0..{self.n_classes - 1}")
-
     def append(self, record: RoundRecord) -> None:
         """Store a copy of ``record`` with its predictions narrowed, once
-        each has passed the class-id check of :meth:`_check_class_ids`."""
-        predictions = record.predictions
-        if predictions.shape != self.test_labels.shape:
+        each has passed :func:`flwf.datasets.class_ids`."""
+        if record.predictions.shape != self.test_labels.shape:
             raise ValueError("prediction vector length does not match the test set")
-        self._check_class_ids(predictions, "prediction")
+        predictions = class_ids(record.predictions, self.n_classes, "prediction", "test row")
         key = (record.owner, record.round_index)
         if key in self.records:
             raise ValueError(

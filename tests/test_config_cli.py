@@ -20,7 +20,7 @@ from flwf.config import (PRESET_NAMES, ClientConfig, ConfigError, CsvSource,
                          parse_config, preset, save_config, to_dict)
 from flwf.continual import StrategyPolicy
 from flwf.datasets import generate_synthetic, save_csv
-from flwf.metrics import MetricsLedger
+from flwf.metrics import SERVER, MetricsLedger
 from flwf.network import KIND_DROPOUT
 
 EXAMPLE_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -198,6 +198,16 @@ def test_round_budget_mismatch_rejected():
     with pytest.raises(ConfigError) as err:
         from_dict(doc)
     assert "clients[c1].tasks" in str(err.value)
+
+
+def test_client_named_like_the_aggregate_rejected():
+    """The ledger records the aggregate under ``metrics.SERVER``; a client of
+    that name would fail only once round 1 had trained."""
+    doc = tiny_doc()
+    doc["clients"][0]["name"] = SERVER
+    with pytest.raises(ConfigError) as err:
+        from_dict(doc)
+    assert str(err.value).startswith(f"clients: {SERVER!r} names the aggregate")
 
 
 def test_out_of_range_class_rejected():

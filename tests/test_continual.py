@@ -9,17 +9,10 @@ from flwf.continual import (ExemplarStore, StrategyPolicy, TaskSequence,
                             TaskSpec, compose_training_batch, current_task,
                             is_unbalanced, normalized_label_entropy,
                             select_loss_mode, update_exemplars)
-from flwf.datasets import RoundBatch
-
 # frozen hand computation: 90% / 10% split over a 6-class problem
 ENTROPY_90_10 = 0.1814322619606436
 
 PAPER_LIKE = TaskSequence((TaskSpec((1,), 4), TaskSpec((2,), 4)))
-
-
-def batch_of(labels, n_classes=6, dim=3):
-    labels = np.asarray(labels)
-    return RoundBatch(np.zeros((len(labels), dim)), labels, n_classes)
 
 
 # -- task sequences ------------------------------------------------------------
@@ -128,23 +121,23 @@ def test_task_geometry_agrees_with_a_round_by_round_scan(seq):
 
 
 def test_single_class_batch_is_unbalanced():
-    batch = batch_of([2] * 30)
+    labels = [2] * 30
     for tau in (0.1, 0.5, 0.99):
-        assert is_unbalanced(batch, threshold=tau)
+        assert is_unbalanced(labels, 6, threshold=tau)
 
 
 def test_uniform_batch_is_balanced():
-    batch = batch_of([0, 1, 2, 3, 4, 5] * 10)
-    assert normalized_label_entropy(batch.labels, 6) == pytest.approx(1.0)
+    labels = [0, 1, 2, 3, 4, 5] * 10
+    assert normalized_label_entropy(labels, 6) == pytest.approx(1.0)
     for tau in (0.1, 0.5, 0.99):
-        assert not is_unbalanced(batch, threshold=tau)
+        assert not is_unbalanced(labels, 6, threshold=tau)
 
 
 def test_entropy_hand_value_90_10():
     labels = [1] * 90 + [2] * 10
     assert normalized_label_entropy(labels, 6) == pytest.approx(
         ENTROPY_90_10, abs=1e-12)
-    assert is_unbalanced(batch_of(labels), threshold=0.5)
+    assert is_unbalanced(labels, 6, threshold=0.5)
 
 
 def test_entropy_invariant_to_label_permutation():
@@ -163,111 +156,92 @@ def test_entropy_rejects_degenerate_input():
     with pytest.raises(ValueError):
         normalized_label_entropy([0, 0], 1)
     with pytest.raises(ValueError):
-        is_unbalanced(batch_of([0]), threshold=1.5)
+        is_unbalanced([0], 6, threshold=1.5)
 
 
 # -- exemplar store -----------------------------------------------------------------
 
 
-def rows_as_set(feats):
-    return {tuple(row) for row in feats}
-
-
 def test_update_exemplars_new_task_stores_capacity():
-    rng = np.random.default_rng(2)
-    batch = RoundBatch(rng.normal(size=(120, 3)), np.ones(120, dtype=int), 6)
-    store = update_exemplars(ExemplarStore(capacity=10), 1, batch, seed=0)
-    feats, labs = store.entries[1]
-    assert len(feats) == 10
-    assert (labs == 1).all()
-    # stored rows really come from the batch
-    assert rows_as_set(feats) <= rows_as_set(batch.features)
+    fresh = np.random.default_rng(2).permutation(1000)[:120]
+    store = update_exemplars(ExemplarStore(capacity=10), 1, fresh, seed=0)
+    rows = store.entries[1]
+    assert len(rows) == 10 and len(set(rows.tolist())) == 10
+    # stored rows really come from the batch, in the batch's order
+    positions = [fresh.tolist().index(i) for i in rows]
+    assert positions == sorted(positions)
 
 
 def test_update_exemplars_refresh_replaces_entry():
-    rng = np.random.default_rng(3)
-    first = RoundBatch(rng.normal(size=(40, 3)) + 100, np.zeros(40, dtype=int), 6)
-    second = RoundBatch(rng.normal(size=(40, 3)) - 100, np.zeros(40, dtype=int), 6)
+    first, second = np.arange(40), np.arange(100, 140)
     store = update_exemplars(ExemplarStore(capacity=5), 1, first, seed=0)
     store = update_exemplars(store, 1, second, seed=1)
-    feats, _ = store.entries[1]
-    assert len(feats) == 5
-    assert rows_as_set(feats) <= rows_as_set(second.features)
-    assert not rows_as_set(feats) & rows_as_set(first.features)
+    rows = set(store.entries[1].tolist())
+    assert len(rows) == 5
+    assert rows <= set(second.tolist())
+    assert not rows & set(first.tolist())
 
 
 def test_update_exemplars_small_batch_stored_whole():
-    batch = batch_of([3, 3, 3])
-    store = update_exemplars(ExemplarStore(capacity=10), 2, batch, seed=0)
-    assert len(store.entries[2][0]) == 3
+    store = update_exemplars(ExemplarStore(capacity=10), 2, np.array([7, 3, 5]), seed=0)
+    assert store.entries[2].tolist() == [7, 3, 5]
 
 
 def test_update_exemplars_leaves_other_tasks_untouched():
-    rng = np.random.default_rng(4)
-    b1 = RoundBatch(rng.normal(size=(30, 3)), np.full(30, 1), 6)
-    b2 = RoundBatch(rng.normal(size=(30, 3)), np.full(30, 2), 6)
-    store = update_exemplars(ExemplarStore(capacity=4), 1, b1, seed=0)
-    before = store.entries[1][0].copy()
-    store2 = update_exemplars(store, 2, b2, seed=1)
-    assert np.array_equal(store2.entries[1][0], before)
-    assert sum(len(feats) for feats, _ in store2.entries.values()) == 8  # 2M
+    store = update_exemplars(ExemplarStore(capacity=4), 1, np.arange(30), seed=0)
+    before = store.entries[1].copy()
+    store2 = update_exemplars(store, 2, np.arange(30, 60), seed=1)
+    assert np.array_equal(store2.entries[1], before)
+    assert sum(len(rows) for rows in store2.entries.values()) == 8  # 2M
     assert sorted(store2.entries) == [1, 2]
 
 
 def test_update_exemplars_does_not_mutate_input_store():
-    batch = batch_of([0] * 20)
+    fresh = np.arange(20)
     store = ExemplarStore(capacity=5)
-    update_exemplars(store, 1, batch, seed=0)
+    update_exemplars(store, 1, fresh, seed=0)
     assert store.entries == {}
+    assert fresh.tolist() == list(range(20))
 
 
 def test_store_capacity_invariant():
     with pytest.raises(ValueError):
-        ExemplarStore(capacity=2, entries={1: (np.zeros((3, 2)), np.zeros(3, dtype=int))})
+        ExemplarStore(capacity=2, entries={1: np.arange(3)})
 
 
 # -- batch composition ---------------------------------------------------------------
 
 
 def test_compose_with_empty_store_is_identity():
-    batch = batch_of([1] * 7)
-    out = compose_training_batch(batch, ExemplarStore(capacity=5), 1, seed=0)
-    assert out is batch
+    fresh = np.arange(7)
+    out = compose_training_batch(fresh, ExemplarStore(capacity=5), 1, seed=0)
+    assert out is fresh
 
 
 def test_compose_adds_other_task_exemplars():
-    rng = np.random.default_rng(5)
-    past = RoundBatch(rng.normal(size=(120, 3)), np.full(120, 1), 6)
-    store = update_exemplars(ExemplarStore(capacity=10), 1, past, seed=0)
-    fresh = RoundBatch(rng.normal(size=(120, 3)), np.full(120, 2), 6,
-                       source_indices=np.arange(120))
+    store = update_exemplars(ExemplarStore(capacity=10), 1, np.arange(500, 620), seed=0)
+    fresh = np.arange(120)
     out = compose_training_batch(fresh, store, 2, seed=1)
     assert len(out) == 130
-    assert (out.labels == 1).sum() == 10
-    assert (out.labels == 2).sum() == 120
-    # replayed rows are tagged with source -1, fresh rows keep theirs
-    assert (out.source_indices == -1).sum() == 10
-    assert sorted(out.source_indices[out.source_indices >= 0]) == list(range(120))
+    # replayed rows keep their pool index, fresh rows keep theirs
+    assert sorted(out[out >= 500].tolist()) == sorted(store.entries[1].tolist())
+    assert sorted(out[out < 500].tolist()) == list(range(120))
+    assert out.tolist() != sorted(out.tolist())  # reshuffled
 
 
 def test_compose_excludes_current_task_exemplars():
-    rng = np.random.default_rng(6)
-    past = RoundBatch(rng.normal(size=(50, 3)), np.full(50, 2), 6)
-    store = update_exemplars(ExemplarStore(capacity=10), 2, past, seed=0)
-    fresh = RoundBatch(rng.normal(size=(40, 3)), np.full(40, 2), 6)
+    store = update_exemplars(ExemplarStore(capacity=10), 2, np.arange(50), seed=0)
+    fresh = np.arange(50, 90)
     out = compose_training_batch(fresh, store, 2, seed=1)
     assert out is fresh
 
 
 def test_compose_shuffle_is_seeded():
-    rng = np.random.default_rng(7)
-    past = RoundBatch(rng.normal(size=(30, 3)), np.full(30, 1), 6)
-    store = update_exemplars(ExemplarStore(capacity=5), 1, past, seed=0)
-    fresh = RoundBatch(rng.normal(size=(20, 3)), np.full(20, 2), 6)
+    store = update_exemplars(ExemplarStore(capacity=5), 1, np.arange(30), seed=0)
+    fresh = np.arange(30, 50)
     a = compose_training_batch(fresh, store, 2, seed=42)
     b = compose_training_batch(fresh, store, 2, seed=42)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a, b)
 
 
 # -- strategy selection ----------------------------------------------------------------
@@ -282,27 +256,28 @@ def test_policy_validation():
 
 @pytest.mark.parametrize("algo", ["flwf1", "flwf2"])
 def test_select_loss_mode_matrix(algo):
-    single = batch_of([2] * 20)       # unbalanced
-    uniform = batch_of([0, 1, 2, 3, 4, 5] * 4)  # balanced
+    single = [2] * 20       # unbalanced
+    uniform = [0, 1, 2, 3, 4, 5] * 4  # balanced
     distill = StrategyPolicy(mode="distill-all")
     hybrid = StrategyPolicy(mode="hybrid")
     ft = StrategyPolicy(mode="fine-tune-all")
-    assert select_loss_mode(distill, uniform, algo) == algo
-    assert select_loss_mode(distill, single, algo) == algo
-    assert select_loss_mode(hybrid, single, algo) == algo
-    assert select_loss_mode(hybrid, uniform, algo) == "fine-tune"
-    assert select_loss_mode(ft, single, algo) == "fine-tune"
-    assert select_loss_mode(ft, uniform, algo) == "fine-tune"
+    assert select_loss_mode(distill, uniform, 6, algo) == algo
+    assert select_loss_mode(distill, single, 6, algo) == algo
+    assert select_loss_mode(hybrid, single, 6, algo) == algo
+    assert select_loss_mode(hybrid, uniform, 6, algo) == "fine-tune"
+    assert select_loss_mode(ft, single, 6, algo) == "fine-tune"
+    assert select_loss_mode(ft, uniform, 6, algo) == "fine-tune"
 
 
 def test_select_loss_mode_rejects_bad_algo():
     with pytest.raises(ValueError):
-        select_loss_mode(StrategyPolicy(), batch_of([0]), "fine-tune")
+        select_loss_mode(StrategyPolicy(), [0], 6, "fine-tune")
 
 
 def test_select_loss_mode_is_pure():
-    batch = batch_of([1] * 9 + [2] * 1)
+    labels = np.array([1] * 9 + [2] * 1)
     policy = StrategyPolicy(mode="hybrid", balance_threshold=0.5)
-    first = select_loss_mode(policy, batch, "flwf2")
+    first = select_loss_mode(policy, labels, 6, "flwf2")
     for _ in range(5):
-        assert select_loss_mode(policy, batch, "flwf2") == first
+        assert select_loss_mode(policy, labels, 6, "flwf2") == first
+    assert labels.tolist() == [1] * 9 + [2]

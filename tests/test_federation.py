@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from flwf import federation, losses, network
 from flwf.config import ClientConfig, ScenarioConfig, SyntheticSource
-from flwf.continual import ExemplarStore, StrategyPolicy, TaskSequence, TaskSpec
+from flwf.continual import (POLICIES, ExemplarStore, StrategyPolicy, TaskSequence,
+                            TaskSpec)
 from flwf.datasets import RoundBatch
 from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
                              SEED_INIT, SEED_ROUND_DRAW, SEED_TEST_DRAW,
@@ -544,6 +545,15 @@ def test_run_round_schedules_tasks_and_modes():
                      ("c1", 2): "flwf1", ("cg", 2): "fine-tune", (SERVER, 2): None}
 
 
+def test_hybrid_policy_reads_the_replayed_rows_too():
+    """c1's 24 fresh rows of class 2 alone are unbalanced (flwf1 in round 2
+    above); with 8 replayed rows of class 1 the composed batch's
+    normalized entropy is 0.512, so the hybrid policy fine-tunes."""
+    scenario = dataclasses.replace(tiny_scenario(algo="flwf1", use_exemplars=True),
+                                   exemplar_capacity=8)
+    assert run_experiment(scenario).ledger.record_for("c1", 2).mode == "fine-tune"
+
+
 def test_run_round_draws_match_task_classes():
     scenario = tiny_scenario()
     pool, test, server, ledger, clients = fresh_runtime(scenario)
@@ -554,26 +564,57 @@ def test_run_round_draws_match_task_classes():
         assert (consumed_per_class(pool) - consumed).tolist() == want
 
 
+def record_batches(monkeypatch):
+    """A list that gains ``(client name, pool indices)`` per client update."""
+    batches, real_update = [], federation.client_update
+
+    def recorded(server_params, client, batch, *args):
+        batches.append((client.name, batch.source_indices.copy()))
+        return real_update(server_params, client, batch, *args)
+    monkeypatch.setattr(federation, "client_update", recorded)
+    return batches
+
+
 def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     scenario = tiny_scenario(use_exemplars=True)
     pool, test, server, ledger, clients = fresh_runtime(scenario)
     c1 = clients[0]
     steps = count_sgd_steps(monkeypatch)
+    batches = record_batches(monkeypatch)
     before = pool.consumed.copy()
     server = run_round(scenario, server, clients, pool, test, ledger, 1)
     # round 1: the store was empty during composition, so each client
     # trained on its 24 fresh rows (2 epochs x ceil(24/16) = 4 steps)
     assert len(steps) == 2 * 4
+    (name, round1), _ = batches
+    assert name == "c1" and len(round1) == 24 and not before[round1].any()
     assert sorted(c1.store.entries) == [1]
-    features, labels = c1.store.entries[1]
-    drawn = {tuple(row) for row in pool.features[pool.consumed & ~before]}
-    assert len(features) == scenario.exemplar_capacity and (labels == 1).all()
-    assert {tuple(row) for row in features} <= drawn
+    stored = c1.store.entries[1]
+    # the store holds pool indices of c1's fresh rows, in their batch order
+    assert len(stored) == scenario.exemplar_capacity
+    assert (pool.labels[stored] == 1).all()
+    positions = [round1.tolist().index(i) for i in stored]
+    assert positions == sorted(positions)
     # round 2: task 1 exemplars join c1's fresh task-2 rows (29 rows -> 2
     # chunks per epoch), and the store gains task 2 afterwards
+    before = pool.consumed.copy()
     server = run_round(scenario, server, clients, pool, test, ledger, 2)
     assert len(steps) == 2 * 4 + 2 * 4
+    _, _, (name, round2), _ = batches
+    assert name == "c1" and len(round2) == 24 + scenario.exemplar_capacity
+    replayed = round2[before[round2]]
+    fresh2 = round2[~before[round2]]
+    # replayed rows keep their pool index: round 1's fresh rows of task 1,
+    # never round 2's own
+    assert sorted(replayed.tolist()) == sorted(stored.tolist())
+    assert set(replayed.tolist()) <= set(round1.tolist())
+    assert len(fresh2) == 24 and (pool.labels[fresh2] == 2).all()
     assert sorted(c1.store.entries) == [1, 2]
+    assert np.array_equal(c1.store.entries[1], stored)
+    assert set(c1.store.entries[2].tolist()) <= set(fresh2.tolist())
+    # FedAvg weighs each client by its fresh rows alone, replay aside
+    want = brute_average([c.params for c in clients], [1.0 * 24, 4.0 * 24])
+    assert max_abs_gap(server.params, want) < 1e-12
 
 
 def test_run_round_without_exemplars_leaves_stores_empty():
@@ -590,6 +631,105 @@ def test_run_round_divergence_names_client_round_epoch_and_step():
         run_round(scenario, server, clients, pool, test, ledger, 1)
     assert re.fullmatch(r"c1, round 1, epoch \d+, step \d+: non-finite \w+.*",
                         str(err.value))
+
+
+DATA_SIDE = ("draw_round_data", "compose_training_batch", "select_loss_mode",
+             "update_exemplars")
+
+
+def test_run_round_makes_no_data_side_call_once_planned(monkeypatch):
+    """Once ``plan_round`` has returned, the four data-side functions raise,
+    and the rounds still write what an unpatched run writes."""
+    scenario = tiny_scenario(algo="flwf2", use_exemplars=True)
+    want = run_experiment(scenario)
+    real = {name: getattr(federation, name) for name in DATA_SIDE}
+    real_plan = federation.plan_round
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called after planning")
+        return call
+
+    def plan_then_forbid(*args):
+        for name in DATA_SIDE:
+            monkeypatch.setattr(federation, name, real[name])
+        plans = real_plan(*args)
+        for name in DATA_SIDE:
+            monkeypatch.setattr(federation, name, forbidden(name))
+        return plans
+    monkeypatch.setattr(federation, "plan_round", plan_then_forbid)
+    pool, test, server, ledger, clients = fresh_runtime(scenario)
+    for r in (1, 2):
+        server = run_round(scenario, server, clients, pool, test, ledger, r)
+    with pytest.raises(AssertionError, match="called after planning"):
+        federation.draw_round_data(pool, (0,), 1, seed=0)
+    assert list(ledger.records) == [key for key in want.ledger.records if key != (SERVER, 0)]
+    for key, record in ledger.records.items():
+        assert np.array_equal(record.predictions, want.ledger.records[key].predictions)
+        assert record.mode == want.ledger.records[key].mode
+    assert same_model(server.params, want.server.params)
+    for got, ref in zip(clients, want.clients):
+        assert same_model(got.params, ref.params)
+        assert got.store.entries.keys() == ref.store.entries.keys()
+
+
+@st.composite
+def small_scenarios(draw):
+    """1-3 clients over 3 classes and 1-3 rounds: each with a random algo,
+    policy and task split (at most one task per round, and at least two
+    tasks from two rounds on), exemplars on or off."""
+    rounds = draw(st.integers(1, 3))
+    clients = []
+    for i in range(draw(st.integers(1, 3))):
+        classes = draw(st.permutations([0, 1, 2]))
+        n_tasks = draw(st.integers(min(2, rounds), rounds))
+        cuts = sorted(draw(st.lists(st.integers(1, 2), min_size=n_tasks - 1,
+                                    max_size=n_tasks - 1, unique=True)))
+        budgets = sorted(draw(st.lists(st.integers(1, rounds - 1), min_size=n_tasks - 1,
+                                       max_size=n_tasks - 1, unique=True))) if rounds > 1 else []
+        groups = np.split(np.array(classes), cuts)
+        spans = np.diff([0, *budgets, rounds])
+        algo = draw(st.sampled_from(losses.MODES))
+        clients.append(ClientConfig(
+            name=f"c{i}", weight=draw(st.sampled_from([1.0, 2.5])), algo=algo,
+            alpha=0.4 if algo != losses.MODE_FINE_TUNE else 1.0,
+            beta=0.3 if algo == losses.MODE_FLWF2 else None,
+            policy=StrategyPolicy(mode=draw(st.sampled_from(POLICIES))),
+            use_exemplars=draw(st.booleans()),
+            tasks=TaskSequence(tuple(TaskSpec(tuple(g.tolist()), int(n))
+                                     for g, n in zip(groups, spans)))))
+    return dataclasses.replace(
+        tiny_scenario(seed=draw(st.integers(0, 2**16)), rounds=rounds,
+                      clients=tuple(clients)),
+        epochs=1, total_clients=len(clients), round_data_size=draw(st.integers(4, 12)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+def test_planning_alone_consumes_and_chooses_as_a_real_run(scenario):
+    """Planning every round, with every model function made to raise, marks
+    the pool rows a real run consumes and picks each client-round's mode as
+    recorded in its ledger (after the one first-round fallback rule)."""
+    pools, real_build = [], federation.build_pool
+    with mock.patch.object(federation, "build_pool",
+                           side_effect=lambda s: pools.append(real_build(s)) or pools[-1]):
+        result = run_experiment(scenario)
+    pool, test, _, _, clients = fresh_runtime(scenario)
+    fail = mock.Mock(side_effect=AssertionError("model work while planning"))
+    with mock.patch.multiple(federation, forward=fail, train_local=fail,
+                             init_params=fail, predict=fail, fedavg=fail):
+        for r in range(1, scenario.rounds + 1):
+            for client, plan in zip(clients, federation.plan_round(scenario, clients, pool, r)):
+                cfg, mode = client.cfg, plan.mode
+                if mode != losses.MODE_FINE_TUNE:  # the client teacher exists from round 2
+                    mode = losses.objective_terms(losses.LossSpec(
+                        mode=mode, alpha=cfg.alpha, beta=cfg.beta,
+                        teacher_client_logits=None if r == 1 else np.zeros((1, 3)),
+                        teacher_server_logits=np.zeros((1, 3))))[0]
+                assert result.ledger.record_for(client.name, r).mode == mode
+    assert np.array_equal(pool.consumed, pools[0].consumed)
+    assert pool.consumed.sum() == (
+        len(test) + len(clients) * scenario.rounds * scenario.round_data_size)
 
 
 # -- run_experiment --------------------------------------------------------------
