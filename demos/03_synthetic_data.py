@@ -40,9 +40,9 @@ print(f"\ntest set: {len(test.labels)} rows, balanced "
 
 seen = set()
 for r in range(1, 4):
-    batch = draw_round_data(pool, classes=(0, 1), size=30, seed=100 + r)
-    rows = set(batch.source_indices.tolist())
-    print(f"round {r}: drew {len(batch)} rows of classes (0, 1), "
+    drawn = draw_round_data(pool, classes=(0, 1), size=30, seed=100 + r)
+    rows = set(drawn.tolist())  # pool indices
+    print(f"round {r}: drew {len(drawn)} rows of classes (0, 1), "
           f"overlap with earlier draws: {len(seen & rows)}")
     assert not seen & rows
     seen |= rows
@@ -55,8 +55,7 @@ pool2 = generate_synthetic(n_classes=3, per_class=200, feature_dim=8,
                            separation=1.5, seed=0)
 draw_test_set(pool2, per_class=20, seed=1)
 again = draw_round_data(pool2, classes=(0, 1), size=30, seed=101)
-first = sorted(b for b in seen
-               if b in set(again.source_indices.tolist()))
+first = sorted(b for b in seen if b in set(again.tolist()))
 print(f"re-drawing round 1 on a fresh pool reuses the same rows: "
       f"{len(first) == 30}")
 

@@ -11,9 +11,8 @@ from .config import (ClientConfig, ConfigError, CsvSource, ScenarioConfig,
                      SyntheticSource, default_mlp_layers, load_config, parse_config,
                      preset, save_config, uci_cnn_layers)
 from .continual import (ExemplarStore, StrategyPolicy, TaskSequence, TaskSpec,
-                        compose_training_batch, current_task, is_unbalanced,
-                        normalized_label_entropy, select_loss_mode,
-                        update_exemplars)
+                        compose_training_batch, current_task,
+                        normalized_label_entropy, select_loss_mode, update_exemplars)
 from .datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
                        draw_round_data, draw_test_set, generate_synthetic,
                        load_csv, save_csv)
@@ -41,7 +40,7 @@ __all__ = [
     "compose_training_batch", "current_task", "default_mlp_layers",
     "distillation_loss", "draw_round_data", "draw_test_set", "fedavg",
     "forward", "generate_synthetic", "infer_shapes", "init_params",
-    "is_unbalanced", "load_config", "load_csv", "log_softmax", "loss_on_batch",
+    "load_config", "load_csv", "log_softmax", "loss_on_batch",
     "normalized_label_entropy", "params_digest", "parse_config", "predict",
     "preset", "run_experiment", "run_round", "save_config", "save_csv",
     "select_loss_mode", "sgd_step", "softmax", "stream_seed",

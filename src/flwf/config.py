@@ -29,6 +29,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import numbers
 import types
 from dataclasses import MISSING, dataclass, field
 from typing import ClassVar
@@ -62,6 +63,16 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _check_ints(obj, prefix: str = "") -> None:
+    """Store each ``int`` field of ``obj`` as an int.  Integer types such as
+    numpy's pass; a bool or a float, even a whole one, raises."""
+    for name in (f.name for f in dataclasses.fields(obj) if f.type is int):
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(prefix + name, f"must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class SyntheticSource:
     """Gaussian class clusters drawn inside the run from the experiment seed."""
@@ -72,6 +83,7 @@ class SyntheticSource:
     separation: float = 1.5
 
     def __post_init__(self):
+        _check_ints(self, "data.")
         if self.per_class < 1:
             raise ConfigError("data.per_class", "must be positive")
         if self.feature_dim < 1:
@@ -145,6 +157,7 @@ class ScenarioConfig:
     clients: tuple[ClientConfig, ...]
 
     def __post_init__(self):
+        _check_ints(self)
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "clients", tuple(self.clients))

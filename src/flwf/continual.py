@@ -4,13 +4,15 @@ A client's lifetime is an ordered list of tasks; each task owns a set of
 class ids and a budget of rounds, and the budgets partition ``1..R`` so
 every round belongs to exactly one task.  The exemplar store keeps at
 most ``capacity`` examples per finished task and is refreshed, not
-appended to, on every revisit.  The strategy selector decides per round
-whether the client trains with a distillation objective or plain
-fine-tuning, using the label entropy of the composed training batch.
+appended to, on every revisit.  The strategy selector is the one rule
+for a client-round's loss mode, distillation or plain fine-tuning: from
+the client's algo and policy, whether its teacher exists yet, and the
+label entropy of the composed training batch.
 """
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,9 @@ class TaskSpec:
     rounds: int
 
     def __post_init__(self):
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
+            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
+        object.__setattr__(self, "rounds", int(self.rounds))
         for c in self.classes:
             if isinstance(c, bool) or int(c) != c:
                 raise ValueError(f"class ids must be integers, got {c!r}")
@@ -108,14 +113,6 @@ def normalized_label_entropy(labels, n_classes: int) -> float:
     return float(-(p * np.log(p)).sum() / math.log(n_classes) + 0.0)
 
 
-def is_unbalanced(labels, n_classes: int, threshold: float = 0.5) -> bool:
-    """True when the labels' normalized entropy over ``n_classes`` falls
-    below the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    return normalized_label_entropy(labels, n_classes) < threshold
-
-
 @dataclass(frozen=True)
 class StrategyPolicy:
     """How a client picks its per-round objective."""
@@ -130,21 +127,24 @@ class StrategyPolicy:
             raise ValueError("balance_threshold must lie in [0, 1]")
 
 
-def select_loss_mode(policy: StrategyPolicy, labels, n_classes: int, algo: str) -> str:
-    """Loss mode for this round's training.
+def select_loss_mode(policy: StrategyPolicy, labels, n_classes: int, algo: str,
+                     has_client_teacher: bool) -> str:
+    """The loss mode a client-round trains with: ``algo`` or fine-tune.
 
-    ``distill-all`` always uses the algorithm's distillation mode,
-    ``fine-tune-all`` never does, and ``hybrid`` distills only when the
-    labels of the (already composed) batch look unbalanced.
+    Fine-tune for the ``fine-tune`` algo, for the ``fine-tune-all`` policy,
+    for flwf1 without a client teacher (a client's first round; flwf2
+    folds that term onto the server teacher instead), and for ``hybrid``
+    when the normalized entropy of the composed batch's labels is at or
+    above the policy's threshold.  Otherwise the algo's own mode.
     """
-    if algo not in (losses.MODE_FLWF1, losses.MODE_FLWF2):
-        raise ValueError(f"algo must be flwf1 or flwf2, got {algo!r}")
-    if policy.mode == POLICY_FINE_TUNE_ALL:
+    if algo not in losses.MODES:
+        raise ValueError(f"algo must be one of {list(losses.MODES)}, got {algo!r}")
+    if (algo == losses.MODE_FINE_TUNE or policy.mode == POLICY_FINE_TUNE_ALL
+            or (algo == losses.MODE_FLWF1 and not has_client_teacher)
+            or (policy.mode == POLICY_HYBRID and normalized_label_entropy(
+                labels, n_classes) >= policy.balance_threshold)):
         return losses.MODE_FINE_TUNE
-    if policy.mode == POLICY_DISTILL_ALL or is_unbalanced(
-            labels, n_classes, threshold=policy.balance_threshold):
-        return algo
-    return losses.MODE_FINE_TUNE
+    return algo
 
 
 @dataclass

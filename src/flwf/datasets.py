@@ -41,13 +41,11 @@ def class_ids(values, n_classes: int, what: str, row: str) -> np.ndarray:
 
 @dataclass
 class RoundBatch:
-    """The labeled data one client trains on in one round; ``source_indices``
-    maps each row to its pool index, replayed exemplar rows included."""
+    """The labeled data one client trains on in one round."""
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    source_indices: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -212,12 +210,13 @@ def _allocate_per_class(classes: list[int], size: int) -> dict[int, int]:
     return {c: base + (1 if i < rem else 0) for i, c in enumerate(ordered)}
 
 
-def draw_round_data(pool: DatasetPool, classes, size: int, seed) -> RoundBatch:
-    """Draw ``size`` unconsumed examples from the given classes, without replacement.
+def draw_round_data(pool: DatasetPool, classes, size: int, seed) -> np.ndarray:
+    """The pool indices of ``size`` unconsumed examples of the given
+    classes, drawn without replacement, in a seeded random order.
 
     Class proportions are as uniform as integer division allows.  Drawn
     examples are marked consumed, so later draws and the test set stay
-    disjoint from this batch.
+    disjoint from them.
     """
     classes = sorted(int(c) for c in set(classes))
     if not classes:
@@ -239,11 +238,12 @@ def draw_round_data(pool: DatasetPool, classes, size: int, seed) -> RoundBatch:
     chosen = np.concatenate(picks)
     chosen = chosen[rng.permutation(len(chosen))]
     pool.consumed[chosen] = True
-    return RoundBatch(pool.features[chosen], pool.labels[chosen], pool.n_classes, chosen)
+    return chosen
 
 
 def draw_test_set(pool: DatasetPool, per_class: int, seed) -> TestSet:
-    """Draw the fixed balanced test set (``per_class`` examples of every class)."""
-    batch = draw_round_data(pool, range(pool.n_classes), per_class * pool.n_classes, seed)
-    order = np.lexsort((batch.source_indices, batch.labels))
-    return TestSet(batch.features[order], batch.labels[order], pool.n_classes)
+    """Draw the fixed balanced test set (``per_class`` examples of every
+    class), ordered by class, then by pool index."""
+    rows = draw_round_data(pool, range(pool.n_classes), per_class * pool.n_classes, seed)
+    rows = rows[np.lexsort((rows, pool.labels[rows]))]
+    return TestSet(pool.features[rows], pool.labels[rows], pool.n_classes)

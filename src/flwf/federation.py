@@ -2,10 +2,10 @@
 
 Every round r is planned, then executed.  The plan (:func:`plan_round`)
 makes each client's data-side decisions from the config, the seed streams
-and the pool's labels: its fresh draw, replay, loss mode and exemplar
-refresh.  Then each client trains the server model for E epochs on its
-planned rows, and the server aggregates the results with size-and-hint
-weighted FedAvg.  The client's own previous-round model and the incoming
+and the pool's labels: its fresh draw, replay, exemplar refresh and loss
+mode, the one it trains with and records.  Then each client trains the
+server model for E epochs on its planned rows, and the server aggregates
+the results with size-and-hint weighted FedAvg.  The client's own previous-round model and the incoming
 server model serve as the two distillation teachers.  Both are made
 read-only before their logits are computed (once, before any SGD step),
 so any write into them raises.  The server teacher stays frozen for the
@@ -17,7 +17,6 @@ All randomness comes from per-(purpose, client, round) seed streams
 derived from the one experiment seed.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,44 +85,41 @@ def _freeze(params: ModelParams) -> None:
 
 
 def client_update(server_params: ModelParams, client: ClientRuntime,
-                  batch: RoundBatch, train_cfg: TrainConfig,
-                  spec: losses.LossSpec) -> str:
-    """One local update: the student starts from the server model, the
-    teachers are made read-only, and the trained student replaces
-    ``client.params``.  Returns the mode that was actually trained with.
+                  batch: RoundBatch, train_cfg: TrainConfig, mode: str) -> None:
+    """One local update in the planned ``mode``: the student starts from
+    the server model, the teachers are made read-only, and the trained
+    student replaces ``client.params``.
 
-    ``client.params`` is the client teacher, None on a client's first
-    round; what the objective becomes without it is decided by
-    :func:`flwf.losses.objective_terms`.  It is dropped from ``client`` as
-    soon as its logits exist, before the first gradient is computed, so
-    nothing here keeps it alive while the student trains (if training
-    fails, ``client.params`` stays None); unless anything else holds it,
-    its buffer takes the first gradient.  Teacher logits arriving
-    pre-filled in ``spec`` are an error: they are computed here, once,
-    from the frozen teachers.
+    The one :class:`flwf.losses.LossSpec` is built here from ``client.cfg``,
+    ``mode`` and the teachers' logits, each computed once.  ``client.params``
+    is the client teacher, None on a client's first round.  It is dropped
+    from ``client`` as soon as its logits exist, before the first gradient
+    is computed, so nothing here keeps it alive while the student trains
+    (if training fails, ``client.params`` stays None); unless anything
+    else holds it, its buffer takes the first gradient.
     """
     if server_params is None:
         raise ValueError("client_update needs the server model")
     if len(batch) == 0:
         raise ValueError("client_update needs a nonempty batch")
-    if spec.teacher_client_logits is not None or spec.teacher_server_logits is not None:
-        raise ValueError("teacher logits are computed inside client_update")
 
     _freeze(server_params)
-    fills = {}
     if client.params is not None:
         _freeze(client.params)
-        if spec.mode != losses.MODE_FINE_TUNE:
-            fills["teacher_client_logits"] = forward(client.params, batch.features)
-    if spec.mode == losses.MODE_FLWF2:
-        fills["teacher_server_logits"] = forward(server_params, batch.features)
-    spec = dataclasses.replace(spec, **fills)
+    spec = losses.LossSpec()
+    if mode != losses.MODE_FINE_TUNE:
+        cfg = client.cfg
+        spec = losses.LossSpec(
+            mode=mode, alpha=cfg.alpha, beta=cfg.beta, temperature=cfg.temperature,
+            teacher_client_logits=(None if client.params is None
+                                   else forward(client.params, batch.features)),
+            teacher_server_logits=(forward(server_params, batch.features)
+                                   if mode == losses.MODE_FLWF2 else None))
 
     # the client teacher's logits exist: drop it, its buffer for the first gradient
     spare = None if client.params is None else reclaim(client.params)
     client.params = None
     client.params = train_local(server_params, batch, train_cfg, spec, spare=spare)
-    return losses.objective_terms(spec)[0]
 
 
 def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
@@ -206,15 +202,14 @@ def plan_round(scenario: ScenarioConfig, clients: list[ClientRuntime],
             return stream_seed(scenario.seed, purpose, client.index, round_index)
         t, task = current_task(cfg.tasks, round_index)
         fresh = draw_round_data(pool, task.classes, scenario.round_data_size,
-                                seed=seed(SEED_ROUND_DRAW)).source_indices
+                                seed=seed(SEED_ROUND_DRAW))
         rows = fresh
         if cfg.use_exemplars:  # compose from the store as it stood, then refresh it
             rows = compose_training_batch(fresh, client.store, t, seed=seed(SEED_COMPOSE))
             client.store = update_exemplars(client.store, t, fresh, seed=seed(SEED_EXEMPLAR))
-        mode = losses.MODE_FINE_TUNE
-        if (cfg.algo != losses.MODE_FINE_TUNE and select_loss_mode(
-                cfg.policy, pool.labels[rows], pool.n_classes, cfg.algo) == cfg.algo):
-            mode = cfg.algo
+        # the client teacher is the client's own model of the round before
+        mode = select_loss_mode(cfg.policy, pool.labels[rows], pool.n_classes,
+                                cfg.algo, has_client_teacher=round_index > 1)
         plans.append(ClientPlan(rows=rows, n_fresh=len(fresh), mode=mode,
                                 train_seed=_seed_int(seed(SEED_TRAIN))))
     return plans
@@ -247,22 +242,17 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
         raise ValueError("the server state's model was consumed by an earlier round")
     plans = plan_round(scenario, clients, pool, round_index)
     for client, plan in zip(clients, plans):
-        cfg = client.cfg
         batch = RoundBatch(pool.features[plan.rows], pool.labels[plan.rows],
-                           pool.n_classes, plan.rows)
-        spec = losses.LossSpec()
-        if plan.mode != losses.MODE_FINE_TUNE:
-            spec = losses.LossSpec(mode=plan.mode, alpha=cfg.alpha, beta=cfg.beta,
-                                   temperature=cfg.temperature)
+                           pool.n_classes)
         train_cfg = TrainConfig(scenario.learning_rate, scenario.batch_size,
                                 scenario.epochs, rng_seed=plan.train_seed)
         try:
-            mode = client_update(server.params, client, batch, train_cfg, spec)
+            client_update(server.params, client, batch, train_cfg, plan.mode)
         except FloatingPointError as err:
             raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
         ledger.append(RoundRecord(
             owner=client.name, round_index=round_index,
-            predictions=predict(client.params, test.features), mode=mode))
+            predictions=predict(client.params, test.features), mode=plan.mode))
 
     # every client has trained from the server model: drop it, its buffer for FedAvg
     out = reclaim(server.params)

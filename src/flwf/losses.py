@@ -11,8 +11,8 @@ Three training objectives are supported, selected by ``LossSpec.mode``:
   ``alpha * CE + beta * distill(client) + (1 - alpha - beta) * distill(server)``.
   On a client's first round no previous model exists; the client term is
   then folded into the server term, giving
-  ``alpha * CE + (1 - alpha) * distill(server)``, while flwf1 falls back
-  to fine-tuning.  :func:`objective_terms` holds both fallbacks.
+  ``alpha * CE + (1 - alpha) * distill(server)`` (:func:`objective_terms`).
+  flwf1 trains such a round as fine-tune (:func:`flwf.continual.select_loss_mode`).
 
 Every term is a cross-entropy ``-sum(target * log_softmax(o / T))`` and
 the objective is linear in its targets, so :func:`resolve_targets` merges
@@ -157,27 +157,28 @@ def distillation_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
     return float(-(p_teacher * log_q).sum())
 
 
-def objective_terms(spec: LossSpec) -> tuple[str, list]:
-    """The mode ``spec`` trains with and its terms ``(temperature, weight, teacher logits)``.
+def objective_terms(spec: LossSpec) -> list:
+    """The terms ``(temperature, weight, teacher logits)`` of ``spec``'s objective.
 
     Teacher logits of None stand for the labels: the cross-entropy term,
-    at temperature 1.  A spec without client-teacher logits describes a
-    client's first round: flwf1 then trains as fine-tune, and flwf2 folds
-    beta onto the server teacher so the weights still sum to 1.
+    at temperature 1.  A flwf2 spec without client-teacher logits (a
+    client's first round) folds beta onto the server teacher, so the
+    weights still sum to 1; a flwf1 spec needs its teacher.
     """
-    client = spec.teacher_client_logits
-    if spec.mode == MODE_FINE_TUNE or (spec.mode == MODE_FLWF1 and client is None):
-        return MODE_FINE_TUNE, [(1.0, 1.0, None)]
+    if spec.mode == MODE_FINE_TUNE:
+        return [(1.0, 1.0, None)]
+    client, server = spec.teacher_client_logits, spec.teacher_server_logits
     labels = (1.0, spec.alpha, None)
     if spec.mode == MODE_FLWF1:
-        return MODE_FLWF1, [labels, (spec.temperature, 1.0 - spec.alpha, client)]
-    server = spec.teacher_server_logits
+        if client is None:
+            raise ValueError("flwf1 loss requires client-teacher logits")
+        return [labels, (spec.temperature, 1.0 - spec.alpha, client)]
     if server is None:
         raise ValueError("flwf2 loss requires server-teacher logits")
     if client is None:
-        return MODE_FLWF2, [labels, (spec.temperature, 1.0 - spec.alpha, server)]
-    return MODE_FLWF2, [labels, (spec.temperature, spec.beta, client),
-                        (spec.temperature, 1.0 - spec.alpha - spec.beta, server)]
+        return [labels, (spec.temperature, 1.0 - spec.alpha, server)]
+    return [labels, (spec.temperature, spec.beta, client),
+            (spec.temperature, 1.0 - spec.alpha - spec.beta, server)]
 
 
 def resolve_targets(spec: LossSpec, labels: np.ndarray) -> list[Target]:
@@ -188,7 +189,7 @@ def resolve_targets(spec: LossSpec, labels: np.ndarray) -> list[Target]:
     """
     labels = _check_one_hot(labels)
     merged: dict[float, Target] = {}
-    for temperature, weight, teacher in objective_terms(spec)[1]:
+    for temperature, weight, teacher in objective_terms(spec):
         if teacher is None:
             probs = weight * labels
         else:
@@ -219,20 +220,12 @@ def loss_and_grad(targets: list[Target], student_logits: np.ndarray
     return value, grad
 
 
-def _targets_of_own_mode(spec: LossSpec, labels: np.ndarray) -> list[Target]:
-    # Evaluating a spec is strict: a flwf1 spec without its teacher is an
-    # error here, not the first-round fallback that training applies.
-    if objective_terms(spec)[0] != spec.mode:
-        raise ValueError(f"{spec.mode} loss requires client-teacher logits")
-    return resolve_targets(spec, labels)
-
-
 def combined_loss(spec: LossSpec, student_logits: np.ndarray, labels: np.ndarray) -> float:
     """Evaluate the objective described by ``spec`` on one batch."""
-    return loss_and_grad(_targets_of_own_mode(spec, labels), student_logits)[0]
+    return loss_and_grad(resolve_targets(spec, labels), student_logits)[0]
 
 
 def combined_loss_grad(spec: LossSpec, student_logits: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     """Gradient of :func:`combined_loss` with respect to the student logits."""
-    return loss_and_grad(_targets_of_own_mode(spec, labels), student_logits)[1]
+    return loss_and_grad(resolve_targets(spec, labels), student_logits)[1]

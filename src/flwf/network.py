@@ -572,8 +572,7 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     """E epochs of mini-batch SGD on one round's data.
 
     The objective is resolved into its targets once (see
-    :func:`flwf.losses.objective_terms`; without client-teacher logits a
-    flwf1 spec trains as fine-tune).  The batch order is drawn once from
+    :func:`flwf.losses.objective_terms`).  The batch order is drawn once from
     the seeded shuffle and then chunked into size-B mini-batches (the last
     chunk may be short); every epoch iterates the same chunks.  Per-batch
     loss values are appended to ``loss_trace`` when given.  A

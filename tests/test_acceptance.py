@@ -339,7 +339,8 @@ def test_10_real_data_central_training(capsys):
         pytest.skip("FLWF_UCI_CSV not set")
     pool = load_csv(path, n_classes=6)
     test = draw_test_set(pool, per_class=100, seed=0)
-    batch = draw_round_data(pool, classes=range(6), size=1920, seed=1)
+    rows = draw_round_data(pool, classes=range(6), size=1920, seed=1)
+    batch = RoundBatch(pool.features[rows], pool.labels[rows], 6)
     params = init_params(uci_cnn_layers(n_classes=6, dropout=0.5), (128, 9),
                          seed=2)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, epochs=3, rng_seed=3)

@@ -18,7 +18,7 @@ from flwf import cli
 from flwf.config import (PRESET_NAMES, ClientConfig, ConfigError, CsvSource,
                          ScenarioConfig, SyntheticSource, from_dict, load_config,
                          parse_config, preset, save_config, to_dict)
-from flwf.continual import StrategyPolicy
+from flwf.continual import StrategyPolicy, TaskSequence, TaskSpec
 from flwf.datasets import generate_synthetic, save_csv
 from flwf.metrics import SERVER, MetricsLedger
 from flwf.network import KIND_DROPOUT
@@ -526,6 +526,37 @@ def test_dataclasses_built_in_code_reject_non_finite_numbers(value):
         with pytest.raises(ConfigError) as err:
             build()
         assert err.value.path == field
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 1.5), ("rounds", 8.0), ("batch_size", True), ("seed", False),
+    ("exemplar_capacity", 2.5), ("data.per_class", 100.0), ("data.feature_dim", True),
+])
+def test_int_fields_built_in_code_reject_fractions_and_bools(field, value):
+    """A config built in code skips the YAML coercion, so its int fields
+    check their own type: a float, whole or not, or a bool is rejected
+    with the field's name, and a numpy int is stored as an int."""
+    scenario = preset("exp1-flwf1")
+    name = field.removeprefix("data.")
+    if name != field:
+        def build(v):
+            return SyntheticSource(**{name: v})
+    else:
+        def build(v):
+            return dataclasses.replace(scenario, **{name: v})
+    with pytest.raises(ConfigError, match=f"must be an integer, got {value!r}") as err:
+        build(value)
+    assert err.value.path == field
+    assert type(getattr(build(np.int64(8)), name)) is int
+
+
+@pytest.mark.parametrize("budgets", [(3.5, 4.5), (4.0, 4.0), (True, 7)])
+def test_task_budgets_built_in_code_must_be_integers(budgets):
+    """Budgets that sum to the rounds but are no ints are rejected when
+    the task is built, not in round 1."""
+    with pytest.raises(ValueError, match=f"rounds must be an integer, got {budgets[0]!r}"):
+        TaskSequence((TaskSpec((1,), budgets[0]), TaskSpec((2,), budgets[1])))
+    assert type(TaskSpec((1,), np.int64(4)).rounds) is int
 
 
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flwf.continual import (ExemplarStore, StrategyPolicy, TaskSequence,
+from flwf.continual import (POLICIES, ExemplarStore, StrategyPolicy, TaskSequence,
                             TaskSpec, compose_training_batch, current_task,
-                            is_unbalanced, normalized_label_entropy,
-                            select_loss_mode, update_exemplars)
+                            normalized_label_entropy, select_loss_mode,
+                            update_exemplars)
+from flwf.losses import MODES
 # frozen hand computation: 90% / 10% split over a 6-class problem
 ENTROPY_90_10 = 0.1814322619606436
 
@@ -120,24 +121,32 @@ def test_task_geometry_agrees_with_a_round_by_round_scan(seq):
 # -- unbalanced detection ----------------------------------------------------------
 
 
+def hybrid_distills(labels, n_classes, threshold):
+    """Whether the hybrid policy keeps a flwf2 client with a teacher on flwf2."""
+    policy = StrategyPolicy(mode="hybrid", balance_threshold=threshold)
+    return select_loss_mode(policy, labels, n_classes, "flwf2", True) == "flwf2"
+
+
 def test_single_class_batch_is_unbalanced():
     labels = [2] * 30
     for tau in (0.1, 0.5, 0.99):
-        assert is_unbalanced(labels, 6, threshold=tau)
+        assert hybrid_distills(labels, 6, tau)
+    # its entropy of 0 is not below a threshold of 0
+    assert not hybrid_distills(labels, 6, 0.0)
 
 
 def test_uniform_batch_is_balanced():
     labels = [0, 1, 2, 3, 4, 5] * 10
     assert normalized_label_entropy(labels, 6) == pytest.approx(1.0)
     for tau in (0.1, 0.5, 0.99):
-        assert not is_unbalanced(labels, 6, threshold=tau)
+        assert not hybrid_distills(labels, 6, tau)
 
 
 def test_entropy_hand_value_90_10():
     labels = [1] * 90 + [2] * 10
     assert normalized_label_entropy(labels, 6) == pytest.approx(
         ENTROPY_90_10, abs=1e-12)
-    assert is_unbalanced(labels, 6, threshold=0.5)
+    assert hybrid_distills(labels, 6, 0.5)
 
 
 def test_entropy_invariant_to_label_permutation():
@@ -156,7 +165,7 @@ def test_entropy_rejects_degenerate_input():
     with pytest.raises(ValueError):
         normalized_label_entropy([0, 0], 1)
     with pytest.raises(ValueError):
-        is_unbalanced([0], 6, threshold=1.5)
+        hybrid_distills([], 6, 0.5)
 
 
 # -- exemplar store -----------------------------------------------------------------
@@ -261,23 +270,75 @@ def test_select_loss_mode_matrix(algo):
     distill = StrategyPolicy(mode="distill-all")
     hybrid = StrategyPolicy(mode="hybrid")
     ft = StrategyPolicy(mode="fine-tune-all")
-    assert select_loss_mode(distill, uniform, 6, algo) == algo
-    assert select_loss_mode(distill, single, 6, algo) == algo
-    assert select_loss_mode(hybrid, single, 6, algo) == algo
-    assert select_loss_mode(hybrid, uniform, 6, algo) == "fine-tune"
-    assert select_loss_mode(ft, single, 6, algo) == "fine-tune"
-    assert select_loss_mode(ft, uniform, 6, algo) == "fine-tune"
+    assert select_loss_mode(distill, uniform, 6, algo, True) == algo
+    assert select_loss_mode(distill, single, 6, algo, True) == algo
+    assert select_loss_mode(hybrid, single, 6, algo, True) == algo
+    assert select_loss_mode(hybrid, uniform, 6, algo, True) == "fine-tune"
+    assert select_loss_mode(ft, single, 6, algo, True) == "fine-tune"
+    assert select_loss_mode(ft, uniform, 6, algo, True) == "fine-tune"
 
 
 def test_select_loss_mode_rejects_bad_algo():
     with pytest.raises(ValueError):
-        select_loss_mode(StrategyPolicy(), [0], 6, "fine-tune")
+        select_loss_mode(StrategyPolicy(), [0], 6, "flwf3", True)
 
 
 def test_select_loss_mode_is_pure():
     labels = np.array([1] * 9 + [2] * 1)
     policy = StrategyPolicy(mode="hybrid", balance_threshold=0.5)
-    first = select_loss_mode(policy, labels, 6, "flwf2")
+    first = select_loss_mode(policy, labels, 6, "flwf2", True)
     for _ in range(5):
-        assert select_loss_mode(policy, labels, 6, "flwf2") == first
+        assert select_loss_mode(policy, labels, 6, "flwf2", True) == first
     assert labels.tolist() == [1] * 9 + [2]
+
+
+# select_loss_mode's rule spelled out.  (algo, policy) -> the mode for
+# (no client teacher, unbalanced), (no teacher, balanced), (teacher,
+# unbalanced) and (teacher, balanced); a batch is unbalanced when its
+# normalized label entropy is below the policy's threshold.
+FT = "fine-tune"
+MODE_TABLE = {
+    ("fine-tune", "distill-all"): (FT, FT, FT, FT),
+    ("fine-tune", "hybrid"): (FT, FT, FT, FT),
+    ("fine-tune", "fine-tune-all"): (FT, FT, FT, FT),
+    ("flwf1", "distill-all"): (FT, FT, "flwf1", "flwf1"),
+    ("flwf1", "hybrid"): (FT, FT, "flwf1", FT),
+    ("flwf1", "fine-tune-all"): (FT, FT, FT, FT),
+    ("flwf2", "distill-all"): ("flwf2", "flwf2", "flwf2", "flwf2"),
+    ("flwf2", "hybrid"): ("flwf2", FT, "flwf2", FT),
+    ("flwf2", "fine-tune-all"): (FT, FT, FT, FT),
+}
+
+
+@st.composite
+def labelled_thresholds(draw):
+    """A label multiset over 2-6 classes and a threshold, half the time
+    exactly the labels' normalized entropy (capped at 1)."""
+    n_classes = draw(st.integers(2, 6))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=40))
+    entropy = min(normalized_label_entropy(labels, n_classes), 1.0)
+    return labels, n_classes, draw(st.one_of(st.just(entropy), st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_thresholds())
+@example(([2] * 30, 6, 0.1))
+@example(([2] * 30, 6, 0.5))
+@example(([2] * 30, 6, 0.99))
+@example(([2] * 30, 6, 0.0))  # entropy 0 == threshold
+@example(([0, 1, 2, 3, 4, 5] * 10, 6, 0.1))
+@example(([0, 1, 2, 3, 4, 5] * 10, 6, 0.5))
+@example(([0, 1, 2, 3, 4, 5] * 10, 6, 0.99))
+@example(([0, 1] * 5, 2, 1.0))  # entropy 1 == threshold
+@example(([1] * 90 + [2] * 10, 6, 0.5))
+@example(([1] * 90 + [2] * 10, 6, ENTROPY_90_10))
+def test_select_loss_mode_agrees_with_the_table(case):
+    """Every algo x policy x client-teacher choice picks the table's mode."""
+    labels, n_classes, threshold = case
+    assert set(MODE_TABLE) == {(a, p) for a in MODES for p in POLICIES}
+    unbalanced = normalized_label_entropy(labels, n_classes) < threshold
+    for (algo, policy), modes in MODE_TABLE.items():
+        policy = StrategyPolicy(mode=policy, balance_threshold=threshold)
+        for has_teacher in (False, True):
+            want = modes[2 * has_teacher + (not unbalanced)]
+            assert select_loss_mode(policy, labels, n_classes, algo, has_teacher) == want

@@ -90,24 +90,21 @@ def test_allocate_per_class_remainder_to_smallest():
 
 def test_draw_round_data_basics():
     pool = small_pool()
-    batch = draw_round_data(pool, (0, 2), 10, seed=3)
-    assert len(batch) == 10
-    assert set(batch.labels.tolist()) <= {0, 2}
-    assert (batch.labels == 0).sum() == 5
-    assert (batch.labels == 2).sum() == 5
-    # drawn rows are flagged and carry their pool indices
-    assert pool.consumed[batch.source_indices].all()
-    assert pool.consumed.sum() == 10
-    np.testing.assert_array_equal(pool.features[batch.source_indices],
-                                  batch.features)
+    rows = draw_round_data(pool, (0, 2), 10, seed=3)
+    labels = pool.labels[rows]
+    assert len(rows) == 10 and len(set(rows.tolist())) == 10
+    assert set(labels.tolist()) <= {0, 2}
+    assert (labels == 0).sum() == 5
+    assert (labels == 2).sum() == 5
+    # the draw returns pool indices, and exactly those rows are flagged
+    assert np.array_equal(np.flatnonzero(pool.consumed), np.sort(rows))
 
 
 def test_draws_are_disjoint_across_calls():
     pool = small_pool()
     seen: set[int] = set()
     for r in range(5):
-        batch = draw_round_data(pool, (0, 1, 2), 12, seed=r)
-        rows = set(batch.source_indices.tolist())
+        rows = set(draw_round_data(pool, (0, 1, 2), 12, seed=r).tolist())
         assert not rows & seen
         seen |= rows
     assert len(seen) == 60
@@ -125,8 +122,7 @@ def test_draw_exhaustion_names_class_and_shortfall():
 def test_draw_deterministic_per_seed():
     a = draw_round_data(small_pool(), (0, 1), 10, seed=9)
     b = draw_round_data(small_pool(), (0, 1), 10, seed=9)
-    assert np.array_equal(a.source_indices, b.source_indices)
-    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a, b)
 
 
 def test_draw_rejects_unknown_class_and_bad_size():
@@ -146,9 +142,13 @@ def test_test_set_balanced_and_disjoint_from_training():
         assert (test.labels == c).sum() == 10
     # labels come out sorted, features grouped per class
     assert np.array_equal(test.labels, np.sort(test.labels))
-    batch = draw_round_data(pool, (0, 1, 2), 30, seed=1)
+    # the test set is the consumed rows, by class, then by pool index
+    taken = np.flatnonzero(pool.consumed)
+    taken = taken[np.argsort(pool.labels[taken], kind="stable")]
+    assert np.array_equal(test.features, pool.features[taken])
+    rows = draw_round_data(pool, (0, 1, 2), 30, seed=1)
     test_rows = {tuple(row) for row in test.features}
-    assert all(tuple(row) not in test_rows for row in batch.features)
+    assert all(tuple(row) not in test_rows for row in pool.features[rows])
 
 
 # -- CSV ---------------------------------------------------------------------------
@@ -250,5 +250,5 @@ def test_loaded_pool_runs_through_draws(tmp_path):
     path = tmp_path / "pool.csv"
     save_csv(pool, path)
     loaded = load_csv(path, n_classes=3)
-    batch = draw_round_data(loaded, (0, 1), 8, seed=0)
-    assert len(batch) == 8
+    rows = draw_round_data(loaded, (0, 1), 8, seed=0)
+    assert len(rows) == 8

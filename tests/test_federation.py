@@ -337,30 +337,29 @@ def train_cfg(epochs=2, seed=5):
     return TrainConfig(learning_rate=0.05, batch_size=16, epochs=epochs, rng_seed=seed)
 
 
-def update(server, teacher, batch, cfg, spec):
-    """``client_update`` for a client whose previous model is ``teacher``;
-    returns (the student it stored on the client, the mode)."""
-    client = ClientRuntime(index=0, cfg=tiny_clients()[0],
+def update(server, teacher, batch, cfg, mode, client_cfg=None):
+    """``client_update`` for a client whose previous model is ``teacher``
+    and whose config is ``client_cfg`` (flwf2, alpha 0.4, beta 0.3 when
+    None); returns the student it stored on the client."""
+    client = ClientRuntime(index=0, cfg=client_cfg or tiny_clients()[0],
                            store=ExemplarStore(capacity=5), params=teacher)
-    mode = client_update(server, client, batch, cfg, spec)
-    return client.params, mode
+    assert client_update(server, client, batch, cfg, mode) is None
+    return client.params
 
 
 def test_client_update_zero_epochs_returns_fresh_copy_of_server():
     server = model(seed=3)
-    out, mode = update(server, None, make_batch(0), train_cfg(epochs=0),
-                       losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    out = update(server, None, make_batch(0), train_cfg(epochs=0), losses.MODE_FINE_TUNE)
     assert same_model(out, server)
     assert out is not server
-    assert mode == losses.MODE_FINE_TUNE
 
 
 @pytest.mark.parametrize("epochs", [0, 2])
 def test_client_update_student_shares_no_buffer_with_server(epochs):
     server = model(seed=3)
     snapshot = server.copy()
-    out, _ = update(server, None, make_batch(0), train_cfg(epochs=epochs),
-                    losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    out = update(server, None, make_batch(0), train_cfg(epochs=epochs),
+                 losses.MODE_FINE_TUNE)
     assert not any(np.shares_memory(a, b)
                    for wo, ws in zip(out.weights, server.weights)
                    for a, b in zip(wo.values(), ws.values()))
@@ -371,21 +370,36 @@ def test_client_update_fine_tune_ignores_teachers():
     server = model(seed=3)
     teacher = model(seed=4)
     batch = make_batch(1)
-    with_teacher, _ = update(server, teacher, batch, train_cfg(),
-                             losses.LossSpec(mode=losses.MODE_FINE_TUNE))
-    without, _ = update(server, None, batch, train_cfg(),
-                        losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    with_teacher = update(server, teacher, batch, train_cfg(), losses.MODE_FINE_TUNE)
+    without = update(server, None, batch, train_cfg(), losses.MODE_FINE_TUNE)
     assert same_model(with_teacher, without)
 
 
-def test_client_update_flwf1_without_teacher_falls_back_to_fine_tune():
-    server = model(seed=3)
-    batch = make_batch(2)
-    spec = losses.LossSpec(mode=losses.MODE_FLWF1, alpha=0.4, temperature=2.0)
-    got, mode = update(server, None, batch, train_cfg(), spec)
-    assert mode == losses.MODE_FINE_TUNE
-    want, _ = update(server, None, batch, train_cfg(),
-                     losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+def test_client_update_flwf1_without_teacher_raises():
+    """A flwf1 client-round without a client teacher is planned as
+    fine-tune (``select_loss_mode``); asked to distil, the objective has
+    no teacher to distil from."""
+    flwf1 = tiny_clients(losses.MODE_FLWF1)[0]
+    with pytest.raises(ValueError, match="flwf1 loss requires client-teacher logits"):
+        update(model(seed=3), None, make_batch(2), train_cfg(), losses.MODE_FLWF1, flwf1)
+
+
+@pytest.mark.parametrize("algo, has_teacher", [(losses.MODE_FLWF1, True),
+                                               (losses.MODE_FLWF2, False),
+                                               (losses.MODE_FLWF2, True)])
+def test_client_update_trains_the_spec_of_its_config_and_teachers(algo, has_teacher):
+    """The student is ``train_local`` under the LossSpec that the client's
+    config and the teachers' logits on the batch spell out."""
+    cfg = dataclasses.replace(tiny_clients(algo)[0], alpha=0.3, temperature=3.0)
+    server, batch = model(seed=3), make_batch(8)
+    teacher = model(seed=4) if has_teacher else None
+    spec = losses.LossSpec(
+        mode=algo, alpha=0.3, beta=cfg.beta, temperature=3.0,
+        teacher_client_logits=forward(teacher, batch.features) if has_teacher else None,
+        teacher_server_logits=(forward(server, batch.features)
+                               if algo == losses.MODE_FLWF2 else None))
+    want = network.train_local(server, batch, train_cfg(), spec)
+    got = update(server, teacher, batch, train_cfg(), algo, cfg)
     assert same_model(got, want)
 
 
@@ -395,12 +409,9 @@ def test_client_update_flwf2_with_full_label_weight_matches_fine_tune():
     server = model(seed=3)
     teacher = model(seed=4)
     batch = make_batch(3)
-    spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=1.0, beta=0.0,
-                           temperature=2.0)
-    got, mode = update(server, teacher, batch, train_cfg(), spec)
-    assert mode == losses.MODE_FLWF2
-    want, _ = update(server, None, batch, train_cfg(),
-                     losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+    cfg = dataclasses.replace(tiny_clients()[0], alpha=1.0, beta=0.0)
+    got = update(server, teacher, batch, train_cfg(), losses.MODE_FLWF2, cfg)
+    want = update(server, None, batch, train_cfg(), losses.MODE_FINE_TUNE)
     assert max_abs_gap(got, want) < 1e-12
 
 
@@ -410,10 +421,7 @@ def test_client_update_changes_the_student_but_not_the_inputs():
     server_before = server.copy()
     teacher_before = teacher.copy()
     batch = make_batch(4, labels=(1,))
-    spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
-                           temperature=2.0)
-    out, mode = update(server, teacher, batch, train_cfg(), spec)
-    assert mode == losses.MODE_FLWF2
+    out = update(server, teacher, batch, train_cfg(), losses.MODE_FLWF2)
     assert not same_model(out, server)
     assert same_model(server, server_before)
     assert same_model(teacher, teacher_before)
@@ -422,9 +430,7 @@ def test_client_update_changes_the_student_but_not_the_inputs():
 def test_client_update_leaves_both_teachers_read_only():
     server = model(seed=3)
     teacher = model(seed=4)
-    spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
-                           temperature=2.0)
-    out, _ = update(server, teacher, make_batch(6), train_cfg(), spec)
+    out = update(server, teacher, make_batch(6), train_cfg(), losses.MODE_FLWF2)
     for params in (server, teacher):
         assert not any(a.flags.writeable for w in params.weights for a in w.values())
     assert all(a.flags.writeable for w in out.weights for a in w.values())
@@ -436,27 +442,14 @@ def test_client_update_rejects_a_write_into_a_teacher(monkeypatch):
         return forward(params, inputs, training=training, rng=rng)
 
     monkeypatch.setattr("flwf.federation.forward", forward_that_writes)
-    spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
-                           temperature=2.0)
     with pytest.raises(ValueError, match="read-only"):
-        update(model(seed=3), model(seed=4), make_batch(7), train_cfg(), spec)
-
-
-def test_client_update_rejects_prefilled_teacher_logits():
-    server = model(seed=3)
-    batch = make_batch(5)
-    spec = losses.LossSpec(mode=losses.MODE_FLWF2, alpha=0.4, beta=0.3,
-                           temperature=2.0,
-                           teacher_server_logits=np.zeros((len(batch), 3)))
-    with pytest.raises(ValueError):
-        update(server, None, batch, train_cfg(), spec)
+        update(model(seed=3), model(seed=4), make_batch(7), train_cfg(), losses.MODE_FLWF2)
 
 
 def test_client_update_rejects_empty_batch():
     batch = RoundBatch(np.zeros((0, 8)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError):
-        update(model(seed=0), None, batch, train_cfg(),
-               losses.LossSpec(mode=losses.MODE_FINE_TUNE))
+        update(model(seed=0), None, batch, train_cfg(), losses.MODE_FINE_TUNE)
 
 
 # -- run_round -----------------------------------------------------------------------
@@ -564,12 +557,16 @@ def test_run_round_draws_match_task_classes():
         assert (consumed_per_class(pool) - consumed).tolist() == want
 
 
-def record_batches(monkeypatch):
-    """A list that gains ``(client name, pool indices)`` per client update."""
+def record_batches(monkeypatch, pool):
+    """A list that gains ``(client name, pool indices)`` per client update:
+    the pool rows it trained on, in order, found by their features (all
+    distinct in a synthetic pool)."""
     batches, real_update = [], federation.client_update
+    index = {row.tobytes(): i for i, row in enumerate(pool.features)}
 
     def recorded(server_params, client, batch, *args):
-        batches.append((client.name, batch.source_indices.copy()))
+        batches.append((client.name, np.array([index[row.tobytes()]
+                                               for row in batch.features])))
         return real_update(server_params, client, batch, *args)
     monkeypatch.setattr(federation, "client_update", recorded)
     return batches
@@ -580,7 +577,7 @@ def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     pool, test, server, ledger, clients = fresh_runtime(scenario)
     c1 = clients[0]
     steps = count_sgd_steps(monkeypatch)
-    batches = record_batches(monkeypatch)
+    batches = record_batches(monkeypatch, pool)
     before = pool.consumed.copy()
     server = run_round(scenario, server, clients, pool, test, ledger, 1)
     # round 1: the store was empty during composition, so each client
@@ -673,6 +670,18 @@ def test_run_round_makes_no_data_side_call_once_planned(monkeypatch):
         assert got.store.entries.keys() == ref.store.entries.keys()
 
 
+def test_planning_knows_the_client_teacher_without_a_model():
+    """Planned alone, with no client model ever trained, flwf1's c1 has no
+    teacher in round 1 and has one in round 2: it fine-tunes, then
+    distils (its batch is one class), as a real run does."""
+    scenario = tiny_scenario(algo=losses.MODE_FLWF1)
+    pool, _, _, _, clients = fresh_runtime(scenario)
+    modes = [[plan.mode for plan in federation.plan_round(scenario, clients, pool, r)]
+             for r in (1, 2)]
+    assert all(client.params is None for client in clients)
+    assert modes == [["fine-tune", "fine-tune"], ["flwf1", "fine-tune"]]
+
+
 @st.composite
 def small_scenarios(draw):
     """1-3 clients over 3 classes and 1-3 rounds: each with a random algo,
@@ -709,7 +718,7 @@ def small_scenarios(draw):
 def test_planning_alone_consumes_and_chooses_as_a_real_run(scenario):
     """Planning every round, with every model function made to raise, marks
     the pool rows a real run consumes and picks each client-round's mode as
-    recorded in its ledger (after the one first-round fallback rule)."""
+    recorded in its ledger."""
     pools, real_build = [], federation.build_pool
     with mock.patch.object(federation, "build_pool",
                            side_effect=lambda s: pools.append(real_build(s)) or pools[-1]):
@@ -720,13 +729,7 @@ def test_planning_alone_consumes_and_chooses_as_a_real_run(scenario):
                              init_params=fail, predict=fail, fedavg=fail):
         for r in range(1, scenario.rounds + 1):
             for client, plan in zip(clients, federation.plan_round(scenario, clients, pool, r)):
-                cfg, mode = client.cfg, plan.mode
-                if mode != losses.MODE_FINE_TUNE:  # the client teacher exists from round 2
-                    mode = losses.objective_terms(losses.LossSpec(
-                        mode=mode, alpha=cfg.alpha, beta=cfg.beta,
-                        teacher_client_logits=None if r == 1 else np.zeros((1, 3)),
-                        teacher_server_logits=np.zeros((1, 3))))[0]
-                assert result.ledger.record_for(client.name, r).mode == mode
+                assert result.ledger.record_for(client.name, r).mode == plan.mode
     assert np.array_equal(pool.consumed, pools[0].consumed)
     assert pool.consumed.sum() == (
         len(test) + len(clients) * scenario.rounds * scenario.round_data_size)
