@@ -9,8 +9,9 @@ policy, and exemplar switch.
 
 The dataclasses are the file format.  A mapping's keys are the fields of
 its dataclass: a field without a default is required, an absent one
-takes the dataclass default, and scalar values are coerced to their
-annotated type.  Only nested values have their own builders: layers
+takes the dataclass default, and a value reaches its dataclass as the
+file has it, to meet :func:`flwf.losses.check_fields` there as code does.
+Only nested values have their own builders: layers
 (a dropout layer without a rate inherits the scenario's ``dropout``),
 clients, their task lists and policies, and the data source, chosen by
 its ``kind``.  Unknown fields anywhere in a config file are rejected,
@@ -25,12 +26,9 @@ for the remaining clients with balanced all-class data and a
 proportionally larger aggregation weight.
 """
 
-import contextlib
 import dataclasses
 import functools
 import math
-import numbers
-import types
 from dataclasses import MISSING, dataclass, field
 from typing import ClassVar
 
@@ -39,6 +37,7 @@ import yaml
 from . import losses
 from .continual import (POLICY_DISTILL_ALL, POLICY_FINE_TUNE_ALL, POLICY_HYBRID,
                         StrategyPolicy, TaskSequence, TaskSpec)
+from .losses import ConfigError, check_fields
 from .metrics import SERVER
 from .network import KIND_DROPOUT, LayerConfig, infer_shapes, layer_to_dict
 
@@ -55,24 +54,6 @@ PRESET_NAMES = (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message starts with the field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-def _check_ints(obj, prefix: str = "") -> None:
-    """Store each ``int`` field of ``obj`` as an int.  Integer types such as
-    numpy's pass; a bool or a float, even a whole one, raises."""
-    for name in (f.name for f in dataclasses.fields(obj) if f.type is int):
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(prefix + name, f"must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
-
-
 @dataclass(frozen=True)
 class SyntheticSource:
     """Gaussian class clusters drawn inside the run from the experiment seed."""
@@ -83,13 +64,13 @@ class SyntheticSource:
     separation: float = 1.5
 
     def __post_init__(self):
-        _check_ints(self, "data.")
+        check_fields(self)
         if self.per_class < 1:
-            raise ConfigError("data.per_class", "must be positive")
+            raise ConfigError("per_class", "must be positive")
         if self.feature_dim < 1:
-            raise ConfigError("data.feature_dim", "must be positive")
+            raise ConfigError("feature_dim", "must be positive")
         if not 0 <= self.separation < math.inf:
-            raise ConfigError("data.separation", "must be non-negative and finite")
+            raise ConfigError("separation", "must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -100,8 +81,9 @@ class CsvSource:
     path: str
 
     def __post_init__(self):
+        check_fields(self)
         if not self.path:
-            raise ConfigError("data.path", "must be a non-empty path")
+            raise ConfigError("path", "must be a non-empty path")
 
 
 _SOURCES = {cls.kind: cls for cls in (SyntheticSource, CsvSource)}
@@ -124,17 +106,16 @@ class ClientConfig:
     tasks: TaskSequence
 
     def __post_init__(self):
-        where = f"clients[{self.name}]"
+        check_fields(self)
         if not self.name:
-            raise ConfigError(where + ".name", "must be non-empty")
+            raise ConfigError("name", "must be non-empty")
         if not 0 < self.weight < math.inf:
-            raise ConfigError(where + ".weight", "must be positive and finite")
+            raise ConfigError("weight", "must be positive and finite")
         if self.algo not in ALGO_MODES:
-            raise ConfigError(where + ".algo",
-                              f"must be one of {list(ALGO_MODES)}, got {self.algo!r}")
+            raise ConfigError("algo", f"must be one of {list(ALGO_MODES)}, got {self.algo!r}")
         error = losses.coefficient_error(self.algo, self.alpha, self.beta, self.temperature)
         if error:
-            raise ConfigError(f"{where}.{error[0]}", error[1])
+            raise ConfigError(*error)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -157,34 +138,18 @@ class ScenarioConfig:
     clients: tuple[ClientConfig, ...]
 
     def __post_init__(self):
-        _check_ints(self)
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "clients", tuple(self.clients))
+        check_fields(self)
         if not self.label:
             raise ConfigError("label", "must be non-empty")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
-        if self.rounds < 0:
-            raise ConfigError("rounds", "must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs", "must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", "must be positive")
+        for name, low in (("seed", 0), ("rounds", 0), ("epochs", 0), ("batch_size", 1),
+                          ("n_classes", 2), ("total_clients", 1), ("round_data_size", 1),
+                          ("test_per_class", 1), ("exemplar_capacity", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(name, "must be positive" if low == 1 else f"must be >= {low}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate", "must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout", "must lie in [0, 1)")
-        if self.n_classes < 2:
-            raise ConfigError("n_classes", "must be >= 2")
-        if self.total_clients < 1:
-            raise ConfigError("total_clients", "must be positive")
-        if self.round_data_size < 1:
-            raise ConfigError("round_data_size", "must be positive")
-        if self.test_per_class < 1:
-            raise ConfigError("test_per_class", "must be positive")
-        if self.exemplar_capacity < 1:
-            raise ConfigError("exemplar_capacity", "must be positive")
         if not self.clients:
             raise ConfigError("clients", "at least one client required")
         names = [c.name for c in self.clients]
@@ -205,16 +170,15 @@ class ScenarioConfig:
                 raise ConfigError("data.feature_dim",
                                   f"{self.data.feature_dim} does not match input "
                                   f"shape {self.input_shape}")
-        for c in self.clients:
-            where = f"clients[{c.name}]"
+        for i, c in enumerate(self.clients):
+            where = f"clients[{i}].tasks"
             if self.rounds > 0 and c.tasks.total_rounds != self.rounds:
-                raise ConfigError(
-                    where + ".tasks",
-                    f"round budgets sum to {c.tasks.total_rounds}, expected {self.rounds}")
+                raise ConfigError(where, f"round budgets sum to {c.tasks.total_rounds}, "
+                                         f"expected {self.rounds}")
             bad = [cl for t in c.tasks.tasks for cl in t.classes
                    if cl >= self.n_classes]
             if bad:
-                raise ConfigError(where + ".tasks",
+                raise ConfigError(where,
                                   f"classes {sorted(set(bad))} outside 0..{self.n_classes - 1}")
 
 
@@ -290,52 +254,15 @@ def preset(name: str, seed: int = 0) -> ScenarioConfig:
 # -- dict / YAML conversion ----------------------------------------------------
 
 
-@contextlib.contextmanager
-def _at(path: str):
-    """Re-raise a TypeError or ValueError as a ConfigError at ``path``."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _coerce(annotation, value):
-    """A scalar as its annotated type (``X | None`` keeps None); other
-    values pass through for the dataclass to check.  The coercions that
-    would change a value raise instead: a ``bool`` field takes only
-    ``true``/``false`` (``bool("false")`` is True), a number field no bool,
-    an ``int`` field no float with a fraction (``int`` truncates it), a
-    ``float`` field no NaN or infinity (a run would fail mid-way, or run on
-    with a term that contributes nothing), and a ``str`` field nothing but
-    a string."""
-    if isinstance(annotation, types.UnionType):
-        if value is None:
-            return None
-        annotation = next(a for a in annotation.__args__ if a is not type(None))
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise TypeError(f"must be true or false, got {value!r}")
-        return value
-    if annotation in (int, float) and isinstance(value, bool):
-        raise TypeError(f"must be a number, got {value!r}")
-    if annotation is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    if annotation is str and not isinstance(value, str):
-        raise TypeError(f"must be a string, got {value!r}")
-    if annotation is float and not math.isfinite(float(value)):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return annotation(value) if annotation in (int, float) else value
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
 def _build(cls, doc, path: str, **convert):
-    """``cls`` from a mapping whose keys are its fields.
-
-    A field without a default is required, an absent one takes its
-    default, scalars are coerced by annotation, and ``convert[name](value,
-    field_path)`` builds the nested ones.  Errors carry the field path.
-    """
+    """``cls`` from a mapping whose keys are its fields: a field without a
+    default is required, ``convert[name](value, field_path)`` builds the
+    nested ones, and every other value goes to ``cls`` as it is.  Errors
+    carry the field path; a field a dataclass names is taken below ``path``."""
     where = path or "config"
     if not isinstance(doc, dict):
         raise ConfigError(where, "must be a mapping")
@@ -348,33 +275,32 @@ def _build(cls, doc, path: str, **convert):
                and f.default is MISSING and f.default_factory is MISSING}
     if missing:
         raise ConfigError(where, f"missing fields {sorted(missing)}")
-    values = {}
-    for name in fields:
-        if name not in doc:
-            continue
-        sub = f"{path}.{name}" if path else name
-        with _at(sub):
-            values[name] = (convert[name](doc[name], sub) if name in convert
-                            else _coerce(fields[name].type, doc[name]))
-    with _at(where):
+    values = {name: convert[name](doc[name], _join(path, name)) if name in convert
+              else doc[name] for name in fields if name in doc}
+    try:
         return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(_join(path, exc.path), exc.message) from exc
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
 
 
 def _each(build):
     """Converter for a list whose entries ``build(entry, entry_path)`` makes."""
-    return lambda entries, path: tuple(build(e, f"{path}[{i}]")
-                                       for i, e in enumerate(entries))
-
-
-def _ints(values, _path) -> tuple[int, ...]:
-    return tuple(_coerce(int, v) for v in values)
+    def each(entries, path):
+        if not isinstance(entries, list):
+            raise ConfigError(path, f"must be a list, got {entries!r}")
+        return tuple(build(e, f"{path}[{i}]") for i, e in enumerate(entries))
+    return each
 
 
 def _client(entry, path: str) -> ClientConfig:
-    tasks = _each(functools.partial(_build, TaskSpec, classes=_ints))
+    specs = _each(functools.partial(_build, TaskSpec))
     return _build(ClientConfig, entry, path,
                   policy=functools.partial(_build, StrategyPolicy),
-                  tasks=lambda entries, sub: TaskSequence(tasks(entries, sub)))
+                  # a file lists the sequence's tasks right at the client's ``tasks``
+                  tasks=lambda entries, sub: _build(TaskSequence, {"tasks": entries}, sub,
+                                                    tasks=lambda *_: specs(entries, sub)))
 
 
 def _source(entry, path: str) -> SyntheticSource | CsvSource:
@@ -389,11 +315,10 @@ def from_dict(doc: dict) -> ScenarioConfig:
 
     def layer(entry, path):
         if isinstance(entry, dict) and entry.get("kind") == KIND_DROPOUT:
-            entry = {"rate": float(doc["dropout"]), **entry}
+            entry = {"rate": doc["dropout"], **entry}
         return _build(LayerConfig, entry, path)
 
     return _build(ScenarioConfig, doc, "",
-                  input_shape=_ints,
                   layers=_each(layer), clients=_each(_client), data=_source)
 
 

@@ -12,7 +12,6 @@ label entropy of the composed training batch.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +32,7 @@ class TaskSpec:
     rounds: int
 
     def __post_init__(self):
-        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
-            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
-        object.__setattr__(self, "rounds", int(self.rounds))
-        for c in self.classes:
-            if isinstance(c, bool) or int(c) != c:
-                raise ValueError(f"class ids must be integers, got {c!r}")
-        object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
+        losses.check_fields(self)
         if not self.classes:
             raise ValueError("task must own at least one class")
         if len(set(self.classes)) != len(self.classes):
@@ -57,7 +50,7 @@ class TaskSequence:
     tasks: tuple[TaskSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tasks", tuple(self.tasks))
+        losses.check_fields(self)
         if not self.tasks:
             raise ValueError("sequence must contain at least one task")
         seen: set[int] = set()
@@ -121,6 +114,7 @@ class StrategyPolicy:
     balance_threshold: float = 0.5
 
     def __post_init__(self):
+        losses.check_fields(self)
         if self.mode not in POLICIES:
             raise ValueError(f"unknown policy mode {self.mode!r}")
         if not 0.0 <= self.balance_threshold <= 1.0:

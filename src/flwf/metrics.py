@@ -209,12 +209,9 @@ class MetricsLedger:
         window, the classes of tasks 1..t (``classes_started_by``)."""
         rounds = self._require_rounds(owner, range(1, self.total_rounds + 1))
         seq = self.tasks[owner]
-        learnt: set[int] = set()
-        class_sets, column = [], []
-        for t, task in enumerate(seq.tasks, start=1):
-            learnt |= set(task.classes)
-            class_sets.append(tuple(sorted(learnt)))
-            column += [t - 1] * len(seq.window(t))
+        windows = [seq.window(t) for t in range(1, len(seq.tasks) + 1)]
+        class_sets = [seq.classes_started_by(w.start) for w in windows]
+        column = [t for t, w in enumerate(windows) for _ in w]
         table = self._accuracies(self._rows(owner, rounds), class_sets)
         return float(np.mean(table[np.arange(len(rounds)), column]))
 

@@ -94,6 +94,7 @@ class LayerConfig:
     rate: float | None = None      # dropout
 
     def __post_init__(self):
+        losses.check_fields(self)
         if self.kind not in LAYER_FIELDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         for name in ("units", "filters", "kernel", "pool", "rate"):
@@ -104,10 +105,6 @@ class LayerConfig:
             elif name == "rate":
                 if value is None or not 0.0 <= value < 1.0:
                     raise ValueError("dropout rate must lie in [0, 1)")
-            elif value is not None and (isinstance(value, bool)
-                                        or not isinstance(value, int)):
-                raise ValueError(f"{self.kind} layer {name} must be an integer, "
-                                 f"got {value!r}")
             elif value is None or value < 1:
                 raise ValueError(f"{self.kind} layer needs {name} > 0")
 
@@ -122,6 +119,7 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        losses.check_fields(self)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
@@ -239,9 +237,10 @@ def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
 
     Raises :class:`ShapeMismatchError` naming the offending layer when a
     layer cannot consume its input, and :class:`ValueError` when the stack
-    does not end in a per-example logit vector.
+    does not end in a per-example logit vector or an input dimension is
+    not an integer.
     """
-    cur = tuple(int(d) for d in input_shape)
+    cur = losses.check_value(tuple[int, ...], input_shape, "input_shape")
     if not cur or any(d < 1 for d in cur):
         raise ValueError("input shape must be positive dimensions")
     shapes = []
@@ -278,7 +277,7 @@ def init_params(architecture, input_shape, seed) -> ModelParams:
     its ``flat``: ``rng.random`` into each ``W`` view, mapped onto
     ``[-s, s]`` in place as ``rng.uniform`` does (``low + (high - low) * u``)."""
     architecture = tuple(architecture)
-    input_shape = tuple(int(d) for d in input_shape)
+    input_shape = losses.check_value(tuple[int, ...], input_shape, "input_shape")
     layer_inputs = [input_shape] + infer_shapes(architecture, input_shape)[:-1]
     layout, bounds = [], []
     for layer, shape in zip(architecture, layer_inputs):
@@ -571,7 +570,7 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
                 spare: ModelParams | None = None) -> ModelParams:
     """E epochs of mini-batch SGD on one round's data.
 
-    The objective is resolved into its targets once (see
+    The objective is resolved into its targets once, at zero epochs too (see
     :func:`flwf.losses.objective_terms`).  The batch order is drawn once from
     the seeded shuffle and then chunked into size-B mini-batches (the last
     chunk may be short); every epoch iterates the same chunks.  Per-batch
@@ -591,9 +590,9 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
         raise ShapeMismatchError("spare must be a separate model of params' layout")
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
+    targets = losses.resolve_targets(spec, data.one_hot())
     if cfg.epochs == 0:
         return params.copy()
-    targets = losses.resolve_targets(spec, data.one_hot())
     rng = np.random.default_rng(cfg.rng_seed)
     order = rng.permutation(len(data))
     chunks = [order[i:i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]

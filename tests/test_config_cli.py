@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from flwf.config import (PRESET_NAMES, ClientConfig, ConfigError, CsvSource,
 from flwf.continual import StrategyPolicy, TaskSequence, TaskSpec
 from flwf.datasets import generate_synthetic, save_csv
 from flwf.metrics import SERVER, MetricsLedger
-from flwf.network import KIND_DROPOUT
+from flwf.network import KIND_DROPOUT, LayerConfig, TrainConfig
 
 EXAMPLE_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                 "example-scenario.yaml")
@@ -179,10 +180,10 @@ def test_alpha_beta_budget_rejected():
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"alpha": 1.5}, "clients[c1].alpha: must lie in [0, 1]"),
-    ({"temperature": 0.0}, "clients[c1].temperature: must be positive"),
-    ({"beta": None}, "clients[c1].beta: required for flwf2"),
-    ({"algo": "flwf1"}, "clients[c1].beta: only flwf2 uses beta"),
+    ({"alpha": 1.5}, "clients[0].alpha: must lie in [0, 1]"),
+    ({"temperature": 0.0}, "clients[0].temperature: must be positive"),
+    ({"beta": None}, "clients[0].beta: required for flwf2"),
+    ({"algo": "flwf1"}, "clients[0].beta: only flwf2 uses beta"),
 ])
 def test_client_coefficient_errors_name_their_field(changes, message):
     doc = tiny_doc()
@@ -197,7 +198,7 @@ def test_round_budget_mismatch_rejected():
     doc["rounds"] = 3
     with pytest.raises(ConfigError) as err:
         from_dict(doc)
-    assert "clients[c1].tasks" in str(err.value)
+    assert "clients[0].tasks" in str(err.value)
 
 
 def test_client_named_like_the_aggregate_rejected():
@@ -475,7 +476,7 @@ def test_run_reports_yaml_syntax_error(tmp_path, capsys):
     (("layers", 0, "units"), 32.7, "must be an integer, got 32.7"),
     (("input_shape",), [16.4], "must be an integer, got 16.4"),
     (("clients", 0, "tasks", 0, "classes"), [1.7], "must be an integer, got 1.7"),
-    (("epochs",), True, "must be a number, got True"),
+    (("epochs",), True, "must be an integer, got True"),
     (("learning_rate",), True, "must be a number, got True"),
     (("clients", 0, "name"), True, "must be a string, got True"),
     (("learning_rate",), math.nan, "must be a finite number, got nan"),
@@ -513,14 +514,14 @@ def test_run_rejects_a_number_it_would_have_to_truncate(tmp_path, capsys, path,
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_dataclasses_built_in_code_reject_non_finite_numbers(value):
-    """A config built in code skips the YAML coercion, so each dataclass
-    checks its own float fields with a range that NaN fails too."""
+    """A dataclass built in code holds its float fields to the same rule
+    as a config file, and names the field."""
     scenario = preset("exp1-flwf1", seed=1)
     client = scenario.clients[0]
     builds = {
-        "data.separation": lambda: SyntheticSource(separation=value),
+        "separation": lambda: SyntheticSource(separation=value),
         "learning_rate": lambda: dataclasses.replace(scenario, learning_rate=value),
-        "clients[client1].weight": lambda: dataclasses.replace(client, weight=value),
+        "weight": lambda: dataclasses.replace(client, weight=value),
     }
     for field, build in builds.items():
         with pytest.raises(ConfigError) as err:
@@ -533,9 +534,9 @@ def test_dataclasses_built_in_code_reject_non_finite_numbers(value):
     ("exemplar_capacity", 2.5), ("data.per_class", 100.0), ("data.feature_dim", True),
 ])
 def test_int_fields_built_in_code_reject_fractions_and_bools(field, value):
-    """A config built in code skips the YAML coercion, so its int fields
-    check their own type: a float, whole or not, or a bool is rejected
-    with the field's name, and a numpy int is stored as an int."""
+    """A config built in code holds its int fields to the same rule as a
+    config file: a float, whole or not, or a bool is rejected with the
+    field's name, and a numpy int is stored as an int."""
     scenario = preset("exp1-flwf1")
     name = field.removeprefix("data.")
     if name != field:
@@ -546,7 +547,7 @@ def test_int_fields_built_in_code_reject_fractions_and_bools(field, value):
             return dataclasses.replace(scenario, **{name: v})
     with pytest.raises(ConfigError, match=f"must be an integer, got {value!r}") as err:
         build(value)
-    assert err.value.path == field
+    assert err.value.path == name
     assert type(getattr(build(np.int64(8)), name)) is int
 
 
@@ -554,9 +555,178 @@ def test_int_fields_built_in_code_reject_fractions_and_bools(field, value):
 def test_task_budgets_built_in_code_must_be_integers(budgets):
     """Budgets that sum to the rounds but are no ints are rejected when
     the task is built, not in round 1."""
-    with pytest.raises(ValueError, match=f"rounds must be an integer, got {budgets[0]!r}"):
+    with pytest.raises(ConfigError, match=f"^rounds: must be an integer, got {budgets[0]!r}$"):
         TaskSequence((TaskSpec((1,), budgets[0]), TaskSpec((2,), budgets[1])))
     assert type(TaskSpec((1,), np.int64(4)).rounds) is int
+
+
+# -- one rule for config values ---------------------------------------------------
+
+CONFIG_CLASSES = (ScenarioConfig, ClientConfig, StrategyPolicy, TaskSpec, TaskSequence,
+                  SyntheticSource, CsvSource, LayerConfig, TrainConfig)
+
+
+def _valid_config(cls):
+    scenario = preset("exp2-hybrid-flwf2", seed=1)
+    client = scenario.clients[0]
+    return {ScenarioConfig: scenario, ClientConfig: client, StrategyPolicy: client.policy,
+            TaskSequence: client.tasks, TaskSpec: client.tasks.tasks[0],
+            SyntheticSource: scenario.data, CsvSource: CsvSource(path="pool.csv"),
+            LayerConfig: scenario.layers[0], TrainConfig: TrainConfig(0.01, 32, 10)}[cls]
+
+
+def _wrong_value(annotation):
+    """A value the rule of ``annotation`` refuses; an annotation this does
+    not know raises, so a field added without a rule fails here."""
+    scalars = {bool: "false", int: 2.0, float: True, str: 3}
+    if annotation in scalars:
+        return scalars[annotation]
+    args = [a for a in getattr(annotation, "__args__", ()) if a is not type(None)]
+    if getattr(annotation, "__origin__", None) is tuple:
+        return [_wrong_value(args[0])]
+    if len(args) == 1:  # X | None
+        return _wrong_value(args[0])
+    if all(map(dataclasses.is_dataclass, args or [annotation])):
+        return {"kind": "dense"}  # a mapping where a config instance belongs
+    raise AssertionError(f"no wrong value known for {annotation!r}")
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+], ids=lambda v: v.__name__ if isinstance(v, type) else v)
+def test_every_config_field_refuses_a_value_of_the_wrong_type(cls, name):
+    """Each field of each config dataclass is held to its annotation's
+    rule when the dataclass is built, and the error names the field."""
+    annotation = {f.name: f.type for f in dataclasses.fields(cls)}[name]
+    value = _wrong_value(annotation)
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(_valid_config(cls), **{name: value})
+    assert err.value.path == name
+    assert err.value.message.startswith("must be ")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda c: dataclasses.replace(c.clients[0], use_exemplars="false"),
+     "use_exemplars: must be true or false, got 'false'"),
+    (lambda c: dataclasses.replace(c.clients[0], name=3), "name: must be a string, got 3"),
+    (lambda c: dataclasses.replace(c, label=5), "label: must be a string, got 5"),
+    (lambda c: CsvSource(path=5), "path: must be a string, got 5"),
+    (lambda c: StrategyPolicy(balance_threshold=True),
+     "balance_threshold: must be a number, got True"),
+    (lambda c: dataclasses.replace(c, input_shape=(16.0,)),
+     "input_shape: must be an integer, got 16.0"),
+    (lambda c: TrainConfig(0.01, 32, 1.5), "epochs: must be an integer, got 1.5"),
+    (lambda c: TrainConfig(0.01, 2.5, 1), "batch_size: must be an integer, got 2.5"),
+    (lambda c: dataclasses.replace(c.clients[0], policy="hybrid"),
+     "policy: must be a StrategyPolicy, got 'hybrid'"),
+    (lambda c: dataclasses.replace(c.clients[0], tasks=list(c.clients[0].tasks.tasks)),
+     "tasks: must be a TaskSequence, got [TaskSpec("),
+    (lambda c: dataclasses.replace(c, data={"kind": "synthetic"}),
+     "data: must be a SyntheticSource or CsvSource, got {'kind': 'synthetic'}"),
+    (lambda c: TaskSpec((3.0,), 3), "classes: must be an integer, got 3.0"),
+    (lambda c: dataclasses.replace(c, rounds=8.0), "rounds: must be an integer, got 8.0"),
+], ids=["use-exemplars", "name", "label", "csv-path", "threshold", "input-shape",
+        "epochs", "batch-size", "policy", "tasks", "data", "class-id", "rounds"])
+def test_values_code_used_to_slip_past_are_refused_at_construction(build, message):
+    """Each of these was accepted from code (``rounds=8.0`` only from a
+    file): ``use_exemplars="false"`` ran with exemplars, and
+    ``policy="hybrid"`` failed in round 1."""
+    with pytest.raises(ConfigError) as err:
+        build(preset("exp2-hybrid-flwf2", seed=1))
+    assert str(err.value).startswith(message)
+
+
+def test_a_whole_float_round_count_is_refused_from_a_file_too():
+    doc = tiny_doc()
+    doc["rounds"] = 8.0
+    with pytest.raises(ConfigError, match=r"^rounds: must be an integer, got 8\.0$"):
+        from_dict(yaml.safe_load(yaml.safe_dump(doc)))
+
+
+def test_an_int_learning_rate_from_code_is_stored_and_written_as_a_float(tmp_path):
+    cfg = dataclasses.replace(preset("exp1-flwf1"), learning_rate=1)
+    assert type(cfg.learning_rate) is float
+    save_config(cfg, tmp_path / "resolved.yaml")
+    assert b"learning_rate: 1.0\n" in (tmp_path / "resolved.yaml").read_bytes()
+
+
+def _at(path, build):
+    """``build()``, its error named at ``path`` as :func:`from_dict` names it."""
+    try:
+        return build()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}", exc.message) from exc
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _in_code(doc):
+    """The scenario ``doc`` describes, built by calling each dataclass in
+    the order :func:`from_dict` builds them (a field's nested values before
+    the field's owner, fields in declaration order)."""
+    layers = tuple(_at(f"layers[{i}]", lambda: LayerConfig(**entry))
+                   for i, entry in enumerate(doc["layers"]))
+    source = {"synthetic": SyntheticSource, "csv": CsvSource}[doc["data"]["kind"]]
+    data = _at("data", lambda: source(**{k: v for k, v in doc["data"].items()
+                                         if k != "kind"}))
+    clients = []
+    for i, entry in enumerate(doc["clients"]):
+        where = f"clients[{i}]"
+        policy = _at(f"{where}.policy", lambda: StrategyPolicy(**entry["policy"]))
+        specs = tuple(_at(f"{where}.tasks[{j}]", lambda: TaskSpec(**task))
+                      for j, task in enumerate(entry["tasks"]))
+        tasks = _at(f"{where}.tasks", lambda: TaskSequence(specs))
+        clients.append(_at(where, lambda: ClientConfig(
+            **{**entry, "policy": policy, "tasks": tasks})))
+    return ScenarioConfig(**{**doc, "layers": layers, "data": data, "clients": tuple(clients)})
+
+
+def _scalar_leaves(doc, path=()):
+    """The path of every scalar in ``doc``, list entries included, but for
+    the source's ``kind``, which picks the dataclass to call."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _scalar_leaves(value, (*path, key))
+        elif (*path, key) != ("data", "kind"):
+            yield (*path, key)
+
+
+SCALARS = st.one_of(
+    st.integers(), st.integers(-2, 40), st.integers(-2, 40).map(float),
+    st.floats(-2, 40, allow_nan=False), st.booleans(), st.none(),
+    st.sampled_from(["", "x", "1", "true", "hybrid", "dense", "flwf1"]),
+    st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _code_outcome(doc):
+    try:
+        return to_dict(_in_code(doc))
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("tiny", *PRESET_NAMES)), st.data())
+def test_a_file_and_code_accept_and_refuse_the_same_scenarios(base, data):
+    """Scalars of a valid scenario are replaced by drawn values.  Built in
+    code and parsed from the YAML of the same mapping, the scenario is
+    refused by both with one message, or accepted by both as equal
+    configs; and an accepted config's resolved YAML parses back to the
+    same bytes."""
+    doc = to_dict(from_dict(tiny_doc()) if base == "tiny" else preset(base, seed=2))
+    leaves = list(_scalar_leaves(doc))
+    for path in data.draw(st.lists(st.sampled_from(leaves), max_size=3, unique=True)):
+        _container(doc, path[:-1])[path[-1]] = data.draw(SCALARS)
+    in_code = _code_outcome(copy.deepcopy(doc))
+    from_file = _outcome(yaml.safe_load(yaml.safe_dump(doc)))
+    assert in_code == from_file
+    if isinstance(from_file, dict):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.yaml"), os.path.join(tmp, "b.yaml")
+            save_config(from_dict(from_file), first)
+            save_config(load_config(first), second)
+            assert open(first, "rb").read() == open(second, "rb").read()
 
 
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):

@@ -30,10 +30,14 @@ def test_task_spec_validation():
 
 @pytest.mark.parametrize("bad", [1.7, True, "3"])
 def test_task_spec_rejects_a_class_id_it_would_have_to_convert(bad):
-    """``int`` would truncate 1.7 to class 1 and read True as class 1."""
-    with pytest.raises(ValueError, match=f"class ids must be integers, got {bad!r}"):
+    """``int`` would truncate 1.7 to class 1 and read True as class 1; a
+    whole float is no class id either."""
+    with pytest.raises(ValueError, match=f"^classes: must be an integer, got {bad!r}$"):
         TaskSpec((0, bad), 3)
-    assert TaskSpec((np.int64(2), 3.0), 3).classes == (2, 3)
+    with pytest.raises(ValueError, match="^classes: must be an integer, got 3.0$"):
+        TaskSpec((np.int64(2), 3.0), 3)
+    classes = TaskSpec((np.int64(2), 3), 3).classes
+    assert classes == (2, 3) and all(type(c) is int for c in classes)
 
 
 def test_sequence_rejects_overlapping_classes():

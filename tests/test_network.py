@@ -62,13 +62,24 @@ def test_layer_config_validation():
     ("conv1d", "filters", 2.5), ("conv1d", "kernel", False), ("maxpool1d", "pool", 2.0),
 ])
 def test_layer_config_rejects_a_size_that_is_not_an_int(kind, field, value):
-    """A fractional, float or bool size is named with its kind and field
-    before ``init_params`` can trip over it."""
+    """A fractional, float or bool size is named with its field before
+    ``init_params`` can trip over it; a numpy int is stored as an int."""
     sizes = {"dense": {"units": 3}, "conv1d": {"filters": 2, "kernel": 3},
              "maxpool1d": {"pool": 2}}[kind]
-    with pytest.raises(ValueError,
-                       match=f"^{kind} layer {field} must be an integer, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^{field}: must be an integer, got {value!r}$"):
         LayerConfig(kind, **{**sizes, field: value})
+    size = getattr(LayerConfig(kind, **{**sizes, field: np.int64(2)}), field)
+    assert size == 2 and type(size) is int
+
+
+@pytest.mark.parametrize("dim", [5.7, 5.0, True])
+def test_an_input_dimension_that_is_not_an_int_is_rejected(dim):
+    """``int`` would truncate 5.7 to a 5-wide input and read True as 1."""
+    for build in (lambda shape: infer_shapes(MLP, shape),
+                  lambda shape: init_params(MLP, shape, 0)):
+        with pytest.raises(ValueError, match=f"^input_shape: must be an integer, got {dim!r}$"):
+            build((dim,))
+    assert init_params(MLP, [np.int64(5)], 0).input_shape == (5,)
 
 
 def test_infer_shapes_mlp():
@@ -879,12 +890,26 @@ def _training_setup(seed=0, rows=20):
 def test_train_local_zero_epochs_is_identity():
     params, batch = _training_setup()
     cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=0)
-    assert same_model(train_local(params, batch, cfg, LossSpec()), params)
+    out = train_local(params, batch, cfg, LossSpec())
+    assert same_model(out, params)
+    assert not np.shares_memory(out.flat, params.flat)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_local_checks_the_objective_at_any_epoch_count(epochs):
+    """Zero epochs resolve the objective too, so a spec it rejects raises
+    before any copy is returned."""
+    params, batch = _training_setup()
+    cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=epochs)
+    with pytest.raises(ValueError, match="flwf1 loss requires client-teacher logits"):
+        train_local(params, batch, cfg, LossSpec(mode="flwf1", alpha=0.5))
 
 
 @pytest.mark.parametrize("learning_rate", [0.0, math.nan, math.inf])
 def test_train_config_takes_only_a_positive_finite_learning_rate(learning_rate):
-    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+    message = ("learning_rate must be positive and finite" if learning_rate == 0
+               else f"learning_rate: must be a finite number, got {learning_rate!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         TrainConfig(learning_rate=learning_rate, batch_size=8, epochs=1)
 
 
