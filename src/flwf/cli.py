@@ -117,7 +117,11 @@ def _resolve_scenario(args) -> ScenarioConfig:
         raise ConfigError("run", "exactly one of --preset / --config is required")
     scenario = config_mod.parse_config(args.preset or args.config, seed=args.seed)
     if args.data_csv is not None:
-        scenario = dataclasses.replace(scenario, data=CsvSource(path=args.data_csv))
+        try:
+            data = CsvSource(path=args.data_csv)
+        except ConfigError as exc:
+            raise ConfigError("--data-csv", exc.message) from None
+        scenario = dataclasses.replace(scenario, data=data)
     return scenario
 
 

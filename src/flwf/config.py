@@ -37,7 +37,7 @@ import yaml
 from . import losses
 from .continual import (POLICY_DISTILL_ALL, POLICY_FINE_TUNE_ALL, POLICY_HYBRID,
                         StrategyPolicy, TaskSequence, TaskSpec)
-from .losses import ConfigError, check_fields
+from .losses import ConfigError, check_fields, check_value
 from .metrics import SERVER
 from .network import KIND_DROPOUT, LayerConfig, infer_shapes, layer_to_dict
 
@@ -314,8 +314,10 @@ def from_dict(doc: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a plain mapping."""
 
     def layer(entry, path):
-        if isinstance(entry, dict) and entry.get("kind") == KIND_DROPOUT:
-            entry = {"rate": doc["dropout"], **entry}
+        if (isinstance(entry, dict) and entry.get("kind") == KIND_DROPOUT
+                and "rate" not in entry):
+            # checked here, or a wrong-typed ``dropout`` is named at the layer
+            entry = {**entry, "rate": check_value(float, doc["dropout"], "dropout")}
         return _build(LayerConfig, entry, path)
 
     return _build(ScenarioConfig, doc, "",

@@ -9,8 +9,16 @@ Tensors everywhere are plain float64 numpy arrays; labels are integer class
 ids in ``[0, n_classes)``.
 """
 
+import contextlib
 import csv
+import hashlib
+import io
+import os
+import stat
+import tempfile
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,28 +140,137 @@ def load_csv(path, n_classes: int = 6) -> DatasetPool:
     whose labels fail a check is scanned again row by row, which either
     names the offending line or, for spellings only Python's ``float``
     reads, returns the pool.
+
+    The parsed table is cached in a hidden sidecar next to a regular file,
+    ``.<name>.flwf.npz``, keyed by the sha256 of the file's bytes.  It is
+    written (atomically, with the CSV's permission bits) only once the
+    vectorized pass's table has made a pool, and used only while its
+    digest matches the file's; a stale, unreadable or malformed sidecar
+    means a fresh parse, and a sidecar that cannot be written is skipped.
+    The cached table meets every check a fresh one does.  Deleting the
+    sidecar is always safe.  The digest is no secret, so a sidecar is read
+    only if it is a regular file (opened without following a symlink or
+    waiting on a pipe), owned by the current user or by the CSV's owner,
+    and with no write bit the CSV lacks; any other is ignored, and a
+    sidecar another user planted in a shared directory such as ``/tmp``
+    only costs a fresh parse on each load.
     """
-    table = _parse_table(path)
+    sidecar = _sidecar_path(path)
+    table = None if sidecar is None else _cached_table(path, sidecar)
+    digest = None  # set by a fresh parse
+    if table is None:
+        table, digest = _parse_table(path)
     if table is not None and table.shape[0] > 0 and table.shape[1] >= 2:
         try:
-            return DatasetPool(np.ascontiguousarray(table[:, :-1]), table[:, -1], n_classes)
+            pool = DatasetPool(np.ascontiguousarray(table[:, :-1]), table[:, -1], n_classes)
         except ValueError:
             pass  # a bad label: the scan names its line
+        else:
+            if digest is not None and sidecar is not None:
+                _write_sidecar(path, sidecar, digest, table)
+            return pool
     return _scan_csv_rows(path, n_classes)
 
 
-def _parse_table(path) -> np.ndarray | None:
-    """The numeric rows below an optional header as one 2-d array, or
-    None if ``np.loadtxt`` rejects them."""
+# Prefixed to the file's bytes before hashing; a change to the parse or to
+# the sidecar's layout changes the tag, so older sidecars stop matching.
+_SIDECAR_TAG = b"flwf.load_csv table 1\n"
+_HASH_BLOCK = 1 << 20
+# What reading a missing, truncated, corrupt or symlinked sidecar raises
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
+def _sidecar_path(path) -> str | None:
+    """Where ``path``'s parsed table is cached, or None for a path that is
+    not a regular file (a pipe cannot be read twice)."""
+    if not os.path.isfile(path):
+        return None
+    head, name = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{name}.flwf.npz")
+
+
+def _digest(blocks) -> bytes:
+    """The sidecar's key: sha256 over the tag and the file's bytes."""
+    h = hashlib.sha256(_SIDECAR_TAG)
+    for block in blocks:
+        h.update(block)
+    return h.digest()
+
+
+def _open_trusted(sidecar: str, csv_stat: os.stat_result) -> io.BufferedReader | None:
+    """``sidecar`` open for reading if it is a regular file owned by this
+    user or by the CSV's owner and has no write bit the CSV lacks, else
+    None.  The open follows no symlink and does not wait on a pipe."""
+    fh = os.fdopen(os.open(sidecar, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "rb")
+    st = os.fstat(fh.fileno())
+    if (stat.S_ISREG(st.st_mode) and st.st_uid in (os.geteuid(), csv_stat.st_uid)
+            and not st.st_mode & 0o222 & ~csv_stat.st_mode):
+        return fh
+    fh.close()
+    return None
+
+
+def _cached_table(path, sidecar: str) -> np.ndarray | None:
+    """The sidecar's table if the sidecar is trusted and records the digest
+    of ``path``'s current bytes, else None.  The file is hashed block by
+    block."""
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
+        with open(path, "rb") as csv_fh:
+            fh = _open_trusted(sidecar, os.fstat(csv_fh.fileno()))
+            if fh is None:
+                return None
+            with fh:
+                stored = np.load(fh, allow_pickle=False)
+                if not isinstance(stored, np.lib.npyio.NpzFile):
+                    return None
+                with stored:
+                    digest = stored["digest"]
+                    if (digest.dtype != np.uint8 or digest.tobytes()
+                            != _digest(iter(lambda: csv_fh.read(_HASH_BLOCK), b""))):
+                        return None
+                    table = stored["table"]
+    except _UNREADABLE:
+        return None
+    return table if table.dtype == np.float64 and table.ndim == 2 else None
+
+
+def _parse_table(path) -> tuple[np.ndarray | None, bytes]:
+    """``(table, digest)``: the numeric rows below an optional header as
+    one 2-d array, or None if ``np.loadtxt`` rejects them, and the digest
+    of the bytes parsed.  The file is read once and parsed as
+    ``open(path, newline="")`` would read it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        with (io.TextIOWrapper(io.BytesIO(data), newline="") as fh,
+              warnings.catch_warnings()):
             first = next(csv.reader([fh.readline()]), [])
             if not first or _looks_numeric(first):
                 fh.seek(0)
             warnings.simplefilter("ignore")  # an empty file is reported by the scan
-            return np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
     except (ValueError, csv.Error):
-        return None
+        table = None
+    return table, _digest([data])
+
+
+def _write_sidecar(path, sidecar: str, digest: bytes, table: np.ndarray) -> None:
+    """Cache ``table`` under ``digest``: a temp file beside the sidecar,
+    readable by whoever can read the CSV at ``path``, then ``os.replace``.
+    A place that cannot be written is skipped."""
+    head, name = os.path.split(sidecar)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=head or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.chmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode) & 0o666)
+            np.savez(fh, digest=np.frombuffer(digest, dtype=np.uint8), table=table)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _scan_csv_rows(path, n_classes: int) -> DatasetPool:

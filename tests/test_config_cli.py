@@ -325,6 +325,8 @@ def test_unknown_keys_of_mixed_types_are_listed():
     (("clients", 0, "tasks", 1), "rounds", None),
     (("data",), "per_class", "lots"),
     (("layers", 0), "units", "wide"),
+    ((), "dropout", "0.2"),  # inherited by a rate-less dropout layer
+    ((), "dropout", True),
 ])
 def test_uncoercible_value_is_rejected_with_its_field_path(path, key, value):
     doc = tiny_doc()
@@ -775,6 +777,15 @@ def test_failed_write_removes_every_artifact_already_written(tmp_path, capsys,
     assert code == 1 and f"error: {failing} failed" in err
     assert out == ""
     assert os.listdir(out_dir) == []
+
+
+def test_run_names_an_empty_data_csv_by_its_option(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["run", "--preset", "exp1-flwf1", "--data-csv", "",
+                              "--out", str(out_dir)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: --data-csv: must be a non-empty path\n"
+    assert not out_dir.exists()
 
 
 def test_run_data_csv_override(tmp_path, capsys):

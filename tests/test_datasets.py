@@ -1,6 +1,13 @@
 """Data plumbing: synthetic pools, disjoint draws, CSV round trips."""
 
+import errno
+import os
 import re
+import signal
+import struct
+import zipfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +195,7 @@ def test_csv_loader_rejects_malformed_input(tmp_path, body, fragment):
     with pytest.raises(ValueError) as err:
         load_csv(path, n_classes=6)
     assert fragment in str(err.value)
+    assert os.listdir(tmp_path) == ["bad.csv"]  # no sidecar for a rejected file
 
 
 def assert_same_pool(a, b):
@@ -252,3 +260,253 @@ def test_loaded_pool_runs_through_draws(tmp_path):
     loaded = load_csv(path, n_classes=3)
     rows = draw_round_data(loaded, (0, 1), 8, seed=0)
     assert len(rows) == 8
+
+
+# -- the parsed-table sidecar ------------------------------------------------------
+
+
+def sidecar_of(path) -> str:
+    return os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.flwf.npz")
+
+
+def parses_nothing():
+    """Within this context ``np.loadtxt`` fails the test: a load must hit."""
+    return mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed afresh"))
+
+
+def assert_identical_pool(a, b):
+    for x, y in ((a.features, b.features), (a.labels, b.labels)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()  # -0.0 and NaN bits included
+
+
+def write_rows(path, features, labels, header):
+    lines = [",".join([f"f{i}" for i in range(features.shape[1])] + ["label"])] if header else []
+    lines += [",".join([repr(float(v)) for v in row] + [str(int(label))])
+              for row, label in zip(features, labels)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+FEATURE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),  # exponents
+    st.sampled_from([-0.0, 0.0, -1.5, 1e22, -2.5e-8, float("inf")]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                  elements=FEATURE_VALUES),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_a_warm_load_reads_the_sidecar_and_gives_the_cold_pool(tmp_path_factory, features,
+                                                               seed, header):
+    labels = np.random.default_rng(seed).integers(0, 6, size=len(features))
+    path = tmp_path_factory.mktemp("csv") / "pool.csv"
+    write_rows(path, features, labels, header)
+    cold = load_csv(path, n_classes=6)
+    assert np.array_equal(cold.features, features)
+    sidecar = sidecar_of(path)
+    before = os.stat(sidecar)
+    written = Path(sidecar).read_bytes()
+    with parses_nothing():
+        warm = load_csv(path, n_classes=6)
+    assert_identical_pool(warm, cold)
+    assert warm.features.flags.c_contiguous
+    after = os.stat(sidecar)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert Path(sidecar).read_bytes() == written
+    assert sorted(os.listdir(path.parent)) == [os.path.basename(sidecar), "pool.csv"]
+
+
+def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_afresh(tmp_path):
+    path = tmp_path / "pool.csv"
+    path.write_text("f0,label\n1.25,0\n2.5,1\n")
+    assert load_csv(path, n_classes=2).features.tolist() == [[1.25], [2.5]]
+    stat = os.stat(path)
+    path.write_text("f0,label\n7.25,1\n2.5,0\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    fresh = load_csv(path, n_classes=2)
+    assert fresh.features.tolist() == [[7.25], [2.5]]
+    assert fresh.labels.tolist() == [1, 0]
+    with parses_nothing():  # the sidecar now holds the new table
+        assert_identical_pool(load_csv(path, n_classes=2), fresh)
+
+
+def _digest_of(sidecar) -> np.ndarray:
+    with np.load(sidecar) as stored:
+        return stored["digest"]
+
+
+def _save_npy(sidecar, array):
+    with open(sidecar, "wb") as fh:
+        np.save(fh, array)
+
+
+def _corrupt_deflated(sidecar):
+    """A compressed sidecar whose table's deflate stream is broken."""
+    np.savez_compressed(sidecar, digest=_digest_of(sidecar), table=np.zeros((40, 3)))
+    with zipfile.ZipFile(sidecar) as zf:
+        info = zf.getinfo("table.npy")
+    data = bytearray(sidecar.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len  # the local header's end
+    data[start:start + 4] = b"\xff\xff\xff\xff"
+    sidecar.write_bytes(bytes(data))
+
+
+SPOILERS = {
+    "truncated": lambda f: f.write_bytes(f.read_bytes()[:f.stat().st_size // 2]),
+    "garbage": lambda f: f.write_bytes(b"not a sidecar" * 40),
+    "empty": lambda f: f.write_bytes(b""),
+    "npy": lambda f: _save_npy(f, np.zeros((3, 2))),
+    "no-digest": lambda f: np.savez(f, table=np.zeros((3, 2))),
+    "stale": lambda f: np.savez(f, digest=np.zeros(32, np.uint8), table=np.zeros((3, 2))),
+    "float32": lambda f: np.savez(f, digest=_digest_of(f),
+                                  table=np.zeros((3, 2), np.float32)),
+    "1-d": lambda f: np.savez(f, digest=_digest_of(f), table=np.zeros(6)),
+    "pickled": lambda f: np.savez(f, digest=np.array(["x"], dtype=object),
+                                  table=np.zeros((3, 2))),
+    "deflated": _corrupt_deflated,
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILERS)
+def test_a_spoilt_sidecar_is_ignored_and_rewritten(tmp_path, spoil):
+    path = tmp_path / "pool.csv"
+    save_csv(small_pool(seed=3), path)
+    want = load_csv(path, n_classes=3)
+    sidecar = sidecar_of(path)
+    SPOILERS[spoil](Path(sidecar))
+    assert_identical_pool(load_csv(path, n_classes=3), want)
+    with parses_nothing():
+        assert_identical_pool(load_csv(path, n_classes=3), want)
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(sidecar), "pool.csv"]
+
+
+def test_a_sidecar_that_cannot_be_written_is_skipped(tmp_path):
+    """Root ignores mode bits, so a directory stands where the sidecar goes."""
+    path = tmp_path / "pool.csv"
+    save_csv(small_pool(seed=5), path)
+    os.mkdir(sidecar_of(path))
+    for _ in range(2):
+        pool = load_csv(path, n_classes=3)
+        assert_identical_pool(pool, _scan_csv_rows(path, 3))
+    assert os.path.isdir(sidecar_of(path))
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(sidecar_of(path)), "pool.csv"]
+
+
+def _forge(path, sidecar):
+    """A sidecar holding ``path``'s real digest and a table of nines."""
+    Path(sidecar).unlink(missing_ok=True)
+    real = load_csv(path, n_classes=3)  # writes the true sidecar
+    with np.load(sidecar) as stored:
+        digest = stored["digest"]
+    forged = np.column_stack([np.full_like(real.features, 9.0), real.labels])
+    os.remove(sidecar)
+    np.savez(sidecar, digest=digest, table=forged)
+    return real
+
+
+def _plant_foreign(path, sidecar):
+    _forge(path, sidecar)
+    os.chown(sidecar, FOREIGN_UID, FOREIGN_UID)
+
+
+def _plant_writable(path, sidecar):
+    _forge(path, sidecar)
+    os.chmod(sidecar, 0o666)  # the CSV is 0o644
+
+
+def _plant_symlink(path, sidecar):
+    _forge(path, sidecar)
+    os.rename(sidecar, sidecar + ".real")
+    os.symlink(os.path.basename(sidecar) + ".real", sidecar)
+
+
+def _plant_fifo(path, sidecar):
+    os.mkfifo(sidecar)  # opened blocking, this would wait for a writer for ever
+
+
+FOREIGN_UID = 54321
+UNTRUSTED = {"foreign-owner": _plant_foreign, "group-writable": _plant_writable,
+             "symlink": _plant_symlink, "fifo": _plant_fifo}
+
+
+def _fail_after(seconds):
+    def expired(signum, frame):
+        raise AssertionError(f"load_csv still blocked after {seconds} s")
+    signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="planting a foreign owner needs root")
+@pytest.mark.parametrize("plant", UNTRUSTED)
+def test_a_sidecar_it_cannot_trust_is_never_read(tmp_path, plant):
+    """The digest is no secret: anyone who can read the CSV can forge a
+    sidecar that matches it, so only a trusted one is read."""
+    path = tmp_path / "pool.csv"
+    save_csv(small_pool(seed=4), path)
+    os.chmod(path, 0o644)
+    want = _scan_csv_rows(path, 3)
+    UNTRUSTED[plant](path, sidecar_of(path))
+    _fail_after(10)
+    try:
+        got = load_csv(path, n_classes=3)
+    finally:
+        signal.alarm(0)
+    assert_identical_pool(got, want)
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="changing a file's owner needs root")
+def test_a_forged_sidecar_is_read_when_its_owner_is_trusted(tmp_path):
+    """The control for the test above: the same forgery, owned by the
+    current user or by the CSV's owner, is what a load returns."""
+    path = tmp_path / "pool.csv"
+    save_csv(small_pool(seed=4), path)
+    os.chmod(path, 0o644)
+    sidecar = sidecar_of(path)
+    for owner in (os.geteuid(), FOREIGN_UID):
+        os.chown(path, owner, owner)
+        real = _forge(path, sidecar)
+        os.chown(sidecar, owner, owner)
+        with parses_nothing():
+            forged = load_csv(path, n_classes=3)
+        assert np.all(forged.features == 9.0)
+        assert np.array_equal(forged.labels, real.labels)
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o755])
+def test_the_sidecar_is_as_readable_as_its_csv(tmp_path, mode):
+    path = tmp_path / "pool.csv"
+    save_csv(small_pool(seed=2), path)
+    os.chmod(path, mode)
+    load_csv(path, n_classes=3)
+    assert os.stat(sidecar_of(path)).st_mode & 0o777 == mode & 0o666
+
+
+def test_a_scanned_pool_leaves_no_sidecar(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text("1_0,2.5,1\n3.0,4.0,0\n")  # only Python's float reads 1_0
+    assert load_csv(path, n_classes=6).features.tolist() == [[10.0, 2.5], [3.0, 4.0]]
+    assert os.listdir(tmp_path) == ["odd.csv"]
+
+
+def test_a_missing_csv_raises_file_not_found_and_writes_nothing(tmp_path):
+    path = tmp_path / "absent.csv"
+    with pytest.raises(FileNotFoundError) as err:
+        load_csv(path, n_classes=6)
+    assert (err.value.errno, err.value.filename) == (errno.ENOENT, str(path))
+    assert os.listdir(tmp_path) == []
+
+
+def test_the_sidecar_is_one_uncompressed_npz_of_digest_and_table(tmp_path):
+    path = tmp_path / "pool.csv"
+    save_csv(small_pool(seed=6), path)
+    pool = load_csv(path, n_classes=3)
+    with np.load(sidecar_of(path), allow_pickle=False) as stored:
+        assert sorted(stored.files) == ["digest", "table"]
+        assert stored["digest"].dtype == np.uint8 and stored["digest"].shape == (32,)
+        table = stored["table"]
+        assert stored.zip.infolist()[0].compress_type == 0
+    assert np.array_equal(table, np.column_stack([pool.features, pool.labels]))

@@ -29,13 +29,20 @@ scenario below is run once with each tree's ``src``:
 31 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
-``perfbench/workloads.py``.  A scenario passes when ``metrics.csv``,
-``figure_data.csv``, ``summary.json`` and ``resolved_config.yaml`` are
-byte-identical, and so are the final models: the child that runs the
-scenario also writes ``models.sha256``, one sha256 over every weight array
-of the server model and of each client model.  The artifacts hold only
-accuracies, so without the digests a change that moves weights but flips
-no prediction would pass.  The child also writes its own peak RSS
+``perfbench/workloads.py``.  A scenario that reads a CSV (``paper-cnn``)
+runs twice with the working tree after its sidecar cache of the parsed
+table (see :func:`flwf.datasets.load_csv`) has been deleted: cold, which
+parses the CSV and writes the sidecar, then warm, which reads it.  Both
+runs are compared with the base, and the scenario's line says whether
+each one found a sidecar (``warm``) or not (``cold``).
+
+A scenario passes when ``metrics.csv``, ``figure_data.csv``,
+``summary.json`` and ``resolved_config.yaml`` are byte-identical, and so
+are the final models: the child that runs the scenario also writes
+``models.sha256``, one sha256 over every weight array of the server
+model and of each client model.  The artifacts hold only accuracies, so
+without the digests a change that moves weights but flips no prediction
+would pass.  The child also writes its own peak RSS
 (``VmHWM`` from ``/proc/self/status``) and minor page faults
 (``ru_minflt``) to ``rusage.txt``, which are not compared: each scenario's
 line ends with the base -> change peak RSS in MB and minor faults, so a
@@ -159,30 +166,35 @@ def many_classes_scenario(seed: int) -> dict:
 
 
 def scenarios(inputs_dir: Path):
-    """``[(name, flwf run arguments), ...]``; writes the workload inputs."""
+    """``[(name, flwf run arguments, sidecar path or None), ...]``, the
+    sidecar being where the working tree caches the scenario's CSV;
+    writes the workload inputs."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import yaml
     from flwf.config import PRESET_NAMES
+    from flwf.datasets import _sidecar_path
     import workloads
 
-    out = [(f"{name}-seed{seed}", ["--preset", name, "--seed", str(seed)])
+    out = [(f"{name}-seed{seed}", ["--preset", name, "--seed", str(seed)], None)
            for name in PRESET_NAMES for seed in PRESET_SEEDS]
     out.append(("example-scenario",
-                ["--config", str(ROOT / "configs" / "example-scenario.yaml")]))
+                ["--config", str(ROOT / "configs" / "example-scenario.yaml")], None))
     for workload in WORKLOADS:
         for seed in WORKLOAD_SEEDS:
             work_dir = inputs_dir / f"{workload}-seed{seed}"
-            for label, path, _ in workloads.write_inputs(workload, seed, str(work_dir)):
+            for label, path, doc in workloads.write_inputs(workload, seed, str(work_dir)):
+                data = doc["data"]
+                sidecar = _sidecar_path(data["path"]) if data["kind"] == "csv" else None
                 out.append((f"{label}-seed{seed}",
-                            ["--config", path, "--seed", str(seed)]))
+                            ["--config", path, "--seed", str(seed)], sidecar))
     for label, seed in CONV_RUNS:
         path = inputs_dir / f"{label}-seed{seed}.yaml"
         path.write_text(yaml.safe_dump(conv_steps_scenario(seed, label), sort_keys=False))
-        out.append((f"{label}-seed{seed}", ["--config", str(path)]))
+        out.append((f"{label}-seed{seed}", ["--config", str(path)], None))
     path = inputs_dir / f"many-classes-seed{MANY_CLASSES_SEED}.yaml"
     path.write_text(yaml.safe_dump(many_classes_scenario(MANY_CLASSES_SEED), sort_keys=False))
-    out.append((f"many-classes-seed{MANY_CLASSES_SEED}", ["--config", str(path)]))
+    out.append((f"many-classes-seed{MANY_CLASSES_SEED}", ["--config", str(path)], None))
     return out
 
 
@@ -237,10 +249,17 @@ def main(argv=None) -> int:
         (tmp / "inputs").mkdir()
         failures = 0
         todo = scenarios(tmp / "inputs")
-        for name, run_args in todo:
-            dirs = {}
-            errors = []
-            for side, tree in (("base", base_tree), ("change", ROOT)):
+        for name, run_args, sidecar in todo:
+            sides = [("base", base_tree), ("change", ROOT)]
+            if sidecar is not None:
+                sides.append(("change-again", ROOT))
+            dirs, errors, temps = {}, [], []
+            for side, tree in sides:
+                if sidecar is not None:
+                    if side != "change-again":  # a base with the cache leaves one too
+                        Path(sidecar).unlink(missing_ok=True)
+                    if side != "base":
+                        temps.append("warm" if os.path.exists(sidecar) else "cold")
                 dirs[side] = tmp / side / name
                 err = run(tree, run_args, dirs[side])
                 if err is not None:
@@ -248,13 +267,15 @@ def main(argv=None) -> int:
             if errors:
                 verdict = "FAILED " + "; ".join(errors)
             else:
-                differ = compare(dirs["base"], dirs["change"])
+                differ = sorted({a for side, _ in sides[1:]
+                                 for a in compare(dirs["base"], dirs[side])})
                 verdict = "DIFFERS " + ", ".join(differ) if differ else "identical"
             failures += verdict != "identical"
-            (base_rss, base_flt), (change_rss, change_flt) = (
-                rusage(dirs["base"]), rusage(dirs["change"]))
-            print(f"{name}: {verdict}  (peak RSS {base_rss} -> {change_rss} MB, "
-                  f"minor faults {base_flt} -> {change_flt})", flush=True)
+            (base_rss, base_flt), *change = [rusage(dirs[side]) for side, _ in sides]
+            runs = f"  [change runs {', '.join(temps)}]" if temps else ""
+            print(f"{name}: {verdict}{runs}  (peak RSS {base_rss} -> "
+                  f"{', '.join(rss for rss, _ in change)} MB, minor faults {base_flt} -> "
+                  f"{', '.join(flt for _, flt in change)})", flush=True)
         print(f"{len(todo) - failures}/{len(todo)} scenarios byte-identical "
               f"to {args.rev}, final models included")
     return 1 if failures else 0
