@@ -148,8 +148,7 @@ class ScenarioConfig:
                 raise ConfigError(name, "must be positive" if low == 1 else f"must be >= {low}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate", "must be positive and finite")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout", "must lie in [0, 1)")
+        _dropout_rate(self.dropout)
         if not self.clients:
             raise ConfigError("clients", "at least one client required")
         names = [c.name for c in self.clients]
@@ -310,14 +309,23 @@ def _source(entry, path: str) -> SyntheticSource | CsvSource:
     return _build(_SOURCES[kind], {k: v for k, v in entry.items() if k != "kind"}, path)
 
 
+def _dropout_rate(value) -> float:
+    """``value`` as a scenario's ``dropout``: a float in [0, 1), else a
+    ConfigError at ``dropout``."""
+    rate = check_value(float, value, "dropout")
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError("dropout", "must lie in [0, 1)")
+    return rate
+
+
 def from_dict(doc: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a plain mapping."""
 
     def layer(entry, path):
         if (isinstance(entry, dict) and entry.get("kind") == KIND_DROPOUT
                 and "rate" not in entry):
-            # checked here, or a wrong-typed ``dropout`` is named at the layer
-            entry = {**entry, "rate": check_value(float, doc["dropout"], "dropout")}
+            # checked here, or a bad ``dropout`` is named at the layer
+            entry = {**entry, "rate": _dropout_rate(doc["dropout"])}
         return _build(LayerConfig, entry, path)
 
     return _build(ScenarioConfig, doc, "",
@@ -345,14 +353,20 @@ def to_dict(cfg: ScenarioConfig) -> dict:
     return _plain(cfg)
 
 
+# libyaml's safe loader and dumper when PyYAML was built with it: they read
+# the same mappings and write the same text, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(yaml.safe_load(fh))
+        return from_dict(yaml.load(fh, Loader=_LOADER))
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(to_dict(cfg), fh, sort_keys=False)
+        yaml.dump(to_dict(cfg), fh, Dumper=_DUMPER, sort_keys=False)
 
 
 def parse_config(name_or_path: str, seed: int | None = None) -> ScenarioConfig:

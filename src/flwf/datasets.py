@@ -13,6 +13,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import os
 import stat
 import tempfile
@@ -189,12 +190,26 @@ def _sidecar_path(path) -> str | None:
     return os.path.join(head, f".{name}.flwf.npz")
 
 
-def _digest(blocks) -> bytes:
-    """The sidecar's key: sha256 over the tag and the file's bytes."""
-    h = hashlib.sha256(_SIDECAR_TAG)
-    for block in blocks:
-        h.update(block)
-    return h.digest()
+class _Hashed(io.RawIOBase):
+    """A binary file whose bytes feed the sidecar's key, sha256 over the
+    tag and the file's bytes, as they are read."""
+
+    def __init__(self, raw):
+        self._raw, self._hash = raw, hashlib.sha256(_SIDECAR_TAG)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._hash.update(memoryview(buffer)[:n])
+        return n
+
+    def digest(self) -> bytes:
+        """The key of the whole file, once the bytes no read took are hashed."""
+        for block in iter(lambda: self._raw.read(_HASH_BLOCK), b""):
+            self._hash.update(block)
+        return self._hash.digest()
 
 
 def _open_trusted(sidecar: str, csv_stat: os.stat_result) -> io.BufferedReader | None:
@@ -225,8 +240,8 @@ def _cached_table(path, sidecar: str) -> np.ndarray | None:
                     return None
                 with stored:
                     digest = stored["digest"]
-                    if (digest.dtype != np.uint8 or digest.tobytes()
-                            != _digest(iter(lambda: csv_fh.read(_HASH_BLOCK), b""))):
+                    if (digest.dtype != np.uint8
+                            or digest.tobytes() != _Hashed(csv_fh).digest()):
                         return None
                     table = stored["table"]
     except _UNREADABLE:
@@ -237,21 +252,24 @@ def _cached_table(path, sidecar: str) -> np.ndarray | None:
 def _parse_table(path) -> tuple[np.ndarray | None, bytes]:
     """``(table, digest)``: the numeric rows below an optional header as
     one 2-d array, or None if ``np.loadtxt`` rejects them, and the digest
-    of the bytes parsed.  The file is read once and parsed as
-    ``open(path, newline="")`` would read it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        with (io.TextIOWrapper(io.BytesIO(data), newline="") as fh,
-              warnings.catch_warnings()):
-            first = next(csv.reader([fh.readline()]), [])
-            if not first or _looks_numeric(first):
-                fh.seek(0)
-            warnings.simplefilter("ignore")  # an empty file is reported by the scan
-            table = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, csv.Error):
-        table = None
-    return table, _digest([data])
+    of the bytes parsed.  The file is read once, parsed as
+    ``open(path, newline="")`` would read it and hashed as it is read, so
+    no copy of the whole file is held."""
+    with open(path, "rb", buffering=0) as raw:
+        hashed = _Hashed(raw)
+        try:
+            with (io.TextIOWrapper(io.BufferedReader(hashed, _HASH_BLOCK), newline="") as fh,
+                  warnings.catch_warnings()):
+                first = fh.readline()
+                header = next(csv.reader([first]), [])
+                lines = (fh if header and not _looks_numeric(header)
+                         else itertools.chain([first], fh))
+                warnings.simplefilter("ignore")  # an empty file is reported by the scan
+                table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
+                                   ndmin=2)
+        except (ValueError, csv.Error):
+            table = None
+        return table, hashed.digest()
 
 
 def _write_sidecar(path, sidecar: str, digest: bytes, table: np.ndarray) -> None:

@@ -14,10 +14,12 @@ conv1d/maxpool1d operate on ``(batch, length, channels)``.  A model is a
 :class:`ModelParams` value: one flat float64 buffer, laid out layer by
 layer with ``W`` before ``b``, and per layer a read-only mapping of
 reshaped views into it, so whole-model work (a step, an average, a copy,
-a digest) is one pass over one array.  Every operation returns a new
-value and never mutates its inputs, except that :func:`sgd_step`
-consumes its gradient: the step is written into the gradient's buffer,
-which becomes the next model.  The backward pass
+a digest) is one pass over one array.  The layout comes from the
+architecture alone (:func:`_structure`), so shapes are checked when a
+model is built and, on a pass, only by :func:`_coerce_input`.  Every
+operation returns a new value and never mutates its inputs, except that
+:func:`sgd_step` consumes its gradient: the step is written into the
+gradient's buffer, which becomes the next model.  The backward pass
 writes each weight gradient into a spare model's views with ``out=``:
 the caller's (see :func:`reclaim`), then the model the previous step
 stepped from, so a local update allocates at most two gradient buffers.
@@ -36,7 +38,7 @@ Max-pool is a running ``np.maximum`` over the pool's strided slices in
 both passes (see :func:`_maxpool_forward`); backward scatters into the
 winning slices with one flat-index assignment.  A relu directly before a
 maxpool1d runs after it, at pooled width (the order is decided once per
-model, :func:`_pass_order`): ReLU commutes with max, so its pass, its
+model, :func:`_structure`): ReLU commutes with max, so its pass, its
 mask and its backward shrink by the pool size and no bit changes.  At
 inference a conv1d that feeds the pool also adds its bias after it:
 rounding is monotone, so ``max_j fl(y_j + b) == fl(max_j y_j + b)``.
@@ -52,6 +54,7 @@ only for a backward pass.  Weights start uniform in ``[-s, s]``,
 training is bit-for-bit reproducible.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -132,30 +135,35 @@ class ModelParams:
     """All trainable buffers of one network plus its architecture.
 
     Every buffer lives in ``flat``, one C-contiguous float64 array laid out
-    layer by layer with each layer's keys sorted (``W`` before ``b``);
-    ``layout`` records each layer's ``(key, shape)`` pairs in that order.
+    layer by layer with each layer's keys sorted (``W`` before ``b``).
+    The architecture and input shape fix ``layout``, each layer's ``(key,
+    shape)`` pairs in that order, and the pass ``order`` (:func:`_structure`),
+    so no model holds buffers that disagree with its architecture.  Shapes
+    are checked here and in :func:`_coerce_input`, and nowhere else.
     ``weights[i][key]`` is a reshaped view into ``flat``, held in a
     read-only mapping, so rebinding a buffer raises ``TypeError`` instead
     of silently detaching it: write into a view, or into ``flat``.  The
     one constructor lays ``flat`` out without copying it (given None, it
     allocates an uninitialized buffer of the layout's size); a buffer that
     is not a C-contiguous float64 array of that size raises
-    :class:`ShapeMismatchError`.  ``order`` is the order a pass runs the
-    layers in (:func:`_pass_order`).
+    :class:`ShapeMismatchError`.
     """
 
-    def __init__(self, architecture, input_shape, layout, flat: np.ndarray | None = None):
-        size = sum(math.prod(shape) for keys in layout for _, shape in keys)
+    def __init__(self, architecture, input_shape, flat: np.ndarray | None = None):
+        input_shape = losses.check_value(tuple[int, ...], input_shape, "input_shape")
+        self._lay_out(_structure(tuple(architecture), input_shape), flat)
+
+    def _lay_out(self, structure: tuple, flat: np.ndarray | None) -> None:
+        self._structure = structure
+        self.architecture, self.input_shape, self.layout, size, self.order = structure
         if flat is None:
             flat = np.empty(size)
-        elif (flat.shape != (size,) or flat.dtype != np.float64
-                or not flat.flags.c_contiguous):
+        elif flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
             raise ShapeMismatchError(f"buffer {flat.dtype}{flat.shape} does not fit "
                                      f"the layout's float64{(size,)}")
-        self.architecture, self.input_shape = architecture, input_shape
-        self.layout, self.flat = layout, flat
+        self.flat = flat
         views, start = [], 0
-        for keys in layout:
+        for keys in self.layout:
             layer = {}
             for key, shape in keys:
                 stop = start + math.prod(shape)
@@ -163,18 +171,44 @@ class ModelParams:
                 start = stop
             views.append(MappingProxyType(layer))
         self.weights = tuple(views)
-        self.order = _pass_order(architecture)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
-        """This model's architecture and layout over ``flat``."""
-        return ModelParams(self.architecture, self.input_shape, self.layout, flat)
+        """A model of this one's structure, not derived again, over ``flat``."""
+        model = ModelParams.__new__(ModelParams)
+        model._lay_out(self._structure, flat)
+        return model
 
     def copy(self) -> "ModelParams":
         return self.with_flat(self.flat.copy())
 
     def same_layout(self, other: "ModelParams") -> bool:
         return (self.architecture == other.architecture
-                and self.input_shape == other.input_shape and self.layout == other.layout)
+                and self.input_shape == other.input_shape)
+
+
+@functools.cache
+def _structure(architecture: tuple, input_shape: tuple[int, ...]) -> tuple:
+    """The one rule for a model's structure, ``(architecture, input_shape,
+    layout, size, pass order)``: a dense ``W`` is ``(flattened input,
+    units)``, a conv1d ``W`` ``(kernel, channels, filters)``, ``b`` has
+    ``W``'s last axis, and a relu directly before a maxpool1d runs after
+    it.  A stack :func:`infer_shapes` rejects raises its error uncached.
+    The cache is unbounded: a run builds models of one architecture."""
+    layer_inputs = [input_shape] + infer_shapes(architecture, input_shape)[:-1]
+    layout, order = [], list(range(len(architecture)))
+    for i, (layer, shape) in enumerate(zip(architecture, layer_inputs)):
+        if i and layer.kind == KIND_MAXPOOL1D and architecture[i - 1].kind == KIND_RELU:
+            order[i - 1], order[i] = i, i - 1
+        if layer.kind == KIND_DENSE:
+            w_shape = (math.prod(shape), layer.units)
+        elif layer.kind == KIND_CONV1D:
+            w_shape = (layer.kernel, shape[1], layer.filters)
+        else:
+            layout.append(())
+            continue
+        layout.append((("W", w_shape), ("b", w_shape[-1:])))
+    size = sum(math.prod(shape) for keys in layout for _, shape in keys)
+    return architecture, input_shape, tuple(layout), size, tuple(order)
 
 
 def params_digest(params: ModelParams) -> str:
@@ -219,19 +253,6 @@ def reclaim(params: ModelParams) -> ModelParams | None:
     return params.with_flat(flat)
 
 
-def _pass_order(architecture) -> tuple[int, ...]:
-    """Layer indices in the order a pass runs them: each relu directly
-    before a maxpool1d runs after it, at pooled width.  Decided once per
-    model, so a net without a max-pool runs its layers in order at no
-    per-pass cost."""
-    order = list(range(len(architecture)))
-    for i in range(len(architecture) - 1):
-        if (architecture[i].kind == KIND_RELU
-                and architecture[i + 1].kind == KIND_MAXPOOL1D):
-            order[i], order[i + 1] = i + 1, i
-    return tuple(order)
-
-
 def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
     """Per-example output shape after each layer; validates the stack.
 
@@ -273,29 +294,17 @@ def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
 
 
 def init_params(architecture, input_shape, seed) -> ModelParams:
-    """Fresh model with uniform Glorot weights and zero biases, drawn into
-    its ``flat``: ``rng.random`` into each ``W`` view, mapped onto
-    ``[-s, s]`` in place as ``rng.uniform`` does (``low + (high - low) * u``)."""
-    architecture = tuple(architecture)
-    input_shape = losses.check_value(tuple[int, ...], input_shape, "input_shape")
-    layer_inputs = [input_shape] + infer_shapes(architecture, input_shape)[:-1]
-    layout, bounds = [], []
-    for layer, shape in zip(architecture, layer_inputs):
-        if layer.kind == KIND_DENSE:
-            w_shape, fan_out = (math.prod(shape), layer.units), layer.units
-        elif layer.kind == KIND_CONV1D:
-            w_shape = (layer.kernel, shape[1], layer.filters)
-            fan_out = layer.kernel * layer.filters
-        else:
-            layout.append(())
-            continue
-        layout.append((("W", w_shape), ("b", w_shape[-1:])))
-        fan_in = math.prod(w_shape[:-1])  # every axis of W but the output's
-        bounds.append(math.sqrt(6.0 / (fan_in + fan_out)))
-    params = ModelParams(architecture, input_shape, tuple(layout))
+    """Fresh model with uniform Glorot weights and zero biases: ``rng.random``
+    into each ``W`` view, mapped onto ``[-s, s]`` in place as
+    ``rng.uniform`` does (``low + (high - low) * u``)."""
+    params = ModelParams(architecture, input_shape)
     rng = np.random.default_rng(seed)
-    for w, s in zip([w for w in params.weights if w], bounds):
+    for layer, w in zip(params.architecture, params.weights):
+        if not w:
+            continue
         view = w["W"]
+        fan_out = layer.units if layer.kind == KIND_DENSE else layer.kernel * layer.filters
+        s = math.sqrt(6.0 / (math.prod(view.shape[:-1]) + fan_out))
         rng.random(out=view)
         view *= s - (-s)
         view += -s
@@ -319,7 +328,7 @@ def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
 def _forward_pass(params: ModelParams, inputs, training: bool, rng,
                   keep_caches: bool):
     """Logits and, with ``keep_caches``, one cache per layer in pass order
-    (:func:`_pass_order`).  Without caches, a conv1d whose output goes
+    (:func:`_structure`).  Without caches, a conv1d whose output goes
     straight into a max-pool adds its bias after the pool."""
     x = inputs = _coerce_input(params, inputs)
     caches: list = []
@@ -329,17 +338,11 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
         layer, w = architecture[i], weights[i]
         cache = None
         if layer.kind == KIND_DENSE:
-            if math.prod(x.shape[1:]) != w["W"].shape[0]:
-                raise ShapeMismatchError(
-                    f"layer {i} (dense): flattened input size {math.prod(x.shape[1:])} "
-                    f"does not match weight rows {w['W'].shape[0]}")
             flat = x.reshape(x.shape[0], -1)
             cache = (x.shape, flat)
             x = flat @ w["W"]
             x += w["b"]
         elif layer.kind == KIND_CONV1D:
-            if x.ndim != 3:
-                raise ShapeMismatchError(f"layer {i} (conv1d): needs 3-d input, got {x.shape}")
             if (not keep_caches and pos + 1 < len(order)
                     and architecture[order[pos + 1]].kind == KIND_MAXPOOL1D):
                 bias = w["b"]
@@ -347,8 +350,6 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
             else:
                 x, cache = _conv1d_forward(x, w["W"], w["b"])
         elif layer.kind == KIND_MAXPOOL1D:
-            if x.ndim != 3:
-                raise ShapeMismatchError(f"layer {i} (maxpool1d): needs 3-d input, got {x.shape}")
             x, cache = _maxpool_forward(x, layer.pool, keep_caches)
             if bias is not None:
                 x += bias
@@ -367,14 +368,10 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
                 mask = (rng.random(x.shape) >= layer.rate) / (1.0 - layer.rate)
                 cache = mask
                 x = x * mask
-            else:
-                cache = None  # identity at inference
         elif layer.kind == KIND_SOFTMAX_OUTPUT:
             pass  # logits pass through; losses apply their own softmax
         if keep_caches:
             caches.append(cache)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"network produced {x.shape}, expected (batch, classes)")
     if not np.isfinite(x).all():
         raise FloatingPointError("non-finite logits")
     return x, caches

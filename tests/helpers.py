@@ -11,10 +11,11 @@ def same_model(a: ModelParams, b: ModelParams) -> bool:
 
 
 def packed(architecture, input_shape, arrays) -> ModelParams:
-    """A new model holding copies of ``arrays``, one ``{key: array}`` per
-    layer, laid out in key order."""
-    layout = tuple(tuple((key, np.shape(w[key])) for key in sorted(w)) for w in arrays)
-    model = ModelParams(architecture, input_shape, layout)
+    """A new model of ``architecture`` holding copies of ``arrays``, one
+    ``{key: array}`` per layer, which must have the architecture's shapes."""
+    model = ModelParams(architecture, input_shape)
+    assert ([{key: np.shape(a) for key, a in w.items()} for w in arrays]
+            == [{key: v.shape for key, v in w.items()} for w in model.weights])
     for source, views in zip(arrays, model.weights):
         for key, view in views.items():
             view[...] = source[key]

@@ -9,6 +9,7 @@ one PASS or FAIL line on the terminal so a full run reads as a checklist.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,8 +320,7 @@ def test_09_cli_reruns_are_byte_identical(capsys, tmp_path):
         code = cli.main(["run", "--preset", FT, "--seed", "1", "--out", d])
         assert code == 0
     capsys.readouterr()  # swallow the path listings
-    blobs = [open(os.path.join(d, cli.METRICS_NAME), "rb").read()
-             for d in dirs]
+    blobs = [Path(d, cli.METRICS_NAME).read_bytes() for d in dirs]
     ok = blobs[0] == blobs[1] and len(blobs[0]) > 0
     report(capsys, 9, ok,
            f"two CLI runs of {FT} seed 1 wrote byte-identical metrics.csv "

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +328,7 @@ def test_unknown_keys_of_mixed_types_are_listed():
     (("layers", 0), "units", "wide"),
     ((), "dropout", "0.2"),  # inherited by a rate-less dropout layer
     ((), "dropout", True),
+    ((), "dropout", 1.5),  # out of range: named as the scenario's, not the layer's
 ])
 def test_uncoercible_value_is_rejected_with_its_field_path(path, key, value):
     doc = tiny_doc()
@@ -410,7 +412,7 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys):
                  cli.RESOLVED_NAME):
         assert os.path.exists(os.path.join(out_dir, name))
         assert os.path.join(out_dir, name) in out
-    summary = json.load(open(os.path.join(out_dir, cli.SUMMARY_NAME)))
+    summary = json.loads(Path(out_dir, cli.SUMMARY_NAME).read_text())
     assert summary["label"] == "tiny"
     assert set(summary["metrics"]) == {"c1", "cg", "server"}
     assert summary["modes"]["c1"]["1"] in ("flwf2", "fine-tune")
@@ -426,8 +428,8 @@ def test_run_outputs_are_byte_identical_across_reruns(tmp_path, capsys):
         assert code == 0, err
     for name in (cli.METRICS_NAME, cli.FIGURE_NAME, cli.SUMMARY_NAME,
                  cli.RESOLVED_NAME):
-        a = open(os.path.join(dirs[0], name), "rb").read()
-        b = open(os.path.join(dirs[1], name), "rb").read()
+        a = Path(dirs[0], name).read_bytes()
+        b = Path(dirs[1], name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
 
 
@@ -437,7 +439,7 @@ def test_run_seed_override_lands_in_outputs(tmp_path, capsys):
     code, _, _ = run_cli(["run", "--config", cfg, "--seed", "9",
                           "--out", out_dir], capsys)
     assert code == 0
-    summary = json.load(open(os.path.join(out_dir, cli.SUMMARY_NAME)))
+    summary = json.loads(Path(out_dir, cli.SUMMARY_NAME).read_text())
     assert summary["seed"] == 9
     assert load_config(os.path.join(out_dir, cli.RESOLVED_NAME)).seed == 9
 
@@ -728,7 +730,7 @@ def test_a_file_and_code_accept_and_refuse_the_same_scenarios(base, data):
             first, second = os.path.join(tmp, "a.yaml"), os.path.join(tmp, "b.yaml")
             save_config(from_dict(from_file), first)
             save_config(load_config(first), second)
-            assert open(first, "rb").read() == open(second, "rb").read()
+            assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
@@ -828,7 +830,7 @@ def test_compare_tabulates_runs(tmp_path, capsys):
     assert rows[0] == list(cli.COMPARE_COLUMNS)
     assert len(rows) == 3
     # formatted cells agree with the underlying summaries to print precision
-    summary = json.load(open(os.path.join(runs[0], cli.SUMMARY_NAME)))
+    summary = json.loads(Path(runs[0], cli.SUMMARY_NAME).read_text())
     assert rows[1][2] == f"{summary['metrics']['c1']['A_gen']:.4f}"
     assert rows[1][7] == f"{summary['metrics']['c1']['F']['2']:.4f}"
 

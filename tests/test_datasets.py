@@ -1,10 +1,12 @@
 """Data plumbing: synthetic pools, disjoint draws, CSV round trips."""
 
 import errno
+import hashlib
 import os
 import re
 import signal
 import struct
+import tracemalloc
 import zipfile
 from pathlib import Path
 from unittest import mock
@@ -15,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flwf.datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
-                           _allocate_per_class, _scan_csv_rows, draw_round_data,
-                           draw_test_set, generate_synthetic, load_csv, save_csv)
+from flwf.datasets import (_SIDECAR_TAG, DatasetPool, PoolExhaustedError, RoundBatch,
+                           TestSet, _allocate_per_class, _parse_table, _scan_csv_rows,
+                           draw_round_data, draw_test_set, generate_synthetic, load_csv,
+                           save_csv)
 
 
 def small_pool(seed=0, per_class=40, n_classes=3, dim=4):
@@ -305,6 +308,8 @@ def test_a_warm_load_reads_the_sidecar_and_gives_the_cold_pool(tmp_path_factory,
     cold = load_csv(path, n_classes=6)
     assert np.array_equal(cold.features, features)
     sidecar = sidecar_of(path)
+    want = hashlib.sha256(_SIDECAR_TAG + path.read_bytes()).digest()
+    assert _digest_of(sidecar).tobytes() == want
     before = os.stat(sidecar)
     written = Path(sidecar).read_bytes()
     with parses_nothing():
@@ -315,6 +320,24 @@ def test_a_warm_load_reads_the_sidecar_and_gives_the_cold_pool(tmp_path_factory,
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert Path(sidecar).read_bytes() == written
     assert sorted(os.listdir(path.parent)) == [os.path.basename(sidecar), "pool.csv"]
+
+
+def test_a_cold_parse_holds_no_copy_of_the_whole_file(tmp_path):
+    """The bytes are hashed as the parser reads them, so the traced peak of
+    a cold parse stays below the table plus the file."""
+    rng = np.random.default_rng(8)
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, np.column_stack([rng.normal(size=(1500, 200)), rng.integers(0, 6, 1500)]),
+               fmt=["%.6f"] * 200 + ["%d"], delimiter=",")
+    tracemalloc.start()
+    try:
+        table, digest = _parse_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1500, 201)
+    assert digest == hashlib.sha256(_SIDECAR_TAG + path.read_bytes()).digest()
+    assert peak < table.nbytes + path.stat().st_size
 
 
 def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_afresh(tmp_path):

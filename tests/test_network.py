@@ -673,37 +673,80 @@ def random_nets(draw):
     return tuple(layers), input_shape
 
 
+def reference_layout(arch, input_shape):
+    """Each layer's ``(key, shape)`` pairs as ``init_params`` once laid them
+    out by hand: a dense ``W`` is ``(flattened input, units)``, a conv1d
+    ``W`` ``(kernel, channels, filters)``, and ``b`` has ``W``'s last axis."""
+    layout = []
+    for layer, shape in zip(arch, [input_shape] + infer_shapes(arch, input_shape)[:-1]):
+        if layer.kind == "dense":
+            w_shape = (math.prod(shape), layer.units)
+        elif layer.kind == "conv1d":
+            w_shape = (layer.kernel, shape[1], layer.filters)
+        else:
+            layout.append(())
+            continue
+        layout.append((("W", w_shape), ("b", w_shape[-1:])))
+    return tuple(layout)
+
+
+def _headless(arch, input_shape):
+    """The layers before the first dense, on a 2-d input: no logit vector."""
+    first_dense = next(i for i, layer in enumerate(arch) if layer.kind == "dense")
+    return arch[:first_dense], input_shape if len(input_shape) == 2 else (*input_shape, 1)
+
+
+# each turns any net of ``random_nets`` into a stack ``infer_shapes`` rejects
+SPOILT_STACKS = {
+    "kernel-too-long": lambda arch, shape: (
+        (LayerConfig("conv1d", filters=1, kernel=shape[0] + 1), *arch), shape),
+    "pool-too-long": lambda arch, shape: (
+        (LayerConfig("maxpool1d", pool=shape[0] + 1), *arch), shape),
+    "head-first": lambda arch, shape: ((LayerConfig("softmax-output"), *arch), shape),
+    "headless": _headless,
+    "zero-dim": lambda arch, shape: (arch, (0, *shape[1:])),
+    "fractional-dim": lambda arch, shape: (arch, (shape[0] + 0.5, *shape[1:])),
+}
+
+
 @settings(max_examples=80, deadline=None)
-@given(random_nets(), st.booleans(), st.integers(0, 2**32 - 1))
+@given(random_nets(), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from(sorted(SPOILT_STACKS)))
 def test_the_one_constructor_lays_flat_out_as_views_that_share_it(net, given_flat,
-                                                                  seed):
-    """A C-contiguous float64 buffer of the layout's size is laid out layer
-    by layer, keys in order, without a copy (None gets a new writable one);
+                                                                  seed, spoil):
+    """The architecture alone fixes the layout, ``init_params``' own, and a
+    C-contiguous float64 buffer of its size is tiled by the views layer by
+    layer, keys in order, without a copy (None gets a new writable one);
     each view is C-contiguous in ``flat``'s memory and cannot be rebound,
     and ``params_digest`` equals the per-buffer sha256 of the arrays.  A
-    buffer of another size or dtype, or a strided one, raises."""
+    buffer of another size or dtype, or a strided one, raises, and so does
+    a stack ``infer_shapes`` rejects, with ``infer_shapes``' own error."""
     arch, input_shape = net
-    layout = init_params(arch, input_shape, seed=0).layout
+    layout = reference_layout(arch, input_shape)
     size = sum(math.prod(shape) for keys in layout for _, shape in keys)
     source = np.random.default_rng(seed).normal(size=size)
-    params = ModelParams(arch, input_shape, layout, source if given_flat else None)
+    params = ModelParams(list(arch), list(input_shape), source if given_flat else None)
+    assert params.layout == layout == init_params(arch, input_shape, seed).layout
+    assert params.architecture == arch and params.input_shape == input_shape
     flat = params.flat
     assert flat.shape == (size,) and flat.dtype == np.float64
     assert flat.flags.c_contiguous and flat.flags.writeable
     assert (flat is source) == given_flat
     flat[...] = source
     arrays, start = [], 0
-    for keys, views in zip(layout, params.weights):
+    for keys, views in zip(layout, params.weights, strict=True):
         assert list(views) == sorted(views) == [key for key, _ in keys]
         arrays.append({})
         for key, shape in keys:
             arrays[-1][key] = source[start:start + math.prod(shape)].reshape(shape)
-            start += math.prod(shape)
             view = views[key]
+            assert view.ctypes.data == flat[start:].ctypes.data  # the next element
+            start += math.prod(shape)
             assert same_bits(view, arrays[-1][key]) and view.flags.c_contiguous
             assert np.shares_memory(view, flat)
             with pytest.raises(TypeError):
                 views[key] = np.zeros(shape)
+    assert start == size
     old = hashlib.sha256(json.dumps(
         {"input_shape": list(input_shape),
          "layers": [layer_to_dict(layer) for layer in arch]},
@@ -714,7 +757,13 @@ def test_the_one_constructor_lays_flat_out_as_views_that_share_it(net, given_fla
     assert params_digest(params) == old.hexdigest()
     for bad in (np.zeros(size + 1), source.astype(np.float32), np.zeros(2 * size)[::2]):
         with pytest.raises(ShapeMismatchError, match="does not fit"):
-            ModelParams(arch, input_shape, layout, bad)
+            ModelParams(arch, input_shape, bad)
+    bad_arch, bad_shape = SPOILT_STACKS[spoil](arch, input_shape)
+    with pytest.raises(ValueError) as want:
+        infer_shapes(bad_arch, bad_shape)
+    with pytest.raises(ValueError) as got:
+        ModelParams(bad_arch, bad_shape)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def reference_train_local(params, data, cfg, spec):
@@ -982,7 +1031,7 @@ def test_params_digest_stability_and_sensitivity():
 
 def test_softmax_output_layer_is_logit_identity():
     with_head = init_params(MLP, (5,), seed=4)
-    without_head = ModelParams(MLP[:-1], (5,), with_head.layout[:-1], with_head.flat)
+    without_head = ModelParams(MLP[:-1], (5,), with_head.flat)
     assert with_head.architecture[-1].kind == KIND_SOFTMAX_OUTPUT
     x = np.random.default_rng(5).normal(size=(3, 5))
     assert np.array_equal(forward(with_head, x), forward(without_head, x))
