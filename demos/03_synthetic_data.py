@@ -2,8 +2,9 @@
 The data pool: generation, disjoint round draws, and exhaustion
 ================================================================
 
-Clients never see the same training row twice.  The pool tracks which
-rows each seeded draw consumed, the test set is carved out first, and
+Clients never see the same training row twice.  The pool is read-only;
+each seeded draw marks the rows it takes in a ``taken`` mask that the
+caller keeps (a run keeps one), the test set is carved out first, and
 running dry raises instead of silently recycling data.
 """
 
@@ -32,7 +33,8 @@ print(f"pairwise class-mean distances: {np.round(gaps, 2)}")
 
 # -- the test set comes out first ----------------------------------------------------
 
-test = draw_test_set(pool, per_class=20, seed=1)
+taken = np.zeros(len(pool), dtype=bool)  # the caller's mask: what draws took
+test = draw_test_set(pool, per_class=20, seed=1, taken=taken)
 print(f"\ntest set: {len(test.labels)} rows, balanced "
       f"{np.bincount(test.labels).tolist()}")
 
@@ -40,30 +42,29 @@ print(f"\ntest set: {len(test.labels)} rows, balanced "
 
 seen = set()
 for r in range(1, 4):
-    drawn = draw_round_data(pool, classes=(0, 1), size=30, seed=100 + r)
+    drawn = draw_round_data(pool, classes=(0, 1), size=30, seed=100 + r, taken=taken)
     rows = set(drawn.tolist())  # pool indices
     print(f"round {r}: drew {len(drawn)} rows of classes (0, 1), "
           f"overlap with earlier draws: {len(seen & rows)}")
     assert not seen & rows
     seen |= rows
 
-remaining = (~pool.consumed[pool.labels == 0]).sum()
-print(f"class 0 rows still unconsumed: {remaining}")
+remaining = (~taken[pool.labels == 0]).sum()
+print(f"class 0 rows not yet taken: {remaining}")
 
-# the same seed always selects the same rows (on a fresh pool)
-pool2 = generate_synthetic(n_classes=3, per_class=200, feature_dim=8,
-                           separation=1.5, seed=0)
-draw_test_set(pool2, per_class=20, seed=1)
-again = draw_round_data(pool2, classes=(0, 1), size=30, seed=101)
+# the same seed always selects the same rows (on a fresh mask)
+taken2 = np.zeros(len(pool), dtype=bool)
+draw_test_set(pool, per_class=20, seed=1, taken=taken2)
+again = draw_round_data(pool, classes=(0, 1), size=30, seed=101, taken=taken2)
 first = sorted(b for b in seen if b in set(again.tolist()))
-print(f"re-drawing round 1 on a fresh pool reuses the same rows: "
+print(f"re-drawing round 1 on a fresh mask takes the same rows: "
       f"{len(first) == 30}")
 
 # -- exhaustion is loud ----------------------------------------------------------------
 
 try:
     while True:
-        draw_round_data(pool, classes=(0,), size=50, seed=len(seen))
+        draw_round_data(pool, classes=(0,), size=50, seed=len(seen), taken=taken)
 except PoolExhaustedError as err:
     print(f"\npool refused an over-draw: {err}")
 
@@ -71,8 +72,8 @@ except PoolExhaustedError as err:
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "pool.csv")
-    save_csv(pool2, path)
+    save_csv(pool, path)
     reloaded = load_csv(path, n_classes=3)
-    exact = (np.array_equal(reloaded.features, pool2.features)
-             and np.array_equal(reloaded.labels, pool2.labels))
+    exact = (np.array_equal(reloaded.features, pool.features)
+             and np.array_equal(reloaded.labels, pool.labels))
     print(f"CSV round trip preserves every value exactly: {exact}")

@@ -10,15 +10,15 @@ for the round protocol and ``flwf.config`` for ready-made scenarios.
 from .config import (ClientConfig, ConfigError, CsvSource, ScenarioConfig,
                      SyntheticSource, default_mlp_layers, load_config, parse_config,
                      preset, save_config, uci_cnn_layers)
-from .continual import (ExemplarStore, StrategyPolicy, TaskSequence, TaskSpec,
-                        compose_training_batch, current_task,
-                        normalized_label_entropy, select_loss_mode, update_exemplars)
+from .continual import (StrategyPolicy, TaskSequence, TaskSpec, compose_training_batch,
+                        current_task, normalized_label_entropy, select_loss_mode,
+                        update_exemplars)
 from .datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
                        draw_round_data, draw_test_set, generate_synthetic,
                        load_csv, save_csv)
 from .federation import (ClientRuntime, ExperimentResult, ServerState,
-                         client_update, fedavg, run_experiment, run_round,
-                         stream_seed)
+                         client_update, fedavg, plan_run, run_experiment,
+                         run_round, stream_seed)
 from .losses import (LossSpec, classification_loss, combined_loss,
                      combined_loss_grad, distillation_loss, log_softmax, softmax,
                      temperature_scaled_probs)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClientConfig", "ClientRuntime", "ConfigError", "CsvSource", "DatasetPool",
-    "ExemplarStore", "ExperimentResult", "LayerConfig", "LossSpec",
+    "ExperimentResult", "LayerConfig", "LossSpec",
     "MetricsLedger", "ModelParams", "PoolExhaustedError", "RoundBatch",
     "RoundRecord", "ScenarioConfig", "ServerState",
     "ShapeMismatchError", "StrategyPolicy", "SyntheticSource", "TaskSequence",
@@ -41,7 +41,7 @@ __all__ = [
     "distillation_loss", "draw_round_data", "draw_test_set", "fedavg",
     "forward", "generate_synthetic", "infer_shapes", "init_params",
     "load_config", "load_csv", "log_softmax", "loss_on_batch",
-    "normalized_label_entropy", "params_digest", "parse_config", "predict",
+    "normalized_label_entropy", "params_digest", "parse_config", "plan_run", "predict",
     "preset", "run_experiment", "run_round", "save_config", "save_csv",
     "select_loss_mode", "sgd_step", "softmax", "stream_seed",
     "temperature_scaled_probs", "train_local", "uci_cnn_layers",

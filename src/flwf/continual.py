@@ -2,21 +2,22 @@
 
 A client's lifetime is an ordered list of tasks; each task owns a set of
 class ids and a budget of rounds, and the budgets partition ``1..R`` so
-every round belongs to exactly one task.  The exemplar store keeps at
-most ``capacity`` examples per finished task and is refreshed, not
-appended to, on every revisit.  The strategy selector is the one rule
-for a client-round's loss mode, distillation or plain fine-tuning: from
-the client's algo and policy, whether its teacher exists yet, and the
-label entropy of the composed training batch.
+every round belongs to exactly one task.  An exemplar store maps a task
+id to the pool indices of at most ``capacity`` of its examples; a task's
+entry is refreshed, not appended to, on every revisit.  The strategy
+selector is the one rule for a client-round's loss mode, distillation or
+plain fine-tuning: from the client's algo and policy, whether its teacher
+exists yet, and the label entropy of the composed training batch.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses
+from .datasets import read_only
 
 POLICY_DISTILL_ALL = "distill-all"
 POLICY_HYBRID = "hybrid"
@@ -141,39 +142,24 @@ def select_loss_mode(policy: StrategyPolicy, labels, n_classes: int, algo: str,
     return algo
 
 
-@dataclass
-class ExemplarStore:
-    """Per-task replay memory: the pool indices of at most ``capacity``
-    rows per task."""
-
-    capacity: int = 10
-    entries: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
-        for task_id, rows in self.entries.items():
-            if len(rows) > self.capacity:
-                raise ValueError(f"task {task_id}: entry exceeds capacity")
-
-
-def update_exemplars(store: ExemplarStore, task_id: int, fresh: np.ndarray,
-                     seed=0) -> ExemplarStore:
-    """Store (or refresh) the task's exemplars: a seeded random pick of the
-    ``fresh`` pool indices, kept in their order in ``fresh``.  A revisited
-    task's entry is replaced wholesale, and fewer fresh rows than the
-    capacity are stored in full.  Returns a new store; the input store and
-    ``fresh`` are left untouched."""
+def update_exemplars(store: dict[int, np.ndarray], task_id: int, fresh: np.ndarray,
+                     capacity: int, seed=0) -> dict[int, np.ndarray]:
+    """Store (or refresh) the task's exemplars: a seeded random pick of at
+    most ``capacity`` of the ``fresh`` pool indices, kept in their order in
+    ``fresh`` and read-only.  A revisited task's entry is replaced
+    wholesale, and fewer fresh rows than the capacity are stored in full.
+    Returns a new store; the input store and ``fresh`` are left untouched."""
+    if capacity < 1:
+        raise ValueError("capacity must be positive")
     if len(fresh) == 0:
         raise ValueError("cannot draw exemplars from an empty batch")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(fresh), size=min(store.capacity, len(fresh)), replace=False)
+    picks = rng.choice(len(fresh), size=min(capacity, len(fresh)), replace=False)
     picks.sort()
-    return ExemplarStore(capacity=store.capacity,
-                         entries={**store.entries, int(task_id): fresh[picks]})
+    return {**store, int(task_id): read_only(fresh[picks])}
 
 
-def compose_training_batch(fresh: np.ndarray, store: ExemplarStore,
+def compose_training_batch(fresh: np.ndarray, store: dict[int, np.ndarray],
                            current_task_id: int, seed=0) -> np.ndarray:
     """Pool indices of the round's training batch: the ``fresh`` ones plus
     every stored exemplar of the OTHER tasks, reshuffled.
@@ -181,7 +167,7 @@ def compose_training_batch(fresh: np.ndarray, store: ExemplarStore,
     Exemplars of the current task are dropped (fresh round data covers
     them).  With nothing to add ``fresh`` is returned as-is.
     """
-    replay = [store.entries[t] for t in sorted(store.entries) if t != current_task_id]
+    replay = [store[t] for t in sorted(store) if t != current_task_id]
     if not replay:
         return fresh
     rows = np.concatenate([fresh] + replay)

@@ -1,9 +1,10 @@
 """Labeled example pools: synthetic generation, CSV ingestion, round draws.
 
-A :class:`DatasetPool` owns every example available to an experiment and a
-consumption flag per example.  Round draws and the test draw mark what they
-take, so no example is ever used by two (client, round) pairs or shared
-between training and the test set.  All draws are seeded and deterministic.
+A :class:`DatasetPool` holds every example of an experiment, read-only.
+Round draws and the test draw mark what they take in their caller's
+``taken`` mask (:func:`flwf.federation.plan_run` keeps a run's), so no
+example is used by two (client, round) pairs or shared between training
+and the test set.  All draws are seeded and deterministic.
 
 Tensors everywhere are plain float64 numpy arrays; labels are integer class
 ids in ``[0, n_classes)``.
@@ -20,13 +21,13 @@ import tempfile
 import warnings
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class PoolExhaustedError(ValueError):
-    """Raised when a draw asks for more unconsumed examples than remain."""
+    """A draw, or a whole run's draws, would need more untaken examples than remain."""
 
 
 def class_ids(values, n_classes: int, what: str, row: str) -> np.ndarray:
@@ -46,6 +47,15 @@ def class_ids(values, n_classes: int, what: str, row: str) -> np.ndarray:
         raise ValueError(f"{what} {ids[i].item()!r} for {row} {i} "
                          f"is not a class id in 0..{n_classes - 1}")
     return ids.astype(int, copy=False)
+
+
+def read_only(array: np.ndarray, given=None) -> np.ndarray:
+    """``array`` made read-only, copied first if it is writable and may
+    share memory with ``given``, a caller's array, which is never flipped."""
+    if given is not None and array.flags.writeable and np.may_share_memory(array, given):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
 
 
 @dataclass
@@ -87,18 +97,17 @@ class TestSet:
 
 @dataclass
 class DatasetPool:
-    """All examples available to one experiment, with consumption tracking."""
+    """All examples available to one experiment, held read-only: a writable
+    array handed in is copied, a read-only one is kept as it is."""
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    consumed: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = class_ids(self.labels, self.n_classes, "label", "pool row")
-        if self.consumed is None:
-            self.consumed = np.zeros(len(self.labels), dtype=bool)
+        self.features = read_only(np.asarray(self.features, dtype=float), self.features)
+        self.labels = read_only(class_ids(self.labels, self.n_classes, "label", "pool row"),
+                                self.labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -120,7 +129,7 @@ def generate_synthetic(n_classes: int, per_class: int, feature_dim: int,
     centers *= separation
     labels = np.repeat(np.arange(n_classes), per_class)
     noise = rng.standard_normal((len(labels), feature_dim))
-    return DatasetPool(centers[labels] + noise, labels, n_classes)
+    return DatasetPool(read_only(centers[labels] + noise), read_only(labels), n_classes)
 
 
 def _looks_numeric(row: list[str]) -> bool:
@@ -163,7 +172,7 @@ def load_csv(path, n_classes: int = 6) -> DatasetPool:
         table, digest = _parse_table(path)
     if table is not None and table.shape[0] > 0 and table.shape[1] >= 2:
         try:
-            pool = DatasetPool(np.ascontiguousarray(table[:, :-1]), table[:, -1], n_classes)
+            pool = DatasetPool(table[:, :-1], table[:, -1], n_classes)
         except ValueError:
             pass  # a bad label: the scan names its line
         else:
@@ -325,7 +334,8 @@ def _scan_csv_rows(path, n_classes: int) -> DatasetPool:
             labels.append(label)
     if not features:
         raise ValueError(f"{path}: no data rows")
-    return DatasetPool(np.array(features, dtype=float), np.array(labels, dtype=int), n_classes)
+    return DatasetPool(read_only(np.array(features, dtype=float)),
+                       read_only(np.array(labels, dtype=int)), n_classes)
 
 
 def save_csv(pool: DatasetPool, path) -> None:
@@ -345,19 +355,22 @@ def _allocate_per_class(classes: list[int], size: int) -> dict[int, int]:
     return {c: base + (1 if i < rem else 0) for i, c in enumerate(ordered)}
 
 
-def draw_round_data(pool: DatasetPool, classes, size: int, seed) -> np.ndarray:
-    """The pool indices of ``size`` unconsumed examples of the given
-    classes, drawn without replacement, in a seeded random order.
+def draw_round_data(pool: DatasetPool, classes, size: int, seed, *,
+                    taken: np.ndarray) -> np.ndarray:
+    """The pool indices of ``size`` examples of the given classes not
+    marked in ``taken``, drawn without replacement, in a seeded random order.
 
     Class proportions are as uniform as integer division allows.  Drawn
-    examples are marked consumed, so later draws and the test set stay
-    disjoint from them.
+    examples are marked in ``taken``, the caller's bool mask over the
+    pool, so later draws on that mask stay disjoint from them.
     """
     classes = sorted(int(c) for c in set(classes))
     if not classes:
         raise ValueError("class set must be nonempty")
     if size < 1:
         raise ValueError("size must be positive")
+    if taken.dtype != bool or taken.shape != pool.labels.shape:
+        raise ValueError(f"taken must be a bool mask of {len(pool)} rows")
     rng = np.random.default_rng(seed)
     wanted = _allocate_per_class(classes, size)
     picks = []
@@ -365,20 +378,22 @@ def draw_round_data(pool: DatasetPool, classes, size: int, seed) -> np.ndarray:
         want = wanted[c]
         if want == 0:
             continue
-        candidates = np.flatnonzero(~pool.consumed & (pool.labels == c))
+        candidates = np.flatnonzero(~taken & (pool.labels == c))
         if len(candidates) < want:
             raise PoolExhaustedError(
                 f"class {c}: need {want} unconsumed examples, only {len(candidates)} left")
         picks.append(rng.choice(candidates, size=want, replace=False))
     chosen = np.concatenate(picks)
     chosen = chosen[rng.permutation(len(chosen))]
-    pool.consumed[chosen] = True
+    taken[chosen] = True
     return chosen
 
 
-def draw_test_set(pool: DatasetPool, per_class: int, seed) -> TestSet:
-    """Draw the fixed balanced test set (``per_class`` examples of every
-    class), ordered by class, then by pool index."""
-    rows = draw_round_data(pool, range(pool.n_classes), per_class * pool.n_classes, seed)
+def draw_test_set(pool: DatasetPool, per_class: int, seed, *, taken: np.ndarray) -> TestSet:
+    """Draw the fixed balanced test set, read-only: ``per_class`` examples of
+    every class, marked in ``taken``, ordered by class, then by pool index."""
+    rows = draw_round_data(pool, range(pool.n_classes), per_class * pool.n_classes, seed,
+                           taken=taken)
     rows = rows[np.lexsort((rows, pool.labels[rows]))]
-    return TestSet(pool.features[rows], pool.labels[rows], pool.n_classes)
+    return TestSet(read_only(pool.features[rows]), read_only(pool.labels[rows]),
+                   pool.n_classes)

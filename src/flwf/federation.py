@@ -1,32 +1,35 @@
 """Synchronous federated rounds: broadcast, local updates, FedAvg, teachers.
 
-Every round r is planned, then executed.  The plan (:func:`plan_round`)
-makes each client's data-side decisions from the config, the seed streams
-and the pool's labels: its fresh draw, replay, exemplar refresh and loss
-mode, the one it trains with and records.  Then each client trains the
-server model for E epochs on its planned rows, and the server aggregates
-the results with size-and-hint weighted FedAvg.  The client's own previous-round model and the incoming
-server model serve as the two distillation teachers.  Both are made
-read-only before their logits are computed (once, before any SGD step),
-so any write into them raises.  The server teacher stays frozen for the
-whole round; the client teacher lives only until its logits exist.  When
-nothing else holds them, their buffers take the client's first gradient
-and the next aggregate (:func:`flwf.network.reclaim`).
+:func:`plan_run` owns a run's data-side state, a ``taken`` mask over the
+read-only pool and one exemplar store per client.  It draws the test set,
+rejects a pool that cannot last before round 1, and plans each round when
+:func:`run_round` asks: every client's fresh draw, replay, exemplar
+refresh and loss mode.  Then each client trains the server model for E
+epochs on its planned rows, and the server aggregates the results with
+size-and-hint weighted FedAvg.  The client's own previous-round model and
+the incoming server model serve as the two distillation teachers.  Both
+are made read-only before their logits are computed (once, before any SGD
+step), so any write into them raises.  The server teacher stays frozen
+for the whole round; the client teacher lives only until its logits
+exist.  When nothing else holds them, their buffers take the client's
+first gradient and the next aggregate (:func:`flwf.network.reclaim`).
 
 All randomness comes from per-(purpose, client, round) seed streams
 derived from the one experiment seed.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses
 from .config import ClientConfig, CsvSource, ScenarioConfig, SyntheticSource
-from .continual import (ExemplarStore, compose_training_batch, current_task,
-                        select_loss_mode, update_exemplars)
-from .datasets import (DatasetPool, RoundBatch, TestSet, draw_round_data,
-                       draw_test_set, generate_synthetic, load_csv)
+from .continual import (compose_training_batch, current_task, select_loss_mode,
+                        update_exemplars)
+from .datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
+                       _allocate_per_class, draw_round_data, draw_test_set,
+                       generate_synthetic, load_csv, read_only)
 from .metrics import SERVER, MetricsLedger, RoundRecord, predict
 # params_digest is not called here; perfbench/child.py's ENTRY_POINTS traces this site.
 from .network import (SGD_CHUNK, ModelParams, ShapeMismatchError, TrainConfig,
@@ -56,11 +59,9 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
 
 @dataclass
 class ClientRuntime:
-    """Mutable per-client state carried across rounds."""
+    """A client's model, carried across rounds."""
 
-    index: int
     cfg: ClientConfig
-    store: ExemplarStore
     params: ModelParams | None = None  # previous-round model; None before round 1
 
     @property
@@ -189,39 +190,78 @@ class ClientPlan:
     train_seed: int
 
 
-def plan_round(scenario: ScenarioConfig, clients: list[ClientRuntime],
-               pool: DatasetPool, round_index: int) -> list[ClientPlan]:
-    """Every data-side decision of one round, one plan per client in order:
-    its task, the fresh draw (marked consumed in ``pool``), the replay, the
-    exemplar refresh (``client.store`` is replaced) and the loss mode.
-    Reads the config, the seed streams and the pool's labels; no model."""
-    plans = []
-    for client in clients:
-        cfg = client.cfg
+def plan_run(scenario: ScenarioConfig,
+             pool: DatasetPool) -> tuple[TestSet, Iterator[tuple[ClientPlan, ...]]]:
+    """The run's test set, and an iterator that plans one round per step.
+
+    The one owner of a run's data-side state: the ``taken`` mask and one
+    exemplar store per client (task id -> pool indices).  A pool that
+    cannot last raises :class:`PoolExhaustedError` here, before any model
+    exists.  Each step plans every client in order from the config, the
+    seed streams and the pool's labels: its task, fresh draw, replay,
+    exemplar refresh and loss mode.
+    """
+    taken = np.zeros(len(pool), dtype=bool)
+    test = draw_test_set(pool, scenario.test_per_class,
+                         seed=stream_seed(scenario.seed, SEED_TEST_DRAW), taken=taken)
+    _check_supply(scenario, pool, taken)
+    stores = [{} for _ in scenario.clients]
+
+    def plan(index: int, cfg: ClientConfig, round_index: int) -> ClientPlan:
         def seed(purpose):
-            return stream_seed(scenario.seed, purpose, client.index, round_index)
+            return stream_seed(scenario.seed, purpose, index, round_index)
         t, task = current_task(cfg.tasks, round_index)
         fresh = draw_round_data(pool, task.classes, scenario.round_data_size,
-                                seed=seed(SEED_ROUND_DRAW))
+                                seed=seed(SEED_ROUND_DRAW), taken=taken)
         rows = fresh
         if cfg.use_exemplars:  # compose from the store as it stood, then refresh it
-            rows = compose_training_batch(fresh, client.store, t, seed=seed(SEED_COMPOSE))
-            client.store = update_exemplars(client.store, t, fresh, seed=seed(SEED_EXEMPLAR))
+            rows = compose_training_batch(fresh, stores[index], t, seed=seed(SEED_COMPOSE))
+            stores[index] = update_exemplars(stores[index], t, fresh, scenario.exemplar_capacity,
+                                             seed=seed(SEED_EXEMPLAR))
         # the client teacher is the client's own model of the round before
         mode = select_loss_mode(cfg.policy, pool.labels[rows], pool.n_classes,
                                 cfg.algo, has_client_teacher=round_index > 1)
-        plans.append(ClientPlan(rows=rows, n_fresh=len(fresh), mode=mode,
-                                train_seed=_seed_int(seed(SEED_TRAIN))))
-    return plans
+        return ClientPlan(rows=read_only(rows), n_fresh=len(fresh), mode=mode,
+                          train_seed=_seed_int(seed(SEED_TRAIN)))
+
+    return test, (tuple(plan(i, cfg, r) for i, cfg in enumerate(scenario.clients))
+                  for r in range(1, scenario.rounds + 1))
+
+
+def _check_supply(scenario: ScenarioConfig, pool: DatasetPool, taken: np.ndarray) -> None:
+    """Raise :class:`PoolExhaustedError` if some round's draw would find
+    too few rows that ``taken`` does not mark.  The run's demand per class
+    is summed by the draw's own allocation rule; only when a class falls
+    short are the draws walked in plan order, to name the first that fails
+    and its client and round."""
+    if scenario.rounds == 0:
+        return  # a zero-round scenario's task budgets need not sum to its 0 rounds
+    left = np.bincount(pool.labels[~taken], minlength=pool.n_classes)
+    need = np.zeros_like(left)
+    for cfg in scenario.clients:
+        for task in cfg.tasks.tasks:
+            for c, n in _allocate_per_class(task.classes, scenario.round_data_size).items():
+                need[c] += n * task.rounds
+    if (need <= left).all():
+        return
+    for r in range(1, scenario.rounds + 1):
+        for cfg in scenario.clients:
+            classes = current_task(cfg.tasks, r)[1].classes
+            for c, n in _allocate_per_class(classes, scenario.round_data_size).items():
+                if n > left[c]:
+                    raise PoolExhaustedError(f"{cfg.name}, round {r}: class {c}: need {n} "
+                                             f"unconsumed examples, only {left[c]} left")
+                left[c] -= n
 
 
 def run_round(scenario: ScenarioConfig, server: ServerState,
               clients: list[ClientRuntime], pool: DatasetPool, test: TestSet,
-              ledger: MetricsLedger, round_index: int) -> ServerState:
-    """One full communication round, planned (:func:`plan_round`), then
-    executed; mutates clients (params, stores) and the ledger, which gains
-    one :class:`RoundRecord` per client and one for the server, consumes
-    ``server``'s model and returns the next server state.
+              ledger: MetricsLedger, round_index: int,
+              plans: Iterator[tuple[ClientPlan, ...]]) -> ServerState:
+    """One full communication round, planned by the next step of ``plans``
+    (:func:`plan_run`), then executed.  Replaces each client's model, adds
+    one :class:`RoundRecord` per client and one for the server to the
+    ledger, takes ``server``'s model and returns the next server state.
 
     Between the SGD steps of a one-step local update ``len(clients) + 1``
     models are live: the server's (the student's start and a teacher
@@ -240,8 +280,10 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
                          f"server round {server.round_index}")
     if server.params is None:
         raise ValueError("the server state's model was consumed by an earlier round")
-    plans = plan_round(scenario, clients, pool, round_index)
-    for client, plan in zip(clients, plans):
+    planned = next(plans, None)
+    if planned is None:
+        raise ValueError(f"no plans left for round {round_index}")
+    for client, plan in zip(clients, planned):
         batch = RoundBatch(pool.features[plan.rows], pool.labels[plan.rows],
                            pool.n_classes)
         train_cfg = TrainConfig(scenario.learning_rate, scenario.batch_size,
@@ -258,7 +300,7 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
     out = reclaim(server.params)
     server.params = None
     aggregated = fedavg([c.params for c in clients],
-                        [c.cfg.weight * p.n_fresh for c, p in zip(clients, plans)], out=out)
+                        [c.cfg.weight * p.n_fresh for c, p in zip(clients, planned)], out=out)
     ledger.append(RoundRecord(
         owner=SERVER, round_index=round_index,
         predictions=predict(aggregated, test.features)))
@@ -290,8 +332,7 @@ def run_experiment(scenario: ScenarioConfig) -> ExperimentResult:
     """Execute the whole scenario: R rounds plus the round-0 evaluation of
     the freshly initialized server model.  Deterministic per seed."""
     pool = build_pool(scenario)
-    test = draw_test_set(pool, scenario.test_per_class,
-                         seed=stream_seed(scenario.seed, SEED_TEST_DRAW))
+    test, plans = plan_run(scenario, pool)
     server = ServerState(params=init_params(
         scenario.layers, scenario.input_shape,
         seed=stream_seed(scenario.seed, SEED_INIT)))
@@ -303,14 +344,12 @@ def run_experiment(scenario: ScenarioConfig) -> ExperimentResult:
         total_rounds=scenario.rounds,
         tasks={c.name: c.tasks for c in scenario.clients} if scenario.rounds > 0 else {})
 
-    clients = [ClientRuntime(index=i, cfg=c,
-                             store=ExemplarStore(capacity=scenario.exemplar_capacity))
-               for i, c in enumerate(scenario.clients)]
+    clients = [ClientRuntime(cfg=c) for c in scenario.clients]
 
     ledger.append(RoundRecord(owner=SERVER, round_index=0,
                               predictions=predict(server.params, test.features)))
 
     for r in range(1, scenario.rounds + 1):
-        server = run_round(scenario, server, clients, pool, test, ledger, r)
+        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
     return ExperimentResult(scenario=scenario, server=server, clients=clients,
                             ledger=ledger)

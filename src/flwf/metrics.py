@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .continual import TaskSequence
-from .datasets import class_ids
+from .datasets import class_ids, read_only
 from .network import ModelParams, forward
 
 SERVER = "server"
@@ -87,6 +87,7 @@ class MetricsLedger:
     server) only support whole-test metrics.  ``records`` maps ``(owner,
     round)`` to its :class:`RoundRecord` in append order, each holding its
     predictions in the narrowest unsigned type that holds ``n_classes - 1``.
+    Those predictions and ``test_labels`` are read-only.
     """
 
     test_labels: np.ndarray
@@ -99,7 +100,8 @@ class MetricsLedger:
         labels = np.asarray(self.test_labels)
         if labels.size == 0:
             raise ValueError("ledger needs a nonempty test set")
-        self.test_labels = class_ids(labels, self.n_classes, "test label", "test row")
+        self.test_labels = read_only(
+            class_ids(labels, self.n_classes, "test label", "test row"), self.test_labels)
         # Test examples per class; per record, its correct predictions per
         # class (row i of the hit table H is the i-th record appended).
         self._class_counts = np.bincount(self.test_labels, minlength=self.n_classes)
@@ -118,7 +120,7 @@ class MetricsLedger:
 
     def append(self, record: RoundRecord) -> None:
         """Store a copy of ``record`` with its predictions narrowed, once
-        each has passed :func:`flwf.datasets.class_ids`."""
+        each has passed :func:`flwf.datasets.class_ids`, and read-only."""
         if record.predictions.shape != self.test_labels.shape:
             raise ValueError("prediction vector length does not match the test set")
         predictions = class_ids(record.predictions, self.n_classes, "prediction", "test row")
@@ -126,7 +128,8 @@ class MetricsLedger:
         if key in self.records:
             raise ValueError(
                 f"duplicate record for {record.owner!r} round {record.round_index}")
-        predictions = predictions.astype(self._id_dtype, copy=False)
+        predictions = read_only(predictions.astype(self._id_dtype, copy=False),
+                                record.predictions)
         self.records[key] = replace(record, predictions=predictions)
         correct = self.test_labels[predictions == self.test_labels]
         self._row_of[key] = len(self._hit_rows)

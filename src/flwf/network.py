@@ -153,9 +153,15 @@ class ModelParams:
         input_shape = losses.check_value(tuple[int, ...], input_shape, "input_shape")
         self._lay_out(_structure(tuple(architecture), input_shape), flat)
 
+    # The structure is read-only: assigning one of these raises AttributeError.
+    architecture = property(lambda self: self._structure[0])
+    input_shape = property(lambda self: self._structure[1])
+    layout = property(lambda self: self._structure[2])
+    order = property(lambda self: self._structure[4])
+
     def _lay_out(self, structure: tuple, flat: np.ndarray | None) -> None:
         self._structure = structure
-        self.architecture, self.input_shape, self.layout, size, self.order = structure
+        size = structure[3]
         if flat is None:
             flat = np.empty(size)
         elif flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
@@ -182,8 +188,8 @@ class ModelParams:
         return self.with_flat(self.flat.copy())
 
     def same_layout(self, other: "ModelParams") -> bool:
-        return (self.architecture == other.architecture
-                and self.input_shape == other.input_shape)
+        """Same architecture and input shape, and so the same derived layout."""
+        return self._structure == other._structure
 
 
 @functools.cache
@@ -316,13 +322,13 @@ def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.ndim < 2:
         raise ShapeMismatchError("input must carry a leading batch axis")
-    if x.shape[1:] == params.input_shape:
+    shape = params.input_shape
+    if x.shape[1:] == shape:
         return x
-    if x.ndim == 2 and x.shape[1] == math.prod(params.input_shape):
-        return x.reshape((x.shape[0], *params.input_shape))
+    if x.ndim == 2 and x.shape[1] == math.prod(shape):
+        return x.reshape((x.shape[0], *shape))
     raise ShapeMismatchError(
-        f"input: per-example shape {x.shape[1:]} does not match model input "
-        f"{params.input_shape}")
+        f"input: per-example shape {x.shape[1:]} does not match model input {shape}")
 
 
 def _forward_pass(params: ModelParams, inputs, training: bool, rng,
@@ -484,11 +490,11 @@ def _backward_pass(params: ModelParams, caches, dlogits,
     its gradient would flow into the data, which has no parameter."""
     if out is None:
         out = params.with_flat(np.empty(params.flat.shape))
-    order = params.order
+    architecture, order = params.architecture, params.order
     dx = dlogits
     for pos in range(len(order) - 1, -1, -1):
         i = order[pos]
-        layer = params.architecture[i]
+        layer = architecture[i]
         w, g = params.weights[i], out.weights[i]
         cache = caches[pos]
         if layer.kind == KIND_DENSE:

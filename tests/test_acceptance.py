@@ -338,8 +338,9 @@ def test_10_real_data_central_training(capsys):
                   "activity CSV (1152 features + label per row) to enable")
         pytest.skip("FLWF_UCI_CSV not set")
     pool = load_csv(path, n_classes=6)
-    test = draw_test_set(pool, per_class=100, seed=0)
-    rows = draw_round_data(pool, classes=range(6), size=1920, seed=1)
+    taken = np.zeros(len(pool), dtype=bool)
+    test = draw_test_set(pool, per_class=100, seed=0, taken=taken)
+    rows = draw_round_data(pool, classes=range(6), size=1920, seed=1, taken=taken)
     batch = RoundBatch(pool.features[rows], pool.labels[rows], 6)
     params = init_params(uci_cnn_layers(n_classes=6, dropout=0.5), (128, 9),
                          seed=2)

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flwf import cli
+from flwf import cli, federation
 from flwf.config import (PRESET_NAMES, ClientConfig, ConfigError, CsvSource,
                          ScenarioConfig, SyntheticSource, from_dict, load_config,
                          parse_config, preset, save_config, to_dict)
@@ -472,6 +472,23 @@ def test_run_reports_yaml_syntax_error(tmp_path, capsys):
     cfg.write_text("label: [unclosed\n")
     code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_on_a_pool_that_cannot_last_fails_before_round_1(tmp_path, capsys, monkeypatch):
+    """Round 1 leaves 18 rows of class 1, and c1's round-2 draw needs 24:
+    the run ends in one error line naming that client, round and class,
+    before any local update and before any output exists."""
+    doc = tiny_doc(rounds=4)
+    doc["data"]["per_class"] = 60
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    trained = []
+    monkeypatch.setattr(federation, "train_local", lambda *args, **kwargs: trained.append(1))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["run", "--config", str(cfg), "--out", str(out_dir)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: c1, round 2: class 1: need 24 unconsumed examples, only 18 left\n"
+    assert trained == [] and not out_dir.exists()
 
 
 @pytest.mark.parametrize("path, value, message", [

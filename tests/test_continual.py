@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flwf.continual import (POLICIES, ExemplarStore, StrategyPolicy, TaskSequence,
+from flwf.continual import (POLICIES, StrategyPolicy, TaskSequence,
                             TaskSpec, compose_training_batch, current_task,
                             normalized_label_entropy, select_loss_mode,
                             update_exemplars)
@@ -177,8 +177,8 @@ def test_entropy_rejects_degenerate_input():
 
 def test_update_exemplars_new_task_stores_capacity():
     fresh = np.random.default_rng(2).permutation(1000)[:120]
-    store = update_exemplars(ExemplarStore(capacity=10), 1, fresh, seed=0)
-    rows = store.entries[1]
+    store = update_exemplars({}, 1, fresh, 10, seed=0)
+    rows = store[1]
     assert len(rows) == 10 and len(set(rows.tolist())) == 10
     # stored rows really come from the batch, in the batch's order
     positions = [fresh.tolist().index(i) for i in rows]
@@ -187,39 +187,54 @@ def test_update_exemplars_new_task_stores_capacity():
 
 def test_update_exemplars_refresh_replaces_entry():
     first, second = np.arange(40), np.arange(100, 140)
-    store = update_exemplars(ExemplarStore(capacity=5), 1, first, seed=0)
-    store = update_exemplars(store, 1, second, seed=1)
-    rows = set(store.entries[1].tolist())
+    store = update_exemplars({}, 1, first, 5, seed=0)
+    store = update_exemplars(store, 1, second, 5, seed=1)
+    rows = set(store[1].tolist())
     assert len(rows) == 5
     assert rows <= set(second.tolist())
     assert not rows & set(first.tolist())
 
 
 def test_update_exemplars_small_batch_stored_whole():
-    store = update_exemplars(ExemplarStore(capacity=10), 2, np.array([7, 3, 5]), seed=0)
-    assert store.entries[2].tolist() == [7, 3, 5]
+    store = update_exemplars({}, 2, np.array([7, 3, 5]), 10, seed=0)
+    assert store[2].tolist() == [7, 3, 5]
 
 
 def test_update_exemplars_leaves_other_tasks_untouched():
-    store = update_exemplars(ExemplarStore(capacity=4), 1, np.arange(30), seed=0)
-    before = store.entries[1].copy()
-    store2 = update_exemplars(store, 2, np.arange(30, 60), seed=1)
-    assert np.array_equal(store2.entries[1], before)
-    assert sum(len(rows) for rows in store2.entries.values()) == 8  # 2M
-    assert sorted(store2.entries) == [1, 2]
+    store = update_exemplars({}, 1, np.arange(30), 4, seed=0)
+    before = store[1].copy()
+    store2 = update_exemplars(store, 2, np.arange(30, 60), 4, seed=1)
+    assert np.array_equal(store2[1], before)
+    assert sum(len(rows) for rows in store2.values()) == 8  # 2M
+    assert sorted(store2) == [1, 2]
 
 
 def test_update_exemplars_does_not_mutate_input_store():
     fresh = np.arange(20)
-    store = ExemplarStore(capacity=5)
-    update_exemplars(store, 1, fresh, seed=0)
-    assert store.entries == {}
+    store = {}
+    update_exemplars(store, 1, fresh, 5, seed=0)
+    assert store == {}
     assert fresh.tolist() == list(range(20))
+    assert fresh.flags.writeable
 
 
-def test_store_capacity_invariant():
-    with pytest.raises(ValueError):
-        ExemplarStore(capacity=2, entries={1: np.arange(3)})
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-2, 12), st.lists(st.integers(1, 40), min_size=1, max_size=4))
+def test_store_capacity_invariant(capacity, sizes):
+    """Every stored entry holds at most ``capacity`` rows, read-only, and a
+    capacity below 1 is refused, as the store's own rule had it."""
+    store = {}
+    for task_id, size in enumerate(sizes, start=1):
+        fresh = np.arange(100 * task_id, 100 * task_id + size)
+        if capacity < 1:
+            with pytest.raises(ValueError, match="capacity must be positive"):
+                update_exemplars(store, task_id, fresh, capacity, seed=task_id)
+            return
+        store = update_exemplars(store, task_id, fresh, capacity, seed=task_id)
+    assert [len(rows) for rows in store.values()] == [min(capacity, n) for n in sizes]
+    for rows in store.values():
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = -1
 
 
 # -- batch composition ---------------------------------------------------------------
@@ -227,30 +242,30 @@ def test_store_capacity_invariant():
 
 def test_compose_with_empty_store_is_identity():
     fresh = np.arange(7)
-    out = compose_training_batch(fresh, ExemplarStore(capacity=5), 1, seed=0)
+    out = compose_training_batch(fresh, {}, 1, seed=0)
     assert out is fresh
 
 
 def test_compose_adds_other_task_exemplars():
-    store = update_exemplars(ExemplarStore(capacity=10), 1, np.arange(500, 620), seed=0)
+    store = update_exemplars({}, 1, np.arange(500, 620), 10, seed=0)
     fresh = np.arange(120)
     out = compose_training_batch(fresh, store, 2, seed=1)
     assert len(out) == 130
     # replayed rows keep their pool index, fresh rows keep theirs
-    assert sorted(out[out >= 500].tolist()) == sorted(store.entries[1].tolist())
+    assert sorted(out[out >= 500].tolist()) == sorted(store[1].tolist())
     assert sorted(out[out < 500].tolist()) == list(range(120))
     assert out.tolist() != sorted(out.tolist())  # reshuffled
 
 
 def test_compose_excludes_current_task_exemplars():
-    store = update_exemplars(ExemplarStore(capacity=10), 2, np.arange(50), seed=0)
+    store = update_exemplars({}, 2, np.arange(50), 10, seed=0)
     fresh = np.arange(50, 90)
     out = compose_training_batch(fresh, store, 2, seed=1)
     assert out is fresh
 
 
 def test_compose_shuffle_is_seeded():
-    store = update_exemplars(ExemplarStore(capacity=5), 1, np.arange(30), seed=0)
+    store = update_exemplars({}, 1, np.arange(30), 5, seed=0)
     fresh = np.arange(30, 50)
     a = compose_training_batch(fresh, store, 2, seed=42)
     b = compose_training_batch(fresh, store, 2, seed=42)

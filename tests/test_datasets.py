@@ -37,7 +37,7 @@ def test_generate_synthetic_shapes_and_counts():
     assert pool.labels.shape == (120,)
     for c in range(3):
         assert (pool.labels == c).sum() == 40
-    assert not pool.consumed.any()
+    assert not pool.features.flags.writeable and not pool.labels.flags.writeable
 
 
 def test_generate_synthetic_deterministic():
@@ -98,23 +98,29 @@ def test_allocate_per_class_remainder_to_smallest():
     assert _allocate_per_class((1,), 120) == {1: 120}
 
 
+def fresh_mask(pool):
+    return np.zeros(len(pool), dtype=bool)
+
+
 def test_draw_round_data_basics():
     pool = small_pool()
-    rows = draw_round_data(pool, (0, 2), 10, seed=3)
+    taken = fresh_mask(pool)
+    rows = draw_round_data(pool, (0, 2), 10, seed=3, taken=taken)
     labels = pool.labels[rows]
     assert len(rows) == 10 and len(set(rows.tolist())) == 10
     assert set(labels.tolist()) <= {0, 2}
     assert (labels == 0).sum() == 5
     assert (labels == 2).sum() == 5
-    # the draw returns pool indices, and exactly those rows are flagged
-    assert np.array_equal(np.flatnonzero(pool.consumed), np.sort(rows))
+    # the draw returns pool indices, and exactly those rows are marked taken
+    assert np.array_equal(np.flatnonzero(taken), np.sort(rows))
 
 
 def test_draws_are_disjoint_across_calls():
     pool = small_pool()
+    taken = fresh_mask(pool)
     seen: set[int] = set()
     for r in range(5):
-        rows = set(draw_round_data(pool, (0, 1, 2), 12, seed=r).tolist())
+        rows = set(draw_round_data(pool, (0, 1, 2), 12, seed=r, taken=taken).tolist())
         assert not rows & seen
         seen |= rows
     assert len(seen) == 60
@@ -122,41 +128,47 @@ def test_draws_are_disjoint_across_calls():
 
 def test_draw_exhaustion_names_class_and_shortfall():
     pool = small_pool(per_class=8)
-    draw_round_data(pool, (1,), 6, seed=0)
+    taken = fresh_mask(pool)
+    draw_round_data(pool, (1,), 6, seed=0, taken=taken)
     with pytest.raises(PoolExhaustedError) as err:
-        draw_round_data(pool, (1,), 6, seed=1)
+        draw_round_data(pool, (1,), 6, seed=1, taken=taken)
     assert "class 1" in str(err.value)
     assert "2" in str(err.value)  # only 2 rows remained
 
 
 def test_draw_deterministic_per_seed():
-    a = draw_round_data(small_pool(), (0, 1), 10, seed=9)
-    b = draw_round_data(small_pool(), (0, 1), 10, seed=9)
+    pool = small_pool()
+    a = draw_round_data(pool, (0, 1), 10, seed=9, taken=fresh_mask(pool))
+    b = draw_round_data(pool, (0, 1), 10, seed=9, taken=fresh_mask(pool))
     assert np.array_equal(a, b)
 
 
 def test_draw_rejects_unknown_class_and_bad_size():
     pool = small_pool()
     with pytest.raises(ValueError):
-        draw_round_data(pool, (7,), 5, seed=0)
+        draw_round_data(pool, (7,), 5, seed=0, taken=fresh_mask(pool))
     with pytest.raises(ValueError):
-        draw_round_data(pool, (0,), 0, seed=0)
+        draw_round_data(pool, (0,), 0, seed=0, taken=fresh_mask(pool))
+    for taken in (np.zeros(len(pool) - 1, dtype=bool), np.zeros(len(pool), dtype=int)):
+        with pytest.raises(ValueError, match="bool mask"):
+            draw_round_data(pool, (0,), 5, seed=0, taken=taken)
 
 
 def test_test_set_balanced_and_disjoint_from_training():
     pool = small_pool(per_class=40)
-    test = draw_test_set(pool, 10, seed=0)
+    taken = fresh_mask(pool)
+    test = draw_test_set(pool, 10, seed=0, taken=taken)
     assert isinstance(test, TestSet)
     assert len(test.labels) == 30
     for c in range(3):
         assert (test.labels == c).sum() == 10
     # labels come out sorted, features grouped per class
     assert np.array_equal(test.labels, np.sort(test.labels))
-    # the test set is the consumed rows, by class, then by pool index
-    taken = np.flatnonzero(pool.consumed)
-    taken = taken[np.argsort(pool.labels[taken], kind="stable")]
-    assert np.array_equal(test.features, pool.features[taken])
-    rows = draw_round_data(pool, (0, 1, 2), 30, seed=1)
+    # the test set is the taken rows, by class, then by pool index
+    test_rows = np.flatnonzero(taken)
+    test_rows = test_rows[np.argsort(pool.labels[test_rows], kind="stable")]
+    assert np.array_equal(test.features, pool.features[test_rows])
+    rows = draw_round_data(pool, (0, 1, 2), 30, seed=1, taken=taken)
     test_rows = {tuple(row) for row in test.features}
     assert all(tuple(row) not in test_rows for row in pool.features[rows])
 
@@ -261,7 +273,7 @@ def test_loaded_pool_runs_through_draws(tmp_path):
     path = tmp_path / "pool.csv"
     save_csv(pool, path)
     loaded = load_csv(path, n_classes=3)
-    rows = draw_round_data(loaded, (0, 1), 8, seed=0)
+    rows = draw_round_data(loaded, (0, 1), 8, seed=0, taken=fresh_mask(loaded))
     assert len(rows) == 8
 
 

@@ -9,19 +9,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flwf import federation, losses, network
 from flwf.config import ClientConfig, ScenarioConfig, SyntheticSource
-from flwf.continual import (POLICIES, ExemplarStore, StrategyPolicy, TaskSequence,
-                            TaskSpec)
-from flwf.datasets import RoundBatch
+from flwf.continual import (POLICIES, StrategyPolicy, TaskSequence, TaskSpec,
+                            current_task)
+from flwf.datasets import PoolExhaustedError, RoundBatch, draw_round_data, draw_test_set
 from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
                              SEED_INIT, SEED_ROUND_DRAW, SEED_TEST_DRAW,
                              SEED_TRAIN, ClientRuntime, ServerState,
-                             client_update, fedavg, run_experiment, run_round,
-                             stream_seed, _seed_int)
+                             client_update, fedavg, plan_run, run_experiment,
+                             run_round, stream_seed, _seed_int)
 from flwf.metrics import SERVER
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
@@ -341,8 +341,7 @@ def update(server, teacher, batch, cfg, mode, client_cfg=None):
     """``client_update`` for a client whose previous model is ``teacher``
     and whose config is ``client_cfg`` (flwf2, alpha 0.4, beta 0.3 when
     None); returns the student it stored on the client."""
-    client = ClientRuntime(index=0, cfg=client_cfg or tiny_clients()[0],
-                           store=ExemplarStore(capacity=5), params=teacher)
+    client = ClientRuntime(cfg=client_cfg or tiny_clients()[0], params=teacher)
     assert client_update(server, client, batch, cfg, mode) is None
     return client.params
 
@@ -455,14 +454,27 @@ def test_client_update_rejects_empty_batch():
 # -- run_round -----------------------------------------------------------------------
 
 
+class RecordedPlans:
+    """A :func:`plan_run` round iterator that keeps each round's plans as
+    ``run_round`` takes them."""
+
+    def __init__(self, plans):
+        self._plans, self.rounds = plans, []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.rounds.append(next(self._plans))
+        return self.rounds[-1]
+
+
 def fresh_runtime(scenario):
-    from flwf.datasets import draw_test_set
     from flwf.federation import build_pool
     from flwf.metrics import MetricsLedger
 
     pool = build_pool(scenario)
-    test = draw_test_set(pool, scenario.test_per_class,
-                         seed=stream_seed(scenario.seed, SEED_TEST_DRAW))
+    test, plans = plan_run(scenario, pool)
     server = ServerState(params=init_params(
         scenario.layers, scenario.input_shape,
         seed=stream_seed(scenario.seed, SEED_INIT)))
@@ -470,15 +482,15 @@ def fresh_runtime(scenario):
         test_labels=test.labels, n_classes=scenario.n_classes,
         total_rounds=scenario.rounds,
         tasks={c.name: c.tasks for c in scenario.clients})
-    clients = [ClientRuntime(index=i, cfg=c,
-                             store=ExemplarStore(capacity=scenario.exemplar_capacity))
-               for i, c in enumerate(scenario.clients)]
-    return pool, test, server, ledger, clients
+    clients = [ClientRuntime(cfg=c) for c in scenario.clients]
+    return pool, test, server, ledger, clients, RecordedPlans(plans)
 
 
-def consumed_per_class(pool):
-    """Pool rows consumed so far (test set included), per class."""
-    return np.bincount(pool.labels[pool.consumed], minlength=pool.n_classes)
+def drawn_per_class(pool, round_plans):
+    """Pool rows a round's plans train on, per class: its fresh draws when
+    no client replays exemplars."""
+    rows = np.concatenate([plan.rows for plan in round_plans])
+    return np.bincount(pool.labels[rows], minlength=pool.n_classes)
 
 
 def count_sgd_steps(monkeypatch):
@@ -494,9 +506,14 @@ def count_sgd_steps(monkeypatch):
 
 def test_run_round_enforces_round_ordering():
     scenario = tiny_scenario()
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     with pytest.raises(ValueError):
-        run_round(scenario, server, clients, pool, test, ledger, 2)
+        run_round(scenario, server, clients, pool, test, ledger, 2, plans)
+    assert plans.rounds == []  # a refused call takes no plans
+    for r in (1, 2):
+        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
+    with pytest.raises(ValueError, match="no plans left for round 3"):
+        run_round(scenario, server, clients, pool, test, ledger, 3, plans)
 
 
 def test_run_round_single_client_aggregate_is_that_client():
@@ -506,19 +523,20 @@ def test_run_round_single_client_aggregate_is_that_client():
         alpha=0.4, policy=StrategyPolicy(mode="distill-all")),)
     scenario = dataclasses.replace(tiny_scenario(), clients=clients_cfg,
                                    total_clients=1)
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
-    server = run_round(scenario, server, clients, pool, test, ledger, 1)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
     assert same_model(server.params, clients[0].params)
     assert server.params is not clients[0].params
 
 
 def test_run_round_aggregate_uses_weight_hints():
     scenario = tiny_scenario()
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
-    before, consumed = server.params, consumed_per_class(pool)
-    server = run_round(scenario, server, clients, pool, test, ledger, 1)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    before = server.params
+    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
     # each client drew round_data_size = 24 fresh rows, weighted by its hint
-    assert (consumed_per_class(pool) - consumed).sum() == 2 * 24
+    assert [plan.n_fresh for plan in plans.rounds[0]] == [24, 24]
+    assert drawn_per_class(pool, plans.rounds[0]).sum() == 2 * 24
     want = brute_average([clients[0].params, clients[1].params], [1.0 * 24, 4.0 * 24])
     assert max_abs_gap(server.params, want) < 1e-12
     assert not same_model(server.params, before)
@@ -526,9 +544,9 @@ def test_run_round_aggregate_uses_weight_hints():
 
 def test_run_round_schedules_tasks_and_modes():
     scenario = tiny_scenario(algo="flwf1")
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
-    server = run_round(scenario, server, clients, pool, test, ledger, 1)
-    server = run_round(scenario, server, clients, pool, test, ledger, 2)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
+    server = run_round(scenario, server, clients, pool, test, ledger, 2, plans)
     modes = {(owner, r): record.mode for (owner, r), record in ledger.records.items()}
     # c1 draws task 1 (class 1) then task 2 (class 2); single-class batches
     # stay unbalanced, but round 1 has no client teacher yet.  The
@@ -549,12 +567,11 @@ def test_hybrid_policy_reads_the_replayed_rows_too():
 
 def test_run_round_draws_match_task_classes():
     scenario = tiny_scenario()
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     # per class: c1's 24 rows of its current task's class, cg's 8 of each
     for r, want in ((1, [8, 32, 8]), (2, [8, 8, 32])):
-        consumed = consumed_per_class(pool)
-        server = run_round(scenario, server, clients, pool, test, ledger, r)
-        assert (consumed_per_class(pool) - consumed).tolist() == want
+        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
+        assert drawn_per_class(pool, plans.rounds[-1]).tolist() == want
 
 
 def record_batches(monkeypatch, pool):
@@ -572,21 +589,32 @@ def record_batches(monkeypatch, pool):
     return batches
 
 
+def record_stores(monkeypatch):
+    """A list that gains each exemplar store ``update_exemplars`` returns."""
+    stores, real_update = [], federation.update_exemplars
+
+    def recorded(*args, **kwargs):
+        stores.append(real_update(*args, **kwargs))
+        return stores[-1]
+    monkeypatch.setattr(federation, "update_exemplars", recorded)
+    return stores
+
+
 def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     scenario = tiny_scenario(use_exemplars=True)
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
-    c1 = clients[0]
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     steps = count_sgd_steps(monkeypatch)
     batches = record_batches(monkeypatch, pool)
-    before = pool.consumed.copy()
-    server = run_round(scenario, server, clients, pool, test, ledger, 1)
+    stores = record_stores(monkeypatch)
+    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
     # round 1: the store was empty during composition, so each client
     # trained on its 24 fresh rows (2 epochs x ceil(24/16) = 4 steps)
     assert len(steps) == 2 * 4
     (name, round1), _ = batches
-    assert name == "c1" and len(round1) == 24 and not before[round1].any()
-    assert sorted(c1.store.entries) == [1]
-    stored = c1.store.entries[1]
+    assert name == "c1" and len(round1) == 24
+    c1_store = stores[0]  # c1's, then cg's, store after each round
+    assert sorted(c1_store) == [1]
+    stored = c1_store[1]
     # the store holds pool indices of c1's fresh rows, in their batch order
     assert len(stored) == scenario.exemplar_capacity
     assert (pool.labels[stored] == 1).all()
@@ -594,80 +622,100 @@ def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     assert positions == sorted(positions)
     # round 2: task 1 exemplars join c1's fresh task-2 rows (29 rows -> 2
     # chunks per epoch), and the store gains task 2 afterwards
-    before = pool.consumed.copy()
-    server = run_round(scenario, server, clients, pool, test, ledger, 2)
+    before = {i for plan in plans.rounds[0] for i in plan.rows.tolist()}
+    server = run_round(scenario, server, clients, pool, test, ledger, 2, plans)
     assert len(steps) == 2 * 4 + 2 * 4
     _, _, (name, round2), _ = batches
     assert name == "c1" and len(round2) == 24 + scenario.exemplar_capacity
-    replayed = round2[before[round2]]
-    fresh2 = round2[~before[round2]]
+    was_drawn = np.array([i in before for i in round2.tolist()])
+    replayed, fresh2 = round2[was_drawn], round2[~was_drawn]
     # replayed rows keep their pool index: round 1's fresh rows of task 1,
     # never round 2's own
     assert sorted(replayed.tolist()) == sorted(stored.tolist())
     assert set(replayed.tolist()) <= set(round1.tolist())
     assert len(fresh2) == 24 and (pool.labels[fresh2] == 2).all()
-    assert sorted(c1.store.entries) == [1, 2]
-    assert np.array_equal(c1.store.entries[1], stored)
-    assert set(c1.store.entries[2].tolist()) <= set(fresh2.tolist())
+    c1_store = stores[2]
+    assert sorted(c1_store) == [1, 2]
+    assert np.array_equal(c1_store[1], stored)
+    assert set(c1_store[2].tolist()) <= set(fresh2.tolist())
     # FedAvg weighs each client by its fresh rows alone, replay aside
+    assert [plan.n_fresh for plan in plans.rounds[1]] == [24, 24]
     want = brute_average([c.params for c in clients], [1.0 * 24, 4.0 * 24])
     assert max_abs_gap(server.params, want) < 1e-12
 
 
-def test_run_round_without_exemplars_leaves_stores_empty():
+def test_run_round_without_exemplars_leaves_stores_empty(monkeypatch):
+    """Without exemplars no store is ever filled, so every client-round
+    trains on its fresh draw alone."""
     scenario = tiny_scenario(use_exemplars=False)
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
-    run_round(scenario, server, clients, pool, test, ledger, 1)
-    assert all(c.store.entries == {} for c in clients)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    stores = record_stores(monkeypatch)
+    for r in (1, 2):
+        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
+    assert stores == []
+    assert all(len(plan.rows) == plan.n_fresh for plans_r in plans.rounds
+               for plan in plans_r)
 
 
 def test_run_round_divergence_names_client_round_epoch_and_step():
     scenario = dataclasses.replace(tiny_scenario(), learning_rate=1e300)
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
-        run_round(scenario, server, clients, pool, test, ledger, 1)
+        run_round(scenario, server, clients, pool, test, ledger, 1, plans)
     assert re.fullmatch(r"c1, round 1, epoch \d+, step \d+: non-finite \w+.*",
                         str(err.value))
 
 
-DATA_SIDE = ("draw_round_data", "compose_training_batch", "select_loss_mode",
-             "update_exemplars")
+DATA_SIDE = ("draw_round_data", "compose_training_batch", "update_exemplars",
+             "select_loss_mode")
 
 
-def test_run_round_makes_no_data_side_call_once_planned(monkeypatch):
-    """Once ``plan_round`` has returned, the four data-side functions raise,
-    and the rounds still write what an unpatched run writes."""
+def test_each_round_is_planned_inside_its_run_round(monkeypatch):
+    """Every data-side call of round r falls inside the r-th ``run_round``
+    call, so a round's timer holds its planning; before round 1 only
+    ``draw_test_set`` draws.  The rounds still write what an unwrapped run
+    writes."""
     scenario = tiny_scenario(algo="flwf2", use_exemplars=True)
     want = run_experiment(scenario)
-    real = {name: getattr(federation, name) for name in DATA_SIDE}
-    real_plan = federation.plan_round
+    calls = []  # (name, round of the run_round call it falls in or 0, its seed)
+    current = [0]
 
-    def forbidden(name):
+    def wrap(name):
+        real = getattr(federation, name)
+
         def call(*args, **kwargs):
-            raise AssertionError(f"{name} called after planning")
-        return call
+            calls.append((name, current[0], kwargs.get("seed")))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(federation, name, call)
 
-    def plan_then_forbid(*args):
-        for name in DATA_SIDE:
-            monkeypatch.setattr(federation, name, real[name])
-        plans = real_plan(*args)
-        for name in DATA_SIDE:
-            monkeypatch.setattr(federation, name, forbidden(name))
-        return plans
-    monkeypatch.setattr(federation, "plan_round", plan_then_forbid)
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
-    for r in (1, 2):
-        server = run_round(scenario, server, clients, pool, test, ledger, r)
-    with pytest.raises(AssertionError, match="called after planning"):
-        federation.draw_round_data(pool, (0,), 1, seed=0)
-    assert list(ledger.records) == [key for key in want.ledger.records if key != (SERVER, 0)]
-    for key, record in ledger.records.items():
-        assert np.array_equal(record.predictions, want.ledger.records[key].predictions)
-        assert record.mode == want.ledger.records[key].mode
-    assert same_model(server.params, want.server.params)
-    for got, ref in zip(clients, want.clients):
+    for name in DATA_SIDE + ("draw_test_set",):
+        wrap(name)
+    real_round = federation.run_round
+
+    def spy_round(scenario, server, clients, pool, test, ledger, round_index, plans):
+        current[0] = round_index
+        try:
+            return real_round(scenario, server, clients, pool, test, ledger,
+                              round_index, plans)
+        finally:
+            current[0] = 0
+    monkeypatch.setattr(federation, "run_round", spy_round)
+    result = run_experiment(scenario)
+
+    assert [(name, r) for name, r, _ in calls if r == 0] == [("draw_test_set", 0)]
+    for name, r, seed in calls:
+        if name == "draw_test_set":
+            assert seed.entropy == (scenario.seed, SEED_TEST_DRAW, 0, 0)
+        elif name != "select_loss_mode":  # a seeded call names its round
+            assert seed.entropy[3] == r
+    per_round = [[name for name, r, _ in calls if r == k] for k in (1, 2)]
+    # per round, each of the two clients draws, composes, refreshes its store
+    # and picks its mode
+    assert per_round == [list(DATA_SIDE) * 2] * 2
+    assert ledger_outputs(result.ledger) == ledger_outputs(want.ledger)
+    assert same_model(result.server.params, want.server.params)
+    for got, ref in zip(result.clients, want.clients):
         assert same_model(got.params, ref.params)
-        assert got.store.entries.keys() == ref.store.entries.keys()
 
 
 def test_planning_knows_the_client_teacher_without_a_model():
@@ -675,18 +723,19 @@ def test_planning_knows_the_client_teacher_without_a_model():
     teacher in round 1 and has one in round 2: it fine-tunes, then
     distils (its batch is one class), as a real run does."""
     scenario = tiny_scenario(algo=losses.MODE_FLWF1)
-    pool, _, _, _, clients = fresh_runtime(scenario)
-    modes = [[plan.mode for plan in federation.plan_round(scenario, clients, pool, r)]
-             for r in (1, 2)]
+    _, _, _, _, clients, plans = fresh_runtime(scenario)
+    modes = [[plan.mode for plan in round_plans] for round_plans in plans]
     assert all(client.params is None for client in clients)
     assert modes == [["fine-tune", "fine-tune"], ["flwf1", "fine-tune"]]
 
 
 @st.composite
-def small_scenarios(draw):
+def small_scenarios(draw, per_class=st.integers(12, 80)):
     """1-3 clients over 3 classes and 1-3 rounds: each with a random algo,
     policy and task split (at most one task per round, and at least two
-    tasks from two rounds on), exemplars on or off."""
+    tasks from two rounds on), exemplars on or off.  The pool holds
+    ``per_class`` rows of each class, 10 of them for the test set; at the
+    low end many of these runs cannot last."""
     rounds = draw(st.integers(1, 3))
     clients = []
     for i in range(draw(st.integers(1, 3))):
@@ -707,32 +756,107 @@ def small_scenarios(draw):
             use_exemplars=draw(st.booleans()),
             tasks=TaskSequence(tuple(TaskSpec(tuple(g.tolist()), int(n))
                                      for g, n in zip(groups, spans)))))
+    scenario = tiny_scenario(seed=draw(st.integers(0, 2**16)), rounds=rounds,
+                             clients=tuple(clients))
     return dataclasses.replace(
-        tiny_scenario(seed=draw(st.integers(0, 2**16)), rounds=rounds,
-                      clients=tuple(clients)),
-        epochs=1, total_clients=len(clients), round_data_size=draw(st.integers(4, 12)))
+        scenario, epochs=1, total_clients=len(clients),
+        round_data_size=draw(st.integers(4, 12)),
+        data=dataclasses.replace(scenario.data, per_class=draw(per_class)))
+
+
+def plain_draws(scenario):
+    """``(fresh rows by (client, round), failure)``: a plain round-by-round
+    loop of ``draw_round_data`` over a fresh mask, after the test draw,
+    that stops at the first draw that fails; ``failure`` is its message
+    with the client and round in front, None if every draw succeeded."""
+    pool = federation.build_pool(scenario)
+    taken = np.zeros(len(pool), dtype=bool)
+    draw_test_set(pool, scenario.test_per_class,
+                  seed=stream_seed(scenario.seed, SEED_TEST_DRAW), taken=taken)
+    fresh = {}
+    for r in range(1, scenario.rounds + 1):
+        for i, cfg in enumerate(scenario.clients):
+            classes = current_task(cfg.tasks, r)[1].classes
+            try:
+                fresh[(cfg.name, r)] = draw_round_data(
+                    pool, classes, scenario.round_data_size,
+                    seed=stream_seed(scenario.seed, SEED_ROUND_DRAW, i, r), taken=taken)
+            except PoolExhaustedError as err:
+                return fresh, f"{cfg.name}, round {r}: {err}"
+    return fresh, None
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_scenarios())
+@given(small_scenarios(per_class=st.just(80)))
 def test_planning_alone_consumes_and_chooses_as_a_real_run(scenario):
-    """Planning every round, with every model function made to raise, marks
-    the pool rows a real run consumes and picks each client-round's mode as
-    recorded in its ledger."""
-    pools, real_build = [], federation.build_pool
-    with mock.patch.object(federation, "build_pool",
-                           side_effect=lambda s: pools.append(real_build(s)) or pools[-1]):
-        result = run_experiment(scenario)
-    pool, test, _, _, clients = fresh_runtime(scenario)
+    """Planning every round, with every model function made to raise, takes
+    the fresh rows a plain loop of draws takes, replays only rows the
+    client drew before, and picks each client-round's mode as recorded in
+    a real run's ledger."""
+    fresh, failure = plain_draws(scenario)
+    assume(failure is None)
+    result = run_experiment(scenario)
     fail = mock.Mock(side_effect=AssertionError("model work while planning"))
     with mock.patch.multiple(federation, forward=fail, train_local=fail,
                              init_params=fail, predict=fail, fedavg=fail):
-        for r in range(1, scenario.rounds + 1):
-            for client, plan in zip(clients, federation.plan_round(scenario, clients, pool, r)):
-                assert result.ledger.record_for(client.name, r).mode == plan.mode
-    assert np.array_equal(pool.consumed, pools[0].consumed)
-    assert pool.consumed.sum() == (
-        len(test) + len(clients) * scenario.rounds * scenario.round_data_size)
+        test, plans = federation.plan_run(scenario, federation.build_pool(scenario))
+        planned = list(plans)
+    assert np.array_equal(test.labels, result.ledger.test_labels)
+    assert len(planned) == scenario.rounds
+    for r, round_plans in enumerate(planned, start=1):
+        for cfg, plan in zip(scenario.clients, round_plans):
+            assert result.ledger.record_for(cfg.name, r).mode == plan.mode
+            drawn = fresh[(cfg.name, r)]
+            earlier = {i for k in range(1, r) for i in fresh[(cfg.name, k)].tolist()}
+            assert plan.n_fresh == len(drawn)
+            assert sorted(plan.rows.tolist()) == sorted(
+                drawn.tolist() + [i for i in plan.rows.tolist() if i in earlier])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios())
+def test_a_pool_that_cannot_last_fails_before_round_1(scenario):
+    """``run_experiment`` raises :class:`PoolExhaustedError` exactly when a
+    plain loop of draws does, with the same message naming the same client,
+    round and class, and before any local update."""
+    _, failure = plain_draws(scenario)
+    with mock.patch.object(federation, "train_local",
+                           wraps=federation.train_local) as train:
+        if failure is None:
+            run_experiment(scenario)
+            return
+        with pytest.raises(PoolExhaustedError) as err:
+            run_experiment(scenario)
+    assert str(err.value) == failure
+    assert train.call_count == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_scenarios(per_class=st.just(80)))
+def test_what_a_run_checked_is_read_only(scenario):
+    """The pool, the test set, every plan's rows, every stored exemplar
+    entry, the ledger's test labels and every record's predictions refuse
+    a write."""
+    assume(plain_draws(scenario)[1] is None)
+    held = []
+    real_plan_run, real_update = federation.plan_run, federation.update_exemplars
+
+    def spy_plan_run(scenario, pool):
+        test, plans = real_plan_run(scenario, pool)
+        held.extend([pool.features, pool.labels, test.features, test.labels])
+        return test, (held.extend(p.rows for p in round_plans) or round_plans
+                      for round_plans in plans)
+
+    def spy_update(*args, **kwargs):
+        store = real_update(*args, **kwargs)
+        held.extend(store.values())
+        return store
+    with mock.patch.multiple(federation, plan_run=spy_plan_run, update_exemplars=spy_update):
+        ledger = run_experiment(scenario).ledger
+    held += [ledger.test_labels] + [r.predictions for r in ledger.records.values()]
+    for array in held:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 # -- run_experiment --------------------------------------------------------------
@@ -920,12 +1044,12 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
 
 def test_run_round_rejects_a_consumed_server_state():
     scenario = tiny_scenario()
-    pool, test, server, ledger, clients = fresh_runtime(scenario)
-    next_server = run_round(scenario, server, clients, pool, test, ledger, 1)
+    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    next_server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
     assert server.params is None and next_server.params is not None
     with pytest.raises(ValueError, match="consumed"):
         run_round(scenario, ServerState(None, round_index=1), clients, pool,
-                  test, ledger, 2)
+                  test, ledger, 2, plans)
 
 
 def test_run_experiment_is_deterministic():

@@ -785,6 +785,23 @@ def reference_train_local(params, data, cfg, spec):
 
 
 @settings(max_examples=40, deadline=None)
+@given(random_nets(), random_nets(), st.integers(0, 2**32 - 1))
+def test_a_model_structure_cannot_be_reassigned(net, other, seed):
+    """``architecture``, ``input_shape``, ``layout`` and ``order`` are read
+    from the one cached structure: assigning any of them, even another
+    net's value, raises ``AttributeError`` and leaves the model as it was."""
+    params = init_params(*net, seed=seed)
+    other_params = init_params(*other, seed=seed)
+    want = ModelParams(*net, params.flat.copy())
+    x = np.random.default_rng(seed).normal(size=(2, *net[1]))
+    for name in ("architecture", "input_shape", "layout", "order"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, getattr(other_params, name))
+        assert getattr(params, name) == getattr(want, name)
+    assert same_bits(forward(params, x), forward(want, x))
+
+
+@settings(max_examples=40, deadline=None)
 @given(random_nets(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 20),
        st.integers(0, 2**32 - 1), st.booleans())
 def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
