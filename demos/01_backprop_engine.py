@@ -10,9 +10,8 @@ trace falling.
 
 import numpy as np
 
-from flwf import (LayerConfig, LossSpec, RoundBatch, TrainConfig, backward,
-                  forward, infer_shapes, init_params, loss_on_batch, train_local,
-                  uci_cnn_layers)
+from flwf import (DatasetPool, LayerConfig, LossSpec, backward, forward, infer_shapes,
+                  init_params, loss_on_batch, train_local, uci_cnn_layers)
 
 # -- two architectures ---------------------------------------------------------
 
@@ -36,7 +35,8 @@ for layer, shape in zip(cnn, infer_shapes(cnn, (128, 9))):
 # the analytic backward pass must agree to ~1e-4 relative
 params = init_params(mlp, (16,), seed=0)
 rng = np.random.default_rng(1)
-batch = RoundBatch(rng.normal(size=(8, 16)), rng.integers(0, 6, size=8), 6)
+# eight labeled rows: a DatasetPool holds any labeled data, checked once
+batch = DatasetPool(rng.normal(size=(8, 16)), rng.integers(0, 6, size=8), 6)
 spec = LossSpec(mode="fine-tune")
 
 analytic = backward(params, batch, spec)
@@ -63,9 +63,9 @@ assert worst < 1e-4
 # -- training loop -----------------------------------------------------------------
 
 # ten epochs of seeded mini-batch SGD; the loss is summed over each batch
-cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=10, rng_seed=7)
 trace = []
-trained = train_local(params, batch, cfg, spec, loss_trace=trace)
+trained = train_local(params, batch, spec, learning_rate=0.05, batch_size=4, epochs=10,
+                      seed=7, loss_trace=trace)
 
 print(f"\nloss trace over {len(trace)} SGD steps:")
 print("  start:", " ".join(f"{v:7.3f}" for v in trace[:3]))

@@ -13,9 +13,8 @@ from .config import (ClientConfig, ConfigError, CsvSource, ScenarioConfig,
 from .continual import (StrategyPolicy, TaskSequence, TaskSpec, compose_training_batch,
                         current_task, normalized_label_entropy, select_loss_mode,
                         update_exemplars)
-from .datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
-                       draw_round_data, draw_test_set, generate_synthetic,
-                       load_csv, save_csv)
+from .datasets import (DatasetPool, PoolExhaustedError, draw_round_data, draw_test_set,
+                       generate_synthetic, load_csv, save_csv)
 from .federation import (ClientRuntime, ExperimentResult, ServerState,
                          client_update, fedavg, plan_run, run_experiment,
                          run_round, stream_seed)
@@ -23,19 +22,19 @@ from .losses import (LossSpec, classification_loss, combined_loss,
                      combined_loss_grad, distillation_loss, log_softmax, softmax,
                      temperature_scaled_probs)
 from .metrics import MetricsLedger, RoundRecord, predict
-from .network import (LayerConfig, ModelParams, ShapeMismatchError, TrainConfig,
-                      backward, forward, infer_shapes, init_params,
-                      loss_on_batch, params_digest, sgd_step, train_local)
+from .network import (LayerConfig, ModelParams, ShapeMismatchError, backward, forward,
+                      infer_shapes, init_params, loss_on_batch, params_digest, sgd_step,
+                      train_local)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClientConfig", "ClientRuntime", "ConfigError", "CsvSource", "DatasetPool",
     "ExperimentResult", "LayerConfig", "LossSpec",
-    "MetricsLedger", "ModelParams", "PoolExhaustedError", "RoundBatch",
+    "MetricsLedger", "ModelParams", "PoolExhaustedError",
     "RoundRecord", "ScenarioConfig", "ServerState",
     "ShapeMismatchError", "StrategyPolicy", "SyntheticSource", "TaskSequence",
-    "TaskSpec", "TestSet", "TrainConfig", "backward", "classification_loss",
+    "TaskSpec", "backward", "classification_loss",
     "client_update", "combined_loss", "combined_loss_grad",
     "compose_training_batch", "current_task", "default_mlp_layers",
     "distillation_loss", "draw_round_data", "draw_test_set", "fedavg",

@@ -10,7 +10,7 @@ policy, and exemplar switch.
 The dataclasses are the file format.  A mapping's keys are the fields of
 its dataclass: a field without a default is required, an absent one
 takes the dataclass default, and a value reaches its dataclass as the
-file has it, to meet :func:`flwf.losses.check_fields` there as code does.
+file has it, to meet :func:`flwf.checks.check_fields` there as code does.
 Only nested values have their own builders: layers
 (a dropout layer without a rate inherits the scenario's ``dropout``),
 clients, their task lists and policies, and the data source, chosen by
@@ -35,9 +35,9 @@ from typing import ClassVar
 import yaml
 
 from . import losses
+from .checks import ConfigError, check_fields, check_value
 from .continual import (POLICY_DISTILL_ALL, POLICY_FINE_TUNE_ALL, POLICY_HYBRID,
                         StrategyPolicy, TaskSequence, TaskSpec)
-from .losses import ConfigError, check_fields, check_value
 from .metrics import SERVER
 from .network import KIND_DROPOUT, LayerConfig, infer_shapes, layer_to_dict
 

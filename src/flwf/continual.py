@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
+from .checks import check_fields
 from .datasets import read_only
 
 POLICY_DISTILL_ALL = "distill-all"
@@ -33,7 +34,7 @@ class TaskSpec:
     rounds: int
 
     def __post_init__(self):
-        losses.check_fields(self)
+        check_fields(self)
         if not self.classes:
             raise ValueError("task must own at least one class")
         if len(set(self.classes)) != len(self.classes):
@@ -51,7 +52,7 @@ class TaskSequence:
     tasks: tuple[TaskSpec, ...]
 
     def __post_init__(self):
-        losses.check_fields(self)
+        check_fields(self)
         if not self.tasks:
             raise ValueError("sequence must contain at least one task")
         seen: set[int] = set()
@@ -115,7 +116,7 @@ class StrategyPolicy:
     balance_threshold: float = 0.5
 
     def __post_init__(self):
-        losses.check_fields(self)
+        check_fields(self)
         if self.mode not in POLICIES:
             raise ValueError(f"unknown policy mode {self.mode!r}")
         if not 0.0 <= self.balance_threshold <= 1.0:
@@ -132,8 +133,6 @@ def select_loss_mode(policy: StrategyPolicy, labels, n_classes: int, algo: str,
     when the normalized entropy of the composed batch's labels is at or
     above the policy's threshold.  Otherwise the algo's own mode.
     """
-    if algo not in losses.MODES:
-        raise ValueError(f"algo must be one of {list(losses.MODES)}, got {algo!r}")
     if (algo == losses.MODE_FINE_TUNE or policy.mode == POLICY_FINE_TUNE_ALL
             or (algo == losses.MODE_FLWF1 and not has_client_teacher)
             or (policy.mode == POLICY_HYBRID and normalized_label_entropy(

@@ -1,10 +1,13 @@
 """Labeled example pools: synthetic generation, CSV ingestion, round draws.
 
-A :class:`DatasetPool` holds every example of an experiment, read-only.
-Round draws and the test draw mark what they take in their caller's
-``taken`` mask (:func:`flwf.federation.plan_run` keeps a run's), so no
-example is used by two (client, round) pairs or shared between training
-and the test set.  All draws are seeded and deterministic.
+A :class:`DatasetPool` is the one type for labeled rows, held read-only
+and checked once, when it is built: every example of an experiment, and
+through :meth:`DatasetPool.take`, unchecked again, the test set and each
+client's batch.  Round draws and the test draw mark what they take in
+their caller's ``taken`` mask (:func:`flwf.federation.plan_run` keeps a
+run's), so no example is used by two (client, round) pairs or shared
+between training and the test set.  All draws are seeded and
+deterministic.
 
 Tensors everywhere are plain float64 numpy arrays; labels are integer class
 ids in ``[0, n_classes)``.
@@ -59,46 +62,10 @@ def read_only(array: np.ndarray, given=None) -> np.ndarray:
 
 
 @dataclass
-class RoundBatch:
-    """The labeled data one client trains on in one round."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    n_classes: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = class_ids(self.labels, self.n_classes, "label", "batch row")
-        if len(self.features) != len(self.labels):
-            raise ValueError("features and labels disagree in length")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def one_hot(self) -> np.ndarray:
-        out = np.zeros((len(self.labels), self.n_classes))
-        out[np.arange(len(self.labels)), self.labels] = 1.0
-        return out
-
-
-@dataclass
-class TestSet:
-    """Fixed class-balanced evaluation set, shared by every model."""
-
-    __test__ = False  # not a pytest case despite the name
-
-    features: np.ndarray
-    labels: np.ndarray
-    n_classes: int
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-@dataclass
 class DatasetPool:
-    """All examples available to one experiment, held read-only: a writable
-    array handed in is copied, a read-only one is kept as it is."""
+    """Labeled examples held read-only: an experiment's whole pool, its
+    test set, or one client's batch (:meth:`take`).  A writable array
+    handed in is copied, a read-only one is kept as it is."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -108,9 +75,25 @@ class DatasetPool:
         self.features = read_only(np.asarray(self.features, dtype=float), self.features)
         self.labels = read_only(class_ids(self.labels, self.n_classes, "label", "pool row"),
                                 self.labels)
+        if len(self.features) != len(self.labels):
+            raise ValueError(f"{len(self.features)} feature rows but {len(self.labels)} labels")
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def take(self, rows) -> "DatasetPool":
+        """A read-only pool of ``rows``, in their order.  The rows of a
+        checked pool are checked, so they are not checked again."""
+        subset = DatasetPool.__new__(DatasetPool)
+        subset.features = read_only(self.features[rows])
+        subset.labels = read_only(self.labels[rows])
+        subset.n_classes = self.n_classes
+        return subset
+
+    def one_hot(self) -> np.ndarray:
+        out = np.zeros((len(self.labels), self.n_classes))
+        out[np.arange(len(self.labels)), self.labels] = 1.0
+        return out
 
 
 def generate_synthetic(n_classes: int, per_class: int, feature_dim: int,
@@ -389,11 +372,11 @@ def draw_round_data(pool: DatasetPool, classes, size: int, seed, *,
     return chosen
 
 
-def draw_test_set(pool: DatasetPool, per_class: int, seed, *, taken: np.ndarray) -> TestSet:
-    """Draw the fixed balanced test set, read-only: ``per_class`` examples of
-    every class, marked in ``taken``, ordered by class, then by pool index."""
+def draw_test_set(pool: DatasetPool, per_class: int, seed, *,
+                  taken: np.ndarray) -> DatasetPool:
+    """Draw the fixed balanced test set, shared by every model: ``per_class``
+    examples of every class, marked in ``taken``, ordered by class, then by
+    pool index."""
     rows = draw_round_data(pool, range(pool.n_classes), per_class * pool.n_classes, seed,
                            taken=taken)
-    rows = rows[np.lexsort((rows, pool.labels[rows]))]
-    return TestSet(read_only(pool.features[rows]), read_only(pool.labels[rows]),
-                   pool.n_classes)
+    return pool.take(rows[np.lexsort((rows, pool.labels[rows]))])

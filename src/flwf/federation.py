@@ -4,12 +4,15 @@
 read-only pool and one exemplar store per client.  It draws the test set,
 rejects a pool that cannot last before round 1, and plans each round when
 :func:`run_round` asks: every client's fresh draw, replay, exemplar
-refresh and loss mode.  Then each client trains the server model for E
-epochs on its planned rows, and the server aggregates the results with
-size-and-hint weighted FedAvg.  The client's own previous-round model and
-the incoming server model serve as the two distillation teachers.  Both
-are made read-only before their logits are computed (once, before any SGD
-step), so any write into them raises.  The server teacher stays frozen
+refresh and loss mode.  :func:`run_round` runs the round after the server
+state's.  Each client trains the server model on its planned rows, a
+read-only subset of the pool that is not checked again
+(:meth:`flwf.datasets.DatasetPool.take`), with the scenario's learning
+rate, batch size and E epochs, and the server aggregates the results
+with size-and-hint weighted FedAvg.  The client's own previous-round
+model and the incoming server model serve as the two distillation
+teachers.  Both are made read-only before their logits are computed
+(once, before any SGD step), so any write into them raises.  The server teacher stays frozen
 for the whole round; the client teacher lives only until its logits
 exist.  When nothing else holds them, their buffers take the client's
 first gradient and the next aggregate (:func:`flwf.network.reclaim`).
@@ -27,14 +30,13 @@ from . import losses
 from .config import ClientConfig, CsvSource, ScenarioConfig, SyntheticSource
 from .continual import (compose_training_batch, current_task, select_loss_mode,
                         update_exemplars)
-from .datasets import (DatasetPool, PoolExhaustedError, RoundBatch, TestSet,
-                       _allocate_per_class, draw_round_data, draw_test_set,
-                       generate_synthetic, load_csv, read_only)
+from .datasets import (DatasetPool, PoolExhaustedError, _allocate_per_class,
+                       draw_round_data, draw_test_set, generate_synthetic, load_csv,
+                       read_only)
 from .metrics import SERVER, MetricsLedger, RoundRecord, predict
 # params_digest is not called here; perfbench/child.py's ENTRY_POINTS traces this site.
-from .network import (SGD_CHUNK, ModelParams, ShapeMismatchError, TrainConfig,
-                      forward, init_params, params_digest, reclaim,
-                      train_local)  # noqa: F401
+from .network import (SGD_CHUNK, ModelParams, ShapeMismatchError, forward,
+                      init_params, params_digest, reclaim, train_local)  # noqa: F401
 
 # Purposes of the derived seed streams; a stream is identified by the
 # tuple (experiment seed, purpose, client index, round), so adding a
@@ -75,6 +77,19 @@ class ServerState:
     round_index: int = 0
 
 
+@dataclass(frozen=True)
+class ClientPlan:
+    """One client's round as planned: the composed batch's pool indices in
+    training order, how many of them were drawn fresh (FedAvg weighs the
+    client by its hint times that), the loss mode it trains with, and the
+    seed of its training stream."""
+
+    rows: np.ndarray
+    n_fresh: int
+    mode: str
+    train_seed: int
+
+
 def _freeze(params: ModelParams) -> None:
     """Make ``flat`` and every view into it read-only, until
     :func:`flwf.network.reclaim` takes the last reference.  A function of
@@ -85,15 +100,16 @@ def _freeze(params: ModelParams) -> None:
             view.setflags(write=False)
 
 
-def client_update(server_params: ModelParams, client: ClientRuntime,
-                  batch: RoundBatch, train_cfg: TrainConfig, mode: str) -> None:
-    """One local update in the planned ``mode``: the student starts from
-    the server model, the teachers are made read-only, and the trained
-    student replaces ``client.params``.
+def client_update(scenario: ScenarioConfig, server_params: ModelParams,
+                  client: ClientRuntime, batch: DatasetPool, plan: ClientPlan) -> None:
+    """One local update as ``plan`` has it: the student starts from the
+    server model, the teachers are made read-only, and the student, trained
+    with the scenario's hyperparameters and the plan's seed, replaces
+    ``client.params``.
 
     The one :class:`flwf.losses.LossSpec` is built here from ``client.cfg``,
-    ``mode`` and the teachers' logits, each computed once.  ``client.params``
-    is the client teacher, None on a client's first round.  It is dropped
+    the plan's mode and the teachers' logits, each computed once.
+    ``client.params`` is the client teacher, None on a client's first round.  It is dropped
     from ``client`` as soon as its logits exist, before the first gradient
     is computed, so nothing here keeps it alive while the student trains
     (if training fails, ``client.params`` stays None); unless anything
@@ -107,7 +123,7 @@ def client_update(server_params: ModelParams, client: ClientRuntime,
     _freeze(server_params)
     if client.params is not None:
         _freeze(client.params)
-    spec = losses.LossSpec()
+    mode, spec = plan.mode, losses.LossSpec()
     if mode != losses.MODE_FINE_TUNE:
         cfg = client.cfg
         spec = losses.LossSpec(
@@ -120,7 +136,10 @@ def client_update(server_params: ModelParams, client: ClientRuntime,
     # the client teacher's logits exist: drop it, its buffer for the first gradient
     spare = None if client.params is None else reclaim(client.params)
     client.params = None
-    client.params = train_local(server_params, batch, train_cfg, spec, spare=spare)
+    client.params = train_local(
+        server_params, batch, spec, learning_rate=scenario.learning_rate,
+        batch_size=scenario.batch_size, epochs=scenario.epochs, seed=plan.train_seed,
+        spare=spare)
 
 
 def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
@@ -160,38 +179,26 @@ def fedavg(params_list, sizes, out: ModelParams | None = None) -> ModelParams:
     elif any(np.shares_memory(out.flat, p.flat) for p in params_list):
         raise ValueError("fedavg's output shares memory with a model it averages")
     weights = sizes / total
-    if len(params_list) == 1:
-        np.copyto(out.flat, base.flat)
+    flats, out_flat = [p.flat for p in params_list], out.flat
+    if len(flats) == 1:
+        np.copyto(out_flat, flats[0])
         return out
-    delta = np.empty(min(SGD_CHUNK, base.flat.size)) if len(params_list) > 2 else None
-    for start in range(0, base.flat.size, SGD_CHUNK):
+    delta = np.empty(min(SGD_CHUNK, out_flat.size)) if len(flats) > 2 else None
+    for start in range(0, out_flat.size, SGD_CHUNK):
         stop = start + SGD_CHUNK
-        acc, b = out.flat[start:stop], base.flat[start:stop]
-        np.subtract(params_list[1].flat[start:stop], b, out=acc)  # the first delta
+        acc, b = out_flat[start:stop], flats[0][start:stop]
+        np.subtract(flats[1][start:stop], b, out=acc)  # the first delta
         acc *= weights[1]
         acc += b
-        for params, w in zip(params_list[2:], weights[2:]):
-            d = np.subtract(params.flat[start:stop], b, out=delta[:acc.size])
+        for flat, w in zip(flats[2:], weights[2:]):
+            d = np.subtract(flat[start:stop], b, out=delta[:acc.size])
             d *= w
             acc += d
     return out
 
 
-@dataclass(frozen=True)
-class ClientPlan:
-    """One client's round as planned: the composed batch's pool indices in
-    training order, how many of them were drawn fresh (FedAvg weighs the
-    client by its hint times that), the loss mode it trains with, and the
-    seed of its training stream."""
-
-    rows: np.ndarray
-    n_fresh: int
-    mode: str
-    train_seed: int
-
-
 def plan_run(scenario: ScenarioConfig,
-             pool: DatasetPool) -> tuple[TestSet, Iterator[tuple[ClientPlan, ...]]]:
+             pool: DatasetPool) -> tuple[DatasetPool, Iterator[tuple[ClientPlan, ...]]]:
     """The run's test set, and an iterator that plans one round per step.
 
     The one owner of a run's data-side state: the ``taken`` mask and one
@@ -255,10 +262,9 @@ def _check_supply(scenario: ScenarioConfig, pool: DatasetPool, taken: np.ndarray
 
 
 def run_round(scenario: ScenarioConfig, server: ServerState,
-              clients: list[ClientRuntime], pool: DatasetPool, test: TestSet,
-              ledger: MetricsLedger, round_index: int,
-              plans: Iterator[tuple[ClientPlan, ...]]) -> ServerState:
-    """One full communication round, planned by the next step of ``plans``
+              clients: list[ClientRuntime], pool: DatasetPool, test: DatasetPool,
+              ledger: MetricsLedger, plans: Iterator[tuple[ClientPlan, ...]]) -> ServerState:
+    """The round after ``server``'s, planned by the next step of ``plans``
     (:func:`plan_run`), then executed.  Replaces each client's model, adds
     one :class:`RoundRecord` per client and one for the server to the
     ledger, takes ``server``'s model and returns the next server state.
@@ -275,21 +281,15 @@ def run_round(scenario: ScenarioConfig, server: ServerState,
     takes the client's first gradient or the aggregate, so from round 2
     on a round of one-step updates allocates no model.
     """
-    if round_index != server.round_index + 1:
-        raise ValueError(f"round {round_index} does not follow "
-                         f"server round {server.round_index}")
+    round_index = server.round_index + 1
     if server.params is None:
         raise ValueError("the server state's model was consumed by an earlier round")
     planned = next(plans, None)
     if planned is None:
         raise ValueError(f"no plans left for round {round_index}")
     for client, plan in zip(clients, planned):
-        batch = RoundBatch(pool.features[plan.rows], pool.labels[plan.rows],
-                           pool.n_classes)
-        train_cfg = TrainConfig(scenario.learning_rate, scenario.batch_size,
-                                scenario.epochs, rng_seed=plan.train_seed)
         try:
-            client_update(server.params, client, batch, train_cfg, plan.mode)
+            client_update(scenario, server.params, client, pool.take(plan.rows), plan)
         except FloatingPointError as err:
             raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
         ledger.append(RoundRecord(
@@ -349,7 +349,7 @@ def run_experiment(scenario: ScenarioConfig) -> ExperimentResult:
     ledger.append(RoundRecord(owner=SERVER, round_index=0,
                               predictions=predict(server.params, test.features)))
 
-    for r in range(1, scenario.rounds + 1):
-        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
+    for _ in range(scenario.rounds):
+        server = run_round(scenario, server, clients, pool, test, ledger, plans)
     return ExperimentResult(scenario=scenario, server=server, clients=clients,
                             ledger=ledger)

@@ -19,7 +19,9 @@ architecture alone (:func:`_structure`), so shapes are checked when a
 model is built and, on a pass, only by :func:`_coerce_input`.  Every
 operation returns a new value and never mutates its inputs, except that
 :func:`sgd_step` consumes its gradient: the step is written into the
-gradient's buffer, which becomes the next model.  The backward pass
+gradient's buffer, which becomes the next model.  Training data is a
+:class:`flwf.datasets.DatasetPool`, and :func:`train_local` takes its
+hyperparameters as given.  The backward pass
 writes each weight gradient into a spare model's views with ``out=``:
 the caller's (see :func:`reclaim`), then the model the previous step
 stepped from, so a local update allocates at most two gradient buffers.
@@ -58,6 +60,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -66,7 +69,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import losses
-from .datasets import RoundBatch
+from .checks import check_fields, check_value
+from .datasets import DatasetPool
 
 KIND_DENSE = "dense"
 KIND_CONV1D = "conv1d"
@@ -97,7 +101,7 @@ class LayerConfig:
     rate: float | None = None      # dropout
 
     def __post_init__(self):
-        losses.check_fields(self)
+        check_fields(self)
         if self.kind not in LAYER_FIELDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         for name in ("units", "filters", "kernel", "pool", "rate"):
@@ -112,25 +116,6 @@ class LayerConfig:
                 raise ValueError(f"{self.kind} layer needs {name} > 0")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters of one local training run."""
-
-    learning_rate: float
-    batch_size: int
-    epochs: int
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        losses.check_fields(self)
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-
-
 class ModelParams:
     """All trainable buffers of one network plus its architecture.
 
@@ -142,7 +127,8 @@ class ModelParams:
     are checked here and in :func:`_coerce_input`, and nowhere else.
     ``weights[i][key]`` is a reshaped view into ``flat``, held in a
     read-only mapping, so rebinding a buffer raises ``TypeError`` instead
-    of silently detaching it: write into a view, or into ``flat``.  The
+    of silently detaching it: write into a view, or into ``flat``.
+    ``flat``, ``weights`` and the structure are read-only properties.  The
     one constructor lays ``flat`` out without copying it (given None, it
     allocates an uninitialized buffer of the layout's size); a buffer that
     is not a C-contiguous float64 array of that size raises
@@ -150,14 +136,17 @@ class ModelParams:
     """
 
     def __init__(self, architecture, input_shape, flat: np.ndarray | None = None):
-        input_shape = losses.check_value(tuple[int, ...], input_shape, "input_shape")
+        input_shape = check_value(tuple[int, ...], input_shape, "input_shape")
         self._lay_out(_structure(tuple(architecture), input_shape), flat)
 
-    # The structure is read-only: assigning one of these raises AttributeError.
+    # The structure and the buffers are read-only: assigning one of these
+    # raises AttributeError, so ``flat`` never detaches from the views.
     architecture = property(lambda self: self._structure[0])
     input_shape = property(lambda self: self._structure[1])
     layout = property(lambda self: self._structure[2])
     order = property(lambda self: self._structure[4])
+    flat = property(operator.attrgetter("_flat"))
+    weights = property(operator.attrgetter("_weights"))
 
     def _lay_out(self, structure: tuple, flat: np.ndarray | None) -> None:
         self._structure = structure
@@ -167,16 +156,16 @@ class ModelParams:
         elif flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
             raise ShapeMismatchError(f"buffer {flat.dtype}{flat.shape} does not fit "
                                      f"the layout's float64{(size,)}")
-        self.flat = flat
+        self._flat = flat
         views, start = [], 0
-        for keys in self.layout:
+        for keys in structure[2]:
             layer = {}
             for key, shape in keys:
                 stop = start + math.prod(shape)
                 layer[key] = flat[start:stop].reshape(shape)
                 start = stop
             views.append(MappingProxyType(layer))
-        self.weights = tuple(views)
+        self._weights = tuple(views)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
         """A model of this one's structure, not derived again, over ``flat``."""
@@ -267,7 +256,7 @@ def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
     does not end in a per-example logit vector or an input dimension is
     not an integer.
     """
-    cur = losses.check_value(tuple[int, ...], input_shape, "input_shape")
+    cur = check_value(tuple[int, ...], input_shape, "input_shape")
     if not cur or any(d < 1 for d in cur):
         raise ValueError("input shape must be positive dimensions")
     shapes = []
@@ -491,11 +480,12 @@ def _backward_pass(params: ModelParams, caches, dlogits,
     if out is None:
         out = params.with_flat(np.empty(params.flat.shape))
     architecture, order = params.architecture, params.order
+    weights, grads = params.weights, out.weights
     dx = dlogits
     for pos in range(len(order) - 1, -1, -1):
         i = order[pos]
         layer = architecture[i]
-        w, g = params.weights[i], out.weights[i]
+        w, g = weights[i], grads[i]
         cache = caches[pos]
         if layer.kind == KIND_DENSE:
             np.matmul(cache[1].T, dx, out=g["W"])
@@ -519,14 +509,14 @@ def _backward_pass(params: ModelParams, caches, dlogits,
     return out
 
 
-def loss_on_batch(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
+def loss_on_batch(params: ModelParams, batch: DatasetPool, spec: losses.LossSpec,
                   training: bool = False, rng=None) -> float:
     """Objective value on one batch; the workhorse of finite-difference checks."""
     logits = forward(params, batch.features, training=training, rng=rng)
     return losses.combined_loss(spec, logits, batch.one_hot())
 
 
-def backward(params: ModelParams, batch: RoundBatch, spec: losses.LossSpec,
+def backward(params: ModelParams, batch: DatasetPool, spec: losses.LossSpec,
              training: bool = False, rng=None) -> ModelParams:
     """Analytic gradient of :func:`loss_on_batch`, congruent with ``params``.
 
@@ -568,17 +558,20 @@ def _step_into(w, g, learning_rate):
         raise FloatingPointError("non-finite parameters after SGD step")
 
 
-def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
-                spec: losses.LossSpec, loss_trace: list | None = None,
+def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *,
+                learning_rate: float, batch_size: int, epochs: int, seed=0,
+                loss_trace: list | None = None,
                 spare: ModelParams | None = None) -> ModelParams:
-    """E epochs of mini-batch SGD on one round's data.
+    """``epochs`` epochs of mini-batch SGD on one round's data.
 
     The objective is resolved into its targets once, at zero epochs too (see
     :func:`flwf.losses.objective_terms`).  The batch order is drawn once from
-    the seeded shuffle and then chunked into size-B mini-batches (the last
-    chunk may be short); every epoch iterates the same chunks.  Per-batch
-    loss values are appended to ``loss_trace`` when given.  A
-    :class:`FloatingPointError` names the epoch and step where it arose.
+    the shuffle seeded by ``seed`` and then chunked into ``batch_size``-row
+    mini-batches (the last chunk may be short); every epoch iterates the same
+    chunks.  The hyperparameters are taken as given: a scenario checks its
+    own (:class:`flwf.config.ScenarioConfig`).  Per-batch loss values are
+    appended to ``loss_trace`` when given.  A :class:`FloatingPointError`
+    names the epoch and step where it arose.
 
     ``params`` is never written, and zero epochs return a copy.  Each step
     computes its gradient into a spare model and steps it into the new
@@ -594,16 +587,16 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
     targets = losses.resolve_targets(spec, data.one_hot())
-    if cfg.epochs == 0:
+    if epochs == 0:
         return params.copy()
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
-    chunks = [order[i:i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]
+    chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
     steps = [(data.features[chunk],
               [t._replace(probs=t.probs[chunk]) for t in targets])
              for chunk in chunks]
     current = params
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, epochs + 1):
         for step, (features, chunk_targets) in enumerate(steps, 1):
             try:
                 logits, caches = _forward_pass(current, features, True, rng,
@@ -613,7 +606,7 @@ def train_local(params: ModelParams, data: RoundBatch, cfg: TrainConfig,
                     loss_trace.append(value)
                 grads = _backward_pass(current, caches, dlogits, out=spare)
                 spare = None if current is params else current
-                current = sgd_step(current, grads, cfg.learning_rate)
+                current = sgd_step(current, grads, learning_rate)
             except FloatingPointError as err:
                 raise FloatingPointError(f"epoch {epoch}, step {step}: {err}") from err
     return current

@@ -17,11 +17,11 @@ import pytest
 from flwf import cli, losses
 from flwf.config import preset, uci_cnn_layers
 from flwf.continual import TaskSequence, TaskSpec
-from flwf.datasets import RoundBatch, draw_round_data, draw_test_set, load_csv
+from flwf.datasets import DatasetPool, draw_round_data, draw_test_set, load_csv
 from flwf.federation import run_experiment
 from flwf.metrics import MetricsLedger, RoundRecord, predict
-from flwf.network import (LayerConfig, TrainConfig, backward, infer_shapes,
-                          init_params, loss_on_batch, train_local)
+from flwf.network import (LayerConfig, backward, infer_shapes, init_params,
+                          loss_on_batch, train_local)
 from helpers import packed, same_model
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -85,7 +85,7 @@ def fd_batch(rng, params, rows=4):
     x = rng.normal(size=(rows,) + params.input_shape)
     n_outputs = infer_shapes(params.architecture, params.input_shape)[-1][0]
     y = rng.integers(0, n_outputs, size=rows)
-    return RoundBatch(x.reshape(rows, -1), y, n_outputs)
+    return DatasetPool(x.reshape(rows, -1), y, n_outputs)
 
 
 def fd_spec(mode, rng, rows, n):
@@ -341,12 +341,10 @@ def test_10_real_data_central_training(capsys):
     taken = np.zeros(len(pool), dtype=bool)
     test = draw_test_set(pool, per_class=100, seed=0, taken=taken)
     rows = draw_round_data(pool, classes=range(6), size=1920, seed=1, taken=taken)
-    batch = RoundBatch(pool.features[rows], pool.labels[rows], 6)
     params = init_params(uci_cnn_layers(n_classes=6, dropout=0.5), (128, 9),
                          seed=2)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, epochs=3, rng_seed=3)
-    trained = train_local(params, batch, cfg,
-                          losses.LossSpec(mode="fine-tune"))
+    trained = train_local(params, pool.take(rows), losses.LossSpec(mode="fine-tune"),
+                          learning_rate=0.01, batch_size=32, epochs=3, seed=3)
     acc = float(np.mean(predict(trained, test.features) == test.labels))
     report(capsys, 10, acc > 0.90,
            f"centrally trained 1D CNN reaches balanced test accuracy "

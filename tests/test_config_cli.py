@@ -23,7 +23,7 @@ from flwf.config import (PRESET_NAMES, ClientConfig, ConfigError, CsvSource,
 from flwf.continual import StrategyPolicy, TaskSequence, TaskSpec
 from flwf.datasets import generate_synthetic, save_csv
 from flwf.metrics import SERVER, MetricsLedger
-from flwf.network import KIND_DROPOUT, LayerConfig, TrainConfig
+from flwf.network import KIND_DROPOUT, LayerConfig
 
 EXAMPLE_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                 "example-scenario.yaml")
@@ -533,6 +533,15 @@ def test_run_rejects_a_number_it_would_have_to_truncate(tmp_path, capsys, path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("learning_rate", [0.0, math.nan, math.inf])
+def test_a_scenario_takes_only_a_positive_finite_learning_rate(learning_rate):
+    """The one learning-rate rule; ``train_local`` takes the rate as given."""
+    message = ("learning_rate: must be positive and finite" if learning_rate == 0
+               else f"learning_rate: must be a finite number, got {learning_rate!r}")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        dataclasses.replace(preset("exp1-flwf1"), learning_rate=learning_rate)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_dataclasses_built_in_code_reject_non_finite_numbers(value):
     """A dataclass built in code holds its float fields to the same rule
@@ -584,7 +593,7 @@ def test_task_budgets_built_in_code_must_be_integers(budgets):
 # -- one rule for config values ---------------------------------------------------
 
 CONFIG_CLASSES = (ScenarioConfig, ClientConfig, StrategyPolicy, TaskSpec, TaskSequence,
-                  SyntheticSource, CsvSource, LayerConfig, TrainConfig)
+                  SyntheticSource, CsvSource, LayerConfig)
 
 
 def _valid_config(cls):
@@ -593,7 +602,7 @@ def _valid_config(cls):
     return {ScenarioConfig: scenario, ClientConfig: client, StrategyPolicy: client.policy,
             TaskSequence: client.tasks, TaskSpec: client.tasks.tasks[0],
             SyntheticSource: scenario.data, CsvSource: CsvSource(path="pool.csv"),
-            LayerConfig: scenario.layers[0], TrainConfig: TrainConfig(0.01, 32, 10)}[cls]
+            LayerConfig: scenario.layers[0]}[cls]
 
 
 def _wrong_value(annotation):
@@ -636,8 +645,9 @@ def test_every_config_field_refuses_a_value_of_the_wrong_type(cls, name):
      "balance_threshold: must be a number, got True"),
     (lambda c: dataclasses.replace(c, input_shape=(16.0,)),
      "input_shape: must be an integer, got 16.0"),
-    (lambda c: TrainConfig(0.01, 32, 1.5), "epochs: must be an integer, got 1.5"),
-    (lambda c: TrainConfig(0.01, 2.5, 1), "batch_size: must be an integer, got 2.5"),
+    (lambda c: dataclasses.replace(c, epochs=1.5), "epochs: must be an integer, got 1.5"),
+    (lambda c: dataclasses.replace(c, batch_size=2.5),
+     "batch_size: must be an integer, got 2.5"),
     (lambda c: dataclasses.replace(c.clients[0], policy="hybrid"),
      "policy: must be a StrategyPolicy, got 'hybrid'"),
     (lambda c: dataclasses.replace(c.clients[0], tasks=list(c.clients[0].tasks.tasks)),

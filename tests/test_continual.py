@@ -9,7 +9,8 @@ from flwf.continual import (POLICIES, StrategyPolicy, TaskSequence,
                             TaskSpec, compose_training_batch, current_task,
                             normalized_label_entropy, select_loss_mode,
                             update_exemplars)
-from flwf.losses import MODES
+from flwf.config import ClientConfig, ConfigError
+from flwf.losses import MODES, LossSpec
 # frozen hand computation: 90% / 10% split over a 6-class problem
 ENTROPY_90_10 = 0.1814322619606436
 
@@ -297,9 +298,15 @@ def test_select_loss_mode_matrix(algo):
     assert select_loss_mode(ft, uniform, 6, algo, True) == "fine-tune"
 
 
-def test_select_loss_mode_rejects_bad_algo():
-    with pytest.raises(ValueError):
-        select_loss_mode(StrategyPolicy(), [0], 6, "flwf3", True)
+def test_an_unknown_algo_is_refused_by_the_client_config_and_the_loss_spec():
+    """``select_loss_mode`` trusts its algo; the client config refuses an
+    unknown one, and so does the objective it would train with."""
+    tasks = TaskSequence((TaskSpec((0,), 1),))
+    with pytest.raises(ConfigError, match=r"^algo: must be one of "):
+        ClientConfig(name="c", weight=1.0, algo="flwf3", tasks=tasks)
+    mode = select_loss_mode(StrategyPolicy(), [0], 6, "flwf3", True)
+    with pytest.raises(ValueError, match="unknown loss mode 'flwf3'"):
+        LossSpec(mode=mode)
 
 
 def test_select_loss_mode_is_pure():

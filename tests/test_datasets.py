@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flwf.datasets import (_SIDECAR_TAG, DatasetPool, PoolExhaustedError, RoundBatch,
-                           TestSet, _allocate_per_class, _parse_table, _scan_csv_rows,
+from flwf.datasets import (_SIDECAR_TAG, DatasetPool, PoolExhaustedError,
+                           _allocate_per_class, _parse_table, _scan_csv_rows,
                            draw_round_data, draw_test_set, generate_synthetic, load_csv,
                            save_csv)
 
@@ -77,19 +77,42 @@ def test_generate_synthetic_rejects_bad_counts():
                            separation=1.0, seed=0)
 
 
-# -- round batches -----------------------------------------------------------------
+# -- labeled rows ------------------------------------------------------------------
 
 
-def test_round_batch_validation():
-    with pytest.raises(ValueError):
-        RoundBatch(np.zeros((3, 2)), np.array([0, 1]), 2)  # length mismatch
-    with pytest.raises(ValueError):
-        RoundBatch(np.zeros((2, 2)), np.array([0, 5]), 2)  # label out of range
+@pytest.mark.parametrize("n_features, n_labels", [(2, 4), (3, 2), (0, 1)])
+def test_a_pool_refuses_features_and_labels_of_different_lengths(n_features, n_labels):
+    """Refused when built, so no draw can pick a label without its row."""
+    with pytest.raises(ValueError, match=f"^{n_features} feature rows but {n_labels} labels$"):
+        DatasetPool(np.zeros((n_features, 2)), np.arange(n_labels) % 2, 2)
+    with pytest.raises(ValueError, match="is not a class id"):
+        DatasetPool(np.zeros((2, 2)), np.array([0, 5]), 2)  # label out of range
 
 
-def test_round_batch_one_hot():
-    batch = RoundBatch(np.zeros((3, 2)), np.array([0, 2, 1]), 3)
-    assert batch.one_hot().tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 30), st.data())
+def test_a_taken_subset_is_read_only_and_equals_the_gathered_rows(n_classes, rows, data):
+    """``take`` gathers features and labels alike, in the order asked,
+    repeats and the empty subset included, and hands them over read-only."""
+    pool = DatasetPool(data.draw(hnp.arrays(float, (rows, 3), elements=st.floats(-9, 9))),
+                       data.draw(hnp.arrays(int, rows, elements=st.integers(0, n_classes - 1))),
+                       n_classes)
+    picked = np.array(data.draw(st.lists(st.integers(0, rows - 1), max_size=2 * rows)),
+                      dtype=int)
+    subset = pool.take(picked)
+    assert np.array_equal(subset.features, pool.features[picked])
+    assert np.array_equal(subset.labels, pool.labels[picked])
+    assert subset.n_classes == n_classes and len(subset) == len(picked)
+    assert subset.features.shape == (len(picked), 3)
+    for array in (subset.features, subset.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert np.array_equal(subset.one_hot(), np.eye(n_classes)[pool.labels[picked]])
+
+
+def test_pool_one_hot():
+    pool = DatasetPool(np.zeros((3, 2)), np.array([0, 2, 1]), 3)
+    assert pool.one_hot().tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
 
 def test_allocate_per_class_remainder_to_smallest():
@@ -158,7 +181,7 @@ def test_test_set_balanced_and_disjoint_from_training():
     pool = small_pool(per_class=40)
     taken = fresh_mask(pool)
     test = draw_test_set(pool, 10, seed=0, taken=taken)
-    assert isinstance(test, TestSet)
+    assert isinstance(test, DatasetPool) and test.n_classes == 3
     assert len(test.labels) == 30
     for c in range(3):
         assert (test.labels == c).sum() == 10

@@ -16,16 +16,16 @@ from flwf import federation, losses, network
 from flwf.config import ClientConfig, ScenarioConfig, SyntheticSource
 from flwf.continual import (POLICIES, StrategyPolicy, TaskSequence, TaskSpec,
                             current_task)
-from flwf.datasets import PoolExhaustedError, RoundBatch, draw_round_data, draw_test_set
+from flwf.datasets import DatasetPool, PoolExhaustedError, draw_round_data, draw_test_set
 from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
                              SEED_INIT, SEED_ROUND_DRAW, SEED_TEST_DRAW,
-                             SEED_TRAIN, ClientRuntime, ServerState,
+                             SEED_TRAIN, ClientPlan, ClientRuntime, ServerState,
                              client_update, fedavg, plan_run, run_experiment,
                              run_round, stream_seed, _seed_int)
 from flwf.metrics import SERVER
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
-                          ShapeMismatchError, TrainConfig, forward, init_params)
+                          ShapeMismatchError, forward, init_params)
 from helpers import same_model
 
 LAYERS = (LayerConfig(KIND_DENSE, units=16), LayerConfig(KIND_RELU),
@@ -330,25 +330,26 @@ def test_fedavg_input_validation():
 def make_batch(seed, labels=(0, 1, 2)):
     rng = np.random.default_rng(seed)
     y = np.array(list(labels) * 8)
-    return RoundBatch(rng.normal(size=(len(y), 8)), y, 3)
+    return DatasetPool(rng.normal(size=(len(y), 8)), y, 3)
 
 
-def train_cfg(epochs=2, seed=5):
-    return TrainConfig(learning_rate=0.05, batch_size=16, epochs=epochs, rng_seed=seed)
-
-
-def update(server, teacher, batch, cfg, mode, client_cfg=None):
+def update(server, teacher, batch, mode, client_cfg=None, epochs=2):
     """``client_update`` for a client whose previous model is ``teacher``
     and whose config is ``client_cfg`` (flwf2, alpha 0.4, beta 0.3 when
-    None); returns the student it stored on the client."""
+    None), under a plan of ``mode`` and training seed 5 and ``tiny_scenario``'s
+    hyperparameters with ``epochs`` epochs; returns the student it stored
+    on the client."""
     client = ClientRuntime(cfg=client_cfg or tiny_clients()[0], params=teacher)
-    assert client_update(server, client, batch, cfg, mode) is None
+    scenario = dataclasses.replace(tiny_scenario(), epochs=epochs)
+    plan = ClientPlan(rows=np.arange(len(batch)), n_fresh=len(batch), mode=mode,
+                      train_seed=5)
+    assert client_update(scenario, server, client, batch, plan) is None
     return client.params
 
 
 def test_client_update_zero_epochs_returns_fresh_copy_of_server():
     server = model(seed=3)
-    out = update(server, None, make_batch(0), train_cfg(epochs=0), losses.MODE_FINE_TUNE)
+    out = update(server, None, make_batch(0), losses.MODE_FINE_TUNE, epochs=0)
     assert same_model(out, server)
     assert out is not server
 
@@ -357,8 +358,7 @@ def test_client_update_zero_epochs_returns_fresh_copy_of_server():
 def test_client_update_student_shares_no_buffer_with_server(epochs):
     server = model(seed=3)
     snapshot = server.copy()
-    out = update(server, None, make_batch(0), train_cfg(epochs=epochs),
-                 losses.MODE_FINE_TUNE)
+    out = update(server, None, make_batch(0), losses.MODE_FINE_TUNE, epochs=epochs)
     assert not any(np.shares_memory(a, b)
                    for wo, ws in zip(out.weights, server.weights)
                    for a, b in zip(wo.values(), ws.values()))
@@ -369,8 +369,8 @@ def test_client_update_fine_tune_ignores_teachers():
     server = model(seed=3)
     teacher = model(seed=4)
     batch = make_batch(1)
-    with_teacher = update(server, teacher, batch, train_cfg(), losses.MODE_FINE_TUNE)
-    without = update(server, None, batch, train_cfg(), losses.MODE_FINE_TUNE)
+    with_teacher = update(server, teacher, batch, losses.MODE_FINE_TUNE)
+    without = update(server, None, batch, losses.MODE_FINE_TUNE)
     assert same_model(with_teacher, without)
 
 
@@ -380,7 +380,7 @@ def test_client_update_flwf1_without_teacher_raises():
     no teacher to distil from."""
     flwf1 = tiny_clients(losses.MODE_FLWF1)[0]
     with pytest.raises(ValueError, match="flwf1 loss requires client-teacher logits"):
-        update(model(seed=3), None, make_batch(2), train_cfg(), losses.MODE_FLWF1, flwf1)
+        update(model(seed=3), None, make_batch(2), losses.MODE_FLWF1, flwf1)
 
 
 @pytest.mark.parametrize("algo, has_teacher", [(losses.MODE_FLWF1, True),
@@ -397,8 +397,9 @@ def test_client_update_trains_the_spec_of_its_config_and_teachers(algo, has_teac
         teacher_client_logits=forward(teacher, batch.features) if has_teacher else None,
         teacher_server_logits=(forward(server, batch.features)
                                if algo == losses.MODE_FLWF2 else None))
-    want = network.train_local(server, batch, train_cfg(), spec)
-    got = update(server, teacher, batch, train_cfg(), algo, cfg)
+    want = network.train_local(server, batch, spec, learning_rate=0.05, batch_size=16,
+                               epochs=2, seed=5)
+    got = update(server, teacher, batch, algo, cfg)
     assert same_model(got, want)
 
 
@@ -409,8 +410,8 @@ def test_client_update_flwf2_with_full_label_weight_matches_fine_tune():
     teacher = model(seed=4)
     batch = make_batch(3)
     cfg = dataclasses.replace(tiny_clients()[0], alpha=1.0, beta=0.0)
-    got = update(server, teacher, batch, train_cfg(), losses.MODE_FLWF2, cfg)
-    want = update(server, None, batch, train_cfg(), losses.MODE_FINE_TUNE)
+    got = update(server, teacher, batch, losses.MODE_FLWF2, cfg)
+    want = update(server, None, batch, losses.MODE_FINE_TUNE)
     assert max_abs_gap(got, want) < 1e-12
 
 
@@ -420,7 +421,7 @@ def test_client_update_changes_the_student_but_not_the_inputs():
     server_before = server.copy()
     teacher_before = teacher.copy()
     batch = make_batch(4, labels=(1,))
-    out = update(server, teacher, batch, train_cfg(), losses.MODE_FLWF2)
+    out = update(server, teacher, batch, losses.MODE_FLWF2)
     assert not same_model(out, server)
     assert same_model(server, server_before)
     assert same_model(teacher, teacher_before)
@@ -429,7 +430,7 @@ def test_client_update_changes_the_student_but_not_the_inputs():
 def test_client_update_leaves_both_teachers_read_only():
     server = model(seed=3)
     teacher = model(seed=4)
-    out = update(server, teacher, make_batch(6), train_cfg(), losses.MODE_FLWF2)
+    out = update(server, teacher, make_batch(6), losses.MODE_FLWF2)
     for params in (server, teacher):
         assert not any(a.flags.writeable for w in params.weights for a in w.values())
     assert all(a.flags.writeable for w in out.weights for a in w.values())
@@ -442,13 +443,13 @@ def test_client_update_rejects_a_write_into_a_teacher(monkeypatch):
 
     monkeypatch.setattr("flwf.federation.forward", forward_that_writes)
     with pytest.raises(ValueError, match="read-only"):
-        update(model(seed=3), model(seed=4), make_batch(7), train_cfg(), losses.MODE_FLWF2)
+        update(model(seed=3), model(seed=4), make_batch(7), losses.MODE_FLWF2)
 
 
 def test_client_update_rejects_empty_batch():
-    batch = RoundBatch(np.zeros((0, 8)), np.zeros(0, dtype=int), 3)
+    batch = DatasetPool(np.zeros((0, 8)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError):
-        update(model(seed=0), None, batch, train_cfg(), losses.MODE_FINE_TUNE)
+        update(model(seed=0), None, batch, losses.MODE_FINE_TUNE)
 
 
 # -- run_round -----------------------------------------------------------------------
@@ -505,15 +506,16 @@ def count_sgd_steps(monkeypatch):
 
 
 def test_run_round_enforces_round_ordering():
+    """Each call runs the round after the server's, and a call past the
+    last planned round is refused."""
     scenario = tiny_scenario()
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    with pytest.raises(ValueError):
-        run_round(scenario, server, clients, pool, test, ledger, 2, plans)
-    assert plans.rounds == []  # a refused call takes no plans
     for r in (1, 2):
-        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
+        server = run_round(scenario, server, clients, pool, test, ledger, plans)
+        assert server.round_index == r and len(plans.rounds) == r
+    assert [key[1] for key in ledger.records] == [1, 1, 1, 2, 2, 2]
     with pytest.raises(ValueError, match="no plans left for round 3"):
-        run_round(scenario, server, clients, pool, test, ledger, 3, plans)
+        run_round(scenario, server, clients, pool, test, ledger, plans)
 
 
 def test_run_round_single_client_aggregate_is_that_client():
@@ -524,7 +526,7 @@ def test_run_round_single_client_aggregate_is_that_client():
     scenario = dataclasses.replace(tiny_scenario(), clients=clients_cfg,
                                    total_clients=1)
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
+    server = run_round(scenario, server, clients, pool, test, ledger, plans)
     assert same_model(server.params, clients[0].params)
     assert server.params is not clients[0].params
 
@@ -533,7 +535,7 @@ def test_run_round_aggregate_uses_weight_hints():
     scenario = tiny_scenario()
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     before = server.params
-    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
+    server = run_round(scenario, server, clients, pool, test, ledger, plans)
     # each client drew round_data_size = 24 fresh rows, weighted by its hint
     assert [plan.n_fresh for plan in plans.rounds[0]] == [24, 24]
     assert drawn_per_class(pool, plans.rounds[0]).sum() == 2 * 24
@@ -545,8 +547,8 @@ def test_run_round_aggregate_uses_weight_hints():
 def test_run_round_schedules_tasks_and_modes():
     scenario = tiny_scenario(algo="flwf1")
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
-    server = run_round(scenario, server, clients, pool, test, ledger, 2, plans)
+    server = run_round(scenario, server, clients, pool, test, ledger, plans)
+    server = run_round(scenario, server, clients, pool, test, ledger, plans)
     modes = {(owner, r): record.mode for (owner, r), record in ledger.records.items()}
     # c1 draws task 1 (class 1) then task 2 (class 2); single-class batches
     # stay unbalanced, but round 1 has no client teacher yet.  The
@@ -570,7 +572,7 @@ def test_run_round_draws_match_task_classes():
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     # per class: c1's 24 rows of its current task's class, cg's 8 of each
     for r, want in ((1, [8, 32, 8]), (2, [8, 8, 32])):
-        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
+        server = run_round(scenario, server, clients, pool, test, ledger, plans)
         assert drawn_per_class(pool, plans.rounds[-1]).tolist() == want
 
 
@@ -581,10 +583,10 @@ def record_batches(monkeypatch, pool):
     batches, real_update = [], federation.client_update
     index = {row.tobytes(): i for i, row in enumerate(pool.features)}
 
-    def recorded(server_params, client, batch, *args):
+    def recorded(scenario, server_params, client, batch, plan):
         batches.append((client.name, np.array([index[row.tobytes()]
                                                for row in batch.features])))
-        return real_update(server_params, client, batch, *args)
+        return real_update(scenario, server_params, client, batch, plan)
     monkeypatch.setattr(federation, "client_update", recorded)
     return batches
 
@@ -606,7 +608,7 @@ def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     steps = count_sgd_steps(monkeypatch)
     batches = record_batches(monkeypatch, pool)
     stores = record_stores(monkeypatch)
-    server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
+    server = run_round(scenario, server, clients, pool, test, ledger, plans)
     # round 1: the store was empty during composition, so each client
     # trained on its 24 fresh rows (2 epochs x ceil(24/16) = 4 steps)
     assert len(steps) == 2 * 4
@@ -623,7 +625,7 @@ def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     # round 2: task 1 exemplars join c1's fresh task-2 rows (29 rows -> 2
     # chunks per epoch), and the store gains task 2 afterwards
     before = {i for plan in plans.rounds[0] for i in plan.rows.tolist()}
-    server = run_round(scenario, server, clients, pool, test, ledger, 2, plans)
+    server = run_round(scenario, server, clients, pool, test, ledger, plans)
     assert len(steps) == 2 * 4 + 2 * 4
     _, _, (name, round2), _ = batches
     assert name == "c1" and len(round2) == 24 + scenario.exemplar_capacity
@@ -651,7 +653,7 @@ def test_run_round_without_exemplars_leaves_stores_empty(monkeypatch):
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     stores = record_stores(monkeypatch)
     for r in (1, 2):
-        server = run_round(scenario, server, clients, pool, test, ledger, r, plans)
+        server = run_round(scenario, server, clients, pool, test, ledger, plans)
     assert stores == []
     assert all(len(plan.rows) == plan.n_fresh for plans_r in plans.rounds
                for plan in plans_r)
@@ -661,7 +663,7 @@ def test_run_round_divergence_names_client_round_epoch_and_step():
     scenario = dataclasses.replace(tiny_scenario(), learning_rate=1e300)
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
-        run_round(scenario, server, clients, pool, test, ledger, 1, plans)
+        run_round(scenario, server, clients, pool, test, ledger, plans)
     assert re.fullmatch(r"c1, round 1, epoch \d+, step \d+: non-finite \w+.*",
                         str(err.value))
 
@@ -692,11 +694,10 @@ def test_each_round_is_planned_inside_its_run_round(monkeypatch):
         wrap(name)
     real_round = federation.run_round
 
-    def spy_round(scenario, server, clients, pool, test, ledger, round_index, plans):
-        current[0] = round_index
+    def spy_round(scenario, server, *rest):
+        current[0] = server.round_index + 1
         try:
-            return real_round(scenario, server, clients, pool, test, ledger,
-                              round_index, plans)
+            return real_round(scenario, server, *rest)
         finally:
             current[0] = 0
     monkeypatch.setattr(federation, "run_round", spy_round)
@@ -834,12 +835,13 @@ def test_a_pool_that_cannot_last_fails_before_round_1(scenario):
 @settings(max_examples=20, deadline=None)
 @given(small_scenarios(per_class=st.just(80)))
 def test_what_a_run_checked_is_read_only(scenario):
-    """The pool, the test set, every plan's rows, every stored exemplar
-    entry, the ledger's test labels and every record's predictions refuse
-    a write."""
+    """The pool, the test set, every plan's rows, every client's batch,
+    every stored exemplar entry, the ledger's test labels and every
+    record's predictions refuse a write."""
     assume(plain_draws(scenario)[1] is None)
     held = []
     real_plan_run, real_update = federation.plan_run, federation.update_exemplars
+    real_client_update = federation.client_update
 
     def spy_plan_run(scenario, pool):
         test, plans = real_plan_run(scenario, pool)
@@ -851,7 +853,12 @@ def test_what_a_run_checked_is_read_only(scenario):
         store = real_update(*args, **kwargs)
         held.extend(store.values())
         return store
-    with mock.patch.multiple(federation, plan_run=spy_plan_run, update_exemplars=spy_update):
+
+    def spy_client_update(scenario, server_params, client, batch, plan):
+        held.extend([batch.features, batch.labels])
+        return real_client_update(scenario, server_params, client, batch, plan)
+    with mock.patch.multiple(federation, plan_run=spy_plan_run, update_exemplars=spy_update,
+                             client_update=spy_client_update):
         ledger = run_experiment(scenario).ledger
     held += [ledger.test_labels] + [r.predictions for r in ledger.records.values()]
     for array in held:
@@ -917,10 +924,10 @@ def test_client_teacher_is_gone_before_the_first_sgd_step(monkeypatch, algo, wra
     freed = []  # (client, whether that model was gone at its first step)
     real_update, real_step = federation.client_update, network.sgd_step
 
-    def spy_update(server_params, client, *rest, **kwargs):
+    def spy_update(scenario, server_params, client, *rest, **kwargs):
         if client.params is not None:
             pending.append((client.name, _array_refs(client.params)))
-        return real_update(server_params, client, *rest, **kwargs)
+        return real_update(scenario, server_params, client, *rest, **kwargs)
 
     def spy_step(*args, **kwargs):
         if pending:
@@ -1045,11 +1052,11 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
 def test_run_round_rejects_a_consumed_server_state():
     scenario = tiny_scenario()
     pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    next_server = run_round(scenario, server, clients, pool, test, ledger, 1, plans)
+    next_server = run_round(scenario, server, clients, pool, test, ledger, plans)
     assert server.params is None and next_server.params is not None
     with pytest.raises(ValueError, match="consumed"):
         run_round(scenario, ServerState(None, round_index=1), clients, pool,
-                  test, ledger, 2, plans)
+                  test, ledger, plans)
 
 
 def test_run_experiment_is_deterministic():

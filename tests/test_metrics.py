@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flwf.continual import TaskSequence, TaskSpec
-from flwf.datasets import DatasetPool, RoundBatch
+from flwf.datasets import DatasetPool
 from flwf.metrics import SERVER, MetricsLedger, RoundRecord, predict
 from flwf.network import KIND_DENSE, KIND_SOFTMAX_OUTPUT, LayerConfig, forward, init_params
 
@@ -110,22 +110,20 @@ def test_append_rejects_duplicates_and_bad_predictions():
     assert three.whole_test_accuracy("c", 1) == 1.0
 
     # test labels pass the same check, before they are cast to int, and so
-    # do the labels of a pool and of a round batch
+    # do the labels of a pool
     for labels, named in (([0.7, 1.2, 2.9], "0.7 for {} row 0"),
                           ([0, 1, 3], "3 for {} row 2"),
                           ([0, -1, 2], "-1 for {} row 1")):
         with pytest.raises(ValueError, match=re.escape(
                 f"test label {named.format('test')} is not a class id in 0..2")):
             MetricsLedger(test_labels=labels, n_classes=3, total_rounds=1)
-        for build, row in ((DatasetPool, "pool"), (RoundBatch, "batch")):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"label {named.format(row)} is not a class id in 0..2")):
-                build(np.zeros((3, 2)), labels, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"label {named.format('pool')} is not a class id in 0..2")):
+            DatasetPool(np.zeros((3, 2)), labels, 3)
     assert MetricsLedger(test_labels=[0.0, 2.0], n_classes=3,
                          total_rounds=1).test_labels.tolist() == [0, 2]
-    for build in (DatasetPool, RoundBatch):
-        assert build(np.zeros((2, 2)), [0.0, 2.0], 3).labels.tolist() == [0, 2]
-    assert len(RoundBatch(np.zeros((0, 2)), [], 3)) == 0  # an empty batch is legal
+    assert DatasetPool(np.zeros((2, 2)), [0.0, 2.0], 3).labels.tolist() == [0, 2]
+    assert len(DatasetPool(np.zeros((0, 2)), [], 3)) == 0  # an empty pool is legal
 
 
 def test_owner_listing_and_lookup():

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from flwf import losses, network
-from flwf.datasets import RoundBatch
+from flwf.datasets import DatasetPool
 from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
-                          ShapeMismatchError, TrainConfig, _conv1d_forward,
+                          ShapeMismatchError, _conv1d_forward,
                           _backward_pass, _conv1d_input_grad, _conv1d_param_grads,
                           _forward_pass,
                           _maxpool_backward, _maxpool_forward, backward, forward,
@@ -38,7 +38,7 @@ def make_batch(rng, params, rows=6):
     n = infer_shapes(params.architecture, params.input_shape)[-1][0]
     feats = rng.normal(size=(rows, *params.input_shape))
     labels = rng.integers(0, n, size=rows)
-    return RoundBatch(feats, labels, n)
+    return DatasetPool(feats, labels, n)
 
 
 # -- configuration and shapes ---------------------------------------------------
@@ -431,7 +431,7 @@ def test_relu_never_writes_the_callers_input(arch, flat):
     forward(params, x)
     forward(params, x, training=True, rng=np.random.default_rng(2))
     _forward_pass(params, x, True, np.random.default_rng(3), keep_caches=True)
-    backward(params, RoundBatch(x, rng.integers(0, 3, size=6), 3), LossSpec(),
+    backward(params, DatasetPool(x, rng.integers(0, 3, size=6), 3), LossSpec(),
              training=True, rng=np.random.default_rng(4))
     assert same_bits(x, snapshot)
 
@@ -766,21 +766,21 @@ def test_the_one_constructor_lays_flat_out_as_views_that_share_it(net, given_fla
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
-def reference_train_local(params, data, cfg, spec):
+def reference_train_local(params, data, spec, *, learning_rate, batch_size, epochs, seed):
     """``train_local`` with a fresh gradient model allocated every step."""
     targets = losses.resolve_targets(spec, data.one_hot())
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
     current = params
-    for _ in range(cfg.epochs):
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = order[start:start + cfg.batch_size]
+    for _ in range(epochs):
+        for start in range(0, len(order), batch_size):
+            chunk = order[start:start + batch_size]
             logits, caches = _forward_pass(current, data.features[chunk], True,
                                            rng, keep_caches=True)
             _, dlogits = losses.loss_and_grad(
                 [t._replace(probs=t.probs[chunk]) for t in targets], logits)
             current = sgd_step(current, _backward_pass(current, caches, dlogits),
-                               cfg.learning_rate)
+                               learning_rate)
     return current
 
 
@@ -788,16 +788,19 @@ def reference_train_local(params, data, cfg, spec):
 @given(random_nets(), random_nets(), st.integers(0, 2**32 - 1))
 def test_a_model_structure_cannot_be_reassigned(net, other, seed):
     """``architecture``, ``input_shape``, ``layout`` and ``order`` are read
-    from the one cached structure: assigning any of them, even another
-    net's value, raises ``AttributeError`` and leaves the model as it was."""
+    from the one cached structure, ``flat`` and ``weights`` from the buffer
+    they were laid out over: assigning any of them, even another net's
+    value, raises ``AttributeError`` and leaves the model as it was, its
+    views still into its ``flat``."""
     params = init_params(*net, seed=seed)
     other_params = init_params(*other, seed=seed)
     want = ModelParams(*net, params.flat.copy())
     x = np.random.default_rng(seed).normal(size=(2, *net[1]))
-    for name in ("architecture", "input_shape", "layout", "order"):
+    for name in ("architecture", "input_shape", "layout", "order", "flat", "weights"):
         with pytest.raises(AttributeError):
             setattr(params, name, getattr(other_params, name))
-        assert getattr(params, name) == getattr(want, name)
+        assert same_model(params, want)
+    assert all(np.shares_memory(v, params.flat) for w in params.weights for v in w.values())
     assert same_bits(forward(params, x), forward(want, x))
 
 
@@ -817,9 +820,8 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
     snapshot = params.copy()
     batch = make_batch(rng, params, rows=rows)
     spec = spec_for("flwf2", rng, rows, batch.n_classes)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=epochs,
-                      rng_seed=seed)
-    want = reference_train_local(params, batch, cfg, spec)
+    cfg = dict(learning_rate=0.01, batch_size=batch_size, epochs=epochs, seed=seed)
+    want = reference_train_local(params, batch, spec, **cfg)
     spare = params.with_flat(np.full(params.flat.shape, np.nan)) if with_spare else None
     grad_buffers = []  # every step's gradient ``flat``, kept alive
 
@@ -830,7 +832,7 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
 
     real_backward = network._backward_pass
     with mock.patch.object(network, "_backward_pass", spy):
-        got = train_local(params, batch, cfg, spec, spare=spare)
+        got = train_local(params, batch, spec, **cfg, spare=spare)
     assert same_bits(got.flat, want.flat)
     assert same_model(params, snapshot)
     steps = epochs * math.ceil(rows / batch_size)
@@ -843,12 +845,12 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
 
 def test_train_local_rejects_a_spare_it_cannot_overwrite():
     params, batch = _training_setup(rows=6)
-    cfg = TrainConfig(learning_rate=0.1, batch_size=3, epochs=1)
+    cfg = dict(learning_rate=0.1, batch_size=3, epochs=1)
     spec = LossSpec(mode="fine-tune")
     with pytest.raises(ShapeMismatchError):
-        train_local(params, batch, cfg, spec, spare=init_params(CONVNET, (10, 2), seed=0))
+        train_local(params, batch, spec, **cfg, spare=init_params(CONVNET, (10, 2), seed=0))
     with pytest.raises(ShapeMismatchError, match="separate model"):
-        train_local(params, batch, cfg, spec, spare=params.with_flat(params.flat))
+        train_local(params, batch, spec, **cfg, spare=params.with_flat(params.flat))
 
 
 def per_layer_init(arch, input_shape, seed):
@@ -955,8 +957,7 @@ def _training_setup(seed=0, rows=20):
 
 def test_train_local_zero_epochs_is_identity():
     params, batch = _training_setup()
-    cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=0)
-    out = train_local(params, batch, cfg, LossSpec())
+    out = train_local(params, batch, LossSpec(), learning_rate=0.1, batch_size=8, epochs=0)
     assert same_model(out, params)
     assert not np.shares_memory(out.flat, params.flat)
 
@@ -966,45 +967,35 @@ def test_train_local_checks_the_objective_at_any_epoch_count(epochs):
     """Zero epochs resolve the objective too, so a spec it rejects raises
     before any copy is returned."""
     params, batch = _training_setup()
-    cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=epochs)
     with pytest.raises(ValueError, match="flwf1 loss requires client-teacher logits"):
-        train_local(params, batch, cfg, LossSpec(mode="flwf1", alpha=0.5))
-
-
-@pytest.mark.parametrize("learning_rate", [0.0, math.nan, math.inf])
-def test_train_config_takes_only_a_positive_finite_learning_rate(learning_rate):
-    message = ("learning_rate must be positive and finite" if learning_rate == 0
-               else f"learning_rate: must be a finite number, got {learning_rate!r}")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        TrainConfig(learning_rate=learning_rate, batch_size=8, epochs=1)
+        train_local(params, batch, LossSpec(mode="flwf1", alpha=0.5), learning_rate=0.1,
+                    batch_size=8, epochs=epochs)
 
 
 def test_train_local_rejects_empty_batch():
     params, batch = _training_setup()
-    empty = RoundBatch(batch.features[:0], batch.labels[:0], batch.n_classes)
-    cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=1)
     with pytest.raises(ValueError):
-        train_local(params, empty, cfg, LossSpec())
+        train_local(params, batch.take([]), LossSpec(), learning_rate=0.1, batch_size=8,
+                    epochs=1)
 
 
 def test_train_local_trace_has_one_entry_per_step():
     params, batch = _training_setup(rows=20)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=8, epochs=3, rng_seed=5)
     trace = []
-    train_local(params, batch, cfg, LossSpec(), loss_trace=trace)
+    train_local(params, batch, LossSpec(), learning_rate=0.01, batch_size=8, epochs=3,
+                seed=5, loss_trace=trace)
     assert len(trace) == 3 * math.ceil(20 / 8)  # E epochs x fixed chunk list
 
 
 def test_train_local_deterministic_and_input_preserving():
     params, batch = _training_setup(rows=16)
     snapshot = params.copy()
-    cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, rng_seed=7)
-    a = train_local(params, batch, cfg, LossSpec())
-    b = train_local(params, batch, cfg, LossSpec())
+    cfg = dict(learning_rate=0.05, batch_size=4, epochs=2)
+    a = train_local(params, batch, LossSpec(), **cfg, seed=7)
+    b = train_local(params, batch, LossSpec(), **cfg, seed=7)
     assert same_model(a, b)
     assert same_model(params, snapshot)  # no in-place mutation
-    c = train_local(params, batch, TrainConfig(learning_rate=0.05, batch_size=4,
-                                               epochs=2, rng_seed=8), LossSpec())
+    c = train_local(params, batch, LossSpec(), **cfg, seed=8)
     assert not same_model(a, c)
 
 
@@ -1014,10 +1005,10 @@ def test_train_local_reduces_loss_on_separable_data():
     centers = rng.normal(size=(3, 5)) * 3
     labels = np.repeat(np.arange(3), 30)
     feats = centers[labels] + rng.normal(size=(90, 5)) * 0.3
-    batch = RoundBatch(feats, labels, 3)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=8, rng_seed=1)
+    batch = DatasetPool(feats, labels, 3)
     before = loss_on_batch(params, batch, LossSpec())
-    after_params = train_local(params, batch, cfg, LossSpec())
+    after_params = train_local(params, batch, LossSpec(), learning_rate=0.01, batch_size=16,
+                               epochs=8, seed=1)
     after = loss_on_batch(after_params, batch, LossSpec())
     assert after < before * 0.2
 
@@ -1030,8 +1021,8 @@ def test_train_local_teacher_logits_follow_the_shuffle():
     teacher_logits = forward(params, batch.features)
     spec = LossSpec(mode="flwf1", alpha=0.0, temperature=2.0,
                     teacher_client_logits=teacher_logits)
-    cfg = TrainConfig(learning_rate=0.5, batch_size=5, epochs=1, rng_seed=3)
-    trained = train_local(params, batch, cfg, spec)
+    trained = train_local(params, batch, spec, learning_rate=0.5, batch_size=5, epochs=1,
+                          seed=3)
     # distilling toward yourself moves nothing, regardless of shuffling
     for w, t in zip(params.weights, trained.weights):
         for key in w:

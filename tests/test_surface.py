@@ -92,3 +92,18 @@ def test_the_surface_scan_sees_functions_classes_and_methods():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def test_every_name_in_all_resolves_and_every_re_export_is_listed():
+    """``from flwf import *`` imports exactly what ``__init__.py`` re-exports:
+    each name of ``flwf.__all__`` resolves on the package, once, and each
+    public name ``__init__.py`` imports is in ``__all__``."""
+    import flwf
+
+    missing = [name for name in flwf.__all__ if not hasattr(flwf, name)]
+    assert missing == []
+    assert len(set(flwf.__all__)) == len(flwf.__all__)
+    imported = {alias.asname or alias.name
+                for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(name for name in imported if _public(name)) == sorted(flwf.__all__)
