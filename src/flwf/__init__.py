@@ -15,9 +15,8 @@ from .continual import (StrategyPolicy, TaskSequence, TaskSpec, compose_training
                         update_exemplars)
 from .datasets import (DatasetPool, PoolExhaustedError, draw_round_data, draw_test_set,
                        generate_synthetic, load_csv, save_csv)
-from .federation import (ClientRuntime, ExperimentResult, ServerState,
-                         client_update, fedavg, plan_run, run_experiment,
-                         run_round, stream_seed)
+from .federation import (ClientRuntime, Run, client_update, fedavg, plan_run,
+                         run_experiment, run_round, start_run, stream_seed)
 from .losses import (LossSpec, classification_loss, combined_loss,
                      combined_loss_grad, distillation_loss, log_softmax, softmax,
                      temperature_scaled_probs)
@@ -30,9 +29,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClientConfig", "ClientRuntime", "ConfigError", "CsvSource", "DatasetPool",
-    "ExperimentResult", "LayerConfig", "LossSpec",
+    "LayerConfig", "LossSpec",
     "MetricsLedger", "ModelParams", "PoolExhaustedError",
-    "RoundRecord", "ScenarioConfig", "ServerState",
+    "RoundRecord", "Run", "ScenarioConfig",
     "ShapeMismatchError", "StrategyPolicy", "SyntheticSource", "TaskSequence",
     "TaskSpec", "backward", "classification_loss",
     "client_update", "combined_loss", "combined_loss_grad",
@@ -42,7 +41,7 @@ __all__ = [
     "load_config", "load_csv", "log_softmax", "loss_on_batch",
     "normalized_label_entropy", "params_digest", "parse_config", "plan_run", "predict",
     "preset", "run_experiment", "run_round", "save_config", "save_csv",
-    "select_loss_mode", "sgd_step", "softmax", "stream_seed",
+    "select_loss_mode", "sgd_step", "softmax", "start_run", "stream_seed",
     "temperature_scaled_probs", "train_local", "uci_cnn_layers",
     "update_exemplars",
 ]

@@ -24,7 +24,7 @@ import yaml
 
 from . import config as config_mod
 from .config import ConfigError, CsvSource, ScenarioConfig
-from .federation import ExperimentResult, run_experiment
+from .federation import Run, run_experiment
 from .metrics import SERVER
 
 SUMMARY_NAME = "summary.json"
@@ -42,25 +42,23 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def summarize(result: ExperimentResult) -> dict:
+def summarize(run: Run) -> dict:
     """Aggregate metrics document; keys are stable for comparison tooling."""
-    ledger = result.ledger
-    scenario = result.scenario
+    ledger, scenario = run.ledger, run.scenario
     owners: dict[str, dict] = {}
-    if scenario.rounds > 0:
-        for c in scenario.clients:
-            entry: dict = {
-                "A_gen": ledger.general_accuracy(c.name),
-                "A_per": ledger.personal_accuracy(c.name),
-                "A_task": {},
-                "F": {},
-            }
-            for t in range(1, ledger.n_tasks(c.name) + 1):
-                entry["A_task"][str(t)] = ledger.avg_task_accuracy(c.name, t)
-                if t >= 2:
-                    entry["F"][str(t)] = ledger.average_forgetting(c.name, t)
-            owners[c.name] = entry
-        owners[SERVER] = {"A_gen": ledger.general_accuracy(SERVER)}
+    for c in scenario.clients:
+        entry: dict = {
+            "A_gen": ledger.general_accuracy(c.name),
+            "A_per": ledger.personal_accuracy(c.name),
+            "A_task": {},
+            "F": {},
+        }
+        for t in range(1, ledger.n_tasks(c.name) + 1):
+            entry["A_task"][str(t)] = ledger.avg_task_accuracy(c.name, t)
+            if t >= 2:
+                entry["F"][str(t)] = ledger.average_forgetting(c.name, t)
+        owners[c.name] = entry
+    owners[SERVER] = {"A_gen": ledger.general_accuracy(SERVER)}
     return {
         "label": scenario.label,
         "seed": scenario.seed,
@@ -73,13 +71,13 @@ def summarize(result: ExperimentResult) -> dict:
     }
 
 
-def _write_summary(result: ExperimentResult, path) -> None:
+def _write_summary(run: Run, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(result), fh, indent=2, sort_keys=True)
+        json.dump(summarize(run), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
+def write_outputs(run: Run, out_dir) -> list[str]:
     """Write the four artifacts; returns the paths written.
 
     If any write fails, every artifact path already begun is removed
@@ -90,12 +88,12 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
     writers = (
         (METRICS_NAME, lambda path: _write_csv(
             path, ("owner", "round", "metric", "task", "value"),
-            result.ledger.csv_rows())),
+            run.ledger.csv_rows())),
         (FIGURE_NAME, lambda path: _write_csv(
             path, ("round", "owner", "class", "accuracy"),
-            result.ledger.figure_rows())),
-        (SUMMARY_NAME, lambda path: _write_summary(result, path)),
-        (RESOLVED_NAME, lambda path: config_mod.save_config(result.scenario, path)),
+            run.ledger.figure_rows())),
+        (SUMMARY_NAME, lambda path: _write_summary(run, path)),
+        (RESOLVED_NAME, lambda path: config_mod.save_config(run.scenario, path)),
     )
     written: list[str] = []
     try:

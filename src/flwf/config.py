@@ -39,7 +39,7 @@ from .checks import ConfigError, check_fields, check_value
 from .continual import (POLICY_DISTILL_ALL, POLICY_FINE_TUNE_ALL, POLICY_HYBRID,
                         StrategyPolicy, TaskSequence, TaskSpec)
 from .metrics import SERVER
-from .network import KIND_DROPOUT, LayerConfig, infer_shapes, layer_to_dict
+from .network import KIND_DROPOUT, LayerConfig, infer_shapes, layer_to_dict, local_update_error
 
 ALGO_MODES = losses.MODES  # fine-tune | flwf1 | flwf2
 
@@ -141,13 +141,14 @@ class ScenarioConfig:
         check_fields(self)
         if not self.label:
             raise ConfigError("label", "must be non-empty")
-        for name, low in (("seed", 0), ("rounds", 0), ("epochs", 0), ("batch_size", 1),
-                          ("n_classes", 2), ("total_clients", 1), ("round_data_size", 1),
-                          ("test_per_class", 1), ("exemplar_capacity", 1)):
+        for name, low in (("seed", 0), ("rounds", 1), ("n_classes", 2), ("total_clients", 1),
+                          ("round_data_size", 1), ("test_per_class", 1),
+                          ("exemplar_capacity", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(name, "must be positive" if low == 1 else f"must be >= {low}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate", "must be positive and finite")
+        error = local_update_error(self.learning_rate, self.batch_size, self.epochs)
+        if error:
+            raise ConfigError(*error)
         _dropout_rate(self.dropout)
         if not self.clients:
             raise ConfigError("clients", "at least one client required")
@@ -171,7 +172,7 @@ class ScenarioConfig:
                                   f"shape {self.input_shape}")
         for i, c in enumerate(self.clients):
             where = f"clients[{i}].tasks"
-            if self.rounds > 0 and c.tasks.total_rounds != self.rounds:
+            if c.tasks.total_rounds != self.rounds:
                 raise ConfigError(where, f"round budgets sum to {c.tasks.total_rounds}, "
                                          f"expected {self.rounds}")
             bad = [cl for t in c.tasks.tasks for cl in t.classes

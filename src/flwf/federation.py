@@ -1,20 +1,21 @@
 """Synchronous federated rounds: broadcast, local updates, FedAvg, teachers.
 
-:func:`plan_run` owns a run's data-side state, a ``taken`` mask over the
-read-only pool and one exemplar store per client.  It draws the test set,
-rejects a pool that cannot last before round 1, and plans each round when
+A run in progress is one :class:`Run`: :func:`start_run` builds it, and
+each :func:`run_round` call advances it by one round.  :func:`plan_run`
+owns a run's data-side state, a ``taken`` mask over the read-only pool
+and one exemplar store per client.  It draws the test set, rejects a pool
+that cannot last before round 1, and plans each round when
 :func:`run_round` asks: every client's fresh draw, replay, exemplar
-refresh and loss mode.  :func:`run_round` runs the round after the server
-state's.  Each client trains the server model on its planned rows, a
-read-only subset of the pool that is not checked again
+refresh and loss mode.  Each client trains the server model on its
+planned rows, a read-only subset of the pool that is not checked again
 (:meth:`flwf.datasets.DatasetPool.take`), with the scenario's learning
 rate, batch size and E epochs, and the server aggregates the results
 with size-and-hint weighted FedAvg.  The client's own previous-round
 model and the incoming server model serve as the two distillation
 teachers.  Both are made read-only before their logits are computed
-(once, before any SGD step), so any write into them raises.  The server teacher stays frozen
-for the whole round; the client teacher lives only until its logits
-exist.  When nothing else holds them, their buffers take the client's
+(once, before any SGD step), so any write into them raises.  The server
+teacher stays frozen for the whole round; the client teacher lives only
+until its logits exist.  When nothing else holds them, their buffers take the client's
 first gradient and the next aggregate (:func:`flwf.network.reclaim`).
 
 All randomness comes from per-(purpose, client, round) seed streams
@@ -71,12 +72,6 @@ class ClientRuntime:
         return self.cfg.name
 
 
-@dataclass
-class ServerState:
-    params: ModelParams | None  # None once run_round has consumed it
-    round_index: int = 0
-
-
 @dataclass(frozen=True)
 class ClientPlan:
     """One client's round as planned: the composed batch's pool indices in
@@ -115,11 +110,8 @@ def client_update(scenario: ScenarioConfig, server_params: ModelParams,
     (if training fails, ``client.params`` stays None); unless anything
     else holds it, its buffer takes the first gradient.
     """
-    if server_params is None:
-        raise ValueError("client_update needs the server model")
     if len(batch) == 0:
         raise ValueError("client_update needs a nonempty batch")
-
     _freeze(server_params)
     if client.params is not None:
         _freeze(client.params)
@@ -241,8 +233,6 @@ def _check_supply(scenario: ScenarioConfig, pool: DatasetPool, taken: np.ndarray
     is summed by the draw's own allocation rule; only when a class falls
     short are the draws walked in plan order, to name the first that fails
     and its client and round."""
-    if scenario.rounds == 0:
-        return  # a zero-round scenario's task budgets need not sum to its 0 rounds
     left = np.bincount(pool.labels[~taken], minlength=pool.n_classes)
     need = np.zeros_like(left)
     for cfg in scenario.clients:
@@ -261,59 +251,20 @@ def _check_supply(scenario: ScenarioConfig, pool: DatasetPool, taken: np.ndarray
                 left[c] -= n
 
 
-def run_round(scenario: ScenarioConfig, server: ServerState,
-              clients: list[ClientRuntime], pool: DatasetPool, test: DatasetPool,
-              ledger: MetricsLedger, plans: Iterator[tuple[ClientPlan, ...]]) -> ServerState:
-    """The round after ``server``'s, planned by the next step of ``plans``
-    (:func:`plan_run`), then executed.  Replaces each client's model, adds
-    one :class:`RoundRecord` per client and one for the server to the
-    ledger, takes ``server``'s model and returns the next server state.
-
-    Between the SGD steps of a one-step local update ``len(clients) + 1``
-    models are live: the server's (the student's start and a teacher
-    frozen for the whole round) and one per client.  A longer update also
-    holds the model its last step stepped from, for the next gradient.
-    The peak, ``len(clients) + 2`` models while a gradient is computed,
-    is the same either way.  A client's previous model is dropped once
-    its teacher logits exist, and the server's once the last client has
-    trained (``server.params`` is set to None).  Unless anything else
-    holds it (:func:`flwf.network.reclaim`), each dropped model's buffer
-    takes the client's first gradient or the aggregate, so from round 2
-    on a round of one-step updates allocates no model.
-    """
-    round_index = server.round_index + 1
-    if server.params is None:
-        raise ValueError("the server state's model was consumed by an earlier round")
-    planned = next(plans, None)
-    if planned is None:
-        raise ValueError(f"no plans left for round {round_index}")
-    for client, plan in zip(clients, planned):
-        try:
-            client_update(scenario, server.params, client, pool.take(plan.rows), plan)
-        except FloatingPointError as err:
-            raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
-        ledger.append(RoundRecord(
-            owner=client.name, round_index=round_index,
-            predictions=predict(client.params, test.features), mode=plan.mode))
-
-    # every client has trained from the server model: drop it, its buffer for FedAvg
-    out = reclaim(server.params)
-    server.params = None
-    aggregated = fedavg([c.params for c in clients],
-                        [c.cfg.weight * p.n_fresh for c, p in zip(clients, planned)], out=out)
-    ledger.append(RoundRecord(
-        owner=SERVER, round_index=round_index,
-        predictions=predict(aggregated, test.features)))
-
-    return ServerState(params=aggregated, round_index=round_index)
-
-
 @dataclass
-class ExperimentResult:
+class Run:
+    """A run after ``round_index`` rounds: what :func:`start_run` set up,
+    the current aggregate (None only while :func:`run_round` aggregates)
+    and one :class:`ClientRuntime` per ``scenario.clients`` entry, in order."""
+
     scenario: ScenarioConfig
-    server: ServerState
-    clients: list[ClientRuntime]
+    pool: DatasetPool
+    test: DatasetPool
+    plans: Iterator[tuple[ClientPlan, ...]]
     ledger: MetricsLedger
+    server: ModelParams | None
+    clients: list[ClientRuntime]
+    round_index: int = 0
 
 
 def build_pool(scenario: ScenarioConfig) -> DatasetPool:
@@ -328,28 +279,65 @@ def build_pool(scenario: ScenarioConfig) -> DatasetPool:
     return load_csv(scenario.data.path, n_classes=scenario.n_classes)
 
 
-def run_experiment(scenario: ScenarioConfig) -> ExperimentResult:
-    """Execute the whole scenario: R rounds plus the round-0 evaluation of
-    the freshly initialized server model.  Deterministic per seed."""
+def start_run(scenario: ScenarioConfig) -> Run:
+    """``scenario``'s run before round 1: its pool, test set and plans
+    (:func:`plan_run`), and the initialized server model, evaluated as round 0."""
     pool = build_pool(scenario)
     test, plans = plan_run(scenario, pool)
-    server = ServerState(params=init_params(
-        scenario.layers, scenario.input_shape,
-        seed=stream_seed(scenario.seed, SEED_INIT)))
-
-    # a zero-round scenario's task budgets need not sum to its 0 rounds
-    ledger = MetricsLedger(
-        test_labels=test.labels,
-        n_classes=scenario.n_classes,
-        total_rounds=scenario.rounds,
-        tasks={c.name: c.tasks for c in scenario.clients} if scenario.rounds > 0 else {})
-
-    clients = [ClientRuntime(cfg=c) for c in scenario.clients]
-
+    server = init_params(scenario.layers, scenario.input_shape,
+                         seed=stream_seed(scenario.seed, SEED_INIT))
+    ledger = MetricsLedger(test_labels=test.labels, n_classes=scenario.n_classes,
+                           total_rounds=scenario.rounds,
+                           tasks={c.name: c.tasks for c in scenario.clients})
     ledger.append(RoundRecord(owner=SERVER, round_index=0,
-                              predictions=predict(server.params, test.features)))
+                              predictions=predict(server, test.features)))
+    return Run(scenario=scenario, pool=pool, test=test, plans=plans, ledger=ledger,
+               server=server, clients=[ClientRuntime(cfg=c) for c in scenario.clients])
 
+
+def run_round(run: Run) -> None:
+    """Round ``run.round_index + 1``, planned by the next step of
+    ``run.plans``, then executed.  Replaces each client's model and the
+    server's, and adds one :class:`RoundRecord` per owner to the ledger.
+
+    Between the SGD steps of a one-step local update ``len(run.clients) +
+    1`` models are live: the server's (the student's start and a teacher
+    frozen for the whole round) and one per client.  A longer update also
+    holds the model its last step stepped from, for the next gradient.
+    The peak, ``len(run.clients) + 2`` models while a gradient is
+    computed, is the same either way.  A client's previous model is
+    dropped once its teacher logits exist, and the server's once the last
+    client has trained (``run.server`` is None while FedAvg runs).  Unless
+    anything else holds it (:func:`flwf.network.reclaim`), each dropped
+    model's buffer takes the client's first gradient or the aggregate, so
+    from round 2 on a round of one-step updates allocates no model.
+    """
+    round_index = run.round_index + 1
+    planned = next(run.plans, None)
+    if planned is None:
+        raise ValueError(f"no plans left for round {round_index}")
+    for client, plan in zip(run.clients, planned):
+        try:
+            client_update(run.scenario, run.server, client, run.pool.take(plan.rows), plan)
+        except FloatingPointError as err:
+            raise FloatingPointError(f"{client.name}, round {round_index}, {err}") from err
+        run.ledger.append(RoundRecord(
+            owner=client.name, round_index=round_index,
+            predictions=predict(client.params, run.test.features), mode=plan.mode))
+
+    # every client has trained from the server model: drop it, its buffer for FedAvg
+    out = reclaim(run.server)
+    run.server = None
+    run.server = fedavg([c.params for c in run.clients],
+                        [c.cfg.weight * p.n_fresh for c, p in zip(run.clients, planned)], out=out)
+    run.ledger.append(RoundRecord(owner=SERVER, round_index=round_index,
+                                  predictions=predict(run.server, run.test.features)))
+    run.round_index = round_index
+
+
+def run_experiment(scenario: ScenarioConfig) -> Run:
+    """:func:`start_run`, then the scenario's R rounds.  Deterministic per seed."""
+    run = start_run(scenario)
     for _ in range(scenario.rounds):
-        server = run_round(scenario, server, clients, pool, test, ledger, plans)
-    return ExperimentResult(scenario=scenario, server=server, clients=clients,
-                            ledger=ledger)
+        run_round(run)
+    return run

@@ -187,10 +187,10 @@ def objective_terms(spec: LossSpec) -> list:
 def resolve_targets(spec: LossSpec, labels: np.ndarray) -> list[Target]:
     """The objective's terms merged into one :class:`Target` per temperature.
 
-    Checks the one-hot labels and the teacher alignment, and softens the
-    teacher logits, once; callers slice the targets' rows per mini-batch.
+    Takes a checked pool's one-hot ``labels`` as given, checks the teacher
+    alignment and softens the teacher logits, once; callers slice the
+    targets' rows per mini-batch.
     """
-    labels = _check_one_hot(labels)
     merged: dict[float, Target] = {}
     for temperature, weight, teacher in objective_terms(spec):
         if teacher is None:
@@ -224,11 +224,11 @@ def loss_and_grad(targets: list[Target], student_logits: np.ndarray
 
 
 def combined_loss(spec: LossSpec, student_logits: np.ndarray, labels: np.ndarray) -> float:
-    """Evaluate the objective described by ``spec`` on one batch."""
-    return loss_and_grad(resolve_targets(spec, labels), student_logits)[0]
+    """Evaluate the objective described by ``spec`` on one batch; checks the labels."""
+    return loss_and_grad(resolve_targets(spec, _check_one_hot(labels)), student_logits)[0]
 
 
 def combined_loss_grad(spec: LossSpec, student_logits: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     """Gradient of :func:`combined_loss` with respect to the student logits."""
-    return loss_and_grad(resolve_targets(spec, labels), student_logits)[1]
+    return loss_and_grad(resolve_targets(spec, _check_one_hot(labels)), student_logits)[1]

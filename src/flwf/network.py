@@ -20,8 +20,8 @@ model is built and, on a pass, only by :func:`_coerce_input`.  Every
 operation returns a new value and never mutates its inputs, except that
 :func:`sgd_step` consumes its gradient: the step is written into the
 gradient's buffer, which becomes the next model.  Training data is a
-:class:`flwf.datasets.DatasetPool`, and :func:`train_local` takes its
-hyperparameters as given.  The backward pass
+:class:`flwf.datasets.DatasetPool`; :func:`local_update_error` is the
+one rule for :func:`train_local`'s hyperparameters.  The backward pass
 writes each weight gradient into a spare model's views with ``out=``:
 the caller's (see :func:`reclaim`), then the model the previous step
 stepped from, so a local update allocates at most two gradient buffers.
@@ -558,22 +558,35 @@ def _step_into(w, g, learning_rate):
         raise FloatingPointError("non-finite parameters after SGD step")
 
 
+def local_update_error(learning_rate: float, batch_size: int,
+                       epochs: int) -> tuple[str, str] | None:
+    """The first ``(field, reason)`` that breaks the local-update rule, or
+    None: a positive finite learning rate, and at least one row per
+    mini-batch and one epoch.  :class:`flwf.config.ScenarioConfig` applies it too."""
+    if not 0 < learning_rate < math.inf:
+        return "learning_rate", "must be positive and finite"
+    for field, value in (("batch_size", batch_size), ("epochs", epochs)):
+        if value < 1:
+            return field, "must be positive"
+    return None
+
+
 def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *,
                 learning_rate: float, batch_size: int, epochs: int, seed=0,
                 loss_trace: list | None = None,
                 spare: ModelParams | None = None) -> ModelParams:
     """``epochs`` epochs of mini-batch SGD on one round's data.
 
-    The objective is resolved into its targets once, at zero epochs too (see
-    :func:`flwf.losses.objective_terms`).  The batch order is drawn once from
-    the shuffle seeded by ``seed`` and then chunked into ``batch_size``-row
-    mini-batches (the last chunk may be short); every epoch iterates the same
-    chunks.  The hyperparameters are taken as given: a scenario checks its
-    own (:class:`flwf.config.ScenarioConfig`).  Per-batch loss values are
-    appended to ``loss_trace`` when given.  A :class:`FloatingPointError`
-    names the epoch and step where it arose.
+    Hyperparameters that break :func:`local_update_error` raise
+    ``ValueError("field: reason")``.  The objective is resolved into its
+    targets once (see :func:`flwf.losses.objective_terms`).  The batch order
+    is drawn once from the shuffle seeded by ``seed`` and then chunked into
+    ``batch_size``-row mini-batches (the last chunk may be short); every
+    epoch iterates the same chunks.  Per-batch loss values are appended to
+    ``loss_trace`` when given.  A :class:`FloatingPointError` names the
+    epoch and step where it arose.
 
-    ``params`` is never written, and zero epochs return a copy.  Each step
+    ``params`` is never written, and a new model is returned.  Each step
     computes its gradient into a spare model and steps it into the new
     current one (:func:`sgd_step`).  The first spare is ``spare``, a model
     of ``params``' layout to overwrite (fresh when None), later ones the
@@ -581,14 +594,15 @@ def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *
     ``params``.  So at most two gradient buffers are allocated (one with
     ``spare``), and between steps one model besides the current is held.
     """
+    error = local_update_error(learning_rate, batch_size, epochs)
+    if error:
+        raise ValueError("%s: %s" % error)
     if spare is not None and (not params.same_layout(spare)
                               or np.shares_memory(spare.flat, params.flat)):
         raise ShapeMismatchError("spare must be a separate model of params' layout")
     if len(data) == 0:
         raise ValueError("train_local: empty dataset")
     targets = losses.resolve_targets(spec, data.one_hot())
-    if epochs == 0:
-        return params.copy()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
     chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]

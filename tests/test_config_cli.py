@@ -542,6 +542,18 @@ def test_a_scenario_takes_only_a_positive_finite_learning_rate(learning_rate):
         dataclasses.replace(preset("exp1-flwf1"), learning_rate=learning_rate)
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_a_scenario_has_at_least_one_round(rounds):
+    """A run has a round 1: a round count below 1 is refused from a file
+    and from code."""
+    doc = tiny_doc()
+    doc["rounds"] = rounds
+    with pytest.raises(ConfigError, match="^rounds: must be positive$"):
+        from_dict(doc)
+    with pytest.raises(ConfigError, match="^rounds: must be positive$"):
+        dataclasses.replace(preset("exp1-flwf1"), rounds=rounds)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_dataclasses_built_in_code_reject_non_finite_numbers(value):
     """A dataclass built in code holds its float fields to the same rule

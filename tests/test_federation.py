@@ -18,10 +18,10 @@ from flwf.continual import (POLICIES, StrategyPolicy, TaskSequence, TaskSpec,
                             current_task)
 from flwf.datasets import DatasetPool, PoolExhaustedError, draw_round_data, draw_test_set
 from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
-                             SEED_INIT, SEED_ROUND_DRAW, SEED_TEST_DRAW,
-                             SEED_TRAIN, ClientPlan, ClientRuntime, ServerState,
-                             client_update, fedavg, plan_run, run_experiment,
-                             run_round, stream_seed, _seed_int)
+                             SEED_ROUND_DRAW, SEED_TEST_DRAW,
+                             SEED_TRAIN, ClientPlan, ClientRuntime, client_update,
+                             fedavg, run_experiment, run_round, start_run,
+                             stream_seed, _seed_int)
 from flwf.metrics import SERVER
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
@@ -347,14 +347,7 @@ def update(server, teacher, batch, mode, client_cfg=None, epochs=2):
     return client.params
 
 
-def test_client_update_zero_epochs_returns_fresh_copy_of_server():
-    server = model(seed=3)
-    out = update(server, None, make_batch(0), losses.MODE_FINE_TUNE, epochs=0)
-    assert same_model(out, server)
-    assert out is not server
-
-
-@pytest.mark.parametrize("epochs", [0, 2])
+@pytest.mark.parametrize("epochs", [1, 2])
 def test_client_update_student_shares_no_buffer_with_server(epochs):
     server = model(seed=3)
     snapshot = server.copy()
@@ -470,21 +463,11 @@ class RecordedPlans:
         return self.rounds[-1]
 
 
-def fresh_runtime(scenario):
-    from flwf.federation import build_pool
-    from flwf.metrics import MetricsLedger
-
-    pool = build_pool(scenario)
-    test, plans = plan_run(scenario, pool)
-    server = ServerState(params=init_params(
-        scenario.layers, scenario.input_shape,
-        seed=stream_seed(scenario.seed, SEED_INIT)))
-    ledger = MetricsLedger(
-        test_labels=test.labels, n_classes=scenario.n_classes,
-        total_rounds=scenario.rounds,
-        tasks={c.name: c.tasks for c in scenario.clients})
-    clients = [ClientRuntime(cfg=c) for c in scenario.clients]
-    return pool, test, server, ledger, clients, RecordedPlans(plans)
+def recorded_run(scenario):
+    """:func:`start_run`, with its plans recorded as ``run_round`` takes them."""
+    run = start_run(scenario)
+    run.plans = RecordedPlans(run.plans)
+    return run
 
 
 def drawn_per_class(pool, round_plans):
@@ -506,16 +489,39 @@ def count_sgd_steps(monkeypatch):
 
 
 def test_run_round_enforces_round_ordering():
-    """Each call runs the round after the server's, and a call past the
+    """Each call runs the round after the run's last, and a call past the
     last planned round is refused."""
-    scenario = tiny_scenario()
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    run = recorded_run(tiny_scenario())
+    assert run.round_index == 0 and list(run.ledger.records) == [(SERVER, 0)]
     for r in (1, 2):
-        server = run_round(scenario, server, clients, pool, test, ledger, plans)
-        assert server.round_index == r and len(plans.rounds) == r
-    assert [key[1] for key in ledger.records] == [1, 1, 1, 2, 2, 2]
+        assert run_round(run) is None
+        assert run.round_index == r and len(run.plans.rounds) == r
+    assert [key[1] for key in run.ledger.records] == [0, 1, 1, 1, 2, 2, 2]
     with pytest.raises(ValueError, match="no plans left for round 3"):
-        run_round(scenario, server, clients, pool, test, ledger, plans)
+        run_round(run)
+
+
+@pytest.mark.parametrize("rounds", [2, 3])
+def test_started_rounds_equal_a_whole_run(rounds):
+    """``start_run`` then one ``run_round`` per round writes the ledger and
+    leaves the models ``run_experiment`` does; one call more is refused."""
+    c1, cg = tiny_clients(use_exemplars=True)
+    scenario = tiny_scenario(rounds=rounds, clients=(
+        dataclasses.replace(c1, tasks=TaskSequence((TaskSpec((1,), 1),
+                                                    TaskSpec((2,), rounds - 1)))),
+        dataclasses.replace(cg, tasks=TaskSequence((TaskSpec((0, 1, 2), rounds),)))))
+    scenario = dataclasses.replace(scenario, round_data_size=12)
+    want = run_experiment(scenario)
+    run = start_run(scenario)
+    for _ in range(rounds):
+        run_round(run)
+    assert ledger_outputs(run.ledger) == ledger_outputs(want.ledger)
+    assert run.round_index == rounds
+    assert same_model(run.server, want.server)
+    for got, ref in zip(run.clients, want.clients, strict=True):
+        assert same_model(got.params, ref.params)
+    with pytest.raises(ValueError, match=f"no plans left for round {rounds + 1}"):
+        run_round(run)
 
 
 def test_run_round_single_client_aggregate_is_that_client():
@@ -525,31 +531,30 @@ def test_run_round_single_client_aggregate_is_that_client():
         alpha=0.4, policy=StrategyPolicy(mode="distill-all")),)
     scenario = dataclasses.replace(tiny_scenario(), clients=clients_cfg,
                                    total_clients=1)
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    server = run_round(scenario, server, clients, pool, test, ledger, plans)
-    assert same_model(server.params, clients[0].params)
-    assert server.params is not clients[0].params
+    run = start_run(scenario)
+    run_round(run)
+    assert same_model(run.server, run.clients[0].params)
+    assert run.server is not run.clients[0].params
 
 
 def test_run_round_aggregate_uses_weight_hints():
-    scenario = tiny_scenario()
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    before = server.params
-    server = run_round(scenario, server, clients, pool, test, ledger, plans)
+    run = recorded_run(tiny_scenario())
+    before = run.server.copy()
+    run_round(run)
     # each client drew round_data_size = 24 fresh rows, weighted by its hint
-    assert [plan.n_fresh for plan in plans.rounds[0]] == [24, 24]
-    assert drawn_per_class(pool, plans.rounds[0]).sum() == 2 * 24
-    want = brute_average([clients[0].params, clients[1].params], [1.0 * 24, 4.0 * 24])
-    assert max_abs_gap(server.params, want) < 1e-12
-    assert not same_model(server.params, before)
+    assert [plan.n_fresh for plan in run.plans.rounds[0]] == [24, 24]
+    assert drawn_per_class(run.pool, run.plans.rounds[0]).sum() == 2 * 24
+    want = brute_average([c.params for c in run.clients], [1.0 * 24, 4.0 * 24])
+    assert max_abs_gap(run.server, want) < 1e-12
+    assert not same_model(run.server, before)
 
 
 def test_run_round_schedules_tasks_and_modes():
-    scenario = tiny_scenario(algo="flwf1")
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    server = run_round(scenario, server, clients, pool, test, ledger, plans)
-    server = run_round(scenario, server, clients, pool, test, ledger, plans)
-    modes = {(owner, r): record.mode for (owner, r), record in ledger.records.items()}
+    run = start_run(tiny_scenario(algo="flwf1"))
+    run_round(run)
+    run_round(run)
+    modes = {(owner, r): record.mode for (owner, r), record in run.ledger.records.items()
+             if r > 0}
     # c1 draws task 1 (class 1) then task 2 (class 2); single-class batches
     # stay unbalanced, but round 1 has no client teacher yet.  The
     # generalized client always draws balanced batches, so the hybrid
@@ -568,12 +573,11 @@ def test_hybrid_policy_reads_the_replayed_rows_too():
 
 
 def test_run_round_draws_match_task_classes():
-    scenario = tiny_scenario()
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    run = recorded_run(tiny_scenario())
     # per class: c1's 24 rows of its current task's class, cg's 8 of each
     for r, want in ((1, [8, 32, 8]), (2, [8, 8, 32])):
-        server = run_round(scenario, server, clients, pool, test, ledger, plans)
-        assert drawn_per_class(pool, plans.rounds[-1]).tolist() == want
+        run_round(run)
+        assert drawn_per_class(run.pool, run.plans.rounds[-1]).tolist() == want
 
 
 def record_batches(monkeypatch, pool):
@@ -604,11 +608,12 @@ def record_stores(monkeypatch):
 
 def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     scenario = tiny_scenario(use_exemplars=True)
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    run = recorded_run(scenario)
+    pool, plans = run.pool, run.plans
     steps = count_sgd_steps(monkeypatch)
     batches = record_batches(monkeypatch, pool)
     stores = record_stores(monkeypatch)
-    server = run_round(scenario, server, clients, pool, test, ledger, plans)
+    run_round(run)
     # round 1: the store was empty during composition, so each client
     # trained on its 24 fresh rows (2 epochs x ceil(24/16) = 4 steps)
     assert len(steps) == 2 * 4
@@ -625,7 +630,7 @@ def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     # round 2: task 1 exemplars join c1's fresh task-2 rows (29 rows -> 2
     # chunks per epoch), and the store gains task 2 afterwards
     before = {i for plan in plans.rounds[0] for i in plan.rows.tolist()}
-    server = run_round(scenario, server, clients, pool, test, ledger, plans)
+    run_round(run)
     assert len(steps) == 2 * 4 + 2 * 4
     _, _, (name, round2), _ = batches
     assert name == "c1" and len(round2) == 24 + scenario.exemplar_capacity
@@ -642,28 +647,26 @@ def test_run_round_exemplar_refresh_happens_after_training(monkeypatch):
     assert set(c1_store[2].tolist()) <= set(fresh2.tolist())
     # FedAvg weighs each client by its fresh rows alone, replay aside
     assert [plan.n_fresh for plan in plans.rounds[1]] == [24, 24]
-    want = brute_average([c.params for c in clients], [1.0 * 24, 4.0 * 24])
-    assert max_abs_gap(server.params, want) < 1e-12
+    want = brute_average([c.params for c in run.clients], [1.0 * 24, 4.0 * 24])
+    assert max_abs_gap(run.server, want) < 1e-12
 
 
 def test_run_round_without_exemplars_leaves_stores_empty(monkeypatch):
     """Without exemplars no store is ever filled, so every client-round
     trains on its fresh draw alone."""
-    scenario = tiny_scenario(use_exemplars=False)
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    run = recorded_run(tiny_scenario(use_exemplars=False))
     stores = record_stores(monkeypatch)
     for r in (1, 2):
-        server = run_round(scenario, server, clients, pool, test, ledger, plans)
+        run_round(run)
     assert stores == []
-    assert all(len(plan.rows) == plan.n_fresh for plans_r in plans.rounds
+    assert all(len(plan.rows) == plan.n_fresh for plans_r in run.plans.rounds
                for plan in plans_r)
 
 
 def test_run_round_divergence_names_client_round_epoch_and_step():
-    scenario = dataclasses.replace(tiny_scenario(), learning_rate=1e300)
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
+    run = start_run(dataclasses.replace(tiny_scenario(), learning_rate=1e300))
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
-        run_round(scenario, server, clients, pool, test, ledger, plans)
+        run_round(run)
     assert re.fullmatch(r"c1, round 1, epoch \d+, step \d+: non-finite \w+.*",
                         str(err.value))
 
@@ -694,10 +697,10 @@ def test_each_round_is_planned_inside_its_run_round(monkeypatch):
         wrap(name)
     real_round = federation.run_round
 
-    def spy_round(scenario, server, *rest):
-        current[0] = server.round_index + 1
+    def spy_round(run):
+        current[0] = run.round_index + 1
         try:
-            return real_round(scenario, server, *rest)
+            return real_round(run)
         finally:
             current[0] = 0
     monkeypatch.setattr(federation, "run_round", spy_round)
@@ -714,7 +717,7 @@ def test_each_round_is_planned_inside_its_run_round(monkeypatch):
     # and picks its mode
     assert per_round == [list(DATA_SIDE) * 2] * 2
     assert ledger_outputs(result.ledger) == ledger_outputs(want.ledger)
-    assert same_model(result.server.params, want.server.params)
+    assert same_model(result.server, want.server)
     for got, ref in zip(result.clients, want.clients):
         assert same_model(got.params, ref.params)
 
@@ -723,10 +726,9 @@ def test_planning_knows_the_client_teacher_without_a_model():
     """Planned alone, with no client model ever trained, flwf1's c1 has no
     teacher in round 1 and has one in round 2: it fine-tunes, then
     distils (its batch is one class), as a real run does."""
-    scenario = tiny_scenario(algo=losses.MODE_FLWF1)
-    _, _, _, _, clients, plans = fresh_runtime(scenario)
-    modes = [[plan.mode for plan in round_plans] for round_plans in plans]
-    assert all(client.params is None for client in clients)
+    run = start_run(tiny_scenario(algo=losses.MODE_FLWF1))
+    modes = [[plan.mode for plan in round_plans] for round_plans in run.plans]
+    assert all(client.params is None for client in run.clients)
     assert modes == [["fine-tune", "fine-tune"], ["flwf1", "fine-tune"]]
 
 
@@ -881,18 +883,17 @@ def test_no_model_outlives_the_round_that_needs_it(monkeypatch):
     refs = []
     real_run_round = federation.run_round
 
-    def spy(scenario, server, clients, *rest):
-        next_server = real_run_round(scenario, server, clients, *rest)
-        if next_server.round_index == 1:
-            models = [c.params for c in clients] + [next_server.params]
+    def spy(run):
+        real_run_round(run)
+        if run.round_index == 1:
+            models = [c.params for c in run.clients] + [run.server]
             refs.extend(weakref.ref(arr) for m in models
                         for w in m.weights for arr in w.values())
-        return next_server
 
     monkeypatch.setattr(federation, "run_round", spy)
     result = run_experiment(scenario)
     gc.collect()
-    assert result.server.round_index == 3
+    assert result.round_index == 3
     assert refs and all(ref() is None for ref in refs)
 
 def _array_refs(params):
@@ -955,9 +956,9 @@ def test_previous_aggregate_is_gone_before_fedavg(monkeypatch, wrapped):
     freed = []
     real_round, real_fedavg = federation.run_round, federation.fedavg
 
-    def spy_round(scenario, server, *rest):
-        incoming.append(_array_refs(server.params))
-        return real_round(scenario, server, *rest)
+    def spy_round(run):
+        incoming.append(_array_refs(run.server))
+        return real_round(run)
 
     def spy_fedavg(*args, **kwargs):
         freed.append(all(ref() is None for ref in incoming[-1]))
@@ -992,12 +993,11 @@ def test_steady_rounds_recycle_every_model_buffer(monkeypatch):
     real_round = federation.run_round
     real_train, real_fedavg = federation.train_local, federation.fedavg
 
-    def spy_round(scenario, server, clients, *rest):
-        incoming = server.params.flat.ctypes.data
-        next_server = real_round(scenario, server, clients, *rest)
-        addresses.append((incoming, next_server.params.flat.ctypes.data,
-                          [c.params.flat.ctypes.data for c in clients]))
-        return next_server
+    def spy_round(run):
+        incoming = run.server.flat.ctypes.data
+        real_round(run)
+        addresses.append((incoming, run.server.flat.ctypes.data,
+                          [c.params.flat.ctypes.data for c in run.clients]))
 
     def spy_train(*args, spare=None, **kwargs):
         spares.append(spare is not None)
@@ -1032,13 +1032,12 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
     held, snapshots = [], []
     real_round = federation.run_round
 
-    def spy_round(scenario, server, clients, *rest):
-        next_server = real_round(scenario, server, clients, *rest)
-        if next_server.round_index == 1:
-            m = clients[0].params if owner == "client" else next_server.params
+    def spy_round(run):
+        real_round(run)
+        if run.round_index == 1:
+            m = run.clients[0].params if owner == "client" else run.server
             held.append(m if hold == "model" else m.weights[3]["W"])
             snapshots.append(np.array(m.flat if hold == "model" else m.weights[3]["W"]))
-        return next_server
 
     monkeypatch.setattr(federation, "run_round", spy_round)
     result = run_experiment(scenario)
@@ -1049,21 +1048,11 @@ def test_a_held_teacher_is_never_recycled(monkeypatch, owner, hold):
     assert ledger_outputs(result.ledger) == unheld
 
 
-def test_run_round_rejects_a_consumed_server_state():
-    scenario = tiny_scenario()
-    pool, test, server, ledger, clients, plans = fresh_runtime(scenario)
-    next_server = run_round(scenario, server, clients, pool, test, ledger, plans)
-    assert server.params is None and next_server.params is not None
-    with pytest.raises(ValueError, match="consumed"):
-        run_round(scenario, ServerState(None, round_index=1), clients, pool,
-                  test, ledger, plans)
-
-
 def test_run_experiment_is_deterministic():
     a = run_experiment(tiny_scenario(seed=9))
     b = run_experiment(tiny_scenario(seed=9))
     assert ledger_outputs(a.ledger) == ledger_outputs(b.ledger)
-    assert same_model(a.server.params, b.server.params)
+    assert same_model(a.server, b.server)
     for ca, cb in zip(a.clients, b.clients):
         assert same_model(ca.params, cb.params)
 
@@ -1072,14 +1061,6 @@ def test_run_experiment_seed_changes_the_run():
     a = run_experiment(tiny_scenario(seed=9))
     b = run_experiment(tiny_scenario(seed=10))
     assert ledger_outputs(a.ledger) != ledger_outputs(b.ledger)
-
-
-def test_run_experiment_zero_rounds_evaluates_initial_server_only():
-    scenario = tiny_scenario(rounds=0)
-    result = run_experiment(scenario)
-    assert list(result.ledger.records) == [(SERVER, 0)]
-    assert [r.round_index for r in result.ledger.records.values()] == [0]
-    assert all(c.params is None for c in result.clients)
 
 
 def test_run_experiment_ledger_covers_all_owners_and_rounds():

@@ -108,6 +108,17 @@ def test_classification_loss_rejects_non_one_hot():
         classification_loss(logits, np.zeros((1, 6)))
 
 
+@pytest.mark.parametrize("objective", [combined_loss, combined_loss_grad])
+@pytest.mark.parametrize("labels", [np.full((1, 3), 0.5), np.zeros((1, 3)),
+                                    np.array([0, 1, 0])],
+                         ids=["soft", "empty-row", "1-d"])
+def test_the_objective_checks_the_labels_it_is_given(objective, labels):
+    """The objective's entry points take labels from outside the program
+    and check them; a run's labels come checked from its pool."""
+    with pytest.raises(ValueError, match="one-hot"):
+        objective(LossSpec(), np.zeros((1, 3)), labels)
+
+
 def test_classification_grad_matches_finite_differences():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -1,9 +1,11 @@
 """Network engine: shape inference, forward semantics, FD gradient checks,
 SGD, local training, and serialization."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from flwf import losses, network
+from flwf.config import ConfigError, preset
 from flwf.datasets import DatasetPool
 from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
@@ -955,21 +958,37 @@ def _training_setup(seed=0, rows=20):
     return params, batch
 
 
-def test_train_local_zero_epochs_is_identity():
-    params, batch = _training_setup()
-    out = train_local(params, batch, LossSpec(), learning_rate=0.1, batch_size=8, epochs=0)
-    assert same_model(out, params)
-    assert not np.shares_memory(out.flat, params.flat)
-
-
-@pytest.mark.parametrize("epochs", [0, 1])
+@pytest.mark.parametrize("epochs", [1, 3])
 def test_train_local_checks_the_objective_at_any_epoch_count(epochs):
-    """Zero epochs resolve the objective too, so a spec it rejects raises
-    before any copy is returned."""
+    """A spec the objective rejects raises before any step is taken."""
     params, batch = _training_setup()
     with pytest.raises(ValueError, match="flwf1 loss requires client-teacher logits"):
         train_local(params, batch, LossSpec(mode="flwf1", alpha=0.5), learning_rate=0.1,
                     batch_size=8, epochs=epochs)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("learning_rate", 0.0, "must be positive and finite"),
+    ("learning_rate", -0.5, "must be positive and finite"),
+    ("batch_size", 0, "must be positive"),
+    ("batch_size", -2, "must be positive"),
+    ("epochs", 0, "must be positive"),
+    ("epochs", -1, "must be positive"),
+])
+def test_one_rule_refuses_a_local_update_in_a_scenario_and_in_train_local(field, value,
+                                                                           reason):
+    """``local_update_error`` is the one rule: a scenario and a direct
+    ``train_local`` call refuse each bad value with the same field and
+    reason (``epochs=-1`` used to return ``params`` itself, and
+    ``batch_size=0`` to fail inside ``range``)."""
+    hyper = dict(learning_rate=0.1, batch_size=8, epochs=1) | {field: value}
+    assert network.local_update_error(**hyper) == (field, reason)
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(preset("exp1-flwf1"), **{field: value})
+    assert (err.value.path, err.value.message) == (field, reason)
+    params, batch = _training_setup()
+    with pytest.raises(ValueError, match=f"^{field}: {re.escape(reason)}$"):
+        train_local(params, batch, LossSpec(), **hyper)
 
 
 def test_train_local_rejects_empty_batch():

@@ -69,8 +69,9 @@ ARTIFACTS = ("metrics.csv", "figure_data.csv", "summary.json",
 # ``flwf run`` with the experiment result kept, then one digest line per
 # final model and the process's peak RSS (VmHWM, which exec resets) and minor
 # faults.  Uses only what every tree has:
-# ``flwf.cli.main`` looking up ``run_experiment`` at call time,
-# ``.server.params``, ``.clients[i].params`` and ``.weights``.
+# ``flwf.cli.main`` looking up ``run_experiment`` at call time, ``.server``
+# (the server model, or a state holding it as ``.params``),
+# ``.clients[i].params`` and ``.weights``.
 CHILD = """
 import hashlib, resource, sys
 import numpy as np
@@ -88,7 +89,7 @@ with open(sys.argv[2], "w") as fh:
 if code == 0:
     result = results[0]
     lines = []
-    for name, model in [("server", result.server.params)] + [
+    for name, model in [("server", getattr(result.server, "params", result.server))] + [
             (f"client{i}", c.params) for i, c in enumerate(result.clients)]:
         h = hashlib.sha256()
         for w in model.weights if model is not None else ():
