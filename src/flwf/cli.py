@@ -24,8 +24,8 @@ import yaml
 
 from . import config as config_mod
 from .config import ConfigError, CsvSource, ScenarioConfig
-from .federation import Run, run_experiment
-from .metrics import SERVER
+from .federation import run_experiment
+from .metrics import SERVER, MetricsLedger
 
 SUMMARY_NAME = "summary.json"
 METRICS_NAME = "metrics.csv"
@@ -42,9 +42,8 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def summarize(run: Run) -> dict:
+def summarize(scenario: ScenarioConfig, ledger: MetricsLedger) -> dict:
     """Aggregate metrics document; keys are stable for comparison tooling."""
-    ledger, scenario = run.ledger, run.scenario
     owners: dict[str, dict] = {}
     for c in scenario.clients:
         entry: dict = {
@@ -71,14 +70,15 @@ def summarize(run: Run) -> dict:
     }
 
 
-def _write_summary(run: Run, path) -> None:
+def _write_summary(scenario: ScenarioConfig, ledger: MetricsLedger, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(run), fh, indent=2, sort_keys=True)
+        json.dump(summarize(scenario, ledger), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_outputs(run: Run, out_dir) -> list[str]:
-    """Write the four artifacts; returns the paths written.
+def write_outputs(scenario: ScenarioConfig, ledger: MetricsLedger, out_dir) -> list[str]:
+    """Write the four artifacts of a finished run of ``scenario``, all read
+    from the scenario and the run's ledger; returns the paths written.
 
     If any write fails, every artifact path already begun is removed
     before the error propagates: partial outputs must not look like a
@@ -88,12 +88,12 @@ def write_outputs(run: Run, out_dir) -> list[str]:
     writers = (
         (METRICS_NAME, lambda path: _write_csv(
             path, ("owner", "round", "metric", "task", "value"),
-            run.ledger.csv_rows())),
+            ledger.csv_rows())),
         (FIGURE_NAME, lambda path: _write_csv(
             path, ("round", "owner", "class", "accuracy"),
-            run.ledger.figure_rows())),
-        (SUMMARY_NAME, lambda path: _write_summary(run, path)),
-        (RESOLVED_NAME, lambda path: config_mod.save_config(run.scenario, path)),
+            ledger.figure_rows())),
+        (SUMMARY_NAME, lambda path: _write_summary(scenario, ledger, path)),
+        (RESOLVED_NAME, lambda path: config_mod.save_config(scenario, path)),
     )
     written: list[str] = []
     try:
@@ -132,7 +132,10 @@ def cmd_run(args) -> int:
     out_dir = args.out or os.path.join(
         "out", f"{scenario.label}-seed{scenario.seed}")
     try:
-        written = write_outputs(run_experiment(scenario), out_dir)
+        # only the ledger outlives the run: its pool, test set, plans and
+        # models are freed before the export allocates
+        ledger = run_experiment(scenario).ledger
+        written = write_outputs(scenario, ledger, out_dir)
     except Exception as exc:  # write_outputs has removed its partial files
         print(f"error: {exc}", file=sys.stderr)
         return 1

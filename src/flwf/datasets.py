@@ -3,10 +3,11 @@
 A :class:`DatasetPool` is the one type for labeled rows, held read-only
 and checked once, when it is built: every example of an experiment, and
 through :meth:`DatasetPool.take`, unchecked again, the test set and each
-client's batch.  Round draws and the test draw mark what they take in
-their caller's ``taken`` mask (:func:`flwf.federation.plan_run` keeps a
-run's), so no example is used by two (client, round) pairs or shared
-between training and the test set.  All draws are seeded and
+client's batch.  Round draws and the test draw read a class's rows from
+the pool's class index (:meth:`DatasetPool.rows_of`) and mark what they
+take in their caller's ``taken`` mask (:func:`flwf.federation.plan_run`
+keeps a run's), so no example is used by two (client, round) pairs or
+shared between training and the test set.  All draws are seeded and
 deterministic.
 
 Tensors everywhere are plain float64 numpy arrays; labels are integer class
@@ -15,6 +16,7 @@ ids in ``[0, n_classes)``.
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -61,20 +63,26 @@ def read_only(array: np.ndarray, given=None) -> np.ndarray:
     return array
 
 
-@dataclass
+_NO_ROWS = read_only(np.zeros(0, dtype=np.intp))
+
+
+@dataclass(frozen=True)
 class DatasetPool:
     """Labeled examples held read-only: an experiment's whole pool, its
     test set, or one client's batch (:meth:`take`).  A writable array
-    handed in is copied, a read-only one is kept as it is."""
+    handed in is copied, a read-only one is kept as it is.  The fields
+    cannot be rebound, so the class index :meth:`rows_of` reads, built on
+    its first call, always describes ``labels``."""
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
 
     def __post_init__(self):
-        self.features = read_only(np.asarray(self.features, dtype=float), self.features)
-        self.labels = read_only(class_ids(self.labels, self.n_classes, "label", "pool row"),
-                                self.labels)
+        object.__setattr__(self, "features", read_only(np.asarray(self.features, dtype=float),
+                                                       self.features))
+        object.__setattr__(self, "labels", read_only(
+            class_ids(self.labels, self.n_classes, "label", "pool row"), self.labels))
         if len(self.features) != len(self.labels):
             raise ValueError(f"{len(self.features)} feature rows but {len(self.labels)} labels")
 
@@ -85,10 +93,23 @@ class DatasetPool:
         """A read-only pool of ``rows``, in their order.  The rows of a
         checked pool are checked, so they are not checked again."""
         subset = DatasetPool.__new__(DatasetPool)
-        subset.features = read_only(self.features[rows])
-        subset.labels = read_only(self.labels[rows])
-        subset.n_classes = self.n_classes
+        vars(subset).update(features=read_only(self.features[rows]),
+                            labels=read_only(self.labels[rows]), n_classes=self.n_classes)
         return subset
+
+    def rows_of(self, c: int) -> np.ndarray:
+        """The indices of the rows labeled ``c``, ascending and read-only
+        (none for an id outside ``0..n_classes-1``).  The first call sorts
+        the labels once, stably, into one index for every class."""
+        return self._class_rows[c] if 0 <= c < self.n_classes else _NO_ROWS
+
+    @functools.cached_property
+    def _class_rows(self) -> tuple[np.ndarray, ...]:
+        # a stable sort on the narrowest label type numpy radix-sorts
+        order = np.argsort(self.labels.astype(np.min_scalar_type(self.n_classes - 1)),
+                           kind="stable")
+        ends = np.cumsum(np.bincount(self.labels, minlength=self.n_classes))
+        return tuple(read_only(rows) for rows in np.split(order, ends[:-1]))
 
     def one_hot(self) -> np.ndarray:
         out = np.zeros((len(self.labels), self.n_classes))
@@ -343,9 +364,13 @@ def draw_round_data(pool: DatasetPool, classes, size: int, seed, *,
     """The pool indices of ``size`` examples of the given classes not
     marked in ``taken``, drawn without replacement, in a seeded random order.
 
-    Class proportions are as uniform as integer division allows.  Drawn
+    Class proportions are as uniform as integer division allows.  A
+    class's candidates are its rows in the pool's class index
+    (:meth:`DatasetPool.rows_of`) that ``taken`` does not mark, ascending,
+    so a draw reads only the rows of the classes it draws.  Drawn
     examples are marked in ``taken``, the caller's bool mask over the
-    pool, so later draws on that mask stay disjoint from them.
+    pool and the one record of what is consumed, so later draws on that
+    mask stay disjoint from them.
     """
     classes = sorted(int(c) for c in set(classes))
     if not classes:
@@ -361,7 +386,8 @@ def draw_round_data(pool: DatasetPool, classes, size: int, seed, *,
         want = wanted[c]
         if want == 0:
             continue
-        candidates = np.flatnonzero(~taken & (pool.labels == c))
+        rows = pool.rows_of(c)
+        candidates = rows.compress(~taken[rows])
         if len(candidates) < want:
             raise PoolExhaustedError(
                 f"class {c}: need {want} unconsumed examples, only {len(candidates)} left")

@@ -40,7 +40,7 @@ from .network import (SGD_CHUNK, ModelParams, ShapeMismatchError, forward,
                       init_params, params_digest, reclaim, train_local)  # noqa: F401
 
 # Purposes of the derived seed streams; a stream is identified by the
-# tuple (experiment seed, purpose, client index, round), so adding a
+# key (experiment seed, purpose, client index, round), so adding a
 # client or a round never perturbs any other stream.
 SEED_DATA_GEN = 0
 SEED_TEST_DRAW = 1
@@ -49,11 +49,21 @@ SEED_ROUND_DRAW = 3
 SEED_COMPOSE = 4
 SEED_TRAIN = 5
 SEED_EXEMPLAR = 6
+_WORD = 1 << 32  # a key part this large or larger takes more than one entropy word
 
 
 def stream_seed(experiment_seed: int, purpose: int, client: int = 0,
                 round_index: int = 0) -> np.random.SeedSequence:
-    return np.random.SeedSequence((experiment_seed, purpose, client, round_index))
+    """The seed sequence of one stream, whose entropy is the key's four
+    parts as ``uint32`` words.  ``SeedSequence`` reads a tuple of ints
+    below 2**32 as the same four words, so the array is only the faster
+    spelling; a key with a part outside ``0..2**32-1`` goes in as the
+    tuple, which ``SeedSequence`` splits into words (or rejects) itself."""
+    key = (experiment_seed, purpose, client, round_index)
+    if (0 <= experiment_seed < _WORD and 0 <= purpose < _WORD and 0 <= client < _WORD
+            and 0 <= round_index < _WORD):
+        return np.random.SeedSequence(np.array(key, dtype=np.uint32))
+    return np.random.SeedSequence(key)
 
 
 def _seed_int(seq: np.random.SeedSequence) -> int:

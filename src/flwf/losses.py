@@ -210,16 +210,34 @@ def loss_and_grad(targets: list[Target], student_logits: np.ndarray
     """Value of the objective and its gradient with respect to the student logits.
 
     A target contributes ``(weight * softmax(o / T) - probs) / T`` to the
-    gradient, because every row of its ``probs`` sums to ``weight``.
+    gradient, because every row of its ``probs`` sums to ``weight``.  The
+    gradient sums the contributions in target order, each computed in an
+    array of its own.  Two steps of that formula are exact identities and
+    are skipped: both divisions by a temperature of 1.0, and adding the
+    first contribution to 0.0.  That addition could only turn a -0.0 into
+    +0.0.  With a non-negative weight, ``weight * softmax - probs`` is
+    -0.0 only where the weight is -0.0 and ``probs`` is +0.0, and
+    :func:`resolve_targets` scales a target's ``probs`` by its weight, so
+    a weight of -0.0 (an ``alpha`` of -0.0) makes them -0.0 too.
     """
     student_logits = np.asarray(student_logits, dtype=float)
     value, grad = 0.0, 0.0
-    for target in targets:
+    for i, target in enumerate(targets):
         if target.probs.shape != student_logits.shape:
             raise ValueError("logits and targets disagree in shape")
-        log_q = log_softmax(student_logits / target.temperature)
+        scaled = (student_logits if target.temperature == 1.0
+                  else student_logits / target.temperature)
+        log_q = log_softmax(scaled)
         value -= float((target.probs * log_q).sum())
-        grad = grad + (target.weight * np.exp(log_q) - target.probs) / target.temperature
+        term = np.exp(log_q)
+        term *= target.weight
+        term -= target.probs
+        if target.temperature != 1.0:
+            term /= target.temperature
+        if i == 0:
+            grad = term
+        else:
+            grad += term
     return value, grad
 
 

@@ -311,6 +311,8 @@ def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.ndim < 2:
         raise ShapeMismatchError("input must carry a leading batch axis")
+    if len(x) == 0:
+        raise ShapeMismatchError("input: the batch is empty, a pass needs at least one row")
     shape = params.input_shape
     if x.shape[1:] == shape:
         return x

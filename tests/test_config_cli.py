@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,32 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys):
     assert summary["modes"]["c1"]["1"] in ("flwf2", "fine-tune")
     resolved = load_config(os.path.join(out_dir, cli.RESOLVED_NAME))
     assert resolved.label == "tiny"
+
+
+def test_run_frees_the_run_before_it_exports(tmp_path, capsys, monkeypatch):
+    """Only the ledger outlives a finished run in ``flwf run``: its pool,
+    test set, plans and models are gone, by reference count alone, before
+    ``write_outputs`` allocates."""
+    alive = {}
+    real_run, real_write = cli.run_experiment, cli.write_outputs
+
+    def run_experiment(scenario):
+        run = real_run(scenario)
+        alive.update(run=weakref.ref(run), pool=weakref.ref(run.pool),
+                     test=weakref.ref(run.test), plans=weakref.ref(run.plans),
+                     server=weakref.ref(run.server))
+        return run
+
+    def write_outputs(scenario, ledger, out_dir):
+        alive["at export"] = sorted(name for name, ref in alive.items() if ref() is not None)
+        return real_write(scenario, ledger, out_dir)
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    monkeypatch.setattr(cli, "write_outputs", write_outputs)
+    code, _, err = run_cli(["run", "--config", write_tiny_config(tmp_path),
+                            "--out", str(tmp_path / "run")], capsys)
+    assert code == 0, err
+    assert alive["at export"] == []
 
 
 def test_run_outputs_are_byte_identical_across_reruns(tmp_path, capsys):

@@ -177,6 +177,90 @@ def test_draw_rejects_unknown_class_and_bad_size():
             draw_round_data(pool, (0,), 5, seed=0, taken=taken)
 
 
+def mask_scan_draw(pool, classes, size, seed, *, taken):
+    """The draw as it was before the class index: each class's candidates
+    found by scanning the whole ``taken`` mask.  The oracle of the draws."""
+    classes = sorted(int(c) for c in set(classes))
+    if not classes:
+        raise ValueError("class set must be nonempty")
+    if size < 1:
+        raise ValueError("size must be positive")
+    if taken.dtype != bool or taken.shape != pool.labels.shape:
+        raise ValueError(f"taken must be a bool mask of {len(pool)} rows")
+    rng = np.random.default_rng(seed)
+    wanted = _allocate_per_class(classes, size)
+    picks = []
+    for c in classes:
+        want = wanted[c]
+        if want == 0:
+            continue
+        candidates = np.flatnonzero(~taken & (pool.labels == c))
+        if len(candidates) < want:
+            raise PoolExhaustedError(
+                f"class {c}: need {want} unconsumed examples, only {len(candidates)} left")
+        picks.append(rng.choice(candidates, size=want, replace=False))
+    chosen = np.concatenate(picks)
+    chosen = chosen[rng.permutation(len(chosen))]
+    taken[chosen] = True
+    return chosen
+
+
+def outcome(draw, *args, taken):
+    """The rows ``draw`` returns, or its error's type and message."""
+    try:
+        return draw(*args, taken=taken)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 60), st.data())
+def test_draws_take_the_rows_a_mask_scan_takes(n_classes, rows, data):
+    """On random pools (classes absent included), random masks and class
+    sets (ids outside the pool's range included), each of a run of draws
+    returns the rows, leaves the mask, or fails with the message, that the
+    mask-scan oracle does."""
+    labels = data.draw(hnp.arrays(int, rows, elements=st.integers(0, n_classes - 1)))
+    pool = DatasetPool(np.zeros((rows, 2)), labels, n_classes)
+    taken = data.draw(hnp.arrays(bool, rows))
+    oracle_taken = taken.copy()
+    for i in range(data.draw(st.integers(1, 4))):
+        classes = data.draw(st.lists(st.integers(-1, n_classes), min_size=1, max_size=4))
+        size = data.draw(st.integers(1, 12))
+        want = outcome(mask_scan_draw, pool, classes, size, i, taken=oracle_taken)
+        got = outcome(draw_round_data, pool, classes, size, i, taken=taken)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(taken, oracle_taken)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 80), st.data())
+def test_rows_of_is_each_class_in_ascending_order(n_classes, rows, data):
+    """The class index of a pool, and of a pool ``take`` gathered, is each
+    class's rows as ``flatnonzero`` finds them, read-only; an id outside
+    the classes has none."""
+    labels = data.draw(hnp.arrays(int, rows, elements=st.integers(0, n_classes - 1)))
+    pool = DatasetPool(np.zeros((rows, 1)), labels, n_classes)
+    picked = data.draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=rows))
+    for p in (pool, pool.take(np.array(picked, dtype=int))):
+        for c in (-1, *range(n_classes), n_classes):
+            index = p.rows_of(c)
+            assert index.dtype == np.intp and not index.flags.writeable
+            assert np.array_equal(index, np.flatnonzero(p.labels == c))
+
+
+def test_a_pools_fields_cannot_be_rebound():
+    """The class index describes ``labels`` for the pool's whole life."""
+    pool = small_pool()
+    pool.rows_of(0)
+    for field in ("features", "labels", "n_classes"):
+        with pytest.raises(AttributeError):
+            setattr(pool, field, getattr(pool, field))
+
+
 def test_test_set_balanced_and_disjoint_from_training():
     pool = small_pool(per_class=40)
     taken = fresh_mask(pool)

@@ -104,6 +104,32 @@ def test_stream_seed_is_reproducible():
     assert a == b
 
 
+KEY_PART = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80),
+                     st.sampled_from([0, 2**32 - 1, 2**32]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(KEY_PART, KEY_PART, KEY_PART, KEY_PART))
+def test_stream_seed_is_the_seed_sequence_of_its_key_tuple(key):
+    """Keyed by ``uint32`` words or, with a part past 2**32, by the tuple,
+    a stream is the one ``SeedSequence(key)`` gives: the same state words
+    and the same draws."""
+    got, want = stream_seed(*key), np.random.SeedSequence(key)
+    assert np.array_equal(got.generate_state(4), want.generate_state(4))
+    assert np.array_equal(np.random.default_rng(got).integers(0, 2**63, size=4),
+                          np.random.default_rng(want).integers(0, 2**63, size=4))
+    if max(key) < 2**32:
+        assert got.entropy.dtype == np.uint32 and got.entropy.tolist() == list(key)
+
+
+def test_stream_seed_refuses_a_negative_part_as_seed_sequence_does():
+    for key in ((-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, -(2**40))):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence(key)
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_seed(*key)
+
+
 # -- fedavg ---------------------------------------------------------------------
 
 
@@ -441,8 +467,21 @@ def test_client_update_rejects_a_write_into_a_teacher(monkeypatch):
 
 def test_client_update_rejects_empty_batch():
     batch = DatasetPool(np.zeros((0, 8)), np.zeros(0, dtype=int), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^client_update needs a nonempty batch$"):
         update(model(seed=0), None, batch, losses.MODE_FINE_TUNE)
+
+
+def test_client_update_refuses_an_empty_batch_before_freezing_a_teacher():
+    """Its own guard, not the forward pass's: it refuses before the
+    teachers are frozen, which happens before any teacher forward runs."""
+    server, teacher = model(seed=0), model(seed=1)
+    client = ClientRuntime(cfg=tiny_clients()[0], params=teacher)
+    plan = ClientPlan(rows=np.arange(0), n_fresh=0, mode=losses.MODE_FLWF2, train_seed=5)
+    batch = DatasetPool(np.zeros((0, 8)), np.zeros(0, dtype=int), 3)
+    with pytest.raises(ValueError, match="^client_update needs a nonempty batch$"):
+        client_update(tiny_scenario(), server, client, batch, plan)
+    assert client.params is teacher
+    assert server.flat.flags.writeable and teacher.flat.flags.writeable
 
 
 # -- run_round -----------------------------------------------------------------------
@@ -709,7 +748,7 @@ def test_each_round_is_planned_inside_its_run_round(monkeypatch):
     assert [(name, r) for name, r, _ in calls if r == 0] == [("draw_test_set", 0)]
     for name, r, seed in calls:
         if name == "draw_test_set":
-            assert seed.entropy == (scenario.seed, SEED_TEST_DRAW, 0, 0)
+            assert seed.entropy.tolist() == [scenario.seed, SEED_TEST_DRAW, 0, 0]
         elif name != "select_loss_mode":  # a seeded call names its round
             assert seed.entropy[3] == r
     per_round = [[name for name, r, _ in calls if r == k] for k in (1, 2)]

@@ -438,3 +438,46 @@ def test_combined_loss_grad_matches_finite_differences(case):
     grad = combined_loss_grad(spec, student, labels)
     fd = _fd_logits(lambda o: combined_loss(spec, o, labels), student)
     np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
+
+
+def formula_loss_and_grad(targets, student_logits):
+    """:func:`loss_and_grad` as written before identities were skipped,
+    its log-softmax included: the oracle of its bits."""
+    value, grad = 0.0, 0.0
+    for target in targets:
+        scaled = student_logits / target.temperature
+        shifted = scaled - scaled.max(axis=1, keepdims=True)
+        log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        value -= float((target.probs * log_q).sum())
+        grad = grad + (target.weight * np.exp(log_q) - target.probs) / target.temperature
+    return value, grad
+
+
+def same_bits(a, b) -> bool:
+    """Equal as bit patterns, so +0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(objective_cases(), st.sampled_from([None, -0.0, 0.0, 1.0]),
+       st.sampled_from([1.0, 1e3, 1e-3]), st.booleans())
+def test_loss_and_grad_keeps_every_bit_of_the_formula(case, alpha, scale, zeros):
+    """Skipping the divisions by a temperature of 1.0 and the first
+    ``0.0 +`` changes no bit of the value or the gradient, signed zeros
+    included: on resolved targets of every mode (T = 1.0 among the
+    temperatures, alpha of -0.0 among the weights), on logits whose
+    softmax underflows, and on logits with exact zeros."""
+    spec, student, labels, want = case
+    assume(want is not None)
+    if alpha is not None and spec.mode != losses.MODE_FINE_TUNE:
+        assume(spec.beta is None or alpha + spec.beta <= 1.0)
+        spec = dataclasses.replace(spec, alpha=alpha)
+    student = student * scale
+    if zeros:
+        student[:, ::2] = 0.0
+    targets = resolve_targets(spec, labels)
+    got_value, got_grad = loss_and_grad(targets, student)
+    want_value, want_grad = formula_loss_and_grad(targets, student)
+    assert same_bits(got_value, want_value)
+    assert same_bits(got_grad, want_grad)

@@ -159,6 +159,19 @@ def test_forward_rejects_wrong_input_shape():
         forward(params, np.zeros(5))  # no batch axis
 
 
+@pytest.mark.parametrize("arch, shape", [(MLP, (5,)), (CONVNET, (10, 2))])
+def test_a_pass_refuses_an_empty_batch_by_name(arch, shape):
+    """Every pass refuses a zero-row batch, flat or shaped, where inputs
+    are checked, with an error that names it."""
+    params = init_params(arch, shape, seed=0)
+    batch = make_batch(np.random.default_rng(0), params).take([])
+    for inputs in (np.zeros((0, *shape)), np.zeros((0, math.prod(shape)))):
+        with pytest.raises(ShapeMismatchError, match="^input: the batch is empty"):
+            forward(params, inputs)
+    with pytest.raises(ShapeMismatchError, match="^input: the batch is empty"):
+        backward(params, batch, LossSpec())
+
+
 def test_conv1d_hand_computation():
     arch = (LayerConfig("conv1d", filters=1, kernel=2),
             LayerConfig("dense", units=1), LayerConfig("softmax-output"))
@@ -992,8 +1005,10 @@ def test_one_rule_refuses_a_local_update_in_a_scenario_and_in_train_local(field,
 
 
 def test_train_local_rejects_empty_batch():
+    """Its own guard: an empty batch takes no step, so no forward pass
+    would refuse it, and ``params`` itself would come back."""
     params, batch = _training_setup()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^train_local: empty dataset$"):
         train_local(params, batch.take([]), LossSpec(), learning_rate=0.1, batch_size=8,
                     epochs=1)
 

@@ -42,16 +42,20 @@ are the final models: the child that runs the scenario also writes
 ``models.sha256``, one sha256 over every weight array of the server
 model and of each client model.  The artifacts hold only accuracies, so
 without the digests a change that moves weights but flips no prediction
-would pass.  The child also writes its own peak RSS
-(``VmHWM`` from ``/proc/self/status``) and minor page faults
-(``ru_minflt``) to ``rusage.txt``, which are not compared: each scenario's
-line ends with the base -> change peak RSS in MB and minor faults, so a
-change to model lifetimes or buffer reuse shows its effect per scenario.
-``VmHWM`` starts afresh at exec; ``ru_maxrss`` would not, since Linux
-carries the spawning process's high-water mark into the child, so no
-scenario could read below this tool's own resident size.  One line is printed per
-scenario; the exit code is 1 if any scenario differs or fails to run on
-either side, else 0.
+would pass.  The digests are taken as soon as the run returns, and the
+child keeps no reference to it, so ``flwf run`` frees the run as it
+would unwatched.  The child also writes its own peak RSS (``VmHWM`` from
+``/proc/self/status``), minor page faults (``ru_minflt``) and wall seconds
+(``flwf run``'s, from config parse to the last artifact, less the time
+spent digesting) to ``rusage.txt``, which are not compared: each
+scenario's line ends with the base -> change peak RSS in MB, minor faults
+and wall seconds, so a change to model lifetimes, buffer reuse or speed
+shows its effect per scenario.  One run of each is no benchmark: the wall
+time is reported, never judged.  ``VmHWM`` starts afresh at exec;
+``ru_maxrss`` would not, since Linux carries the spawning process's
+high-water mark into the child, so no scenario could read below this
+tool's own resident size.  One line is printed per scenario; the exit
+code is 1 if any scenario differs or fails to run on either side, else 0.
 """
 
 import argparse
@@ -63,39 +67,46 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = "models.sha256"
-RUSAGE = "rusage.txt"  # the child's VmHWM (KiB) and ru_minflt; reported, not compared
+RUSAGE = "rusage.txt"  # the child's VmHWM (KiB), ru_minflt and wall s; reported, not compared
 ARTIFACTS = ("metrics.csv", "figure_data.csv", "summary.json",
              "resolved_config.yaml", DIGESTS)
-# ``flwf run`` with the experiment result kept, then one digest line per
-# final model and the process's peak RSS (VmHWM, which exec resets) and minor
-# faults.  Uses only what every tree has:
+# ``flwf run`` with one digest line per final model taken as the run
+# returns, then the process's peak RSS (VmHWM, which exec resets), minor
+# faults and wall seconds less the digesting.  Uses only what every tree has:
 # ``flwf.cli.main`` looking up ``run_experiment`` at call time, ``.server``
 # (the server model, or a state holding it as ``.params``),
 # ``.clients[i].params`` and ``.weights``.
 CHILD = """
-import hashlib, resource, sys
+import hashlib, resource, sys, time
 import numpy as np
 from flwf import cli
 
-results = []
+lines, digesting = [], []
 run_experiment = cli.run_experiment
-cli.run_experiment = lambda scenario: results.append(run_experiment(scenario)) or results[-1]
-code = cli.main(sys.argv[3:])
-with open("/proc/self/status") as fh:
-    peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-with open(sys.argv[2], "w") as fh:
-    fh.write(f"{peak_kb} {minflt}\\n")
-if code == 0:
-    result = results[0]
-    lines = []
+
+def digested_run(scenario):
+    result = run_experiment(scenario)
+    start = time.perf_counter()
     for name, model in [("server", getattr(result.server, "params", result.server))] + [
             (f"client{i}", c.params) for i, c in enumerate(result.clients)]:
         h = hashlib.sha256()
         for w in model.weights if model is not None else ():
             for key in sorted(w):
-                h.update(np.ascontiguousarray(w[key]).tobytes())
+                h.update(np.ascontiguousarray(w[key]))
         lines.append(f"{name} {h.hexdigest()}\\n")
+    digesting.append(time.perf_counter() - start)
+    return result
+
+cli.run_experiment = digested_run
+start = time.perf_counter()
+code = cli.main(sys.argv[3:])
+wall = time.perf_counter() - start - sum(digesting)
+with open("/proc/self/status") as fh:
+    peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+with open(sys.argv[2], "w") as fh:
+    fh.write(f"{peak_kb} {minflt} {wall:.3f}\\n")
+if code == 0:
     with open(sys.argv[1], "w") as fh:
         fh.writelines(lines)
 sys.exit(code)
@@ -214,14 +225,14 @@ def run(tree: Path, args, out_dir: Path) -> str | None:
     return None
 
 
-def rusage(out_dir: Path) -> tuple[str, str]:
-    """The child's peak RSS in MB and minor page faults, or ``?`` for each
-    if it wrote none."""
+def rusage(out_dir: Path) -> tuple[str, str, str]:
+    """The child's peak RSS in MB, minor page faults and wall seconds, or
+    ``?`` for each if it wrote none."""
     path = out_dir / RUSAGE
     if not path.is_file():
-        return "?", "?"
-    maxrss_kb, minflt = path.read_text().split()
-    return f"{int(maxrss_kb) / 1024:.1f}", minflt
+        return "?", "?", "?"
+    maxrss_kb, minflt, wall = path.read_text().split()
+    return f"{int(maxrss_kb) / 1024:.1f}", minflt, wall
 
 
 def compare(base_dir: Path, change_dir: Path) -> list[str]:
@@ -272,11 +283,12 @@ def main(argv=None) -> int:
                                  for a in compare(dirs["base"], dirs[side])})
                 verdict = "DIFFERS " + ", ".join(differ) if differ else "identical"
             failures += verdict != "identical"
-            (base_rss, base_flt), *change = [rusage(dirs[side]) for side, _ in sides]
+            base, *change = [rusage(dirs[side]) for side, _ in sides]
             runs = f"  [change runs {', '.join(temps)}]" if temps else ""
-            print(f"{name}: {verdict}{runs}  (peak RSS {base_rss} -> "
-                  f"{', '.join(rss for rss, _ in change)} MB, minor faults {base_flt} -> "
-                  f"{', '.join(flt for _, flt in change)})", flush=True)
+            moves = [f"{what} {base[i]} -> {', '.join(c[i] for c in change)}{unit}"
+                     for i, (what, unit) in enumerate((("peak RSS", " MB"), ("minor faults", ""),
+                                                       ("wall", " s")))]
+            print(f"{name}: {verdict}{runs}  ({', '.join(moves)})", flush=True)
         print(f"{len(todo) - failures}/{len(todo)} scenarios byte-identical "
               f"to {args.rev}, final models included")
     return 1 if failures else 0
