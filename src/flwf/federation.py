@@ -66,8 +66,15 @@ def stream_seed(experiment_seed: int, purpose: int, client: int = 0,
     return np.random.SeedSequence(key)
 
 
-def _seed_int(seq: np.random.SeedSequence) -> int:
-    return int.from_bytes(seq.generate_state(4, np.uint32).tobytes(), "little")
+def _seed_words(state: np.ndarray) -> np.ndarray:
+    """The 128-bit seed whose ``uint32`` words, least significant first,
+    are ``state``, as the words numpy reads from that int: its high zero
+    words dropped, and 0 as one zero word.  A generator seeded from them
+    is the one ``default_rng`` of the int gives, without the int."""
+    n = len(state)
+    while n > 1 and not state[n - 1]:
+        n -= 1
+    return read_only(state[:n])
 
 
 @dataclass
@@ -87,12 +94,13 @@ class ClientPlan:
     """One client's round as planned: the composed batch's pool indices in
     training order, how many of them were drawn fresh (FedAvg weighs the
     client by its hint times that), the loss mode it trains with, and the
-    seed of its training stream."""
+    seed of its training stream, as read-only ``uint32`` words
+    (:func:`_seed_words`)."""
 
     rows: np.ndarray
     n_fresh: int
     mode: str
-    train_seed: int
+    train_seed: np.ndarray
 
 
 def _freeze(params: ModelParams) -> None:
@@ -231,7 +239,7 @@ def plan_run(scenario: ScenarioConfig,
         mode = select_loss_mode(cfg.policy, pool.labels[rows], pool.n_classes,
                                 cfg.algo, has_client_teacher=round_index > 1)
         return ClientPlan(rows=read_only(rows), n_fresh=len(fresh), mode=mode,
-                          train_seed=_seed_int(seed(SEED_TRAIN)))
+                          train_seed=_seed_words(seed(SEED_TRAIN).generate_state(4)))
 
     return test, (tuple(plan(i, cfg, r) for i, cfg in enumerate(scenario.clients))
                   for r in range(1, scenario.rounds + 1))

@@ -19,6 +19,7 @@ the objective is linear in its targets, so :func:`resolve_targets` merges
 the terms into one target per temperature (``alpha * y`` at T=1 and
 ``sum_i w_i * softmax(teacher_i / T)`` at T), and :func:`loss_and_grad`
 needs one log-softmax per temperature for the value and the gradient.
+Training computes the value only when it records a loss trace.
 
 All losses are SUMS over the batch, not means.  The learning rate must be
 read with that convention in mind: with batch size B, an equivalent
@@ -205,9 +206,15 @@ def resolve_targets(spec: LossSpec, labels: np.ndarray) -> list[Target]:
     return list(merged.values())
 
 
-def loss_and_grad(targets: list[Target], student_logits: np.ndarray
-                  ) -> tuple[float, np.ndarray]:
+def loss_and_grad(targets: list[Target], student_logits: np.ndarray,
+                  with_value: bool = True) -> tuple[float | None, np.ndarray]:
     """Value of the objective and its gradient with respect to the student logits.
+
+    The value is computed only ``with_value``, else None comes back in its
+    place: the gradient does not read it, and a training step needs only
+    the gradient (:func:`flwf.network.train_local` asks for the value when
+    it records a loss trace).  Either way the gradient takes the same
+    operations in the same order.
 
     A target contributes ``(weight * softmax(o / T) - probs) / T`` to the
     gradient, because every row of its ``probs`` sums to ``weight``.  The
@@ -228,7 +235,8 @@ def loss_and_grad(targets: list[Target], student_logits: np.ndarray
         scaled = (student_logits if target.temperature == 1.0
                   else student_logits / target.temperature)
         log_q = log_softmax(scaled)
-        value -= float((target.probs * log_q).sum())
+        if with_value:
+            value -= float((target.probs * log_q).sum())
         term = np.exp(log_q)
         term *= target.weight
         term -= target.probs
@@ -238,7 +246,7 @@ def loss_and_grad(targets: list[Target], student_logits: np.ndarray
             grad = term
         else:
             grad += term
-    return value, grad
+    return (value if with_value else None), grad
 
 
 def combined_loss(spec: LossSpec, student_logits: np.ndarray, labels: np.ndarray) -> float:
@@ -249,4 +257,5 @@ def combined_loss(spec: LossSpec, student_logits: np.ndarray, labels: np.ndarray
 def combined_loss_grad(spec: LossSpec, student_logits: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     """Gradient of :func:`combined_loss` with respect to the student logits."""
-    return loss_and_grad(resolve_targets(spec, _check_one_hot(labels)), student_logits)[1]
+    targets = resolve_targets(spec, _check_one_hot(labels))
+    return loss_and_grad(targets, student_logits, with_value=False)[1]

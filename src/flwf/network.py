@@ -54,16 +54,27 @@ pass allocated, never the caller's input, and builds its ``x > 0`` mask
 only for a backward pass.  Weights start uniform in ``[-s, s]``,
 ``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Given equal seeds,
 training is bit-for-bit reproducible.
+
+A pass takes its dropout masks from its caller (:func:`_draw_masks`, the
+one draw rule): :func:`train_local` draws the uniforms of a block of an
+epoch's consecutive steps in one ``rng.random`` call, at most max(one
+step's draws, :data:`SGD_CHUNK`) of them, and turns them into masks with
+a fixed number of numpy calls per block; :func:`forward` and
+:func:`backward` draw one step.  The stream is read in the same order
+either way.  A training step computes the gradient of the loss and not
+its value, which only a ``loss_trace`` reads.
 """
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -116,6 +127,19 @@ class LayerConfig:
                 raise ValueError(f"{self.kind} layer needs {name} > 0")
 
 
+class Dropouts(NamedTuple):
+    """The dropout layers with a rate above 0, in pass order, as a training
+    pass draws for them: each one's rate and per-example shape, and how
+    many uniforms it takes per row; ``rate`` is the one rate they share,
+    or None when they differ (see :func:`_draw_masks`)."""
+
+    rates: tuple[float, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+    per_row: int
+    rate: float | None
+
+
 class ModelParams:
     """All trainable buffers of one network plus its architecture.
 
@@ -145,6 +169,7 @@ class ModelParams:
     input_shape = property(lambda self: self._structure[1])
     layout = property(lambda self: self._structure[2])
     order = property(lambda self: self._structure[4])
+    dropouts = property(lambda self: self._structure[5])
     flat = property(operator.attrgetter("_flat"))
     weights = property(operator.attrgetter("_weights"))
 
@@ -184,16 +209,20 @@ class ModelParams:
 @functools.cache
 def _structure(architecture: tuple, input_shape: tuple[int, ...]) -> tuple:
     """The one rule for a model's structure, ``(architecture, input_shape,
-    layout, size, pass order)``: a dense ``W`` is ``(flattened input,
-    units)``, a conv1d ``W`` ``(kernel, channels, filters)``, ``b`` has
-    ``W``'s last axis, and a relu directly before a maxpool1d runs after
-    it.  A stack :func:`infer_shapes` rejects raises its error uncached.
-    The cache is unbounded: a run builds models of one architecture."""
+    layout, size, pass order, dropouts)``: a dense ``W`` is ``(flattened
+    input, units)``, a conv1d ``W`` ``(kernel, channels, filters)``, ``b``
+    has ``W``'s last axis, a relu directly before a maxpool1d runs after
+    it, and :class:`Dropouts` lists what a training pass draws for.  A
+    stack :func:`infer_shapes` rejects raises its error uncached.  The
+    cache is unbounded: a run builds models of one architecture."""
     layer_inputs = [input_shape] + infer_shapes(architecture, input_shape)[:-1]
     layout, order = [], list(range(len(architecture)))
+    drops = []  # (rate, per-example shape); a relu-maxpool swap moves no dropout
     for i, (layer, shape) in enumerate(zip(architecture, layer_inputs)):
         if i and layer.kind == KIND_MAXPOOL1D and architecture[i - 1].kind == KIND_RELU:
             order[i - 1], order[i] = i, i - 1
+        if layer.kind == KIND_DROPOUT and layer.rate > 0.0:
+            drops.append((layer.rate, shape))
         if layer.kind == KIND_DENSE:
             w_shape = (math.prod(shape), layer.units)
         elif layer.kind == KIND_CONV1D:
@@ -203,7 +232,11 @@ def _structure(architecture: tuple, input_shape: tuple[int, ...]) -> tuple:
             continue
         layout.append((("W", w_shape), ("b", w_shape[-1:])))
     size = sum(math.prod(shape) for keys in layout for _, shape in keys)
-    return architecture, input_shape, tuple(layout), size, tuple(order)
+    rates, shapes = tuple(r for r, _ in drops), tuple(s for _, s in drops)
+    sizes = tuple(math.prod(s) for s in shapes)
+    dropouts = Dropouts(rates, shapes, sizes, sum(sizes),
+                        rates[0] if len(set(rates)) == 1 else None)
+    return architecture, input_shape, tuple(layout), size, tuple(order), dropouts
 
 
 def params_digest(params: ModelParams) -> str:
@@ -322,11 +355,55 @@ def _coerce_input(params: ModelParams, inputs) -> np.ndarray:
         f"input: per-example shape {x.shape[1:]} does not match model input {shape}")
 
 
-def _forward_pass(params: ModelParams, inputs, training: bool, rng,
-                  keep_caches: bool):
+def _draw_masks(dropouts: Dropouts, rows, rng) -> list[np.ndarray]:
+    """The dropout masks of consecutive training steps of ``rows[s]`` rows,
+    step by step and, within a step, one per dropout layer with a rate
+    above 0 in pass order, from one ``rng.random`` call.
+
+    The one draw rule: the stream is read in that order, ``rows x shape``
+    uniforms per layer, and each mask is ``(u >= rate) / (1.0 - rate)``
+    elementwise.  How many uniforms one call draws is not part of the
+    rule: ``rng.random`` fills doubles one 64-bit draw each, so one call
+    for many steps reads the stream as one call per step and layer would.
+    A shared rate takes one comparison and one division for the whole
+    block; mixed rates spell each uniform's rate out first, the same
+    float64 operands.  The masks are views into the block's.  Without a
+    dropout layer to draw for, nothing is drawn.
+    """
+    if not dropouts.per_row:
+        return []
+    u = rng.random(sum(rows) * dropouts.per_row)
+    if dropouts.rate is not None:
+        block = (u >= dropouts.rate) / (1.0 - dropouts.rate)
+    else:
+        rates = np.repeat(np.tile(dropouts.rates, len(rows)),
+                          np.outer(rows, dropouts.sizes).ravel())
+        block = (u >= rates) / (1.0 - rates)
+    if len(rows) == 1 and len(dropouts.shapes) == 1:  # the block is the one mask
+        return [block.reshape((rows[0],) + dropouts.shapes[0])]
+    masks, start = [], 0
+    for n in rows:
+        for shape, size in zip(dropouts.shapes, dropouts.sizes):
+            stop = start + n * size
+            masks.append(block[start:stop].reshape((n,) + shape))
+            start = stop
+    return masks
+
+
+def _one_step_masks(params: ModelParams, x: np.ndarray, rng):
+    """An iterator over one training step's dropout masks for the batch ``x``."""
+    if rng is None and params.dropouts.per_row:
+        raise ValueError("training forward through dropout requires an rng")
+    return iter(_draw_masks(params.dropouts, [len(x)], rng))
+
+
+def _forward_pass(params: ModelParams, inputs, masks, keep_caches: bool):
     """Logits and, with ``keep_caches``, one cache per layer in pass order
-    (:func:`_structure`).  Without caches, a conv1d whose output goes
-    straight into a max-pool adds its bias after the pool."""
+    (:func:`_structure`).  ``masks`` is an iterator over training dropout
+    masks (:func:`_draw_masks`): each dropout layer with a rate above 0
+    takes the next one, in pass order.  None is inference, with dropout
+    inactive.  Without caches, a conv1d whose output goes straight into a
+    max-pool adds its bias after the pool."""
     x = inputs = _coerce_input(params, inputs)
     caches: list = []
     architecture, weights, order = params.architecture, params.weights, params.order
@@ -359,12 +436,9 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
             else:  # every other layer hands over a fresh array
                 np.maximum(x, 0.0, out=x)
         elif layer.kind == KIND_DROPOUT:
-            if training and layer.rate > 0.0:
-                if rng is None:
-                    raise ValueError("training forward through dropout requires an rng")
-                mask = (rng.random(x.shape) >= layer.rate) / (1.0 - layer.rate)
-                cache = mask
-                x = x * mask
+            if masks is not None and layer.rate > 0.0:
+                cache = next(masks)
+                x = x * cache
         elif layer.kind == KIND_SOFTMAX_OUTPUT:
             pass  # logits pass through; losses apply their own softmax
         if keep_caches:
@@ -377,11 +451,14 @@ def _forward_pass(params: ModelParams, inputs, training: bool, rng,
 def forward(params: ModelParams, inputs, training: bool = False, rng=None) -> np.ndarray:
     """Logits for a batch, one row per input row.
 
-    Dropout fires only when ``training`` is set; inference is rng-free and
+    Dropout fires only when ``training`` is set, with one step's masks
+    drawn from ``rng`` (:func:`_draw_masks`); inference is rng-free and
     deterministic.
     """
-    logits, _ = _forward_pass(params, inputs, training, rng, keep_caches=False)
-    return logits
+    if not training:
+        return _forward_pass(params, inputs, None, keep_caches=False)[0]
+    x = _coerce_input(params, inputs)
+    return _forward_pass(params, x, _one_step_masks(params, x, rng), keep_caches=False)[0]
 
 
 def _conv1d_forward(x, W, b=None):
@@ -524,9 +601,12 @@ def backward(params: ModelParams, batch: DatasetPool, spec: losses.LossSpec,
 
     Teacher logits must already sit inside ``spec`` when a distillation
     term is requested.  With ``training`` unset the pass is deterministic
-    (dropout inactive).
+    (dropout inactive); with it set, one step's masks come from ``rng`` as
+    in :func:`forward`.
     """
-    logits, caches = _forward_pass(params, batch.features, training, rng, keep_caches=True)
+    x = _coerce_input(params, batch.features)
+    masks = _one_step_masks(params, x, rng) if training else None
+    logits, caches = _forward_pass(params, x, masks, keep_caches=True)
     return _backward_pass(params, caches,
                           losses.combined_loss_grad(spec, logits, batch.one_hot()))
 
@@ -582,10 +662,16 @@ def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *
     Hyperparameters that break :func:`local_update_error` raise
     ``ValueError("field: reason")``.  The objective is resolved into its
     targets once (see :func:`flwf.losses.objective_terms`).  The batch order
-    is drawn once from the shuffle seeded by ``seed`` and then chunked into
+    is drawn once from the shuffle seeded by ``seed`` (an int or seed words,
+    anything ``np.random.default_rng`` takes) and then chunked into
     ``batch_size``-row mini-batches (the last chunk may be short); every
-    epoch iterates the same chunks.  Per-batch loss values are appended to
-    ``loss_trace`` when given.  A :class:`FloatingPointError` names the
+    epoch iterates the same chunks.  The same generator then gives the
+    dropout masks, step after step, drawn a block of an epoch's
+    consecutive steps at a time: at most max(one step's draws,
+    :data:`SGD_CHUNK`) uniforms per ``rng.random`` call, read as
+    :func:`_draw_masks` has it.  Per-batch loss values are appended to
+    ``loss_trace`` when given; without it no step computes one, since only
+    the gradient moves the model.  A :class:`FloatingPointError` names the
     epoch and step where it arose.
 
     ``params`` is never written, and a new model is returned.  Each step
@@ -609,16 +695,26 @@ def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *
     order = rng.permutation(len(data))
     chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
     steps = [(data.features[chunk],
-              [t._replace(probs=t.probs[chunk]) for t in targets])
+              [losses.Target(t.temperature, t.weight, t.probs[chunk]) for t in targets])
              for chunk in chunks]
+    # an epoch's steps in blocks of at most max(one step's draws, SGD_CHUNK) uniforms
+    dropouts = params.dropouts
+    per_block = max(1, SGD_CHUNK // (batch_size * max(dropouts.per_row, 1)))  # steps
+    step_rows = list(map(len, chunks))
+    with_value = loss_trace is not None
     current = params
     for epoch in range(1, epochs + 1):
+        if len(step_rows) <= per_block:
+            masks = iter(_draw_masks(dropouts, step_rows, rng))
+        else:  # each block drawn when its first step needs it
+            masks = itertools.chain.from_iterable(
+                _draw_masks(dropouts, step_rows[i:i + per_block], rng)
+                for i in range(0, len(step_rows), per_block))
         for step, (features, chunk_targets) in enumerate(steps, 1):
             try:
-                logits, caches = _forward_pass(current, features, True, rng,
-                                               keep_caches=True)
-                value, dlogits = losses.loss_and_grad(chunk_targets, logits)
-                if loss_trace is not None:
+                logits, caches = _forward_pass(current, features, masks, keep_caches=True)
+                value, dlogits = losses.loss_and_grad(chunk_targets, logits, with_value)
+                if with_value:
                     loss_trace.append(value)
                 grads = _backward_pass(current, caches, dlogits, out=spare)
                 spare = None if current is params else current

@@ -21,7 +21,7 @@ from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
                              SEED_ROUND_DRAW, SEED_TEST_DRAW,
                              SEED_TRAIN, ClientPlan, ClientRuntime, client_update,
                              fedavg, run_experiment, run_round, start_run,
-                             stream_seed, _seed_int)
+                             stream_seed, _seed_words)
 from flwf.metrics import SERVER
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
@@ -94,14 +94,14 @@ def tiny_scenario(seed=0, rounds=2, algo="flwf2", use_exemplars=False,
 def test_stream_seeds_are_distinct_across_coordinates():
     coords = [(s, p, c, r) for s in (0, 1) for p in range(7)
               for c in (0, 1) for r in (0, 1, 2)]
-    ints = [_seed_int(stream_seed(*co)) for co in coords]
-    assert len(set(ints)) == len(ints)
+    states = [tuple(stream_seed(*co).generate_state(4)) for co in coords]
+    assert len(set(states)) == len(states)
 
 
 def test_stream_seed_is_reproducible():
-    a = _seed_int(stream_seed(3, SEED_TRAIN, 1, 4))
-    b = _seed_int(stream_seed(3, SEED_TRAIN, 1, 4))
-    assert a == b
+    a = stream_seed(3, SEED_TRAIN, 1, 4).generate_state(4)
+    b = stream_seed(3, SEED_TRAIN, 1, 4).generate_state(4)
+    assert np.array_equal(a, b)
 
 
 KEY_PART = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80),
@@ -120,6 +120,27 @@ def test_stream_seed_is_the_seed_sequence_of_its_key_tuple(key):
                           np.random.default_rng(want).integers(0, 2**63, size=4))
     if max(key) < 2**32:
         assert got.entropy.dtype == np.uint32 and got.entropy.tolist() == list(key)
+
+
+SEED_128 = st.one_of(st.integers(0, 2**128 - 1), st.integers(0, 2**64),
+                     st.integers(0, 2**32), st.sampled_from([0, 1, 2**32, 2**96, 2**128 - 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEED_128)
+def test_seed_words_seed_the_generator_of_their_int(seed):
+    """A plan's training seed words are a 128-bit seed's ``uint32`` words,
+    least significant first, as numpy splits the int: high zero words
+    dropped, 0 as one word.  Seeded from them, a generator is the one
+    ``default_rng(int)`` gives: the same state and the same draws."""
+    state = np.frombuffer(seed.to_bytes(16, "little"), dtype=np.uint32).copy()
+    words = _seed_words(state)
+    assert not words.flags.writeable
+    assert words.tolist() == (list(map(int, np.trim_zeros(state, "b"))) or [0])
+    got, want = np.random.default_rng(words), np.random.default_rng(seed)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(5), want.random(5))
+    assert np.array_equal(got.permutation(40), want.permutation(40))
 
 
 def test_stream_seed_refuses_a_negative_part_as_seed_sequence_does():

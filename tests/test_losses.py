@@ -467,7 +467,8 @@ def test_loss_and_grad_keeps_every_bit_of_the_formula(case, alpha, scale, zeros)
     ``0.0 +`` changes no bit of the value or the gradient, signed zeros
     included: on resolved targets of every mode (T = 1.0 among the
     temperatures, alpha of -0.0 among the weights), on logits whose
-    softmax underflows, and on logits with exact zeros."""
+    softmax underflows, and on logits with exact zeros.  Asked for the
+    gradient alone, it returns None for the value and the same bits."""
     spec, student, labels, want = case
     assume(want is not None)
     if alpha is not None and spec.mode != losses.MODE_FINE_TUNE:
@@ -481,3 +482,5 @@ def test_loss_and_grad_keeps_every_bit_of_the_formula(case, alpha, scale, zeros)
     want_value, want_grad = formula_loss_and_grad(targets, student)
     assert same_bits(got_value, want_value)
     assert same_bits(got_grad, want_grad)
+    no_value, grad_alone = loss_and_grad(targets, student, with_value=False)
+    assert no_value is None and same_bits(grad_alone, want_grad)

@@ -3,6 +3,7 @@ SGD, local training, and serialization."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
                           ShapeMismatchError, _conv1d_forward,
                           _backward_pass, _conv1d_input_grad, _conv1d_param_grads,
-                          _forward_pass,
+                          _forward_pass, _one_step_masks,
                           _maxpool_backward, _maxpool_forward, backward, forward,
                           infer_shapes, init_params, layer_to_dict, loss_on_batch,
                           params_digest, reclaim, sgd_step, train_local)
@@ -238,7 +239,7 @@ def test_inference_forward_equals_training_forward_bit_for_bit():
             for key in w:
                 w[key][...] = rng.integers(-2, 3, size=w[key].shape).astype(float)
         x = rng.integers(-2, 3, size=(16, 10, 2)).astype(float)
-        logits, _ = _forward_pass(params, x, False, None, keep_caches=True)
+        logits, _ = _forward_pass(params, x, None, keep_caches=True)
         assert np.array_equal(forward(params, x), logits)
         pooled = np.maximum(_conv1d_forward(x, params.weights[0]["W"],
                                             params.weights[0]["b"])[0], 0.0)
@@ -415,7 +416,7 @@ def test_pooled_width_conv_block_matches_the_plain_order(net, batch, seed):
     assert sorted(params.order) == list(range(len(arch)))
     assert ("relu", "maxpool1d") not in zip(kinds, kinds[1:])  # every ReLU at pooled width
 
-    logits, caches = _forward_pass(params, x, False, None, keep_caches=True)
+    logits, caches = _forward_pass(params, x, None, keep_caches=True)
     ref_logits, ref_grads = plain_order_reference(params, x, dlogits)
     assert same_bits(forward(params, x), logits)
     assert same_bits(logits, ref_logits)
@@ -446,7 +447,8 @@ def test_relu_never_writes_the_callers_input(arch, flat):
     snapshot = x.copy()
     forward(params, x)
     forward(params, x, training=True, rng=np.random.default_rng(2))
-    _forward_pass(params, x, True, np.random.default_rng(3), keep_caches=True)
+    _forward_pass(params, x, _one_step_masks(params, x, np.random.default_rng(3)),
+                  keep_caches=True)
     backward(params, DatasetPool(x, rng.integers(0, 3, size=6), 3), LossSpec(),
              training=True, rng=np.random.default_rng(4))
     assert same_bits(x, snapshot)
@@ -463,7 +465,7 @@ def test_backward_never_writes_the_callers_logit_gradient(arch):
     the weight gradients equal those from a writable copy."""
     params = init_params(arch, (3,), seed=0)
     x = np.random.default_rng(1).normal(size=(6, 3))
-    _, caches = _forward_pass(params, x, True, np.random.default_rng(2),
+    _, caches = _forward_pass(params, x, _one_step_masks(params, x, np.random.default_rng(2)),
                               keep_caches=True)
     dlogits = np.random.default_rng(3).normal(size=(6, 4))
     snapshot = dlogits.copy()
@@ -664,26 +666,38 @@ def test_sgd_step_raises_on_a_non_finite_value_in_the_last_chunk_only(bad):
         sgd_step(params, grads, 0.1)
 
 
+DROPOUT_RATES = st.one_of(st.sampled_from([0.0, 0.2, 0.5]), st.floats(0.0, 0.95))
+
+
 @st.composite
 def random_nets(draw):
     """A random MLP or conv1d net (conv1d, relu, optional maxpool1d, then
-    dense layers) with an optional dropout, and its input shape."""
-    layers = []
+    dense layers) with 0-3 dropout layers of mixed rates, 0.0 among them,
+    directly after the conv1d, after the conv block and after each hidden
+    dense layer, and its input shape."""
+    layers, dropouts = [], [0]
+
+    def maybe_dropout():
+        if dropouts[0] < 3 and draw(st.booleans()):
+            dropouts[0] += 1
+            layers.append(LayerConfig("dropout", rate=draw(DROPOUT_RATES)))
+
     if draw(st.booleans()):
         length = draw(st.integers(4, 12))
         input_shape = (length, draw(st.integers(1, 3)))
-        layers += [LayerConfig("conv1d", filters=draw(st.integers(1, 4)),
-                               kernel=draw(st.integers(1, length // 2))),
-                   LayerConfig("relu")]
+        layers.append(LayerConfig("conv1d", filters=draw(st.integers(1, 4)),
+                                  kernel=draw(st.integers(1, length // 2))))
+        maybe_dropout()
+        layers.append(LayerConfig("relu"))
         if draw(st.booleans()):
             layers.append(LayerConfig("maxpool1d", pool=2))
     else:
         input_shape = (draw(st.integers(1, 6)),)
+    maybe_dropout()
     for _ in range(draw(st.integers(0, 2))):
         layers += [LayerConfig("dense", units=draw(st.integers(1, 6))),
                    LayerConfig("relu")]
-    if draw(st.booleans()):
-        layers.append(LayerConfig("dropout", rate=0.3))
+        maybe_dropout()
     layers += [LayerConfig("dense", units=draw(st.integers(2, 4))),
                LayerConfig("softmax-output")]
     return tuple(layers), input_shape
@@ -782,8 +796,21 @@ def test_the_one_constructor_lays_flat_out_as_views_that_share_it(net, given_fla
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
-def reference_train_local(params, data, spec, *, learning_rate, batch_size, epochs, seed):
-    """``train_local`` with a fresh gradient model allocated every step."""
+def reference_masks(params, rows, rng):
+    """One step's dropout masks as the forward pass once drew them: for
+    each dropout layer with a rate above 0, in order, one ``rng.random``
+    call of the shape its input has, ``(u >= rate) / (1.0 - rate)``."""
+    arch = params.architecture
+    shapes = [params.input_shape] + infer_shapes(arch, params.input_shape)[:-1]
+    return [(rng.random((rows, *shape)) >= layer.rate) / (1.0 - layer.rate)
+            for layer, shape in zip(arch, shapes)
+            if layer.kind == "dropout" and layer.rate > 0.0]
+
+
+def reference_train_local(params, data, spec, *, learning_rate, batch_size, epochs, seed,
+                          loss_trace=None):
+    """``train_local`` with a fresh gradient model allocated every step, and
+    every step's dropout masks drawn layer by layer (:func:`reference_masks`)."""
     targets = losses.resolve_targets(spec, data.one_hot())
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
@@ -791,13 +818,60 @@ def reference_train_local(params, data, spec, *, learning_rate, batch_size, epoc
     for _ in range(epochs):
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
-            logits, caches = _forward_pass(current, data.features[chunk], True,
-                                           rng, keep_caches=True)
-            _, dlogits = losses.loss_and_grad(
+            logits, caches = _forward_pass(current, data.features[chunk],
+                                           iter(reference_masks(current, len(chunk), rng)),
+                                           keep_caches=True)
+            value, dlogits = losses.loss_and_grad(
                 [t._replace(probs=t.probs[chunk]) for t in targets], logits)
+            if loss_trace is not None:
+                loss_trace.append(value)
             current = sgd_step(current, _backward_pass(current, caches, dlogits),
                                learning_rate)
     return current
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_nets(), st.integers(1, 3), st.integers(1, 8), st.integers(0, 4),
+       st.integers(0, 7), st.integers(0, 2**32 - 1),
+       st.sampled_from(["fine-tune", "flwf1", "flwf2"]), st.sampled_from([1, 24, SGD_CHUNK]))
+def test_train_local_draws_dropout_masks_as_one_call_per_layer_and_step(
+        net, epochs, batch_size, full_steps, extra, seed, mode, chunk):
+    """Masks drawn a block of steps at a time, and turned into masks per
+    block, read the stream as one ``rng.random`` call per dropout layer
+    per step did: the final model and every traced loss keep their bits,
+    for any mix of rates, any number of epochs and a short last step.  A
+    block holds steps of one epoch, no more than max(one step's draws,
+    ``SGD_CHUNK``) uniforms (patched small, so that an epoch takes several
+    blocks)."""
+    arch, input_shape = net
+    rows = max(1, batch_size * full_steps + extra % batch_size)
+    rng = np.random.default_rng(seed)
+    params = init_params(arch, input_shape, seed=seed)
+    batch = make_batch(rng, params, rows=rows)
+    spec = spec_for(mode, rng, rows, batch.n_classes)
+    cfg = dict(learning_rate=0.01, batch_size=batch_size, epochs=epochs, seed=seed)
+    want_trace, got_trace, blocks = [], [], []
+    want = reference_train_local(params, batch, spec, **cfg, loss_trace=want_trace)
+
+    def spy(dropouts, block_rows, rng):
+        blocks.append(block_rows)
+        return real_draw(dropouts, block_rows, rng)
+
+    real_draw = network._draw_masks
+    with mock.patch.object(network, "SGD_CHUNK", chunk), \
+            mock.patch.object(network, "_draw_masks", spy):
+        got = train_local(params, batch, spec, **cfg, loss_trace=got_trace)
+    assert same_bits(got.flat, want.flat)
+    assert same_bits(np.array(got_trace), np.array(want_trace))
+    per_row = params.dropouts.per_row
+    steps = [len(c) for c in np.array_split(np.arange(rows), range(batch_size, rows,
+                                                                   batch_size))]
+    if per_row:
+        assert [n for block in blocks for n in block] == steps * epochs
+        assert all(sum(block) * per_row <= max(max(steps) * per_row, chunk)
+                   for block in blocks)
+        assert set(itertools.accumulate(sum(block) for block in blocks)) >= {
+            rows * e for e in range(1, epochs + 1)}
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,9 +24,13 @@ scenario below is run once with each tree's ``src``:
   does not run at pooled width;
 * ``many-classes`` (:func:`many_classes_scenario`) at seed 6: 300
   classes, so the ledger stores its predictions in two bytes per test
-  row, and class ids above 255 are predicted, learnt and scored.
+  row, and class ids above 255 are predicted, learnt and scored;
+* ``mixed-dropout`` (:func:`mixed_dropout_scenario`) at seed 8: an MLP
+  whose three dropout layers have rates 0.5, 0.0 and 0.2, with four SGD
+  steps per epoch, the last one short, so dropout masks of mixed rates
+  are drawn over many steps.
 
-31 scenarios in all.
+32 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario that reads a CSV (``paper-cnn``)
@@ -125,6 +129,7 @@ CONV_BLOCKS = {
 CONV_RUNS = [("conv-steps", seed) for seed in CONV_SEEDS] + [
     ("conv-pool-first", CONV_SEEDS[0]), ("conv-dropout-pool", CONV_SEEDS[1])]
 MANY_CLASSES_SEED = 6
+MIXED_DROPOUT_SEED = 8
 
 
 def conv_steps_scenario(seed: int, label: str) -> dict:
@@ -177,6 +182,33 @@ def many_classes_scenario(seed: int) -> dict:
     }
 
 
+def mixed_dropout_scenario(seed: int) -> dict:
+    """A 16-d MLP with three hidden layers, each followed by a dropout
+    layer of its own rate (0.5, 0.0, 0.2), for four rounds of 3 epochs of
+    batch-16 steps over 50 fresh rows per client-round (16, 16, 16, 2):
+    ``client1`` distills from both teachers with exemplars (flwf2),
+    ``generalized`` fine-tunes."""
+    hidden = []
+    for rate in (0.5, 0.0, 0.2):
+        hidden += [{"kind": "dense", "units": 24}, {"kind": "relu"},
+                   {"kind": "dropout", "rate": rate}]
+    return {
+        "label": "mixed-dropout", "seed": seed, "rounds": 4, "epochs": 3,
+        "batch_size": 16, "learning_rate": 0.02, "dropout": 0.5, "n_classes": 6,
+        "input_shape": [16],
+        "layers": [*hidden, {"kind": "dense", "units": 6}, {"kind": "softmax-output"}],
+        "clients": [
+            {"name": "client1", "weight": 1.0, "algo": "flwf2", "alpha": 0.3, "beta": 0.4,
+             "use_exemplars": True,
+             "tasks": [{"classes": [0, 1], "rounds": 2}, {"classes": [2, 3], "rounds": 2}]},
+            {"name": "generalized", "weight": 4.0, "algo": "fine-tune",
+             "tasks": [{"classes": [0, 1, 2, 3, 4, 5], "rounds": 4}]},
+        ],
+        "data": {"kind": "synthetic", "per_class": 200, "feature_dim": 16},
+        "round_data_size": 50, "test_per_class": 20,
+    }
+
+
 def scenarios(inputs_dir: Path):
     """``[(name, flwf run arguments, sidecar path or None), ...]``, the
     sidecar being where the working tree caches the scenario's CSV;
@@ -207,6 +239,9 @@ def scenarios(inputs_dir: Path):
     path = inputs_dir / f"many-classes-seed{MANY_CLASSES_SEED}.yaml"
     path.write_text(yaml.safe_dump(many_classes_scenario(MANY_CLASSES_SEED), sort_keys=False))
     out.append((f"many-classes-seed{MANY_CLASSES_SEED}", ["--config", str(path)], None))
+    path = inputs_dir / f"mixed-dropout-seed{MIXED_DROPOUT_SEED}.yaml"
+    path.write_text(yaml.safe_dump(mixed_dropout_scenario(MIXED_DROPOUT_SEED), sort_keys=False))
+    out.append((f"mixed-dropout-seed{MIXED_DROPOUT_SEED}", ["--config", str(path)], None))
     return out
 
 
