@@ -5,7 +5,10 @@ into the output directory: ``metrics.csv`` (per-round accuracies, one
 row per owner/metric/task), ``figure_data.csv`` (per-class accuracy
 curves), ``summary.json`` (aggregate metrics plus the resolved config),
 and ``resolved_config.yaml`` (re-parseable provenance copy).  The same
-preset and seed always produce byte-identical files.
+preset and seed always produce byte-identical files.  The two CSVs are
+the text lines the ledger formats (the bytes ``csv.writer`` would write),
+written a bounded block of lines per write call, so no file is held
+whole; ``summary.json`` is one ``json.dumps`` and one write.
 
 ``flwf compare`` reads several ``summary.json`` files and prints an
 aligned table of the headline numbers (general and personal accuracy of
@@ -16,6 +19,7 @@ server, task-2 average accuracy and forgetting), next to a CSV copy.
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -33,6 +37,9 @@ FIGURE_NAME = "figure_data.csv"
 RESOLVED_NAME = "resolved_config.yaml"
 
 
+LINES_PER_WRITE = 1024
+
+
 def _write_csv(path, header, rows):
     """``csv.writer`` writes a Python float with ``repr``, so every value
     reads back exactly."""
@@ -40,6 +47,17 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_lines(path, header, lines):
+    """``header`` as a ``csv.writer`` row, then the text ``lines`` (each
+    ending in "\\n"), joined and written :data:`LINES_PER_WRITE` at a
+    time, so neither the file nor all its lines are held at once."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        while block := "".join(itertools.islice(lines, LINES_PER_WRITE)):
+            fh.write(block)
 
 
 def summarize(scenario: ScenarioConfig, ledger: MetricsLedger) -> dict:
@@ -71,9 +89,9 @@ def summarize(scenario: ScenarioConfig, ledger: MetricsLedger) -> dict:
 
 
 def _write_summary(scenario: ScenarioConfig, ledger: MetricsLedger, path) -> None:
+    text = json.dumps(summarize(scenario, ledger), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(scenario, ledger), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_outputs(scenario: ScenarioConfig, ledger: MetricsLedger, out_dir) -> list[str]:
@@ -86,10 +104,10 @@ def write_outputs(scenario: ScenarioConfig, ledger: MetricsLedger, out_dir) -> l
     """
     os.makedirs(out_dir, exist_ok=True)
     writers = (
-        (METRICS_NAME, lambda path: _write_csv(
+        (METRICS_NAME, lambda path: _write_lines(
             path, ("owner", "round", "metric", "task", "value"),
             ledger.csv_rows())),
-        (FIGURE_NAME, lambda path: _write_csv(
+        (FIGURE_NAME, lambda path: _write_lines(
             path, ("round", "owner", "class", "accuracy"),
             ledger.figure_rows())),
         (SUMMARY_NAME, lambda path: _write_summary(scenario, ledger, path)),

@@ -324,7 +324,10 @@ def infer_shapes(architecture, input_shape) -> list[tuple[int, ...]]:
 def init_params(architecture, input_shape, seed) -> ModelParams:
     """Fresh model with uniform Glorot weights and zero biases: ``rng.random``
     into each ``W`` view, mapped onto ``[-s, s]`` in place as
-    ``rng.uniform`` does (``low + (high - low) * u``)."""
+    ``rng.uniform`` does (``low + (high - low) * u``).  Each ``W`` is
+    filled in :data:`SGD_CHUNK`-element slices, drawn, scaled and shifted
+    while the slice is still in cache; each double takes one 64-bit draw,
+    so the stream is read as one fill of the whole view reads it."""
     params = ModelParams(architecture, input_shape)
     rng = np.random.default_rng(seed)
     for layer, w in zip(params.architecture, params.weights):
@@ -333,9 +336,12 @@ def init_params(architecture, input_shape, seed) -> ModelParams:
         view = w["W"]
         fan_out = layer.units if layer.kind == KIND_DENSE else layer.kernel * layer.filters
         s = math.sqrt(6.0 / (math.prod(view.shape[:-1]) + fan_out))
-        rng.random(out=view)
-        view *= s - (-s)
-        view += -s
+        flat = view.reshape(-1)
+        for start in range(0, flat.size, SGD_CHUNK):
+            part = flat[start:start + SGD_CHUNK]
+            rng.random(out=part)
+            part *= s - (-s)
+            part += -s
         w["b"][...] = 0.0
     return params
 

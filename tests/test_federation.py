@@ -57,7 +57,7 @@ def max_abs_gap(a: ModelParams, b: ModelParams) -> float:
 def ledger_outputs(ledger):
     """Everything a finished ledger holds and exports: its test labels, both
     exports, and each record's key, predictions and mode."""
-    return (ledger.test_labels.tolist(), ledger.csv_rows(), ledger.figure_rows(),
+    return (ledger.test_labels.tolist(), list(ledger.csv_rows()), list(ledger.figure_rows()),
             [(key, r.predictions.tolist(), r.mode) for key, r in ledger.records.items()])
 
 

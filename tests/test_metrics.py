@@ -1,15 +1,20 @@
 """Ledger accounting: per-round accuracies, aggregates, forgetting, export."""
 
+import csv
+import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flwf import metrics
 from flwf.continual import TaskSequence, TaskSpec
 from flwf.datasets import DatasetPool
-from flwf.metrics import SERVER, MetricsLedger, RoundRecord, predict
+from flwf.metrics import (SERVER, MetricsLedger, Predictions, RoundRecord, _csv_field,
+                          _float_texts, predict)
 from flwf.network import KIND_DENSE, KIND_SOFTMAX_OUTPUT, LayerConfig, forward, init_params
 
 # Hand ledger: 2 classes, tasks [{0}, {1}] with budgets [2, 2], test set of
@@ -37,14 +42,16 @@ def hand_ledger():
     return ledger
 
 
-def rebuilt(ledger, **changes):
+def rebuilt(ledger, owners=None, **changes):
     """A new ledger of ``ledger``'s geometry, ``changes`` applied, holding
-    its records appended again in order."""
+    its records appended again in order, each owner renamed by ``owners``."""
     geometry = dict(test_labels=ledger.test_labels, n_classes=ledger.n_classes,
                     total_rounds=ledger.total_rounds, tasks=ledger.tasks)
     fresh = MetricsLedger(**{**geometry, **changes})
     for record in ledger.records.values():
-        fresh.append(record)
+        fresh.append(record if owners is None else
+                     RoundRecord(owners[record.owner], record.round_index,
+                                 record.predictions, record.mode))
     return fresh
 
 
@@ -66,6 +73,55 @@ def test_predict_breaks_ties_toward_lowest_class():
     params.weights[0]["W"][:] = 0.0
     params.weights[0]["b"][:] = 0.0
     assert (predict(params, np.ones((5, 2))) == 0).all()
+
+
+def biased_model(n_logits: int, favourite: int):
+    """A dense net on 2 features that predicts ``favourite`` for every row."""
+    layers = (LayerConfig(KIND_DENSE, units=n_logits), LayerConfig(KIND_SOFTMAX_OUTPUT))
+    params = init_params(layers, (2,), seed=0)
+    params.weights[0]["W"][:] = 0.0
+    params.weights[0]["b"][:] = 0.0
+    params.weights[0]["b"][favourite] = 1.0
+    return params
+
+
+@pytest.mark.parametrize("n_classes, dtype", [(3, np.uint8), (256, np.uint8),
+                                               (257, np.uint16), (300, np.uint16)])
+def test_predict_ids_are_checked_once_where_they_are_made(monkeypatch, n_classes, dtype):
+    """``predict``'s ids come narrowed and read-only, and a ledger of as
+    many classes stores them as they are, no copy made; any other array,
+    one computed from them among them, passes ``class_ids`` before it is
+    narrowed."""
+    ids = predict(biased_model(n_classes, n_classes - 1), np.ones((6, 2)))
+    assert isinstance(ids, Predictions) and ids.n_classes == n_classes
+    assert ids.dtype == dtype and not ids.flags.writeable
+    assert ids.tolist() == [n_classes - 1] * 6
+
+    checked = []
+    real_class_ids = metrics.class_ids
+
+    def counted(values, *args):
+        checked.append(type(values))
+        return real_class_ids(values, *args)
+
+    ledger = MetricsLedger(test_labels=np.arange(6) % n_classes, n_classes=n_classes,
+                           total_rounds=2)
+    narrower = MetricsLedger(test_labels=np.arange(6) % 2, n_classes=n_classes - 1,
+                             total_rounds=1)
+    monkeypatch.setattr(metrics, "class_ids", counted)
+    ledger.append(RoundRecord("c", 1, ids))
+    assert ledger.record_for("c", 1).predictions is ids
+    assert checked == []
+
+    ledger.append(RoundRecord("c", 2, np.array(ids)))  # a plain copy is checked
+    assert checked == [np.ndarray]
+    with pytest.raises(ValueError, match=re.escape(
+            f"prediction {n_classes} for test row 0 is not a class id in 0..{n_classes - 1}")):
+        ledger.append(RoundRecord("d", 1, ids.astype(np.int64) + 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"prediction {n_classes - 1} for test row 0 is not a class id")):
+        narrower.append(RoundRecord("d", 1, ids))
+    assert len(checked) == 3 and ("d", 1) not in ledger.records
 
 
 # -- ledger construction -------------------------------------------------------
@@ -262,23 +318,32 @@ def test_server_supports_only_whole_test_metrics():
 # -- export ---------------------------------------------------------------------
 
 
+def parsed(lines):
+    """The export's lines as ``csv.reader`` reads them, one row per line."""
+    lines = list(lines)
+    assert all(line.endswith("\n") for line in lines)
+    rows = list(csv.reader(lines))
+    assert len(rows) == len(lines)
+    return rows
+
+
 def test_csv_rows_shape_and_content():
-    rows = hand_ledger().csv_rows()
+    rows = parsed(hand_ledger().csv_rows())
     whole = [r for r in rows if r[2] == "whole_test_accuracy"]
     tasks = [r for r in rows if r[2] == "task_accuracy"]
     assert len(whole) == 9  # server 0..4 plus client 1..4
     assert len(tasks) == 8  # client only: 4 rounds x 2 tasks
     assert all(r[0] == "c" for r in tasks)
-    assert ("c", 1, "whole_test_accuracy", "", 3 / 8) in whole
-    assert ("c", 4, "task_accuracy", 1, 1 / 4) in tasks
+    assert ["c", "1", "whole_test_accuracy", "", repr(3 / 8)] in whole
+    assert ["c", "4", "task_accuracy", "1", repr(1 / 4)] in tasks
 
 
 def test_figure_rows_cover_every_record_and_class():
     ledger = hand_ledger()
-    rows = ledger.figure_rows()
+    rows = parsed(ledger.figure_rows())
     assert len(rows) == 9 * 2
-    assert (1, "c", 0, 3 / 4) in rows
-    assert (0, SERVER, 1, 0.0) in rows
+    assert ["1", "c", "0", repr(3 / 4)] in rows
+    assert ["0", SERVER, "1", repr(0.0)] in rows
 
 
 # -- properties: random ledgers against brute force ----------------------------
@@ -425,8 +490,8 @@ def test_ledger_matches_brute_force_on_random_ledgers(case):
 @given(random_ledgers())
 def test_window_means_are_computed_once_per_owner_and_task_pair(case):
     """The summary's A_task and F values equal those of fresh ledgers; every
-    abar(c, t, d) behind them is computed once, from a hit table stacked
-    once between appends and once more after one."""
+    abar(c, t, d) behind them is computed once, from one owner table read
+    from a hit table stacked once between appends and once more after one."""
     ledger, labels, preds = case[:3]
     n = ledger.n_tasks("c")
 
@@ -443,14 +508,14 @@ def test_window_means_are_computed_once_per_owner_and_task_pair(case):
             stacks.append(len(ledger.records))
         return hit_table()
 
-    def counted_accuracies(rows, class_sets):
+    def counted_accuracies(rows, class_sets, **kwargs):
         reads.append(len(class_sets))
-        return accuracies(rows, class_sets)
+        return accuracies(rows, class_sets, **kwargs)
 
     ledger._hit_table, ledger._accuracies = counted_table, counted_accuracies
     assert summary(lambda: ledger) == summary(lambda: rebuilt(ledger))
     assert stacks == [len(ledger.records)]
-    assert len(reads) == n * (n + 1) // 2  # one per (t, d <= t)
+    assert reads == [1 + n]  # one owner table: whole test, tasks 1..n
     ledger.append(RoundRecord("other", 1, preds[("c", 1)]))  # drops the table
     ledger.avg_task_accuracy("c", n)
     assert stacks == [len(ledger.records) - 1, len(ledger.records)]
@@ -473,10 +538,54 @@ def brute_export(ledger, labels, preds):
     return csv_rows, figure_rows
 
 
-def assert_same_rows(rows, brute):
-    assert rows == brute
-    assert [type(row[-1]) for row in rows] == [float] * len(rows)
-    assert [repr(row[-1]) for row in rows] == [repr(row[-1]) for row in brute]
+def csv_text(rows) -> str:
+    """What ``csv.writer(..., lineterminator="\\n")`` writes for ``rows``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+# owner names that csv.writer quotes, doubles the quotes of, or leaves as
+# they are: delimiters, quotes, line breaks, edge spaces, non-ASCII text
+NAMES = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\té名')), max_size=6)
+FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
+          | st.sampled_from([0.0, -0.0, 1e-05, 2.5e-07, 5e-324, 1e16, 1 / 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(NAMES, st.integers(-10**12, 10**12), NAMES, FLOATS, FLOATS),
+                min_size=1, max_size=12),
+       st.sampled_from([0, metrics.DICT_TEXTS_MAX]))
+@example([("a", 1, "b", 0.0, -0.0), ('x, "y"', -2, " é\n", -0.0, 1e-05)], 0)
+@example([("a", 1, "b", 0.0, -0.0), ('x, "y"', -2, " é\n", -0.0, 1e-05)], 1024)
+def test_line_formatter_writes_the_bytes_of_csv_writer(rows, dict_max):
+    """Names quoted by ``_csv_field``, ints by ``str`` and float tables by
+    ``_float_texts``, joined by commas, are csv.writer's line; each
+    distinct float (by its bits, so -0.0 apart from 0.0) is formatted once
+    over two tables, whether a dict or ``np.unique`` finds the distinct
+    values."""
+    table = np.array([row[3:] for row in rows], dtype=np.float64)
+    formatted = []
+    with mock.patch.multiple(metrics, DICT_TEXTS_MAX=dict_max), \
+            mock.patch.object(metrics, "repr", create=True,
+                              new=lambda v: formatted.append(v) or repr(v)):
+        first, second = _float_texts([table[:len(rows) // 2], table[len(rows) // 2:]])
+    texts = first + second
+    lines = [f"{_csv_field(a)},{n},{_csv_field(b)},{x},{y}\n"
+             for (a, n, b, _, _), (x, y) in zip(rows, texts)]
+    assert "".join(lines).encode("utf-8") == csv_text(rows).encode("utf-8")
+    assert len(formatted) == len(set(table.view(np.int64).ravel().tolist()))
+
+
+def assert_same_rows(lines, brute):
+    """The lines parse to the brute-force rows, each float read back
+    exactly and written as its ``repr``, and are csv.writer's bytes."""
+    lines = list(lines)
+    rows = parsed(lines)
+    assert [row[:-1] for row in rows] == [[str(v) for v in row[:-1]] for row in brute]
+    assert [float(row[-1]) for row in rows] == [row[-1] for row in brute]
+    assert [row[-1] for row in rows] == [repr(row[-1]) for row in brute]
+    assert "".join(lines) == csv_text(brute)
 
 
 @settings(max_examples=100, deadline=None)
@@ -498,6 +607,18 @@ def test_exports_match_brute_force_rows(case, data):
     brute = brute_export(ledger, labels, preds)
     assert_same_rows(ledger.csv_rows(), brute[0])
     assert_same_rows(ledger.figure_rows(), brute[1])
+
+    # owner names that need quoting are quoted as csv.writer quotes them
+    names = data.draw(st.lists(NAMES, min_size=4, max_size=4, unique=True))
+    rename = dict(zip(("c", "c1", "c2", "late", SERVER), names + ["late"]))
+    renamed = rebuilt(ledger, tasks={rename[o]: seq for o, seq in ledger.tasks.items()},
+                      owners=rename)
+    brute = brute_export(renamed, labels,
+                         {(rename[o], r): p for (o, r), p in preds.items()})
+    for lines, rows in zip((renamed.csv_rows(), renamed.figure_rows()), brute):
+        lines = list(lines)
+        assert len(lines) == len(rows)
+        assert "".join(lines) == csv_text(rows)
 
     # a task whose classes have no test examples fails the export by name
     tasks = list(ledger.tasks["c"].tasks)

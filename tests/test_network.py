@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from flwf import losses, network
-from flwf.config import ConfigError, preset
+from flwf.config import ConfigError, preset, uci_cnn_layers
 from flwf.datasets import DatasetPool
 from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
@@ -131,6 +131,7 @@ def test_init_deterministic_per_seed():
     c = init_params(MLP, (5,), seed=12)
     assert same_model(a, b)
     assert not same_model(a, c)
+
 
 
 # -- forward semantics -----------------------------------------------------------
@@ -724,6 +725,42 @@ def _headless(arch, input_shape):
     """The layers before the first dense, on a 2-d input: no logit vector."""
     first_dense = next(i for i, layer in enumerate(arch) if layer.kind == "dense")
     return arch[:first_dense], input_shape if len(input_shape) == 2 else (*input_shape, 1)
+
+
+def whole_view_init(arch, input_shape, seed) -> ModelParams:
+    """Glorot init as one ``rng.random`` fill of each whole ``W`` view,
+    then one scale and one shift of the view; zero biases."""
+    params = ModelParams(arch, input_shape)
+    rng = np.random.default_rng(seed)
+    for layer, w in zip(params.architecture, params.weights):
+        if w:
+            view = w["W"]
+            fan_out = layer.units if layer.kind == "dense" else layer.kernel * layer.filters
+            s = math.sqrt(6.0 / (math.prod(view.shape[:-1]) + fan_out))
+            rng.random(out=view)
+            view *= s - (-s)
+            view += -s
+            w["b"][...] = 0.0
+    return params
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_nets(), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 2, 3, 5, 8, 64, SGD_CHUNK]))
+def test_init_fills_in_slices_the_bits_of_one_whole_view_fill(net, seed, chunk):
+    """Slice by slice, ``init_params`` reads the stream as one fill of the
+    whole view does, for any slice size, a last short slice included."""
+    with mock.patch.object(network, "SGD_CHUNK", chunk):
+        params = init_params(*net, seed=seed)
+    assert params.flat.tobytes() == whole_view_init(*net, seed).flat.tobytes()
+
+
+def test_init_of_the_paper_cnn_is_the_whole_view_fill():
+    """Its conv and 1,024-unit dense ``W`` span many real slices."""
+    arch = uci_cnn_layers(n_classes=6, dropout=0.5)
+    assert max(w["W"].size for w in init_params(arch, (128, 9), seed=3).weights if w) > SGD_CHUNK
+    assert (init_params(arch, (128, 9), seed=3).flat.tobytes()
+            == whole_view_init(arch, (128, 9), 3).flat.tobytes())
 
 
 # each turns any net of ``random_nets`` into a stack ``infer_shapes`` rejects

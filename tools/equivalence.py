@@ -28,9 +28,12 @@ scenario below is run once with each tree's ``src``:
 * ``mixed-dropout`` (:func:`mixed_dropout_scenario`) at seed 8: an MLP
   whose three dropout layers have rates 0.5, 0.0 and 0.2, with four SGD
   steps per epoch, the last one short, so dropout masks of mixed rates
-  are drawn over many steps.
+  are drawn over many steps;
+* ``quoted-names`` (:func:`quoted_names_scenario`) at seed 10: a tiny MLP
+  whose client names (``obs, "1"`` and ``gen,2``) hold a delimiter and
+  quotes, so both CSVs quote them.
 
-32 scenarios in all.
+33 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario that reads a CSV (``paper-cnn``)
@@ -130,6 +133,7 @@ CONV_RUNS = [("conv-steps", seed) for seed in CONV_SEEDS] + [
     ("conv-pool-first", CONV_SEEDS[0]), ("conv-dropout-pool", CONV_SEEDS[1])]
 MANY_CLASSES_SEED = 6
 MIXED_DROPOUT_SEED = 8
+QUOTED_NAMES_SEED = 10
 
 
 def conv_steps_scenario(seed: int, label: str) -> dict:
@@ -209,6 +213,28 @@ def mixed_dropout_scenario(seed: int) -> dict:
     }
 
 
+def quoted_names_scenario(seed: int) -> dict:
+    """A tiny 8-d MLP for three rounds whose client names need CSV quoting:
+    ``obs, "1"`` learns class 0 then class 1 (flwf2, with exemplars),
+    ``gen,2`` all three classes (fine-tune)."""
+    return {
+        "label": "quoted-names", "seed": seed, "rounds": 3, "epochs": 2,
+        "batch_size": 16, "learning_rate": 0.05, "dropout": 0.2, "n_classes": 3,
+        "input_shape": [8],
+        "layers": [{"kind": "dense", "units": 8}, {"kind": "relu"}, {"kind": "dropout"},
+                   {"kind": "dense", "units": 3}, {"kind": "softmax-output"}],
+        "clients": [
+            {"name": 'obs, "1"', "weight": 1.0, "algo": "flwf2", "alpha": 0.3, "beta": 0.5,
+             "use_exemplars": True,
+             "tasks": [{"classes": [0], "rounds": 1}, {"classes": [1], "rounds": 2}]},
+            {"name": "gen,2", "weight": 2.0, "algo": "fine-tune",
+             "tasks": [{"classes": [0, 1, 2], "rounds": 3}]},
+        ],
+        "data": {"kind": "synthetic", "per_class": 120, "feature_dim": 8},
+        "round_data_size": 24, "test_per_class": 10,
+    }
+
+
 def scenarios(inputs_dir: Path):
     """``[(name, flwf run arguments, sidecar path or None), ...]``, the
     sidecar being where the working tree caches the scenario's CSV;
@@ -242,6 +268,9 @@ def scenarios(inputs_dir: Path):
     path = inputs_dir / f"mixed-dropout-seed{MIXED_DROPOUT_SEED}.yaml"
     path.write_text(yaml.safe_dump(mixed_dropout_scenario(MIXED_DROPOUT_SEED), sort_keys=False))
     out.append((f"mixed-dropout-seed{MIXED_DROPOUT_SEED}", ["--config", str(path)], None))
+    path = inputs_dir / f"quoted-names-seed{QUOTED_NAMES_SEED}.yaml"
+    path.write_text(yaml.safe_dump(quoted_names_scenario(QUOTED_NAMES_SEED), sort_keys=False))
+    out.append((f"quoted-names-seed{QUOTED_NAMES_SEED}", ["--config", str(path)], None))
     return out
 
 
