@@ -19,13 +19,18 @@ until its logits exist.  When nothing else holds them, their buffers take the cl
 first gradient and the next aggregate (:func:`flwf.network.reclaim`).
 
 All randomness comes from per-(purpose, client, round) seed streams
-derived from the one experiment seed.
+derived from the one experiment seed: each is the ``PCG64`` that
+``default_rng(SeedSequence(key))`` gives, computed without a
+``SeedSequence`` by :func:`_state_words`.
 """
 
+import functools
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import losses
 from .config import ClientConfig, CsvSource, ScenarioConfig, SyntheticSource
@@ -49,32 +54,141 @@ SEED_ROUND_DRAW = 3
 SEED_COMPOSE = 4
 SEED_TRAIN = 5
 SEED_EXEMPLAR = 6
-_WORD = 1 << 32  # a key part this large or larger takes more than one entropy word
+ROUND_PURPOSES = (SEED_ROUND_DRAW, SEED_COMPOSE, SEED_TRAIN, SEED_EXEMPLAR)
+PLAN_BLOCK = 64  # rounds whose streams one table holds (:func:`_round_seeds`)
+
+# numpy's SeedSequence constants, fixed by its stream-compatibility policy
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.cache
+def _hash_consts(value: int, mult: int, n: int) -> np.ndarray:
+    """The first ``n`` values of a SeedSequence hash constant: ``value``,
+    then each times ``mult`` modulo 2**32.  The j-th hash of a word XORs
+    value j in and multiplies by value j + 1."""
+    out = [value]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return read_only(np.array(out, dtype=np.uint32))
+
+
+@functools.cache
+def _cross_consts() -> tuple[np.ndarray, np.ndarray]:
+    """Per source pool word, the XOR and the multiplier of each other
+    word's hash of it (hashes 4 to 15, source-major), 0 at the source."""
+    a = _hash_consts(_INIT_A, _MULT_A, 17)
+    xors, mults = np.zeros((4, 4), dtype=np.uint32), np.zeros((4, 4), dtype=np.uint32)
+    others = ~np.eye(4, dtype=bool)
+    xors[others], mults[others] = a[4:16], a[5:17]
+    return read_only(xors), read_only(mults)
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hash of ``uint32`` words, one constant pair each."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x, y):
+    """SeedSequence's mix of hash ``y`` into pool words ``x``."""
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+def _state_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words)`` for every ``e`` along
+    the last axis of ``entropy``, ``uint32`` words, at least four (every
+    key here has four parts): numpy's entropy mixing into a four-word pool
+    and its state generation, each step done for all keys at once.  The
+    words wrap modulo 2**32 as numpy's do."""
+    a = _hash_consts(_INIT_A, _MULT_A, 4 * entropy.shape[-1] + 1)
+    pool = _hashmix(entropy[..., :4], a[:4], a[1:5])
+    xors, mults = _cross_consts()
+    for src in range(4):  # word src's hash into each other word, in order
+        mixed = _mix(pool, _hashmix(pool[..., src:src + 1], xors[src], mults[src]))
+        mixed[..., src] = pool[..., src]  # word src takes none of its own
+        pool = mixed
+    for src in range(4, entropy.shape[-1]):  # each later word into every pool word
+        j = 4 * src
+        pool = _mix(pool, _hashmix(entropy[..., src:src + 1], a[j:j + 4], a[j + 1:j + 5]))
+    b = _hash_consts(_INIT_B, _MULT_B, n_words + 1)
+    return _hashmix(pool[..., np.arange(n_words) % 4], b[:-1], b[1:])
+
+
+def _words(n: int) -> np.ndarray:
+    """The ``uint32`` words SeedSequence reads from the int ``n``: least
+    significant first, 0 as one word; a negative ``n`` raises its error."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return np.frombuffer(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little"), "<u4")
+
+
+def _pcg64_words(state: np.ndarray) -> np.ndarray:
+    """Eight state words along the last axis as the four ``uint64`` words
+    PCG64 seeds from, read as numpy reads them, little-endian pairs."""
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _Preseeded(ISeedSequence):
+    """The seed sequence of a stream whose PCG64 seed words are known:
+    it answers PCG64's one request, ``generate_state(4, np.uint64)``, with
+    them.  PCG64 reads the words from memory unchecked, so anything but
+    four contiguous ``uint64`` words, or another request, raises."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        w = self.words
+        if (n_words != 4 or dtype is not np.uint64 or type(w) is not np.ndarray
+                or w.dtype.type is not np.uint64 or w.shape != (4,) or w.strides != (8,)):
+            raise ValueError("a preseeded stream gives four contiguous uint64 words, "
+                             f"not generate_state({n_words}, {dtype}) from {w!r}")
+        return w
+
+
+def _stream(words: np.ndarray) -> np.random.PCG64:
+    """The generator of a stream from its PCG64 seed words."""
+    return np.random.PCG64(_Preseeded(words))
 
 
 def stream_seed(experiment_seed: int, purpose: int, client: int = 0,
-                round_index: int = 0) -> np.random.SeedSequence:
-    """The seed sequence of one stream, whose entropy is the key's four
-    parts as ``uint32`` words.  ``SeedSequence`` reads a tuple of ints
-    below 2**32 as the same four words, so the array is only the faster
-    spelling; a key with a part outside ``0..2**32-1`` goes in as the
-    tuple, which ``SeedSequence`` splits into words (or rejects) itself."""
+                round_index: int = 0) -> np.random.PCG64:
+    """The stream of one key: the ``PCG64`` that
+    ``default_rng(SeedSequence((experiment_seed, purpose, client,
+    round_index)))`` gives, whose entropy is each part's ``uint32`` words
+    in turn.  A negative part raises as ``SeedSequence`` does."""
     key = (experiment_seed, purpose, client, round_index)
-    if (0 <= experiment_seed < _WORD and 0 <= purpose < _WORD and 0 <= client < _WORD
-            and 0 <= round_index < _WORD):
-        return np.random.SeedSequence(np.array(key, dtype=np.uint32))
-    return np.random.SeedSequence(key)
+    return _stream(_pcg64_words(_state_words(np.concatenate([_words(p) for p in key]), 8)))
 
 
-def _seed_words(state: np.ndarray) -> np.ndarray:
-    """The 128-bit seed whose ``uint32`` words, least significant first,
-    are ``state``, as the words numpy reads from that int: its high zero
-    words dropped, and 0 as one zero word.  A generator seeded from them
-    is the one ``default_rng`` of the int gives, without the int."""
-    n = len(state)
-    while n > 1 and not state[n - 1]:
-        n -= 1
-    return read_only(state[:n])
+def _round_seeds(experiment_seed: int, clients: range, rounds: range) -> np.ndarray:
+    """The PCG64 seed words of the per-round streams of ``clients`` in
+    ``rounds``, as read-only ``uint64``, indexed by (purpose's place in
+    :data:`ROUND_PURPOSES`, client - ``clients.start``, round -
+    ``rounds.start``, word).
+
+    Each key's entropy is the words :func:`stream_seed` reads, assembled by
+    broadcasting: the seed's words, then one word each for purpose, client
+    and round.  A training stream is seeded in a second pass, by its key's
+    first four state words, as ``default_rng`` would be by those words."""
+    seed = _words(experiment_seed)
+    n = len(seed)
+    keys = np.empty((len(ROUND_PURPOSES), len(clients), len(rounds), n + 3), dtype=np.uint32)
+    keys[..., :n] = seed
+    keys[..., n] = np.array(ROUND_PURPOSES)[:, None, None]
+    keys[..., n + 1] = np.array(clients)[:, None]
+    keys[..., n + 2] = np.array(rounds)
+    state = _state_words(keys, 8)
+    train = state[ROUND_PURPOSES.index(SEED_TRAIN)]
+    train[...] = _state_words(train[..., :4], 8)
+    return read_only(_pcg64_words(state))
 
 
 @dataclass
@@ -94,8 +208,8 @@ class ClientPlan:
     """One client's round as planned: the composed batch's pool indices in
     training order, how many of them were drawn fresh (FedAvg weighs the
     client by its hint times that), the loss mode it trains with, and the
-    seed of its training stream, as read-only ``uint32`` words
-    (:func:`_seed_words`)."""
+    four read-only ``uint64`` PCG64 seed words of its training stream
+    (:func:`_round_seeds`)."""
 
     rows: np.ndarray
     n_fresh: int
@@ -148,7 +262,7 @@ def client_update(scenario: ScenarioConfig, server_params: ModelParams,
     client.params = None
     client.params = train_local(
         server_params, batch, spec, learning_rate=scenario.learning_rate,
-        batch_size=scenario.batch_size, epochs=scenario.epochs, seed=plan.train_seed,
+        batch_size=scenario.batch_size, epochs=scenario.epochs, seed=_stream(plan.train_seed),
         spare=spare)
 
 
@@ -216,7 +330,8 @@ def plan_run(scenario: ScenarioConfig,
     cannot last raises :class:`PoolExhaustedError` here, before any model
     exists.  Each step plans every client in order from the config, the
     seed streams and the pool's labels: its task, fresh draw, replay,
-    exemplar refresh and loss mode.
+    exemplar refresh and loss mode.  Its streams come from one
+    :func:`_round_seeds` table per :data:`PLAN_BLOCK` rounds.
     """
     taken = np.zeros(len(pool), dtype=bool)
     test = draw_test_set(pool, scenario.test_per_class,
@@ -224,25 +339,30 @@ def plan_run(scenario: ScenarioConfig,
     _check_supply(scenario, pool, taken)
     stores = [{} for _ in scenario.clients]
 
-    def plan(index: int, cfg: ClientConfig, round_index: int) -> ClientPlan:
-        def seed(purpose):
-            return stream_seed(scenario.seed, purpose, index, round_index)
+    def plan(index: int, cfg: ClientConfig, round_index: int, words) -> ClientPlan:
+        draw, compose, train, exemplar = words  # in ROUND_PURPOSES order
         t, task = current_task(cfg.tasks, round_index)
         fresh = draw_round_data(pool, task.classes, scenario.round_data_size,
-                                seed=seed(SEED_ROUND_DRAW), taken=taken)
+                                seed=_stream(draw), taken=taken)
         rows = fresh
         if cfg.use_exemplars:  # compose from the store as it stood, then refresh it
-            rows = compose_training_batch(fresh, stores[index], t, seed=seed(SEED_COMPOSE))
+            rows = compose_training_batch(fresh, stores[index], t, seed=_stream(compose))
             stores[index] = update_exemplars(stores[index], t, fresh, scenario.exemplar_capacity,
-                                             seed=seed(SEED_EXEMPLAR))
+                                             seed=_stream(exemplar))
         # the client teacher is the client's own model of the round before
         mode = select_loss_mode(cfg.policy, pool.labels[rows], pool.n_classes,
                                 cfg.algo, has_client_teacher=round_index > 1)
-        return ClientPlan(rows=read_only(rows), n_fresh=len(fresh), mode=mode,
-                          train_seed=_seed_words(seed(SEED_TRAIN).generate_state(4)))
+        return ClientPlan(rows=read_only(rows), n_fresh=len(fresh), mode=mode, train_seed=train)
 
-    return test, (tuple(plan(i, cfg, r) for i, cfg in enumerate(scenario.clients))
-                  for r in range(1, scenario.rounds + 1))
+    def plans():
+        for first in range(1, scenario.rounds + 1, PLAN_BLOCK):
+            block = range(first, min(first + PLAN_BLOCK, scenario.rounds + 1))
+            words = _round_seeds(scenario.seed, range(len(scenario.clients)), block)
+            for j, r in enumerate(block):
+                yield tuple(plan(i, cfg, r, words[:, i, j])
+                            for i, cfg in enumerate(scenario.clients))
+
+    return test, plans()
 
 
 def _check_supply(scenario: ScenarioConfig, pool: DatasetPool, taken: np.ndarray) -> None:

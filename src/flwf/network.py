@@ -668,7 +668,7 @@ def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *
     Hyperparameters that break :func:`local_update_error` raise
     ``ValueError("field: reason")``.  The objective is resolved into its
     targets once (see :func:`flwf.losses.objective_terms`).  The batch order
-    is drawn once from the shuffle seeded by ``seed`` (an int or seed words,
+    is drawn once from the shuffle seeded by ``seed`` (an int or a bit generator,
     anything ``np.random.default_rng`` takes) and then chunked into
     ``batch_size``-row mini-batches (the last chunk may be short); every
     epoch iterates the same chunks.  The same generator then gives the

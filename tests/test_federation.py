@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from flwf import federation, losses, network
 from flwf.config import ClientConfig, ScenarioConfig, SyntheticSource
 from flwf.continual import (POLICIES, StrategyPolicy, TaskSequence, TaskSpec,
-                            current_task)
+                            compose_training_batch, current_task, select_loss_mode,
+                            update_exemplars)
 from flwf.datasets import DatasetPool, PoolExhaustedError, draw_round_data, draw_test_set
 from flwf.federation import (SEED_COMPOSE, SEED_DATA_GEN, SEED_EXEMPLAR,
                              SEED_ROUND_DRAW, SEED_TEST_DRAW,
                              SEED_TRAIN, ClientPlan, ClientRuntime, client_update,
                              fedavg, run_experiment, run_round, start_run,
-                             stream_seed, _seed_words)
-from flwf.metrics import SERVER
+                             stream_seed)
+from flwf.metrics import SERVER, predict
 from flwf.network import (KIND_DENSE, KIND_DROPOUT, KIND_RELU,
                           KIND_SOFTMAX_OUTPUT, LayerConfig, ModelParams,
                           ShapeMismatchError, forward, init_params)
@@ -94,53 +95,69 @@ def tiny_scenario(seed=0, rounds=2, algo="flwf2", use_exemplars=False,
 def test_stream_seeds_are_distinct_across_coordinates():
     coords = [(s, p, c, r) for s in (0, 1) for p in range(7)
               for c in (0, 1) for r in (0, 1, 2)]
-    states = [tuple(stream_seed(*co).generate_state(4)) for co in coords]
+    states = [tuple(stream_seed(*co).random_raw(4).tolist()) for co in coords]
     assert len(set(states)) == len(states)
 
 
 def test_stream_seed_is_reproducible():
-    a = stream_seed(3, SEED_TRAIN, 1, 4).generate_state(4)
-    b = stream_seed(3, SEED_TRAIN, 1, 4).generate_state(4)
-    assert np.array_equal(a, b)
+    a = stream_seed(3, SEED_TRAIN, 1, 4)
+    b = stream_seed(3, SEED_TRAIN, 1, 4)
+    assert a is not b and a.state == b.state
 
 
 KEY_PART = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80),
                      st.sampled_from([0, 2**32 - 1, 2**32]))
 
 
+def numpy_stream(key):
+    """The stream of ``key`` as numpy builds it: ``default_rng`` of the
+    ``SeedSequence`` of the key tuple."""
+    return np.random.default_rng(np.random.SeedSequence(key)).bit_generator
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(KEY_PART, KEY_PART, KEY_PART, KEY_PART))
 def test_stream_seed_is_the_seed_sequence_of_its_key_tuple(key):
-    """Keyed by ``uint32`` words or, with a part past 2**32, by the tuple,
-    a stream is the one ``SeedSequence(key)`` gives: the same state words
-    and the same draws."""
-    got, want = stream_seed(*key), np.random.SeedSequence(key)
-    assert np.array_equal(got.generate_state(4), want.generate_state(4))
+    """Whatever the width of each part, a stream is the ``PCG64`` that
+    ``default_rng(SeedSequence(key))`` gives: the same state and draws."""
+    got, want = stream_seed(*key), numpy_stream(key)
+    assert isinstance(got, np.random.PCG64) and got.state == want.state
     assert np.array_equal(np.random.default_rng(got).integers(0, 2**63, size=4),
                           np.random.default_rng(want).integers(0, 2**63, size=4))
-    if max(key) < 2**32:
-        assert got.entropy.dtype == np.uint32 and got.entropy.tolist() == list(key)
 
 
 SEED_128 = st.one_of(st.integers(0, 2**128 - 1), st.integers(0, 2**64),
                      st.integers(0, 2**32), st.sampled_from([0, 1, 2**32, 2**96, 2**128 - 1]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(SEED_128)
-def test_seed_words_seed_the_generator_of_their_int(seed):
-    """A plan's training seed words are a 128-bit seed's ``uint32`` words,
-    least significant first, as numpy splits the int: high zero words
-    dropped, 0 as one word.  Seeded from them, a generator is the one
-    ``default_rng(int)`` gives: the same state and the same draws."""
-    state = np.frombuffer(seed.to_bytes(16, "little"), dtype=np.uint32).copy()
-    words = _seed_words(state)
-    assert not words.flags.writeable
-    assert words.tolist() == (list(map(int, np.trim_zeros(state, "b"))) or [0])
-    got, want = np.random.default_rng(words), np.random.default_rng(seed)
-    assert got.bit_generator.state == want.bit_generator.state
-    assert np.array_equal(got.random(5), want.random(5))
-    assert np.array_equal(got.permutation(40), want.permutation(40))
+def windows(limit, most):
+    """Ranges of 1 to ``most`` consecutive ints in ``0..limit``."""
+    return st.tuples(st.integers(0, limit), st.integers(1, most)).map(
+        lambda t: range(min(t[0], limit + 1 - t[1]), min(t[0], limit + 1 - t[1]) + t[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEED_128, windows(2**16, 3), windows(2**16, 4))
+def test_round_seed_table_holds_numpys_streams(seed, clients, rounds):
+    """Every stream of a block's table is numpy's: for each round purpose,
+    client and round, the ``PCG64`` built from the table has the state of
+    ``default_rng(SeedSequence(key))``; for the training stream, of
+    ``default_rng(SeedSequence(<the key's first four state words>))``.
+    Seeds up to 2**128 take one to four entropy words, zero words among
+    them, and clients and rounds run up to 2**16."""
+    table = federation._round_seeds(seed, clients, rounds)
+    assert table.shape == (len(federation.ROUND_PURPOSES), len(clients), len(rounds), 4)
+    assert table.dtype == np.uint64 and not table.flags.writeable
+    for k, purpose in enumerate(federation.ROUND_PURPOSES):
+        for i, client in enumerate(clients):
+            for j, r in enumerate(rounds):
+                key = (seed, purpose, client, r)
+                if purpose == SEED_TRAIN:
+                    words = np.random.SeedSequence(key).generate_state(4)
+                    want = np.random.default_rng(np.random.SeedSequence(words)).bit_generator
+                else:
+                    want = numpy_stream(key)
+                assert federation._stream(table[k, i, j]).state == want.state, key
 
 
 def test_stream_seed_refuses_a_negative_part_as_seed_sequence_does():
@@ -149,6 +166,21 @@ def test_stream_seed_refuses_a_negative_part_as_seed_sequence_does():
             np.random.SeedSequence(key)
         with pytest.raises(ValueError, match="non-negative"):
             stream_seed(*key)
+    with pytest.raises(ValueError, match="non-negative"):
+        federation._round_seeds(-1, range(2), range(1, 3))
+
+
+def test_a_preseeded_stream_takes_only_four_contiguous_uint64_words():
+    """PCG64 reads a seed sequence's answer from memory unchecked, so a
+    plan's training seed of any other form is refused, never read."""
+    words = federation._round_seeds(1, range(1), range(1, 2))[0, 0, 0]
+    assert federation._stream(words).state == numpy_stream((1, SEED_ROUND_DRAW, 0, 1)).state
+    for bad in (words[::2], words[:3], words.astype(np.int64), words.tolist(), 5,
+                np.repeat(words, 2)[::2]):
+        with pytest.raises(ValueError, match="four contiguous uint64 words"):
+            federation._stream(bad)
+    with pytest.raises(ValueError, match="four contiguous uint64 words"):
+        federation._Preseeded(words).generate_state(8)
 
 
 # -- fedavg ---------------------------------------------------------------------
@@ -383,13 +415,13 @@ def make_batch(seed, labels=(0, 1, 2)):
 def update(server, teacher, batch, mode, client_cfg=None, epochs=2):
     """``client_update`` for a client whose previous model is ``teacher``
     and whose config is ``client_cfg`` (flwf2, alpha 0.4, beta 0.3 when
-    None), under a plan of ``mode`` and training seed 5 and ``tiny_scenario``'s
-    hyperparameters with ``epochs`` epochs; returns the student it stored
-    on the client."""
+    None), under a plan of ``mode`` whose training stream is
+    ``default_rng(5)``'s and ``tiny_scenario``'s hyperparameters with
+    ``epochs`` epochs; returns the student it stored on the client."""
     client = ClientRuntime(cfg=client_cfg or tiny_clients()[0], params=teacher)
     scenario = dataclasses.replace(tiny_scenario(), epochs=epochs)
     plan = ClientPlan(rows=np.arange(len(batch)), n_fresh=len(batch), mode=mode,
-                      train_seed=5)
+                      train_seed=np.random.SeedSequence(5).generate_state(4, np.uint64))
     assert client_update(scenario, server, client, batch, plan) is None
     return client.params
 
@@ -497,7 +529,8 @@ def test_client_update_refuses_an_empty_batch_before_freezing_a_teacher():
     teachers are frozen, which happens before any teacher forward runs."""
     server, teacher = model(seed=0), model(seed=1)
     client = ClientRuntime(cfg=tiny_clients()[0], params=teacher)
-    plan = ClientPlan(rows=np.arange(0), n_fresh=0, mode=losses.MODE_FLWF2, train_seed=5)
+    plan = ClientPlan(rows=np.arange(0), n_fresh=0, mode=losses.MODE_FLWF2,
+                      train_seed=np.random.SeedSequence(5).generate_state(4, np.uint64))
     batch = DatasetPool(np.zeros((0, 8)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError, match="^client_update needs a nonempty batch$"):
         client_update(tiny_scenario(), server, client, batch, plan)
@@ -582,6 +615,23 @@ def test_started_rounds_equal_a_whole_run(rounds):
         assert same_model(got.params, ref.params)
     with pytest.raises(ValueError, match=f"no plans left for round {rounds + 1}"):
         run_round(run)
+
+
+def test_each_rounds_server_record_is_the_aggregate_just_made():
+    """Round r's server record holds the predictions of the aggregate that
+    round r made, not of any client's model; the scenario is one where the
+    aggregate and the last client to train disagree on some test row."""
+    run = start_run(tiny_scenario())
+    assert np.array_equal(run.ledger.record_for(SERVER, 0).predictions,
+                          predict(run.server, run.test.features))
+    disagree = []
+    for r in (1, 2):
+        run_round(run)
+        want = predict(run.server, run.test.features)
+        assert np.array_equal(run.ledger.record_for(SERVER, r).predictions, want)
+        disagree.append(not np.array_equal(want, predict(run.clients[-1].params,
+                                                         run.test.features)))
+    assert any(disagree)
 
 
 def test_run_round_single_client_aggregate_is_that_client():
@@ -742,14 +792,14 @@ def test_each_round_is_planned_inside_its_run_round(monkeypatch):
     writes."""
     scenario = tiny_scenario(algo="flwf2", use_exemplars=True)
     want = run_experiment(scenario)
-    calls = []  # (name, round of the run_round call it falls in or 0, its seed)
+    calls = []  # (name, round of the run_round call it falls in or 0, its seed's state)
     current = [0]
 
     def wrap(name):
         real = getattr(federation, name)
 
         def call(*args, **kwargs):
-            calls.append((name, current[0], kwargs.get("seed")))
+            calls.append((name, current[0], getattr(kwargs.get("seed"), "state", None)))
             return real(*args, **kwargs)
         monkeypatch.setattr(federation, name, call)
 
@@ -767,11 +817,13 @@ def test_each_round_is_planned_inside_its_run_round(monkeypatch):
     result = run_experiment(scenario)
 
     assert [(name, r) for name, r, _ in calls if r == 0] == [("draw_test_set", 0)]
-    for name, r, seed in calls:
+    for name, r, state in calls:
         if name == "draw_test_set":
-            assert seed.entropy.tolist() == [scenario.seed, SEED_TEST_DRAW, 0, 0]
-        elif name != "select_loss_mode":  # a seeded call names its round
-            assert seed.entropy[3] == r
+            assert state == numpy_stream((scenario.seed, SEED_TEST_DRAW, 0, 0)).state
+        elif name != "select_loss_mode":  # a seeded call's stream is of its round
+            assert state in [numpy_stream((scenario.seed, p, c, r)).state
+                             for p in (SEED_ROUND_DRAW, SEED_COMPOSE, SEED_EXEMPLAR)
+                             for c in (0, 1)]
     per_round = [[name for name, r, _ in calls if r == k] for k in (1, 2)]
     # per round, each of the two clients draws, composes, refreshes its store
     # and picks its mode
@@ -894,6 +946,71 @@ def test_a_pool_that_cannot_last_fails_before_round_1(scenario):
     assert train.call_count == 0
 
 
+def reference_plans(scenario, pool):
+    """The test set's labels and every round's plans as ``(rows, n_fresh,
+    mode, train_seed)`` lists, planned by a plain loop in which each stream
+    is its own ``default_rng(SeedSequence(key))`` and each training seed
+    is the PCG64 seed words of the ``SeedSequence`` of the training key's
+    first four state words."""
+    def rng(purpose, client=0, r=0):
+        return np.random.default_rng(np.random.SeedSequence((scenario.seed, purpose, client, r)))
+
+    taken = np.zeros(len(pool), dtype=bool)
+    test = draw_test_set(pool, scenario.test_per_class, seed=rng(SEED_TEST_DRAW), taken=taken)
+    stores, rounds = [{} for _ in scenario.clients], []
+    for r in range(1, scenario.rounds + 1):
+        rounds.append([])
+        for i, cfg in enumerate(scenario.clients):
+            t, task = current_task(cfg.tasks, r)
+            fresh = draw_round_data(pool, task.classes, scenario.round_data_size,
+                                    seed=rng(SEED_ROUND_DRAW, i, r), taken=taken)
+            rows = fresh
+            if cfg.use_exemplars:
+                rows = compose_training_batch(fresh, stores[i], t, seed=rng(SEED_COMPOSE, i, r))
+                stores[i] = update_exemplars(stores[i], t, fresh, scenario.exemplar_capacity,
+                                             seed=rng(SEED_EXEMPLAR, i, r))
+            mode = select_loss_mode(cfg.policy, pool.labels[rows], pool.n_classes, cfg.algo,
+                                    has_client_teacher=r > 1)
+            words = np.random.SeedSequence((scenario.seed, SEED_TRAIN, i, r)).generate_state(4)
+            train = np.random.SeedSequence(words).generate_state(4, np.uint64)
+            rounds[-1].append((rows.tolist(), len(fresh), mode, train.tolist()))
+    return test.labels.tolist(), rounds
+
+
+def planned(scenario):
+    """:func:`reference_plans`' view of what ``plan_run`` plans."""
+    test, plans = federation.plan_run(scenario, federation.build_pool(scenario))
+    return test.labels.tolist(), [[(p.rows.tolist(), p.n_fresh, p.mode, p.train_seed.tolist())
+                                   for p in round_plans] for round_plans in plans]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios(per_class=st.just(80)), st.integers(1, 3))
+def test_plans_from_seed_tables_equal_a_plain_per_stream_planner(scenario, block):
+    """Blocks of ``block`` rounds, so that the streams of one run come from
+    several tables, plan what the plain reference plans: the same test
+    set, and per client-round the same rows, fresh count, mode and
+    training seed words."""
+    assume(plain_draws(scenario)[1] is None)
+    with mock.patch.object(federation, "PLAN_BLOCK", block):
+        got = planned(scenario)
+    assert got == reference_plans(scenario, federation.build_pool(scenario))
+
+
+def test_plans_across_a_default_block_boundary_equal_the_plain_planner():
+    c1, cg = tiny_clients(use_exemplars=True)
+    rounds = federation.PLAN_BLOCK + 2
+    scenario = dataclasses.replace(tiny_scenario(rounds=rounds, clients=(
+        dataclasses.replace(c1, tasks=TaskSequence((TaskSpec((1,), 2),
+                                                    TaskSpec((2,), rounds - 2)))),
+        dataclasses.replace(cg, use_exemplars=False,
+                            tasks=TaskSequence((TaskSpec((0, 1, 2), rounds),))))),
+        round_data_size=3, data=SyntheticSource(per_class=300, feature_dim=8, separation=1.5))
+    got = planned(scenario)
+    assert len(got[1]) == rounds
+    assert got == reference_plans(scenario, federation.build_pool(scenario))
+
+
 @settings(max_examples=20, deadline=None)
 @given(small_scenarios(per_class=st.just(80)))
 def test_what_a_run_checked_is_read_only(scenario):
@@ -908,8 +1025,8 @@ def test_what_a_run_checked_is_read_only(scenario):
     def spy_plan_run(scenario, pool):
         test, plans = real_plan_run(scenario, pool)
         held.extend([pool.features, pool.labels, test.features, test.labels])
-        return test, (held.extend(p.rows for p in round_plans) or round_plans
-                      for round_plans in plans)
+        return test, (held.extend(a for p in round_plans for a in (p.rows, p.train_seed))
+                      or round_plans for round_plans in plans)
 
     def spy_update(*args, **kwargs):
         store = real_update(*args, **kwargs)

@@ -31,9 +31,12 @@ scenario below is run once with each tree's ``src``:
   are drawn over many steps;
 * ``quoted-names`` (:func:`quoted_names_scenario`) at seed 10: a tiny MLP
   whose client names (``obs, "1"`` and ``gen,2``) hold a delimiter and
-  quotes, so both CSVs quote them.
+  quotes, so both CSVs quote them;
+* ``big-seed``: the ``exp3-exemplars-flwf2`` preset at seed 2**64 + 3,
+  whose three ``uint32`` words make every seed stream's key six entropy
+  words, past the seed sequence's four-word pool.
 
-33 scenarios in all.
+34 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario that reads a CSV (``paper-cnn``)
@@ -134,6 +137,7 @@ CONV_RUNS = [("conv-steps", seed) for seed in CONV_SEEDS] + [
 MANY_CLASSES_SEED = 6
 MIXED_DROPOUT_SEED = 8
 QUOTED_NAMES_SEED = 10
+BIG_SEED_PRESET, BIG_SEED = "exp3-exemplars-flwf2", 2**64 + 3
 
 
 def conv_steps_scenario(seed: int, label: str) -> dict:
@@ -271,6 +275,7 @@ def scenarios(inputs_dir: Path):
     path = inputs_dir / f"quoted-names-seed{QUOTED_NAMES_SEED}.yaml"
     path.write_text(yaml.safe_dump(quoted_names_scenario(QUOTED_NAMES_SEED), sort_keys=False))
     out.append((f"quoted-names-seed{QUOTED_NAMES_SEED}", ["--config", str(path)], None))
+    out.append(("big-seed", ["--preset", BIG_SEED_PRESET, "--seed", str(BIG_SEED)], None))
     return out
 
 
