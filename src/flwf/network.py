@@ -2,7 +2,7 @@
 
 Supported layer kinds are ``dense``, ``conv1d`` (valid, stride 1),
 ``maxpool1d`` (non-overlapping), ``relu``, ``dropout`` (inverted scaling,
-active only when the training flag is set) and ``softmax-output``.  The
+active only in :func:`train_local`) and ``softmax-output``.  The
 ``softmax-output`` kind marks the classification head and passes logits
 through unchanged: every loss in :mod:`flwf.losses` consumes raw logits
 and applies its own max-subtracted softmax, so probabilities are never
@@ -55,14 +55,14 @@ only for a backward pass.  Weights start uniform in ``[-s, s]``,
 ``s = sqrt(6 / (fan_in + fan_out))`` per layer.  Given equal seeds,
 training is bit-for-bit reproducible.
 
-A pass takes its dropout masks from its caller (:func:`_draw_masks`, the
-one draw rule): :func:`train_local` draws the uniforms of a block of an
-epoch's consecutive steps in one ``rng.random`` call, at most max(one
-step's draws, :data:`SGD_CHUNK`) of them, and turns them into masks with
-a fixed number of numpy calls per block; :func:`forward` and
-:func:`backward` draw one step.  The stream is read in the same order
-either way.  A training step computes the gradient of the loss and not
-its value, which only a ``loss_trace`` reads.
+:func:`train_local` is the one training pass, and the only one that
+draws dropout masks (:func:`_draw_masks`, the one draw rule): it draws
+the uniforms of a block of an epoch's consecutive steps in one
+``rng.random`` call, at most max(one step's draws, :data:`SGD_CHUNK`) of
+them, and turns them into masks with a fixed number of numpy calls per
+block.  :func:`forward`, :func:`loss_on_batch` and :func:`backward` run
+with dropout inactive.  A training step computes the gradient of the
+loss and not its value, which only a ``loss_trace`` reads.
 """
 
 import functools
@@ -396,20 +396,14 @@ def _draw_masks(dropouts: Dropouts, rows, rng) -> list[np.ndarray]:
     return masks
 
 
-def _one_step_masks(params: ModelParams, x: np.ndarray, rng):
-    """An iterator over one training step's dropout masks for the batch ``x``."""
-    if rng is None and params.dropouts.per_row:
-        raise ValueError("training forward through dropout requires an rng")
-    return iter(_draw_masks(params.dropouts, [len(x)], rng))
-
-
 def _forward_pass(params: ModelParams, inputs, masks, keep_caches: bool):
     """Logits and, with ``keep_caches``, one cache per layer in pass order
-    (:func:`_structure`).  ``masks`` is an iterator over training dropout
-    masks (:func:`_draw_masks`): each dropout layer with a rate above 0
-    takes the next one, in pass order.  None is inference, with dropout
-    inactive.  Without caches, a conv1d whose output goes straight into a
-    max-pool adds its bias after the pool."""
+    (:func:`_structure`).  ``masks`` is an iterator over the dropout masks
+    :func:`train_local` draws (:func:`_draw_masks`): each dropout layer
+    with a rate above 0 takes the next one, in pass order.  None leaves
+    dropout inactive, as every other pass has it.  Without caches, a
+    conv1d whose output goes straight into a max-pool adds its bias after
+    the pool."""
     x = inputs = _coerce_input(params, inputs)
     caches: list = []
     architecture, weights, order = params.architecture, params.weights, params.order
@@ -454,17 +448,10 @@ def _forward_pass(params: ModelParams, inputs, masks, keep_caches: bool):
     return x, caches
 
 
-def forward(params: ModelParams, inputs, training: bool = False, rng=None) -> np.ndarray:
-    """Logits for a batch, one row per input row.
-
-    Dropout fires only when ``training`` is set, with one step's masks
-    drawn from ``rng`` (:func:`_draw_masks`); inference is rng-free and
-    deterministic.
-    """
-    if not training:
-        return _forward_pass(params, inputs, None, keep_caches=False)[0]
-    x = _coerce_input(params, inputs)
-    return _forward_pass(params, x, _one_step_masks(params, x, rng), keep_caches=False)[0]
+def forward(params: ModelParams, inputs) -> np.ndarray:
+    """Logits for a batch, one row per input row: inference, dropout
+    inactive, rng-free and deterministic."""
+    return _forward_pass(params, inputs, None, keep_caches=False)[0]
 
 
 def _conv1d_forward(x, W, b=None):
@@ -594,25 +581,19 @@ def _backward_pass(params: ModelParams, caches, dlogits,
     return out
 
 
-def loss_on_batch(params: ModelParams, batch: DatasetPool, spec: losses.LossSpec,
-                  training: bool = False, rng=None) -> float:
-    """Objective value on one batch; the workhorse of finite-difference checks."""
-    logits = forward(params, batch.features, training=training, rng=rng)
-    return losses.combined_loss(spec, logits, batch.one_hot())
+def loss_on_batch(params: ModelParams, batch: DatasetPool, spec: losses.LossSpec) -> float:
+    """Objective value on one batch, dropout inactive; the workhorse of
+    finite-difference checks."""
+    return losses.combined_loss(spec, forward(params, batch.features), batch.one_hot())
 
 
-def backward(params: ModelParams, batch: DatasetPool, spec: losses.LossSpec,
-             training: bool = False, rng=None) -> ModelParams:
+def backward(params: ModelParams, batch: DatasetPool, spec: losses.LossSpec) -> ModelParams:
     """Analytic gradient of :func:`loss_on_batch`, congruent with ``params``.
 
     Teacher logits must already sit inside ``spec`` when a distillation
-    term is requested.  With ``training`` unset the pass is deterministic
-    (dropout inactive); with it set, one step's masks come from ``rng`` as
-    in :func:`forward`.
+    term is requested.  The pass is deterministic, dropout inactive.
     """
-    x = _coerce_input(params, batch.features)
-    masks = _one_step_masks(params, x, rng) if training else None
-    logits, caches = _forward_pass(params, x, masks, keep_caches=True)
+    logits, caches = _forward_pass(params, batch.features, None, keep_caches=True)
     return _backward_pass(params, caches,
                           losses.combined_loss_grad(spec, logits, batch.one_hot()))
 

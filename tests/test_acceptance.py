@@ -20,9 +20,8 @@ from flwf.continual import TaskSequence, TaskSpec
 from flwf.datasets import DatasetPool, draw_round_data, draw_test_set, load_csv
 from flwf.federation import run_experiment
 from flwf.metrics import MetricsLedger, RoundRecord, predict
-from flwf.network import (LayerConfig, backward, infer_shapes, init_params,
-                          loss_on_batch, train_local)
-from helpers import packed, same_model
+from flwf.network import LayerConfig, _draw_masks, infer_shapes, init_params, train_local
+from helpers import analytic_grads, fd_param_grads, fd_spec, same_model
 
 SEEDS = (1, 2, 3, 4, 5)
 FT = "baseline-finetune"
@@ -88,57 +87,24 @@ def fd_batch(rng, params, rows=4):
     return DatasetPool(x.reshape(rows, -1), y, n_outputs)
 
 
-def fd_spec(mode, rng, rows, n):
-    if mode == "fine-tune":
-        return losses.LossSpec(mode="fine-tune")
-    if mode == "flwf1":
-        return losses.LossSpec(mode="flwf1", alpha=0.3, temperature=2.0,
-                               teacher_client_logits=rng.normal(size=(rows, n)))
-    return losses.LossSpec(mode="flwf2", alpha=0.2, beta=0.5, temperature=2.0,
-                           teacher_client_logits=rng.normal(size=(rows, n)),
-                           teacher_server_logits=rng.normal(size=(rows, n)))
-
-
-def fd_param_grads(params, batch, spec, training, rng_seed, h=1e-5):
-    def value(p):
-        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        return loss_on_batch(p, batch, spec, training=training, rng=rng)
-
-    grads = []
-    for i, w in enumerate(params.weights):
-        g = {}
-        for key, arr in w.items():
-            out = np.zeros_like(arr)
-            for idx in np.ndindex(*arr.shape):
-                up = params.copy()
-                up.weights[i][key][idx] += h
-                dn = params.copy()
-                dn.weights[i][key][idx] -= h
-                out[idx] = (value(up) - value(dn)) / (2 * h)
-            g[key] = out
-        grads.append(g)
-    return packed(params.architecture, params.input_shape, grads)
-
-
 def test_01_gradients_match_finite_differences(capsys):
     start = time.perf_counter()
     checked = 0
     worst = 0.0
     ok = True
     for kind, (arch, input_shape) in sorted(FD_NETS.items()):
-        training = kind == "dropout"
-        rng_seed = 31 if training else None
         for mode in ("fine-tune", "flwf1", "flwf2"):
             for seed in (0, 1):
                 rng = np.random.default_rng(1000 + checked)
                 params = init_params(arch, input_shape, seed=seed)
                 batch = fd_batch(rng, params)
                 spec = fd_spec(mode, rng, len(batch), batch.n_classes)
-                rng_eval = (None if rng_seed is None
-                            else np.random.default_rng(rng_seed))
-                analytic = backward(params, batch, spec, training=training,
-                                    rng=rng_eval)
-                numeric = fd_param_grads(params, batch, spec, training, rng_seed)
+                # the dropout net's one step of masks, as train_local draws them
+                masks = (_draw_masks(params.dropouts, [len(batch)],
+                                     np.random.default_rng(31))
+                         if kind == "dropout" else None)
+                analytic = analytic_grads(params, batch, spec, masks)
+                numeric = fd_param_grads(params, batch, spec, masks)
                 for a, n in zip(analytic.weights, numeric.weights):
                     for key in a:
                         gap = np.abs(a[key] - n[key])

@@ -509,9 +509,9 @@ def test_client_update_leaves_both_teachers_read_only():
 
 
 def test_client_update_rejects_a_write_into_a_teacher(monkeypatch):
-    def forward_that_writes(params, inputs, training=False, rng=None):
+    def forward_that_writes(params, inputs):
         params.weights[0]["W"][0, 0] += 1.0
-        return forward(params, inputs, training=training, rng=rng)
+        return forward(params, inputs)
 
     monkeypatch.setattr("flwf.federation.forward", forward_that_writes)
     with pytest.raises(ValueError, match="read-only"):

@@ -63,7 +63,7 @@ def test_predict_matches_forward_argmax():
     rng = np.random.default_rng(0)
     params = init_params(layers, (3,), seed=1)
     x = rng.normal(size=(20, 3))
-    logits = forward(params, x, training=False)
+    logits = forward(params, x)
     assert np.array_equal(predict(params, x), np.argmax(logits, axis=1))
 
 

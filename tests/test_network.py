@@ -24,11 +24,11 @@ from flwf.losses import LossSpec
 from flwf.network import (KIND_SOFTMAX_OUTPUT, SGD_CHUNK, LayerConfig, ModelParams,
                           ShapeMismatchError, _conv1d_forward,
                           _backward_pass, _conv1d_input_grad, _conv1d_param_grads,
-                          _forward_pass, _one_step_masks,
+                          _draw_masks, _forward_pass,
                           _maxpool_backward, _maxpool_forward, backward, forward,
                           infer_shapes, init_params, layer_to_dict, loss_on_batch,
                           params_digest, reclaim, sgd_step, train_local)
-from helpers import packed, same_model
+from helpers import analytic_grads, fd_param_grads, fd_spec, packed, same_model
 
 MLP = (LayerConfig("dense", units=8), LayerConfig("relu"),
        LayerConfig("dense", units=3), LayerConfig("softmax-output"))
@@ -447,11 +447,10 @@ def test_relu_never_writes_the_callers_input(arch, flat):
         x = x.reshape(6, 6)
     snapshot = x.copy()
     forward(params, x)
-    forward(params, x, training=True, rng=np.random.default_rng(2))
-    _forward_pass(params, x, _one_step_masks(params, x, np.random.default_rng(3)),
-                  keep_caches=True)
-    backward(params, DatasetPool(x, rng.integers(0, 3, size=6), 3), LossSpec(),
-             training=True, rng=np.random.default_rng(4))
+    backward(params, DatasetPool(x, rng.integers(0, 3, size=6), 3), LossSpec())
+    for keep_caches, seed in ((False, 2), (True, 3)):  # a training step's masks
+        masks = _draw_masks(params.dropouts, [6], np.random.default_rng(seed))
+        _forward_pass(params, x, iter(masks), keep_caches)
     assert same_bits(x, snapshot)
 
 
@@ -466,8 +465,8 @@ def test_backward_never_writes_the_callers_logit_gradient(arch):
     the weight gradients equal those from a writable copy."""
     params = init_params(arch, (3,), seed=0)
     x = np.random.default_rng(1).normal(size=(6, 3))
-    _, caches = _forward_pass(params, x, _one_step_masks(params, x, np.random.default_rng(2)),
-                              keep_caches=True)
+    masks = _draw_masks(params.dropouts, [6], np.random.default_rng(2))
+    _, caches = _forward_pass(params, x, iter(masks), keep_caches=True)
     dlogits = np.random.default_rng(3).normal(size=(6, 4))
     snapshot = dlogits.copy()
     dlogits.flags.writeable = False
@@ -478,67 +477,21 @@ def test_backward_never_writes_the_callers_logit_gradient(arch):
                for g, r in zip(grads.weights, reference.weights) for key in g)
 
 
-def test_dropout_identity_at_inference():
-    arch = (LayerConfig("dense", units=6), LayerConfig("dropout", rate=0.5),
-            LayerConfig("dense", units=3), LayerConfig("softmax-output"))
-    params = init_params(arch, (4,), seed=2)
-    x = np.random.default_rng(3).normal(size=(5, 4))
-    a = forward(params, x)
-    b = forward(params, x, training=False)
-    assert np.array_equal(a, b)
-
-
-def test_dropout_training_needs_rng_and_scales():
+def test_draw_masks_scales_inverted_and_repeats_per_stream():
+    """Inverted dropout keeps the expected activation: over 30 streams a
+    mask's mean is close to 1.  The same stream draws the same masks."""
     arch = (LayerConfig("dropout", rate=0.5), LayerConfig("dense", units=2),
             LayerConfig("softmax-output"))
-    params = init_params(arch, (400,), seed=4)
-    x = np.ones((1, 400))
-    with pytest.raises(ValueError):
-        forward(params, x, training=True)
-    # inverted dropout keeps the expected activation scale
-    outs = [forward(params, x, training=True, rng=np.random.default_rng(s))
-            for s in range(30)]
-    ref = forward(params, x)
-    assert np.mean([o[0, 0] for o in outs]) == pytest.approx(ref[0, 0], rel=0.15)
-    # same rng seed, same mask
-    a = forward(params, x, training=True, rng=np.random.default_rng(9))
-    b = forward(params, x, training=True, rng=np.random.default_rng(9))
-    assert np.array_equal(a, b)
+    dropouts = init_params(arch, (400,), seed=4).dropouts
+    means = [_draw_masks(dropouts, [1], np.random.default_rng(s))[0].mean()
+             for s in range(30)]
+    assert np.mean(means) == pytest.approx(1.0, rel=0.15)
+    a = _draw_masks(dropouts, [1, 2], np.random.default_rng(9))
+    b = _draw_masks(dropouts, [1, 2], np.random.default_rng(9))
+    assert all(same_bits(m, n) for m, n in zip(a, b))
 
 
 # -- gradient checks ---------------------------------------------------------------
-
-
-def fd_param_grads(params, batch, spec, training=False, rng_seed=None, h=1e-5):
-    def value(p):
-        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        return loss_on_batch(p, batch, spec, training=training, rng=rng)
-
-    grads = []
-    for i, w in enumerate(params.weights):
-        g = {}
-        for key, arr in w.items():
-            out = np.zeros_like(arr)
-            for idx in np.ndindex(*arr.shape):
-                up = params.copy()
-                up.weights[i][key][idx] += h
-                dn = params.copy()
-                dn.weights[i][key][idx] -= h
-                out[idx] = (value(up) - value(dn)) / (2 * h)
-            g[key] = out
-        grads.append(g)
-    return packed(params.architecture, params.input_shape, grads)
-
-
-def spec_for(mode, rng, rows, n):
-    if mode == "fine-tune":
-        return LossSpec(mode="fine-tune")
-    if mode == "flwf1":
-        return LossSpec(mode="flwf1", alpha=0.3, temperature=2.0,
-                        teacher_client_logits=rng.normal(size=(rows, n)))
-    return LossSpec(mode="flwf2", alpha=0.2, beta=0.5, temperature=2.0,
-                    teacher_client_logits=rng.normal(size=(rows, n)),
-                    teacher_server_logits=rng.normal(size=(rows, n)))
 
 
 PER_KIND_NETS = {
@@ -565,17 +518,15 @@ PER_KIND_NETS = {
 @pytest.mark.parametrize("kind", sorted(PER_KIND_NETS))
 def test_gradients_match_finite_differences(kind, mode):
     arch, input_shape = PER_KIND_NETS[kind]
-    training = kind == "dropout"
-    rng_seed = 31 if training else None
     for seed in (0, 1):
         rng = np.random.default_rng(100 + seed)
         params = init_params(arch, input_shape, seed=seed)
         batch = make_batch(rng, params, rows=4)
-        spec = spec_for(mode, rng, 4, batch.n_classes)
-        rng_eval = None if rng_seed is None else np.random.default_rng(rng_seed)
-        analytic = backward(params, batch, spec, training=training, rng=rng_eval)
-        numeric = fd_param_grads(params, batch, spec, training=training,
-                                 rng_seed=rng_seed)
+        spec = fd_spec(mode, rng, 4, batch.n_classes)
+        masks = (_draw_masks(params.dropouts, [4], np.random.default_rng(31))
+                 if kind == "dropout" else None)
+        analytic = analytic_grads(params, batch, spec, masks)
+        numeric = fd_param_grads(params, batch, spec, masks)
         for a, nmr in zip(analytic.weights, numeric.weights):
             for key in a:
                 np.testing.assert_allclose(a[key], nmr[key], rtol=1e-4, atol=1e-6)
@@ -833,6 +784,49 @@ def test_the_one_constructor_lays_flat_out_as_views_that_share_it(net, given_fla
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
+def without_dropout(arch):
+    """The architecture with its dropout layers, which hold no parameters, removed."""
+    return tuple(layer for layer in arch if layer.kind != "dropout")
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_nets(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_dropout_identity_at_inference(net, rows, seed):
+    """At inference a net's logits equal, bit for bit, those of the same
+    ``flat`` laid out without its dropout layers, whatever the rates, also
+    where a removed dropout sat between a conv1d and its pool, so that
+    only the bare net adds the conv1d's bias after the pool."""
+    arch, input_shape = net
+    params = init_params(arch, input_shape, seed=seed)
+    bare = ModelParams(without_dropout(arch), input_shape, params.flat)
+    x = np.random.default_rng(seed).normal(size=(rows, *input_shape))
+    assert same_bits(forward(params, x), forward(bare, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_nets(), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["fine-tune", "flwf1", "flwf2"]))
+def test_a_full_batch_training_step_is_the_fd_checked_gradient(net, rows, seed, mode):
+    """On a dropout-free net, one epoch of one full-batch step of
+    ``train_local`` is ``sgd_step`` along :func:`backward` on the batch in
+    the shuffle's order, the teachers' logits permuted with it, bit for
+    bit: the step follows the gradient the FD checks verify."""
+    arch, input_shape = net
+    rng = np.random.default_rng(seed)
+    params = init_params(without_dropout(arch), input_shape, seed=seed)
+    data = make_batch(rng, params, rows=rows)
+    spec = fd_spec(mode, rng, rows, data.n_classes)
+    perm = np.random.default_rng(seed).permutation(rows)
+    teachers = {name: getattr(spec, name)[perm]
+                for name in ("teacher_client_logits", "teacher_server_logits")
+                if getattr(spec, name) is not None}
+    want = sgd_step(params, backward(params, data.take(perm),
+                                     dataclasses.replace(spec, **teachers)), 0.05)
+    got = train_local(params, data, spec, learning_rate=0.05, batch_size=rows, epochs=1,
+                      seed=seed)
+    assert same_bits(got.flat, want.flat)
+
+
 def reference_masks(params, rows, rng):
     """One step's dropout masks as the forward pass once drew them: for
     each dropout layer with a rate above 0, in order, one ``rng.random``
@@ -885,7 +879,7 @@ def test_train_local_draws_dropout_masks_as_one_call_per_layer_and_step(
     rng = np.random.default_rng(seed)
     params = init_params(arch, input_shape, seed=seed)
     batch = make_batch(rng, params, rows=rows)
-    spec = spec_for(mode, rng, rows, batch.n_classes)
+    spec = fd_spec(mode, rng, rows, batch.n_classes)
     cfg = dict(learning_rate=0.01, batch_size=batch_size, epochs=epochs, seed=seed)
     want_trace, got_trace, blocks = [], [], []
     want = reference_train_local(params, batch, spec, **cfg, loss_trace=want_trace)
@@ -946,7 +940,7 @@ def test_train_local_steps_through_at_most_two_gradient_buffers(net, epochs,
     params = read_only_copy(init_params(arch, input_shape, seed=seed))
     snapshot = params.copy()
     batch = make_batch(rng, params, rows=rows)
-    spec = spec_for("flwf2", rng, rows, batch.n_classes)
+    spec = fd_spec("flwf2", rng, rows, batch.n_classes)
     cfg = dict(learning_rate=0.01, batch_size=batch_size, epochs=epochs, seed=seed)
     want = reference_train_local(params, batch, spec, **cfg)
     spare = params.with_flat(np.full(params.flat.shape, np.nan)) if with_spare else None
