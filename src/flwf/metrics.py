@@ -29,13 +29,16 @@ dropped on the next append, so appending stays O(1).  The rule
 asked for: every value is one float64 division of two exact integer sums,
 which is what ``np.mean`` over a boolean mask gives.  Each owner's
 records are read once per export into one owner table (its records x
-[whole test, task 1..T]), which ``metrics.csv`` and the summary's
-``A_gen``, ``A_task`` and ``F`` all read; ``A_per`` reads its own class
-sets, and the per-class curves the whole ledger in one call.  Every mean
-over rounds is ``np.mean`` of a 1-D array in round order, never
-``mean(axis=0)`` of a 2-D block, whose summation order can differ in the
-last bit.  Owner tables and window means ``abar`` are kept once computed
-and dropped on every append.
+[whole test, task 1..T]), which also holds ``abar`` for every task
+window whose rounds are all recorded.  ``metrics.csv``, every per-round
+accuracy and the summary's ``A_gen``, ``A_task`` and ``F`` read it;
+``A_per`` reads its own class sets, and the per-class curves the whole
+ledger in one call.  Every mean over rounds is ``np.mean`` of a 1-D
+array in round order, or a row of a contiguous array reduced as such,
+never ``mean(axis=0)`` of a 2-D block, whose summation order can differ
+in the last bit.  The owner tables are kept once built and dropped on
+every append.  The table's ``rows`` is the one place a read of a round
+without a record raises: a ``ValueError`` naming the missing rounds.
 
 The CSV exports return their text lines, the bytes ``csv.writer(...,
 lineterminator="\\n")`` writes, formatted straight from the tables: each
@@ -157,12 +160,24 @@ def _float_texts(tables) -> list[list]:
 class _OwnerTable:
     """One owner's accuracies, read once per export: ``values`` is (its
     records in append order) x [whole test, task 1..T] by the one rule
-    over ``class_sets``, ``at[r]`` the row of round r.  A column whose
-    classes have no test examples is NaN, and raises when it is read."""
+    over ``class_sets``, ``at[r]`` the row of round r, and ``abar[t]``
+    each column's mean over task t's rounds, for every window whose rounds
+    are all recorded.  A column whose classes have no test examples is
+    NaN, and raises when it is read."""
 
+    owner: str
     at: dict[int, int]
     values: np.ndarray
     class_sets: list
+    abar: dict[int, np.ndarray]
+
+    def rows(self, rounds) -> list[int]:
+        """The rows of ``rounds`` in their order: the one place a round
+        without a record raises."""
+        missing = [r for r in rounds if r not in self.at]
+        if missing:
+            raise ValueError(f"{self.owner!r} is missing rounds {missing}")
+        return [self.at[r] for r in rounds]
 
     def check(self, columns) -> None:
         """Raise for the first of ``columns`` without test examples."""
@@ -171,11 +186,15 @@ class _OwnerTable:
             if math.isnan(first[col]):
                 raise _no_examples(self.class_sets[col])
 
-    def column(self, rounds, col: int) -> np.ndarray:
-        """Column ``col`` over ``rounds`` as a fresh 1-D array in their
-        order; a missing round raises ``KeyError``."""
-        self.check((col,))
-        return self.values[[self.at[r] for r in rounds], col]
+    def task(self, d: int) -> int:
+        """Task d's column, once d is in 1..T and its classes have test
+        examples; an owner without tasks (the server) raises ``KeyError``."""
+        n_tasks = len(self.class_sets) - 1
+        if not 1 <= d <= n_tasks:
+            raise (ValueError if n_tasks else KeyError)(
+                f"{self.owner!r} has no task {d}, only tasks 1..{n_tasks}")
+        self.check((d,))
+        return d
 
 
 def _no_examples(classes) -> ValueError:
@@ -211,12 +230,10 @@ class MetricsLedger:
         self._id_dtype = np.min_scalar_type(self.n_classes - 1)
         self._row_of: dict[str, dict[int, int]] = {}  # owner -> round -> row of H
         self._hit_rows: list[np.ndarray] = []
-        # All dropped on every append: H stacked from _hit_rows, the owner
-        # tables, and abar(k, t, d) by (owner, t, d), which forgetting
-        # rereads many times.
+        # Both dropped on every append: H stacked from _hit_rows, and the
+        # owner tables read from it.
         self._table: np.ndarray | None = None
         self._owner_tables: dict[str, _OwnerTable] = {}
-        self._window_means: dict[tuple[str, int, int], float] = {}
         for owner, seq in self.tasks.items():
             if seq.total_rounds != self.total_rounds:
                 raise ValueError(f"{owner}: round budgets do not sum to {self.total_rounds}")
@@ -244,7 +261,6 @@ class MetricsLedger:
         self._hit_rows.append(np.bincount(correct, minlength=self.n_classes))
         self._table = None
         self._owner_tables.clear()
-        self._window_means.clear()
 
     def record_for(self, owner: str, round_index: int) -> RoundRecord:
         if (owner, round_index) not in self.records:
@@ -263,12 +279,6 @@ class MetricsLedger:
             self._table = np.array(self._hit_rows, dtype=np.int64).reshape(
                 -1, self.n_classes)
         return self._table
-
-    def _rows(self, owner: str, rounds) -> list[int]:
-        """H's rows for ``rounds`` of ``owner``; a missing record raises
-        ``KeyError``."""
-        owner_rows = self._row_of[owner]
-        return [owner_rows[r] for r in rounds]
 
     def _accuracies(self, rows, class_sets, empty_ok: bool = False) -> np.ndarray:
         """The one accuracy rule: a (rows x sets) float64 table of each
@@ -289,72 +299,63 @@ class MetricsLedger:
             return (self._hit_table()[rows] @ masks.T) / counts
 
     def _owner_table(self, owner: str) -> _OwnerTable:
-        """Owner k's table, built once between appends; a missing owner
-        raises ``KeyError``."""
+        """Owner k's table, built once between appends, with abar(k, t, d)
+        for every complete window t; a missing owner raises ``KeyError``."""
         if owner not in self._owner_tables:
             owner_rows = self._row_of[owner]
-            tasks = self.tasks[owner].tasks if owner in self.tasks else ()
+            seq = self.tasks.get(owner)
+            tasks = seq.tasks if seq else ()
             class_sets = [range(self.n_classes), *(task.classes for task in tasks)]
-            values = self._accuracies(list(owner_rows.values()), class_sets,
-                                      empty_ok=True)
-            self._owner_tables[owner] = _OwnerTable(
-                at={r: i for i, r in enumerate(owner_rows)}, values=values,
-                class_sets=class_sets)
+            values = self._accuracies(list(owner_rows.values()), class_sets, empty_ok=True)
+            at = {r: i for i, r in enumerate(owner_rows)}
+            windows = {t: seq.window(t) for t in range(1, len(tasks) + 1)}
+            # one np.mean per row of the window block's contiguous transpose:
+            # each column's mean in round order, the bits of np.mean of it
+            abar = {t: np.ascontiguousarray(values[[at[r] for r in w]].T).mean(axis=1)
+                    for t, w in windows.items() if all(r in at for r in w)}
+            self._owner_tables[owner] = _OwnerTable(owner, at, values, class_sets, abar)
         return self._owner_tables[owner]
 
     # -- per-round accuracies ----------------------------------------------
 
     def whole_test_accuracy(self, owner: str, round_index: int) -> float:
-        return self.class_subset_accuracy(owner, round_index, range(self.n_classes))
-
-    def class_subset_accuracy(self, owner: str, round_index: int,
-                              classes) -> float:
-        """Accuracy of one record on the test examples of ``classes``
-        (duplicates and out-of-range classes are ignored)."""
-        rows = self._rows(owner, (round_index,))
-        return float(self._accuracies(rows, (tuple(classes),))[0, 0])
+        """a0(k, r): accuracy on the whole test set."""
+        table = self._owner_table(owner)
+        return float(table.values[table.rows((round_index,))[0], 0])
 
     def task_accuracy(self, owner: str, round_index: int, d: int) -> float:
         """a(k, r, d): accuracy on the test examples of task d's classes."""
-        return self.class_subset_accuracy(
-            owner, round_index, self.tasks[owner].tasks[d - 1].classes)
+        table = self._owner_table(owner)
+        return float(table.values[table.rows((round_index,))[0], table.task(d)])
 
     # -- aggregate metrics ---------------------------------------------------
 
-    def _require_rounds(self, owner: str, rounds: range) -> range:
-        missing = [r for r in rounds if (owner, r) not in self.records]
-        if missing:
-            raise ValueError(f"{owner!r} is missing rounds {missing}")
-        return rounds
-
     def general_accuracy(self, owner: str) -> float:
         """A_gen: mean whole-test accuracy over rounds 1..R."""
-        rounds = self._require_rounds(owner, range(1, self.total_rounds + 1))
-        return float(np.mean(self._owner_table(owner).column(rounds, 0)))
+        table = self._owner_table(owner)
+        return float(np.mean(table.values[table.rows(range(1, self.total_rounds + 1)), 0]))
 
     def personal_accuracy(self, owner: str) -> float:
         """A_per: mean accuracy on the classes learnt so far; in task t's
         window, the classes of tasks 1..t (``classes_started_by``)."""
-        rounds = self._require_rounds(owner, range(1, self.total_rounds + 1))
         seq = self.tasks[owner]
+        rows = self._owner_table(owner).rows(range(1, self.total_rounds + 1))
+        h_rows = list(self._row_of[owner].values())  # H's row of each table row
         windows = [seq.window(t) for t in range(1, len(seq.tasks) + 1)]
         class_sets = [seq.classes_started_by(w.start) for w in windows]
         column = [t for t, w in enumerate(windows) for _ in w]
-        table = self._accuracies(self._rows(owner, rounds), class_sets)
-        return float(np.mean(table[np.arange(len(rounds)), column]))
+        table = self._accuracies([h_rows[i] for i in rows], class_sets)
+        return float(np.mean(table[np.arange(len(rows)), column]))
 
     def window_task_accuracy(self, owner: str, t: int, d: int) -> float:
-        """abar(k, t, d): task-d accuracy averaged over task t's rounds,
-        read from the owner table once per (owner, t, d) between appends."""
-        key = (owner, t, d)
-        if key not in self._window_means:
-            column = self._owner_table(owner).column(self.tasks[owner].window(t), d)
-            self._window_means[key] = float(np.mean(column))
-        return self._window_means[key]
+        """abar(k, t, d): task-d accuracy averaged over task t's rounds."""
+        table = self._owner_table(owner)
+        if t not in table.abar:  # raises: no tasks, no task t, or a missing round
+            table.rows(self.tasks[owner].window(t))
+        return float(table.abar[t][table.task(d)])
 
     def avg_task_accuracy(self, owner: str, t: int) -> float:
         """A_task(k, t) = (1/t) sum over d = 1..t of abar(k, t, d)."""
-        self._require_rounds(owner, self.tasks[owner].window(t))
         return float(np.mean([self.window_task_accuracy(owner, t, d)
                               for d in range(1, t + 1)]))
 

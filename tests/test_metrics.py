@@ -1,6 +1,7 @@
 """Ledger accounting: per-round accuracies, aggregates, forgetting, export."""
 
 import csv
+import dataclasses
 import io
 import re
 from unittest import mock
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flwf import metrics
+from flwf import cli, metrics
+from flwf.config import default_mlp_layers, preset
 from flwf.continual import TaskSequence, TaskSpec
 from flwf.datasets import DatasetPool
 from flwf.metrics import (SERVER, MetricsLedger, Predictions, RoundRecord, _csv_field,
@@ -220,10 +222,26 @@ def test_task_accuracy_exact():
 
 
 def test_class_accuracy_matches_task_accuracy_for_singleton_tasks():
+    """Two read paths of one value: a one-class task's accuracy comes from
+    the owner table, that class's curve from the whole ledger's."""
     ledger = hand_ledger()
+    curve = {(int(r), owner, int(c)): float(value)
+             for r, owner, c, value in parsed(ledger.figure_rows())}
     for r in range(1, 5):
-        assert ledger.class_subset_accuracy("c", r, (0,)) == ledger.task_accuracy("c", r, 1)
-        assert ledger.class_subset_accuracy("c", r, (1,)) == ledger.task_accuracy("c", r, 2)
+        assert curve[(r, "c", 0)] == ledger.task_accuracy("c", r, 1)
+        assert curve[(r, "c", 1)] == ledger.task_accuracy("c", r, 2)
+
+
+@pytest.mark.parametrize("d", [0, -1, 3])
+def test_task_indices_outside_one_to_t_raise(d):
+    """d = 0 and d = -1 would otherwise index the whole-test column or
+    count from the last task; T + 1 is past the last one."""
+    ledger = hand_ledger()
+    message = re.escape(f"'c' has no task {d}, only tasks 1..2")
+    with pytest.raises(ValueError, match=message):
+        ledger.task_accuracy("c", 1, d)
+    with pytest.raises(ValueError, match=message):
+        ledger.window_task_accuracy("c", 1, d)
 
 
 # -- aggregates: brute force over the raw prediction table ----------------------
@@ -300,11 +318,19 @@ def test_aggregates_require_complete_round_coverage():
     ledger = MetricsLedger(test_labels=LABELS, n_classes=2, total_rounds=4,
                            tasks={"c": TASKS})
     ledger.append(RoundRecord("c", 1, PREDS[1]))
-    with pytest.raises(ValueError) as err:
+    ledger.append(RoundRecord("c", 3, PREDS[3]))
+    with pytest.raises(ValueError, match=re.escape("'c' is missing rounds [2, 4]")):
         ledger.general_accuracy("c")
-    assert "missing rounds" in str(err.value)
-    with pytest.raises(ValueError):
-        ledger.avg_task_accuracy("c", 1)
+    with pytest.raises(ValueError, match=re.escape("'c' is missing rounds [2, 4]")):
+        ledger.personal_accuracy("c")
+    for read in (lambda: ledger.avg_task_accuracy("c", 1),
+                 lambda: ledger.window_task_accuracy("c", 1, 2),
+                 lambda: ledger.whole_test_accuracy("c", 2),
+                 lambda: ledger.task_accuracy("c", 2, 1),
+                 lambda: ledger.forgetting("c", 2, 1)):
+        with pytest.raises(ValueError, match=re.escape("'c' is missing rounds [2]")):
+            read()
+    assert ledger.task_accuracy("c", 3, 2) == 1.0
 
 
 def test_server_supports_only_whole_test_metrics():
@@ -364,9 +390,7 @@ def random_ledgers(draw):
     predictions come from a numpy generator seeded by one drawn integer;
     to keep the per-class brute force affordable, "c" has at most two
     tasks of one round each and no other client joins.  Predictions are
-    int64 arrays, as ``predict`` returns.  ``subset`` is a class list for
-    :meth:`MetricsLedger.class_subset_accuracy` that may repeat classes
-    and name ones out of range, which the ledger ignores.
+    int64 arrays, as ``predict`` returns.
     """
     n_classes = draw(st.integers(2, 6) | st.sampled_from([255, 256, 257]))
     wide = n_classes > 6
@@ -417,8 +441,7 @@ def random_ledgers(draw):
                            total_rounds=rounds, tasks=tasks)
     for owner, r in append_order:
         ledger.append(RoundRecord(owner, r, preds[(owner, r)]))
-    subset = draw(st.lists(st.integers(-1, n_classes), min_size=1, max_size=4))
-    return ledger, labels, preds, append_order, subset
+    return ledger, labels, preds, append_order
 
 
 def assert_stored_narrow(ledger, preds):
@@ -433,7 +456,7 @@ def assert_stored_narrow(ledger, preds):
 @settings(max_examples=150, deadline=None)
 @given(random_ledgers())
 def test_ledger_matches_brute_force_on_random_ledgers(case):
-    ledger, labels, preds, append_order, subset = case
+    ledger, labels, preds, append_order = case
     assert_stored_narrow(ledger, preds)
     task_classes = [task.classes for task in ledger.tasks["c"].tasks]
     rounds = ledger.total_rounds
@@ -444,13 +467,6 @@ def test_ledger_matches_brute_force_on_random_ledgers(case):
 
     for owner, r in preds:
         assert ledger.whole_test_accuracy(owner, r) == np.mean(preds[(owner, r)] == labels)
-        for c in range(ledger.n_classes):
-            assert ledger.class_subset_accuracy(owner, r, (c,)) == acc(owner, r, (c,))
-        if np.isin(labels, subset).any():
-            assert ledger.class_subset_accuracy(owner, r, subset) == acc(owner, r, subset)
-        else:
-            with pytest.raises(ValueError):
-                ledger.class_subset_accuracy(owner, r, subset)
         if owner == "c":
             for d, classes in enumerate(task_classes, 1):
                 assert ledger.task_accuracy(owner, r, d) == acc(owner, r, classes)
@@ -469,6 +485,9 @@ def test_ledger_matches_brute_force_on_random_ledgers(case):
                         for r in range(starts[t - 1] + 1, starts[t] + 1)])
 
     for t in range(1, len(task_classes) + 1):
+        assert [ledger.window_task_accuracy("c", t, d)
+                for d in range(1, len(task_classes) + 1)] == [
+            abar(t, d) for d in range(1, len(task_classes) + 1)]
         assert ledger.avg_task_accuracy("c", t) == np.mean(
             [abar(t, d) for d in range(1, t + 1)])
         if t >= 2:
@@ -486,19 +505,68 @@ def test_ledger_matches_brute_force_on_random_ledgers(case):
         ledger.append(RoundRecord(owner, r, preds[(owner, r)]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_ledgers())
-def test_window_means_are_computed_once_per_owner_and_task_pair(case):
-    """The summary's A_task and F values equal those of fresh ledgers; every
-    abar(c, t, d) behind them is computed once, from one owner table read
-    from a hit table stacked once between appends and once more after one."""
-    ledger, labels, preds = case[:3]
+@st.composite
+def long_window_ledgers(draw):
+    """One client over 1..4 tasks of 9..40 rounds each: windows longer
+    than numpy's 8-element pairwise-summation block, so a window mean
+    summed in another order than ``np.mean``'s over the 1-D column shows
+    in the last bit.  Test counts of 1..7 per class, labels and
+    predictions come from a numpy generator seeded by one drawn integer."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_tasks = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(n_tasks, 6))
+    cuts = sorted(rng.choice(np.arange(1, n_classes), n_tasks - 1, replace=False))
+    parts = np.split(rng.permutation(n_classes), cuts)
+    tasks = TaskSequence(tuple(TaskSpec(tuple(part.tolist()), draw(st.integers(9, 40)))
+                               for part in parts))
+    labels = rng.permutation(np.repeat(np.arange(n_classes), rng.integers(1, 8, n_classes)))
+    preds = {r: rng.integers(0, n_classes, len(labels))
+             for r in range(1, tasks.total_rounds + 1)}
+    ledger = MetricsLedger(test_labels=labels, n_classes=n_classes,
+                           total_rounds=tasks.total_rounds, tasks={"c": tasks})
+    for r, predictions in preds.items():
+        ledger.append(RoundRecord("c", r, predictions))
+    return ledger, labels, preds
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_window_ledgers())
+def test_window_means_over_long_windows_are_np_mean_of_the_rounds(case):
+    ledger, labels, preds = case
+    seq = ledger.tasks["c"]
     n = ledger.n_tasks("c")
 
-    def summary(of):
-        return ([of().avg_task_accuracy("c", t) for t in range(1, n + 1)],
-                [of().average_forgetting("c", t) for t in range(2, n + 1)])
+    def abar(t, d):
+        mask = np.isin(labels, seq.tasks[d - 1].classes)
+        return np.mean([np.mean(preds[r][mask] == labels[mask]) for r in seq.window(t)])
 
+    for t in range(1, n + 1):
+        means = [abar(t, d) for d in range(1, n + 1)]
+        assert [ledger.window_task_accuracy("c", t, d) for d in range(1, n + 1)] == means
+        assert ledger.avg_task_accuracy("c", t) == np.mean(means[:t])
+        if t >= 2:
+            assert ledger.average_forgetting("c", t) == np.mean(
+                [max(abar(i, d) for i in range(d, t)) - abar(t, d) for d in range(1, t)])
+
+
+def scenario_of(ledger):
+    """A valid scenario whose clients are ``ledger``'s task owners."""
+    base = preset("baseline-finetune")
+    clients = tuple(dataclasses.replace(base.clients[0], name=owner, tasks=seq)
+                    for owner, seq in ledger.tasks.items())
+    return dataclasses.replace(base, rounds=ledger.total_rounds, n_classes=ledger.n_classes,
+                               layers=default_mlp_layers(ledger.n_classes), clients=clients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_ledgers())
+def test_summarize_stacks_h_once_and_reads_each_owner_table_once(case):
+    """One ``cli.summarize`` equals a fresh ledger's, stacks the hit table
+    once, and runs the accuracy rule once per owner table (whole test,
+    tasks 1..T) plus once per client for A_per's learnt class sets; the
+    next append drops the table, and the next read stacks it again."""
+    ledger, labels, preds = case[:3]
+    scenario = scenario_of(ledger)
     stacks: list[int] = []
     reads: list[int] = []
     hit_table, accuracies = ledger._hit_table, ledger._accuracies
@@ -513,11 +581,12 @@ def test_window_means_are_computed_once_per_owner_and_task_pair(case):
         return accuracies(rows, class_sets, **kwargs)
 
     ledger._hit_table, ledger._accuracies = counted_table, counted_accuracies
-    assert summary(lambda: ledger) == summary(lambda: rebuilt(ledger))
+    assert cli.summarize(scenario, ledger) == cli.summarize(scenario, rebuilt(ledger))
     assert stacks == [len(ledger.records)]
-    assert reads == [1 + n]  # one owner table: whole test, tasks 1..n
+    assert reads == [n for seq in ledger.tasks.values()
+                     for n in (1 + len(seq.tasks), len(seq.tasks))] + [1]
     ledger.append(RoundRecord("other", 1, preds[("c", 1)]))  # drops the table
-    ledger.avg_task_accuracy("c", n)
+    ledger.avg_task_accuracy("c", ledger.n_tasks("c"))
     assert stacks == [len(ledger.records) - 1, len(ledger.records)]
 
 

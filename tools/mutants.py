@@ -81,6 +81,30 @@ MUTANTS = (
                       "the first `capacity` of them are a seeded random pick with the "
                       "same distribution and other bits; README does not pin the pick "
                       "rule, only update_exemplars' docstring does"),
+    Mutant("forgetting-from-window-d-only", "src/flwf/metrics.py",
+           "self.window_task_accuracy(owner, i, d) for i in range(d, t))",
+           "self.window_task_accuracy(owner, i, d) for i in range(d, d + 1))",
+           'Metrics: "f(t, d): max over i in d..t-1 of abar(k, i, d) - abar(k, t, d): '
+           'the drop from the best historical window"'),
+    Mutant("abar-skips-first-round", "src/flwf/metrics.py",
+           "values[[at[r] for r in w]]",
+           "values[[at[r] for r in w[1:]]]",
+           'Metrics: "abar(k, t, d): a(k, r, d) averaged over task t\'s window"'),
+    Mutant("abar-summed-down-columns", "src/flwf/metrics.py",
+           "np.ascontiguousarray(values[[at[r] for r in w]].T).mean(axis=1)",
+           "values[[at[r] for r in w]].mean(axis=0)",
+           'Metrics: "Every mean over rounds is np.mean of a 1-D array in round order, '
+           'never mean(axis=0) of a 2-D block"'),
+    Mutant("a-task-over-all-tasks", "src/flwf/metrics.py",
+           "window_task_accuracy(owner, t, d)\n                              "
+           "for d in range(1, t + 1)]))",
+           "window_task_accuracy(owner, t, d)\n                              "
+           "for d in range(1, self.n_tasks(owner) + 1)]))",
+           'Metrics: "A_task(t): mean of abar(k, t, d) over d = 1..t"'),
+    Mutant("task-index-unchecked", "src/flwf/metrics.py",
+           "        if not 1 <= d <= n_tasks:\n",
+           "        if not n_tasks:\n",
+           'Metrics: "A task index d outside 1..T raises ValueError"'),
 )
 
 
