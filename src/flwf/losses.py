@@ -17,8 +17,9 @@ Three training objectives are supported, selected by ``LossSpec.mode``:
 Every term is a cross-entropy ``-sum(target * log_softmax(o / T))`` and
 the objective is linear in its targets, so :func:`resolve_targets` merges
 the terms into one target per temperature (``alpha * y`` at T=1 and
-``sum_i w_i * softmax(teacher_i / T)`` at T), and :func:`loss_and_grad`
-needs one log-softmax per temperature for the value and the gradient.
+``sum_i w_i * softmax(teacher_i / T)`` at T), stacked into one
+:class:`Targets` value, and :func:`loss_and_grad` takes the value and the
+gradient at every temperature in one log-softmax over the stack.
 Training computes the value only when it records a loss trace.
 
 All losses are SUMS over the batch, not means.  The learning rate must be
@@ -27,14 +28,16 @@ mean-reduced setup would use a learning rate B times larger.
 
 Teacher logits are computed once per round (teachers are frozen during
 local training) and travel inside ``LossSpec`` aligned row-for-row with
-the batch; the trainer resolves the targets once per round and slices
-their rows when it shuffles and chunks the batch.
+the batch; the trainer resolves the targets once per round and takes
+their rows (:meth:`Targets.take`) when it shuffles and chunks the batch.
 
 :func:`coefficient_error` is the one rule for the coefficients, shared by
 :class:`LossSpec` and :class:`flwf.config.ClientConfig`.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,19 +97,25 @@ class LossSpec:
             raise ValueError("%s: %s" % error)
 
 
-class Target(NamedTuple):
-    """One term ``-sum(probs * log_softmax(o / temperature))``; every row of
-    ``probs`` sums to ``weight``."""
+class Targets(NamedTuple):
+    """One term ``-sum(probs[i] * log_softmax(o / temperature[i]))`` per
+    distinct temperature, stacked: ``temperature`` and ``weight`` are
+    ``(n, 1, 1)``, ``probs`` is ``(n, rows, classes)``, and every row of
+    ``probs[i]`` sums to ``weight[i]``."""
 
-    temperature: float
-    weight: float
+    temperature: np.ndarray
+    weight: np.ndarray
     probs: np.ndarray
+
+    def take(self, rows) -> "Targets":
+        """The targets of the batch rows ``rows``, in that order."""
+        return self._replace(probs=self.probs.take(rows, axis=1))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, max-subtracted for stability."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax along the last axis, max-subtracted for stability."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -114,7 +123,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def temperature_scaled_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Softened probabilities ``exp(o_i/T) / sum_j exp(o_j/T)``, one row per example."""
+    """Softened probabilities ``exp(o_i/T) / sum_j exp(o_j/T)`` along the last axis."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return softmax(np.asarray(logits, dtype=float) / temperature)
@@ -185,68 +194,61 @@ def objective_terms(spec: LossSpec) -> list:
             (spec.temperature, 1.0 - spec.alpha - spec.beta, server)]
 
 
-def resolve_targets(spec: LossSpec, labels: np.ndarray) -> list[Target]:
-    """The objective's terms merged into one :class:`Target` per temperature.
+def resolve_targets(spec: LossSpec, labels: np.ndarray) -> Targets:
+    """The objective's terms merged into one :class:`Targets` entry per
+    temperature, in order of first appearance.
 
     Takes a checked pool's one-hot ``labels`` as given, checks the teacher
-    alignment and softens the teacher logits, once; callers slice the
-    targets' rows per mini-batch.
+    alignment and softens the teachers that share a temperature in one
+    call; an entry's weights and contributions are summed in term order.
+    Callers take the targets' rows per mini-batch.
     """
-    merged: dict[float, Target] = {}
+    groups: dict[float, list] = {}
     for temperature, weight, teacher in objective_terms(spec):
-        if teacher is None:
-            probs = weight * labels
-        else:
-            probs = weight * temperature_scaled_probs(teacher, temperature)
-            _check_aligned(probs, labels)
-        if temperature in merged:
-            weight += merged[temperature].weight
-            probs = merged[temperature].probs + probs
-        merged[temperature] = Target(temperature, weight, probs)
-    return list(merged.values())
+        groups.setdefault(temperature, []).append((weight, teacher))
+    weights, probs = [], []
+    for temperature, group in groups.items():
+        teachers = [np.asarray(t, dtype=float) for _, t in group if t is not None]
+        for teacher in teachers:
+            _check_aligned(teacher, labels)
+        soft = iter(temperature_scaled_probs(np.array(teachers), temperature)
+                    if teachers else ())
+        # reduce, not sum(): 0.0 + -0.0 would drop an alpha of -0.0's sign
+        weights.append(functools.reduce(operator.add, [w for w, _ in group]))
+        probs.append(functools.reduce(np.add, [
+            w * (labels if t is None else next(soft)) for w, t in group]))
+    return Targets(np.array(list(groups), dtype=float).reshape(-1, 1, 1),
+                   np.array(weights, dtype=float).reshape(-1, 1, 1), np.array(probs))
 
 
-def loss_and_grad(targets: list[Target], student_logits: np.ndarray,
+def loss_and_grad(targets: Targets, student_logits: np.ndarray,
                   with_value: bool = True) -> tuple[float | None, np.ndarray]:
     """Value of the objective and its gradient with respect to the student logits.
 
     The value is computed only ``with_value``, else None comes back in its
     place: the gradient does not read it, and a training step needs only
     the gradient (:func:`flwf.network.train_local` asks for the value when
-    it records a loss trace).  Either way the gradient takes the same
-    operations in the same order.
+    it records a loss trace).  The value is one float sum per target,
+    subtracted from 0.0 in target order.
 
     A target contributes ``(weight * softmax(o / T) - probs) / T`` to the
-    gradient, because every row of its ``probs`` sums to ``weight``.  The
-    gradient sums the contributions in target order, each computed in an
-    array of its own.  Two steps of that formula are exact identities and
-    are skipped: both divisions by a temperature of 1.0, and adding the
-    first contribution to 0.0.  That addition could only turn a -0.0 into
-    +0.0.  With a non-negative weight, ``weight * softmax - probs`` is
-    -0.0 only where the weight is -0.0 and ``probs`` is +0.0, and
-    :func:`resolve_targets` scales a target's ``probs`` by its weight, so
-    a weight of -0.0 (an ``alpha`` of -0.0) makes them -0.0 too.
+    gradient, because every row of its ``probs`` sums to ``weight``; every
+    temperature's contribution is computed in one pass over the stack, and
+    the contributions are summed in target order.
     """
     student_logits = np.asarray(student_logits, dtype=float)
-    value, grad = 0.0, 0.0
-    for i, target in enumerate(targets):
-        if target.probs.shape != student_logits.shape:
-            raise ValueError("logits and targets disagree in shape")
-        scaled = (student_logits if target.temperature == 1.0
-                  else student_logits / target.temperature)
-        log_q = log_softmax(scaled)
-        if with_value:
-            value -= float((target.probs * log_q).sum())
-        term = np.exp(log_q)
-        term *= target.weight
-        term -= target.probs
-        if target.temperature != 1.0:
-            term /= target.temperature
-        if i == 0:
-            grad = term
-        else:
-            grad += term
-    return (value if with_value else None), grad
+    if targets.probs.shape[1:] != student_logits.shape:
+        raise ValueError("logits and targets disagree in shape")
+    log_q = log_softmax(student_logits / targets.temperature)
+    value = None
+    if with_value:
+        value = functools.reduce(operator.sub,
+                                 (targets.probs * log_q).sum(axis=(1, 2)).tolist(), 0.0)
+    terms = np.exp(log_q)
+    terms *= targets.weight
+    terms -= targets.probs
+    terms /= targets.temperature
+    return value, np.add.reduce(terms)
 
 
 def combined_loss(spec: LossSpec, student_logits: np.ndarray, labels: np.ndarray) -> float:

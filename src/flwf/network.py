@@ -385,8 +385,6 @@ def _draw_masks(dropouts: Dropouts, rows, rng) -> list[np.ndarray]:
         rates = np.repeat(np.tile(dropouts.rates, len(rows)),
                           np.outer(rows, dropouts.sizes).ravel())
         block = (u >= rates) / (1.0 - rates)
-    if len(rows) == 1 and len(dropouts.shapes) == 1:  # the block is the one mask
-        return [block.reshape((rows[0],) + dropouts.shapes[0])]
     masks, start = [], 0
     for n in rows:
         for shape, size in zip(dropouts.shapes, dropouts.sizes):
@@ -648,7 +646,8 @@ def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *
 
     Hyperparameters that break :func:`local_update_error` raise
     ``ValueError("field: reason")``.  The objective is resolved into its
-    targets once (see :func:`flwf.losses.objective_terms`).  The batch order
+    targets once (:func:`flwf.losses.resolve_targets`), and each step takes
+    its rows of them (:meth:`flwf.losses.Targets.take`).  The batch order
     is drawn once from the shuffle seeded by ``seed`` (an int or a bit generator,
     anything ``np.random.default_rng`` takes) and then chunked into
     ``batch_size``-row mini-batches (the last chunk may be short); every
@@ -681,9 +680,7 @@ def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
     chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
-    steps = [(data.features[chunk],
-              [losses.Target(t.temperature, t.weight, t.probs[chunk]) for t in targets])
-             for chunk in chunks]
+    steps = [(data.features[chunk], targets.take(chunk)) for chunk in chunks]
     # an epoch's steps in blocks of at most max(one step's draws, SGD_CHUNK) uniforms
     dropouts = params.dropouts
     per_block = max(1, SGD_CHUNK // (batch_size * max(dropouts.per_row, 1)))  # steps
@@ -691,12 +688,9 @@ def train_local(params: ModelParams, data: DatasetPool, spec: losses.LossSpec, *
     with_value = loss_trace is not None
     current = params
     for epoch in range(1, epochs + 1):
-        if len(step_rows) <= per_block:
-            masks = iter(_draw_masks(dropouts, step_rows, rng))
-        else:  # each block drawn when its first step needs it
-            masks = itertools.chain.from_iterable(
-                _draw_masks(dropouts, step_rows[i:i + per_block], rng)
-                for i in range(0, len(step_rows), per_block))
+        masks = itertools.chain.from_iterable(  # each block drawn when its first step needs it
+            _draw_masks(dropouts, step_rows[i:i + per_block], rng)
+            for i in range(0, len(step_rows), per_block))
         for step, (features, chunk_targets) in enumerate(steps, 1):
             try:
                 logits, caches = _forward_pass(current, features, masks, keep_caches=True)

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flwf import losses
-from flwf.losses import (LossSpec, Target, classification_loss, combined_loss,
+from flwf.losses import (LossSpec, Targets, classification_loss, combined_loss,
                          combined_loss_grad, distillation_loss, log_softmax,
                          loss_and_grad, resolve_targets, softmax,
                          temperature_scaled_probs)
@@ -26,6 +26,11 @@ def one_hot(labels, n):
     out = np.zeros((len(labels), n))
     out[np.arange(len(labels)), labels] = 1.0
     return out
+
+
+def one_target(temperature, probs):
+    """The :class:`Targets` of one term of weight 1.0."""
+    return Targets(np.full((1, 1, 1), temperature), np.ones((1, 1, 1)), probs[None])
 
 
 def test_softmax_rows_sum_to_one():
@@ -124,7 +129,7 @@ def test_classification_grad_matches_finite_differences():
     for _ in range(20):
         logits = rng.normal(size=(5, 6)) * 2
         labels = one_hot(rng.integers(0, 6, size=5), 6)
-        grad = loss_and_grad([Target(1.0, 1.0, labels)], logits)[1]
+        grad = loss_and_grad(one_target(1.0, labels), logits)[1]
         fd = _fd_logits(lambda o: classification_loss(o, labels), logits)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
@@ -199,7 +204,7 @@ def test_distillation_grad_matches_finite_differences():
         student = rng.normal(size=(4, 6)) * 2
         t = rng.uniform(0.5, 4.0)
         soft = temperature_scaled_probs(teacher, t)
-        grad = loss_and_grad([Target(t, 1.0, soft)], student)[1]
+        grad = loss_and_grad(one_target(t, soft), student)[1]
         fd = _fd_logits(lambda o: distillation_loss(teacher, o, t), student)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
@@ -377,21 +382,11 @@ def test_all_losses_nonnegative():
 # -- properties of the one-pass objective --------------------------------------------
 
 
-@st.composite
-def objective_cases(draw):
+def objective_case(mode, rows, n, alpha, beta, t, with_client, seed, scale=1.0):
     """A random batch, objective and teacher set; ``want`` is the objective
     composed from the per-term reference losses, None where evaluating the
     spec must fail (flwf1 without its teacher)."""
-    rows = draw(st.integers(1, 9))
-    n = draw(st.integers(2, 7))
-    mode = draw(st.sampled_from(losses.MODES))
-    alpha = draw(st.floats(0.0, 1.0))
-    beta = draw(st.floats(0.0, 1.0))
-    assume(alpha + beta <= 1.0)
-    t = draw(st.one_of(st.just(1.0), st.floats(0.25, 8.0)))
-    with_client = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.floats(0.1, 5.0))
+    rng = np.random.default_rng(seed)
     student, teacher_c, teacher_s = (scale * rng.normal(size=(rows, n)) for _ in range(3))
     labels = one_hot(rng.integers(0, n, size=rows), n)
     if not with_client:
@@ -416,6 +411,21 @@ def objective_cases(draw):
     return spec, student, labels, want
 
 
+@st.composite
+def objective_cases(draw):
+    """:func:`objective_case` over 1-9 rows, 2-7 classes, every mode and a
+    temperature of 1.0 or one drawn from [0.25, 8]."""
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(0.0, 1.0))
+    assume(alpha + beta <= 1.0)
+    return objective_case(
+        mode=draw(st.sampled_from(losses.MODES)), rows=draw(st.integers(1, 9)),
+        n=draw(st.integers(2, 7)), alpha=alpha, beta=beta,
+        t=draw(st.one_of(st.just(1.0), st.floats(0.25, 8.0))),
+        with_client=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)),
+        scale=draw(st.floats(0.1, 5.0)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(objective_cases())
 def test_combined_loss_equals_its_term_composition(case):
@@ -427,7 +437,7 @@ def test_combined_loss_equals_its_term_composition(case):
     got = combined_loss(spec, student, labels)
     assert abs(got - want) <= 1e-12 * abs(want)
     temperatures = {1.0} if spec.mode == "fine-tune" else {1.0, spec.temperature}
-    assert len(resolve_targets(spec, labels)) == len(temperatures)
+    assert len(resolve_targets(spec, labels).probs) == len(temperatures)
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,16 +451,32 @@ def test_combined_loss_grad_matches_finite_differences(case):
 
 
 def formula_loss_and_grad(targets, student_logits):
-    """:func:`loss_and_grad` as written before identities were skipped,
-    its log-softmax included: the oracle of its bits."""
+    """:func:`loss_and_grad` written as one loop over the targets' rows,
+    each a 2-D log-softmax, ``0.0 +`` and a division by 1.0 included: the
+    oracle of its bits."""
     value, grad = 0.0, 0.0
-    for target in targets:
-        scaled = student_logits / target.temperature
+    for temperature, weight, probs in zip(targets.temperature, targets.weight,
+                                          targets.probs):
+        scaled = student_logits / temperature
         shifted = scaled - scaled.max(axis=1, keepdims=True)
         log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        value -= float((target.probs * log_q).sum())
-        grad = grad + (target.weight * np.exp(log_q) - target.probs) / target.temperature
+        value -= float((probs * log_q).sum())
+        grad = grad + (weight * np.exp(log_q) - probs) / temperature
     return value, grad
+
+
+def formula_targets(spec, labels):
+    """:func:`resolve_targets` as one term at a time, each teacher softened
+    on its own and added to the earlier terms of its temperature: the
+    oracle of its bits, as ``[(temperature, weight, probs), ...]``."""
+    merged = {}
+    for temperature, weight, teacher in losses.objective_terms(spec):
+        probs = weight * (labels if teacher is None
+                          else temperature_scaled_probs(teacher, temperature))
+        if temperature in merged:
+            weight, probs = merged[temperature][0] + weight, merged[temperature][1] + probs
+        merged[temperature] = weight, probs
+    return [(t, w, p) for t, (w, p) in merged.items()]
 
 
 def same_bits(a, b) -> bool:
@@ -459,16 +485,27 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+WIDE_CASE = objective_case("flwf2", rows=32, n=300, alpha=0.001, beta=0.7, t=2.0,
+                           with_client=True, seed=30, scale=3.0)
+MERGED_CASE = objective_case("flwf2", rows=16, n=6, alpha=0.3, beta=0.4, t=1.0,
+                             with_client=True, seed=31, scale=2.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(objective_cases(), st.sampled_from([None, -0.0, 0.0, 1.0]),
        st.sampled_from([1.0, 1e3, 1e-3]), st.booleans())
+@example(WIDE_CASE, None, 1.0, False)
+@example(MERGED_CASE, None, 1.0, False)
+@example(MERGED_CASE, -0.0, 1e3, True)
 def test_loss_and_grad_keeps_every_bit_of_the_formula(case, alpha, scale, zeros):
-    """Skipping the divisions by a temperature of 1.0 and the first
-    ``0.0 +`` changes no bit of the value or the gradient, signed zeros
-    included: on resolved targets of every mode (T = 1.0 among the
-    temperatures, alpha of -0.0 among the weights), on logits whose
-    softmax underflows, and on logits with exact zeros.  Asked for the
-    gradient alone, it returns None for the value and the same bits."""
+    """The stacked targets keep every bit of the per-term merge, and the
+    one pass over them every bit of the per-target formula, value and
+    gradient, signed zeros included: on resolved targets of every mode
+    (T = 1.0 among the temperatures, alpha of -0.0 among the weights, 300
+    classes, and labels and both teachers merged into one target at
+    T = 1.0), on logits whose softmax underflows, and on logits with exact
+    zeros.  Asked for the gradient alone, it returns None for the value
+    and the same bits."""
     spec, student, labels, want = case
     assume(want is not None)
     if alpha is not None and spec.mode != losses.MODE_FINE_TUNE:
@@ -478,9 +515,40 @@ def test_loss_and_grad_keeps_every_bit_of_the_formula(case, alpha, scale, zeros)
     if zeros:
         student[:, ::2] = 0.0
     targets = resolve_targets(spec, labels)
+    want_targets = formula_targets(spec, labels)
+    assert len(targets.probs) == len(want_targets)
+    for got, want in zip(zip(targets.temperature.ravel(), targets.weight.ravel(),
+                             targets.probs), want_targets):
+        assert all(same_bits(g, w) for g, w in zip(got, want))
     got_value, got_grad = loss_and_grad(targets, student)
     want_value, want_grad = formula_loss_and_grad(targets, student)
     assert same_bits(got_value, want_value)
     assert same_bits(got_grad, want_grad)
     no_value, grad_alone = loss_and_grad(targets, student, with_value=False)
     assert no_value is None and same_bits(grad_alone, want_grad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(objective_cases(), st.data())
+def test_targets_take_slices_each_row_of_probs(case, data):
+    """``Targets.take(rows)`` keeps the temperatures and weights and takes
+    ``rows`` (in any order, repeats allowed) from each target's probs."""
+    spec, _, labels, want = case
+    assume(want is not None)
+    targets = resolve_targets(spec, labels)
+    rows = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=12))
+    taken = targets.take(rows)
+    assert taken.temperature is targets.temperature and taken.weight is targets.weight
+    assert len(taken.probs) == len(targets.probs)
+    assert all(same_bits(got, probs[rows]) for got, probs in zip(taken.probs, targets.probs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 40), st.sampled_from([2, 3, 7, 8, 9, 17, 129, 300]),
+       st.sampled_from([1e-3, 1.0, 30.0, 1e3]), st.integers(0, 2**32 - 1))
+def test_log_softmax_of_a_stack_is_each_slice_bit_for_bit(n, rows, classes, scale, seed):
+    """``log_softmax`` along the last axis of an ``(n, rows, classes)``
+    stack keeps the bits of each 2-D slice's own log-softmax."""
+    stack = scale * np.random.default_rng(seed).normal(size=(n, rows, classes))
+    got = log_softmax(stack)
+    assert all(same_bits(got[i], log_softmax(stack[i])) for i in range(n))

@@ -852,8 +852,7 @@ def reference_train_local(params, data, spec, *, learning_rate, batch_size, epoc
             logits, caches = _forward_pass(current, data.features[chunk],
                                            iter(reference_masks(current, len(chunk), rng)),
                                            keep_caches=True)
-            value, dlogits = losses.loss_and_grad(
-                [t._replace(probs=t.probs[chunk]) for t in targets], logits)
+            value, dlogits = losses.loss_and_grad(targets.take(chunk), logits)
             if loss_trace is not None:
                 loss_trace.append(value)
             current = sgd_step(current, _backward_pass(current, caches, dlogits),

@@ -34,9 +34,12 @@ scenario below is run once with each tree's ``src``:
   quotes, so both CSVs quote them;
 * ``big-seed``: the ``exp3-exemplars-flwf2`` preset at seed 2**64 + 3,
   whose three ``uint32`` words make every seed stream's key six entropy
-  words, past the seed sequence's four-word pool.
+  words, past the seed sequence's four-word pool;
+* ``one-temperature`` (:func:`one_temperature_scenario`) at seed 11: a
+  flwf2 client and a flwf1 client whose temperature is 1.0, so the labels
+  and every teacher merge into one target.
 
-34 scenarios in all.
+35 scenarios in all.
 
 Both trees read the same input files, written once from this tree's
 ``perfbench/workloads.py``.  A scenario that reads a CSV (``paper-cnn``)
@@ -138,6 +141,7 @@ MANY_CLASSES_SEED = 6
 MIXED_DROPOUT_SEED = 8
 QUOTED_NAMES_SEED = 10
 BIG_SEED_PRESET, BIG_SEED = "exp3-exemplars-flwf2", 2**64 + 3
+ONE_TEMPERATURE_SEED = 11
 
 
 def conv_steps_scenario(seed: int, label: str) -> dict:
@@ -239,6 +243,33 @@ def quoted_names_scenario(seed: int) -> dict:
     }
 
 
+def one_temperature_scenario(seed: int) -> dict:
+    """A 16-d MLP for four rounds of 2 epochs of batch-16 steps at a
+    temperature of 1.0: ``client1`` distills from both teachers (flwf2,
+    with exemplars), ``client2`` from its own previous model (flwf1), and
+    ``generalized`` fine-tunes, so every client's labels and teachers merge
+    into one target."""
+    return {
+        "label": "one-temperature", "seed": seed, "rounds": 4, "epochs": 2,
+        "batch_size": 16, "learning_rate": 0.02, "dropout": 0.2, "n_classes": 6,
+        "input_shape": [16],
+        "layers": [{"kind": "dense", "units": 24}, {"kind": "relu"}, {"kind": "dropout"},
+                   {"kind": "dense", "units": 6}, {"kind": "softmax-output"}],
+        "clients": [
+            {"name": "client1", "weight": 1.0, "algo": "flwf2", "alpha": 0.3, "beta": 0.4,
+             "temperature": 1.0, "use_exemplars": True,
+             "tasks": [{"classes": [0, 1], "rounds": 2}, {"classes": [2, 3], "rounds": 2}]},
+            {"name": "client2", "weight": 1.0, "algo": "flwf1", "alpha": 0.5,
+             "temperature": 1.0,
+             "tasks": [{"classes": [4], "rounds": 2}, {"classes": [5], "rounds": 2}]},
+            {"name": "generalized", "weight": 4.0, "algo": "fine-tune",
+             "tasks": [{"classes": [0, 1, 2, 3, 4, 5], "rounds": 4}]},
+        ],
+        "data": {"kind": "synthetic", "per_class": 200, "feature_dim": 16},
+        "round_data_size": 40, "test_per_class": 20,
+    }
+
+
 def scenarios(inputs_dir: Path):
     """``[(name, flwf run arguments, sidecar path or None), ...]``, the
     sidecar being where the working tree caches the scenario's CSV;
@@ -276,6 +307,10 @@ def scenarios(inputs_dir: Path):
     path.write_text(yaml.safe_dump(quoted_names_scenario(QUOTED_NAMES_SEED), sort_keys=False))
     out.append((f"quoted-names-seed{QUOTED_NAMES_SEED}", ["--config", str(path)], None))
     out.append(("big-seed", ["--preset", BIG_SEED_PRESET, "--seed", str(BIG_SEED)], None))
+    path = inputs_dir / f"one-temperature-seed{ONE_TEMPERATURE_SEED}.yaml"
+    path.write_text(yaml.safe_dump(one_temperature_scenario(ONE_TEMPERATURE_SEED),
+                                   sort_keys=False))
+    out.append((f"one-temperature-seed{ONE_TEMPERATURE_SEED}", ["--config", str(path)], None))
     return out
 
 

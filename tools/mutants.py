@@ -105,6 +105,23 @@ MUTANTS = (
            "        if not 1 <= d <= n_tasks:\n",
            "        if not n_tasks:\n",
            'Metrics: "A task index d outside 1..T raises ValueError"'),
+    Mutant("beta-swapped-teachers", "src/flwf/losses.py",
+           "    return [labels, (spec.temperature, spec.beta, client),\n"
+           "            (spec.temperature, 1.0 - spec.alpha - spec.beta, server)]\n",
+           "    return [labels, (spec.temperature, 1.0 - spec.alpha - spec.beta, client),\n"
+           "            (spec.temperature, spec.beta, server)]\n",
+           'The round protocol: "flwf2: alpha * CE + beta * D_T(client teacher) '
+           '+ (1 - alpha - beta) * D_T(server teacher)"'),
+    Mutant("unsoftened-teachers", "src/flwf/losses.py",
+           "temperature_scaled_probs(np.array(teachers), temperature)",
+           "temperature_scaled_probs(np.array(teachers), 1.0)",
+           'The round protocol: "D_T is cross-entropy between temperature-softened '
+           'teacher and student distributions"'),
+    Mutant("flwf2-client-term-from-server", "src/flwf/losses.py",
+           "(spec.temperature, spec.beta, client)",
+           "(spec.temperature, spec.beta, server)",
+           'The round protocol: "flwf2: alpha * CE + beta * D_T(client teacher) '
+           '+ (1 - alpha - beta) * D_T(server teacher)"'),
 )
 
 
